@@ -49,6 +49,7 @@ from .models import (
     jcm_log_divergence_coefficient,
     jcm_timescale_closed_form,
 )
+from .propagator import Propagator
 from .timescale import (
     CurvaturePrediction,
     TimescaleReport,
@@ -78,6 +79,7 @@ __all__ = [
     "ProductState",
     "assemble",
     "product_state_vector",
+    "Propagator",
     "TimescaleReport",
     "CurvaturePrediction",
     "expectation",

@@ -32,8 +32,9 @@ import numpy as np
 from . import __version__
 from .entropy import (
     VON_NEUMANN_ALPHA,
-    _SchmidtEvaluator,
     entropy_series,
+    renyi_from_probabilities,
+    stencil_curvatures,
     von_neumann_curvature_probe,
 )
 from .errors import EnttimeError, ModelError, NumericalError
@@ -47,6 +48,7 @@ from .models import (
     build_jcm,
     suggest_coherent_cutoff,
 )
+from .propagator import Propagator
 from .timescale import entanglement_timescale, predicted_curvature
 
 __all__ = [
@@ -350,17 +352,20 @@ def _write_text(path: str | None, text: str) -> None:
         sys.stdout.write(text)
         return
     target = os.path.abspath(path)
-    fd, tmp = tempfile.mkstemp(
-        dir=os.path.dirname(target), prefix=".enttime-", suffix=".tmp"
-    )
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(
+            dir=os.path.dirname(target), prefix=".enttime-", suffix=".tmp"
+        )
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, target)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise SchemaViolation(f"cannot write output file {path!r}: {exc}") from exc
 
 
 def _matrix_doc(m: np.ndarray) -> dict:
@@ -452,14 +457,6 @@ def cmd_timescale(
 # ---------------------------------------------------------------------------
 # evolve
 
-def _thread_count() -> int:
-    raw = os.environ.get("ENTTIME_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def cmd_evolve(
     spec_path: str,
     alphas: list[int],
@@ -469,7 +466,6 @@ def cmd_evolve(
     output_path: str | None = None,
     *,
     spectrum_columns: bool = False,
-    workers: int | None = None,
 ) -> str:
     """Exact-evolution entropy series as CSV; returns the CSV text."""
     if not math.isfinite(t_max) or t_max <= 0.0:
@@ -490,7 +486,6 @@ def cmd_evolve(
         wanted,
         times,
         capture_spectra=spectrum_columns,
-        workers=_thread_count() if workers is None else workers,
     )
     unit = math.log(2.0) if units_ln2 else 1.0
     lines = ["t,alpha,entropy,p1,p2" if spectrum_columns else "t,alpha,entropy"]
@@ -575,23 +570,14 @@ class VerificationTable:
         }
 
 
-def _stencil_curvature(evaluator: _SchmidtEvaluator, entropy_of, center: float, width: float) -> float:
-    offsets = (-2.0, -1.0, 0.0, 1.0, 2.0)
-    weights = (-1.0, 16.0, -30.0, 16.0, -1.0)
-    values = [entropy_of(evaluator.probabilities_at(center + k * width)) for k in offsets]
-    if not all(math.isfinite(v) for v in values):
-        raise NumericalError(
-            f"finite-difference stencil at t={center!r}, width {width!r} produced "
-            f"non-finite entropies {values!r}"
-        )
-    return sum(w * v for w, v in zip(weights, values)) / (12.0 * width * width)
-
-
 def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     """Least-squares slope, intercept and R^2 of y against x."""
     if x.size < 2:
         raise NumericalError("fit needs at least two points")
-    slope, intercept = np.polyfit(x, y, 1)
+    try:
+        slope, intercept = np.polyfit(x, y, 1)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"least-squares fit failed to converge: {exc}") from exc
     residual = y - (slope * x + intercept)
     total = y - y.mean()
     denom = float(total @ total)
@@ -635,7 +621,6 @@ def cmd_verify(
         raise SchemaViolation(f"--tolerance-rel must be positive, got {tolerance_rel!r}")
     model = load_model_file(spec_path)
     report = entanglement_timescale(model.hamiltonian, model.state)
-    from .entropy import renyi_from_probabilities, von_neumann_from_probabilities
 
     rows: list[VerificationRow] = []
     renyi_orders = [a for a in alphas if a != VON_NEUMANN_ALPHA]
@@ -649,8 +634,8 @@ def cmd_verify(
             )
         unit = report.scale**-0.5
         times = np.geomspace(_ONSET_WINDOW[0], _ONSET_WINDOW[1], _ONSET_POINTS) * unit
-        series = entropy_series(model.hamiltonian, model.state, [2], times)
-        values = series[0].values
+        (series,) = entropy_series(model.hamiltonian, model.state, [2], times)
+        values = series.values
         if np.any(values <= 0.0):
             raise NumericalError(
                 "onset-slope fit impossible: S_2 not resolvable above the "
@@ -691,16 +676,17 @@ def cmd_verify(
                 )
             )
     else:
-        evaluator = _SchmidtEvaluator(model.hamiltonian, model.state)
+        propagator = Propagator(model.hamiltonian, model.state)
         width = report.t_ent / _VERIFY_STENCIL_DIVISOR
-        for alpha in renyi_orders:
+        measured_all = stencil_curvatures(
+            propagator,
+            [lambda p, a=alpha: renyi_from_probabilities(p, a) for alpha in renyi_orders],
+            [0.0],
+            width,
+        )
+        for alpha, row in zip(renyi_orders, measured_all):
             prediction = predicted_curvature(report, alpha)
-            measured = _stencil_curvature(
-                evaluator,
-                lambda p, a=alpha: renyi_from_probabilities(p, a),
-                0.0,
-                width,
-            )
+            measured = float(row[0])
             rel = abs(measured - prediction.curvature) / abs(prediction.curvature)
             rows.append(
                 VerificationRow(
@@ -715,7 +701,11 @@ def cmd_verify(
         if wants_vn:
             probe_times = report.t_ent * np.array([1e-1, 1e-2, 1e-3, 1e-4])
             pairs = von_neumann_curvature_probe(
-                model.hamiltonian, model.state, probe_times
+                model.hamiltonian,
+                model.state,
+                probe_times,
+                propagator=propagator,
+                report=report,
             )
             ts = np.array([t for t, _ in pairs])
             curvatures = np.array([c for _, c in pairs])

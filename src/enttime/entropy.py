@@ -18,15 +18,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NumericalError, StateError
-from .hamiltonian import ProductHamiltonian, ProductState, assemble, product_state_vector
-from .linalg import BipartitePureState, eig_hermitian, evolve_state
-from .timescale import entanglement_timescale
+from .errors import NumericalError, StateError
+from .hamiltonian import ProductHamiltonian, ProductState
+from .linalg import BipartitePureState, eig_hermitian
+from .propagator import Propagator
+from .timescale import TimescaleReport, entanglement_timescale
 from .tolerances import PSD_TOL, TRACE_TOL
 
 __all__ = [
@@ -39,6 +39,7 @@ __all__ = [
     "renyi_entropy",
     "von_neumann_entropy",
     "entropy_series",
+    "stencil_curvatures",
     "von_neumann_curvature_probe",
 ]
 
@@ -48,6 +49,11 @@ VON_NEUMANN_ALPHA = 1
 # A 5-point second-derivative stencil narrower than this fraction of the
 # entanglement timescale drowns in roundoff; the probe refuses to go there.
 _STENCIL_FLOOR = 1e-7
+
+# The 5-point central second difference: sample offsets in units of the
+# width h, and weights over 12 h^2.
+_STENCIL_OFFSETS = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+_STENCIL_WEIGHTS = np.array([-1.0, 16.0, -30.0, 16.0, -1.0])
 
 
 def _check_alpha(alpha, minimum: int) -> int:
@@ -196,37 +202,6 @@ def _check_times(times, *, require_nonnegative: bool) -> np.ndarray:
     return t
 
 
-class _SchmidtEvaluator:
-    """Schmidt spectra of one evolving state, batched over times."""
-
-    def __init__(self, h: ProductHamiltonian, state: ProductState):
-        if (state.dim_a, state.dim_b) != (h.dim_a, h.dim_b):
-            raise DimensionError(
-                f"state dimensions ({state.dim_a}, {state.dim_b}) do not match "
-                f"Hamiltonian dimensions ({h.dim_a}, {h.dim_b})"
-            )
-        self.dim_a = h.dim_a
-        self.dim_b = h.dim_b
-        self.dense = assemble(h)
-        self.spectrum = eig_hermitian(self.dense)
-        self.psi0 = product_state_vector(state)
-        self._modes = self.spectrum.eigenvectors.conj().T @ self.psi0.amplitudes
-
-    def probabilities_at(self, t: float) -> np.ndarray:
-        phases = np.exp(-1j * self.spectrum.eigenvalues * float(t))
-        amps = self.spectrum.eigenvectors @ (phases * self._modes)
-        singular = np.linalg.svd(
-            amps.reshape(self.dim_a, self.dim_b), compute_uv=False
-        )
-        return singular * singular
-
-    def map(self, times: np.ndarray, workers: int) -> list[np.ndarray]:
-        if workers <= 1 or times.size <= 1:
-            return [self.probabilities_at(t) for t in times]
-        with ThreadPoolExecutor(max_workers=min(workers, times.size)) as pool:
-            return list(pool.map(self.probabilities_at, times))
-
-
 def entropy_series(
     h: ProductHamiltonian,
     state: ProductState,
@@ -234,7 +209,6 @@ def entropy_series(
     times,
     *,
     capture_spectra: bool = False,
-    workers: int = 1,
 ) -> list[EntropySeries]:
     """Exact-evolution entropy curves for several orders at once.
 
@@ -249,9 +223,6 @@ def entropy_series(
         Strictly ascending, nonnegative time grid.
     capture_spectra : bool
         Attach the per-time Schmidt probabilities to each series.
-    workers : int
-        Thread count for the per-time SVDs; the LAPACK calls release the
-        GIL, so this scales on multicore hosts. Values <= 1 run serially.
 
     Returns
     -------
@@ -262,9 +233,8 @@ def entropy_series(
         raise ValueError("alphas is empty")
     checked = [_check_alpha(a, 1) for a in alphas]
     t = _check_times(times, require_nonnegative=True)
-    evaluator = _SchmidtEvaluator(h, state)
-    per_time = evaluator.map(t, int(workers))
-    spectra = np.stack(per_time) if capture_spectra else None
+    per_time = Propagator(h, state).probabilities(t)
+    spectra = per_time if capture_spectra else None
     series = []
     for alpha in checked:
         if alpha == VON_NEUMANN_ALPHA:
@@ -277,12 +247,38 @@ def entropy_series(
     return series
 
 
+def stencil_curvatures(propagator: Propagator, kernels, centers, widths) -> np.ndarray:
+    """5-point central second derivatives of entropies along exact dynamics.
+
+    Each kernel maps a Schmidt spectrum to an entropy. Row k of the result
+    holds d^2/dt^2 of ``kernels[k]`` at each center, sampled at
+    center + (-2, -1, 0, 1, 2) * width with that center's width. All
+    kernels share one batched propagation. Raises :class:`NumericalError`
+    when a sampled entropy is not finite.
+    """
+    centers = np.asarray(centers, dtype=np.float64).reshape(-1)
+    widths = np.broadcast_to(np.asarray(widths, dtype=np.float64), centers.shape)
+    probs = propagator.probabilities(centers[:, None] + np.outer(widths, _STENCIL_OFFSETS))
+    out = np.empty((len(kernels), centers.size))
+    for k, kernel in enumerate(kernels):
+        values = np.array([kernel(p) for p in probs]).reshape(centers.size, -1)
+        if not np.all(np.isfinite(values)):
+            raise NumericalError(
+                f"finite-difference stencil at t = {centers!r}, widths {widths!r} "
+                f"produced non-finite entropies {values!r}"
+            )
+        out[k] = values @ _STENCIL_WEIGHTS / (12.0 * widths * widths)
+    return out
+
+
 def von_neumann_curvature_probe(
     h: ProductHamiltonian,
     state: ProductState,
     times,
     *,
     stencil_fraction: float = 20.0,
+    propagator: Propagator | None = None,
+    report: TimescaleReport | None = None,
 ) -> list[tuple[float, float]]:
     """Second derivative of the von Neumann entropy at short positive times.
 
@@ -296,6 +292,9 @@ def von_neumann_curvature_probe(
     ``times`` must be strictly positive and strictly descending (largest
     first, walking toward the divergence). A stencil narrower than 1e-7 of
     the entanglement timescale is rejected as numerically meaningless.
+    A caller that already holds the :class:`Propagator` or the
+    :class:`TimescaleReport` of this ``h`` and ``state`` passes them in, so
+    neither the eigendecomposition nor the covariance sum runs twice.
     """
     t = np.asarray(times, dtype=np.float64).reshape(-1)
     if t.size == 0:
@@ -309,7 +308,8 @@ def von_neumann_curvature_probe(
         raise ValueError(
             f"stencil_fraction must exceed 2 so that t - 2h stays positive, got {fraction!r}"
         )
-    report = entanglement_timescale(h, state)
+    if report is None:
+        report = entanglement_timescale(h, state)
     if not report.degenerate:
         narrowest = float(t.min()) / fraction
         floor = _STENCIL_FLOOR * report.t_ent
@@ -318,18 +318,9 @@ def von_neumann_curvature_probe(
                 f"stencil width {narrowest:.3e} is below the stability floor "
                 f"{floor:.3e} (1e-7 of the entanglement timescale)"
             )
-    evaluator = _SchmidtEvaluator(h, state)
-    offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-    weights = np.array([-1.0, 16.0, -30.0, 16.0, -1.0])
-    rows = []
-    for ti in t:
-        width = ti / fraction
-        values = np.array(
-            [
-                von_neumann_from_probabilities(evaluator.probabilities_at(ti + k * width))
-                for k in offsets
-            ]
-        )
-        curvature = float(np.dot(weights, values) / (12.0 * width * width))
-        rows.append((float(ti), curvature))
-    return rows
+    if propagator is None:
+        propagator = Propagator(h, state)
+    (curvatures,) = stencil_curvatures(
+        propagator, [von_neumann_from_probabilities], t, t / fraction
+    )
+    return [(float(ti), float(c)) for ti, c in zip(t, curvatures)]

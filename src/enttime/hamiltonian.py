@@ -1,10 +1,12 @@
 """Product-form Hamiltonians H = sum_n A_n (x) B_n and product states.
 
 The decomposition into local factor pairs is the input format of the whole
-package: the timescale formula consumes the factors directly, while dynamics
-consume the assembled dense matrix. Individual factors need not be Hermitian
-(ladder operators pair up with their adjoints across terms); only the
-assembled total must be.
+package: the timescale formula consumes the factors directly, and so does
+the exact dynamics, which builds only the blocks of H its start reaches and
+falls back to the assembled dense matrix. Individual factors need not be
+Hermitian (ladder operators pair up with their adjoints across terms); only
+the total must be, and it is checked entry by entry in row slabs, so the
+check never holds H, H^dag or their difference in full.
 """
 
 from __future__ import annotations
@@ -14,15 +16,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ModelError, StateError
-from .linalg import BipartitePureState, as_complex_matrix, dagger, hermitize, kron
-from .tolerances import HERM_TOL, NORM_TOL
+from .linalg import BipartitePureState, as_complex_matrix
+from .tolerances import HERM_TOL, MAX_DIM, NORM_TOL
 
 __all__ = [
     "ProductHamiltonian",
     "ProductState",
     "assemble",
+    "check_hermitian",
     "product_state_vector",
+    "require_dense_dim",
 ]
+
+# Entries of H held at once while it is checked or assembled (4 MB).
+_SLAB_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,26 +117,86 @@ class ProductState:
         return self.psi_b.shape[0]
 
 
+def require_dense_dim(h: ProductHamiltonian) -> int:
+    """The composite dimension of ``h``, if the dense kernel may work on it.
+
+    Raises :class:`DimensionError` when dim_a * dim_b exceeds ``MAX_DIM``,
+    before anything of that size is allocated.
+    """
+    if h.dim > MAX_DIM:
+        raise DimensionError(
+            f"composite dimension {h.dim} = {h.dim_a} * {h.dim_b} exceeds the "
+            f"configured maximum {MAX_DIM}"
+        )
+    return h.dim
+
+
+def _row_slabs(h: ProductHamiltonian):
+    """Consecutive row slabs of H and of H^dag, never holding either in full.
+
+    Yields (first row, H[rows], H^dag[rows]). Each slab lies within one row
+    i of the A factors, where H[(i, l), :] = sum_n kron(A_n[i, :], B_n[l, :]);
+    the H^dag slab is built the same way from the adjoint factors.
+    """
+    d = require_dense_dim(h)
+    # A term with an all-zero factor adds exact zeros; rows of A that are
+    # all zero are skipped below for the same reason.
+    terms = [(a, b) for a, b in h.terms if a.any() and b.any()]
+    adjoints = [(a.conj().T, b.conj().T) for a, b in terms]
+    step = max(1, min(h.dim_b, _SLAB_ENTRIES // d))
+    for i in range(h.dim_a):
+        for l0 in range(0, h.dim_b, step):
+            l1 = min(l0 + step, h.dim_b)
+            slabs = []
+            for factors in (terms, adjoints):
+                slab = np.zeros((l1 - l0, h.dim_a, h.dim_b), dtype=np.complex128)
+                for a, b in factors:
+                    if a[i].any():
+                        slab += a[i][None, :, None] * b[l0:l1][:, None, :]
+                slabs.append(slab.reshape(l1 - l0, d))
+            yield i * h.dim_b + l0, slabs[0], slabs[1]
+
+
+def _scan_hermitian(h: ProductHamiltonian, out: np.ndarray | None) -> None:
+    """Check every entry of H against H^dag; optionally store (H + H^dag)/2."""
+    worst, where, peak = 0.0, (0, 0), 0.0
+    for r0, slab, adjoint in _row_slabs(h):
+        defect = np.abs(slab - adjoint)
+        k = int(np.argmax(defect))
+        if defect.flat[k] > worst:
+            worst = float(defect.flat[k])
+            where = divmod(r0 * h.dim + k, h.dim)
+        peak = max(peak, float(np.max(np.abs(slab))))
+        if out is not None:
+            out[r0 : r0 + slab.shape[0]] = 0.5 * (slab + adjoint)
+    tol = HERM_TOL * max(1.0, peak)
+    if worst > tol:
+        i, j = where
+        raise ModelError(
+            f"assembled Hamiltonian is not Hermitian: worst off-diagonal residual "
+            f"{worst:.3e} at entry ({i}, {j}) exceeds {tol:.3e}"
+        )
+
+
+def check_hermitian(h: ProductHamiltonian) -> None:
+    """Verify that sum_n kron(A_n, B_n) is Hermitian without forming it.
+
+    Sees every entry, with the tolerance and error of :func:`assemble`.
+    """
+    _scan_hermitian(h, None)
+
+
 def assemble(h: ProductHamiltonian) -> np.ndarray:
     """Dense matrix sum_n kron(A_n, B_n), verified Hermitian.
 
     Raises :class:`ModelError` naming the worst off-diagonal residual when
     the terms do not add up to a Hermitian operator within ``HERM_TOL``
-    relative to max(1, max|H|).
+    relative to max(1, max|H|). The result is symmetrized as
+    (H + H^dag)/2, an exact no-op for a Hermitian sum.
     """
-    total = np.zeros((h.dim, h.dim), dtype=np.complex128)
-    for a, b in h.terms:
-        total += kron(a, b)
-    defect_matrix = np.abs(total - dagger(total))
-    defect = float(np.max(defect_matrix))
-    tol = HERM_TOL * max(1.0, float(np.max(np.abs(total))))
-    if defect > tol:
-        i, j = np.unravel_index(int(np.argmax(defect_matrix)), defect_matrix.shape)
-        raise ModelError(
-            f"assembled Hamiltonian is not Hermitian: worst off-diagonal residual "
-            f"{defect:.3e} at entry ({i}, {j}) exceeds {tol:.3e}"
-        )
-    return hermitize(total)
+    total = np.empty((require_dense_dim(h),) * 2, dtype=np.complex128)
+    _scan_hermitian(h, total)
+    return total
 
 
 def product_state_vector(state: ProductState) -> BipartitePureState:

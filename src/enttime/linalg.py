@@ -28,6 +28,7 @@ __all__ = [
     "HermitianSpectrum",
     "eig_hermitian",
     "BipartitePureState",
+    "propagate",
     "evolve_state",
 ]
 
@@ -223,6 +224,21 @@ class BipartitePureState:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
 
+def propagate(spectrum: HermitianSpectrum, psi0: np.ndarray, times) -> np.ndarray:
+    """Amplitudes exp(-i M t) psi0 for each time, one row per time.
+
+    Evaluated as psi0 + V diag(exp(-i w t) - 1) V^dag psi0 with the phase
+    shift written through sines, so t = 0 returns psi0 exactly and the
+    change of a nearly unmoved state keeps its relative accuracy. The rows
+    for all times come out of one (T x dim) by (dim x dim) product.
+    """
+    theta = np.multiply.outer(np.asarray(times, dtype=np.float64), spectrum.eigenvalues)
+    half = np.sin(0.5 * theta)
+    shift = -2.0 * half * half - 1j * np.sin(theta)
+    modes = (psi0.conj() @ spectrum.eigenvectors).conj()
+    return psi0 + (shift * modes) @ spectrum.eigenvectors.T
+
+
 def evolve_state(
     h,
     psi0: BipartitePureState,
@@ -262,7 +278,5 @@ def evolve_state(
         raise DimensionError(
             f"spectrum dimension {spectrum.dim} does not match state dimension {psi0.dim}"
         )
-    modes = dagger(spectrum.eigenvectors) @ psi0.amplitudes
-    phases = np.exp(-1j * spectrum.eigenvalues * float(t))
-    amps = spectrum.eigenvectors @ (phases * modes)
+    amps = propagate(spectrum, psi0.amplitudes, [float(t)])[0]
     return BipartitePureState(psi0.dim_a, psi0.dim_b, amps)

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NumericalError
-from .hamiltonian import ProductHamiltonian, ProductState, assemble, product_state_vector
-from .linalg import as_complex_matrix, eig_hermitian, evolve_state
+from .hamiltonian import ProductHamiltonian, ProductState
+from .linalg import as_complex_matrix
 from .tolerances import DEGEN_TOL_REL, IMAG_TOL
 
 __all__ = [
@@ -191,18 +191,15 @@ def first_derivative_check(
     (S_alpha(dt) - S_alpha(-dt)) / (2 dt).
     """
     # Local import: entropy builds on this module.
-    from .entropy import renyi_from_probabilities, schmidt_probabilities
+    from .entropy import renyi_from_probabilities
+    from .propagator import Propagator
 
     if isinstance(alpha, bool) or not isinstance(alpha, (int, np.integer)) or alpha < 2:
         raise ValueError(f"alpha must be an integer >= 2, got {alpha!r}")
     dt = float(dt)
     if not math.isfinite(dt) or dt <= 0.0:
         raise ValueError(f"dt must be a positive finite number, got {dt!r}")
-    dense = assemble(h)
-    spectrum = eig_hermitian(dense)
-    psi0 = product_state_vector(state)
-    plus = schmidt_probabilities(evolve_state(dense, psi0, dt, spectrum=spectrum))
-    minus = schmidt_probabilities(evolve_state(dense, psi0, -dt, spectrum=spectrum))
+    plus, minus = Propagator(h, state).probabilities([dt, -dt])
     s_plus = renyi_from_probabilities(plus, int(alpha))
     s_minus = renyi_from_probabilities(minus, int(alpha))
     return (s_plus - s_minus) / (2.0 * dt)

@@ -232,6 +232,49 @@ def test_verify_json_table(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# exit codes of failures outside the model
+
+
+def test_unwritable_output_is_usage_error(tmp_path, capsys):
+    spec = write_model(tmp_path, fock_doc())
+    missing = str(tmp_path / "no-such-dir" / "out")
+    assert main(["timescale", "--spec", spec, "--out", missing]) == 2
+    assert main(["evolve", "--spec", spec, "--points", "3", "--out", missing]) == 2
+    assert main(["verify", "--spec", spec, "--alphas", "2", "--out", missing]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("error: cannot write output file") == 3
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+
+def test_solver_breakdown_is_numerical_error(tmp_path, monkeypatch, capsys):
+    spec = write_model(tmp_path, fock_doc())
+
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    assert main(["evolve", "--spec", spec, "--points", "3"]) == 4
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    assert main(["verify", "--spec", spec, "--alphas", "2"]) == 4
+    err = capsys.readouterr().err
+    assert "error: Schmidt SVD failed to converge" in err
+    assert "error: Hermitian eigensolver failed to converge" in err
+
+
+def test_dimension_cap_exits_with_model_error_code(tmp_path, capsys):
+    doc = {
+        "model": "custom",
+        "dim_a": 65,
+        "dim_b": 64,
+        "terms": [{"a": {"re": np.eye(65).tolist()}, "b": {"re": np.eye(64).tolist()}}],
+        "state": {"psi_a": {"re": np.eye(65)[0].tolist()}, "psi_b": {"re": np.eye(64)[0].tolist()}},
+    }
+    spec = write_model(tmp_path, doc)
+    assert main(["evolve", "--spec", spec, "--points", "3"]) == 3
+    assert "exceeds the configured maximum 4096" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
 # model files: schema and units
 
 

@@ -237,14 +237,15 @@ def test_series_spectra_capture():
     assert np.max(np.abs(series.spectra.sum(axis=1) - 1.0)) <= 1e-12
 
 
-def test_series_worker_count_does_not_change_values():
-    spec = JcmSpec(lam=1.0, n_max=8, field=FockField(3))
+def test_series_batched_matches_single_time():
+    spec = JcmSpec(lam=1.0, n_max=40, field=CoherentField(1.2), c_e=0.6, c_g=0.8)
     h, s = build_jcm(spec)
     times = np.linspace(0.0, 2.0, 9)
-    (serial,) = entropy_series(h, s, [3], times, capture_spectra=True, workers=1)
-    (threaded,) = entropy_series(h, s, [3], times, capture_spectra=True, workers=4)
-    assert np.array_equal(serial.values, threaded.values)
-    assert np.array_equal(serial.spectra, threaded.spectra)
+    (batched,) = entropy_series(h, s, [3], times, capture_spectra=True)
+    for k, t in enumerate(times):
+        (single,) = entropy_series(h, s, [3], [t], capture_spectra=True)
+        assert abs(single.values[0] - batched.values[k]) <= 1e-14
+        assert np.max(np.abs(single.spectra[0] - batched.spectra[k])) <= 1e-14
 
 
 def test_series_validation():
