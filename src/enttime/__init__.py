@@ -20,24 +20,17 @@ from .errors import (
 from .entropy import (
     VON_NEUMANN_ALPHA,
     EntropySeries,
-    alpha_purity,
+    VerificationRow,
     entropy_series,
-    renyi_entropy,
+    first_derivative_check,
     renyi_from_probabilities,
     schmidt_probabilities,
+    verify_growth,
     von_neumann_curvature_probe,
-    von_neumann_entropy,
     von_neumann_from_probabilities,
 )
 from .hamiltonian import ProductHamiltonian, ProductState, assemble, product_state_vector
-from .linalg import (
-    BipartitePureState,
-    HermitianSpectrum,
-    eig_hermitian,
-    evolve_state,
-    kron,
-    partial_trace,
-)
+from .linalg import BipartitePureState, HermitianSpectrum, eig_hermitian
 from .models import (
     BoseHubbardBoundarySpec,
     CoherentField,
@@ -55,7 +48,6 @@ from .timescale import (
     TimescaleReport,
     entanglement_timescale,
     expectation,
-    first_derivative_check,
     predicted_curvature,
 )
 
@@ -71,10 +63,7 @@ __all__ = [
     "NumericalError",
     "BipartitePureState",
     "HermitianSpectrum",
-    "kron",
-    "partial_trace",
     "eig_hermitian",
-    "evolve_state",
     "ProductHamiltonian",
     "ProductState",
     "assemble",
@@ -91,11 +80,10 @@ __all__ = [
     "schmidt_probabilities",
     "renyi_from_probabilities",
     "von_neumann_from_probabilities",
-    "alpha_purity",
-    "renyi_entropy",
-    "von_neumann_entropy",
     "entropy_series",
     "von_neumann_curvature_probe",
+    "VerificationRow",
+    "verify_growth",
     "JcmSpec",
     "FockField",
     "CoherentField",

@@ -30,15 +30,9 @@ import jsonschema
 import numpy as np
 
 from . import __version__
-from .entropy import (
-    VON_NEUMANN_ALPHA,
-    entropy_series,
-    renyi_from_probabilities,
-    stencil_curvatures,
-    von_neumann_curvature_probe,
-)
+from .entropy import VON_NEUMANN_ALPHA, VerificationRow, entropy_series, verify_growth
 from .errors import EnttimeError, ModelError, NumericalError
-from .hamiltonian import ProductHamiltonian, ProductState
+from .hamiltonian import ProductHamiltonian, ProductState, check_hermitian
 from .models import (
     BoseHubbardBoundarySpec,
     CoherentField,
@@ -48,14 +42,12 @@ from .models import (
     build_jcm,
     suggest_coherent_cutoff,
 )
-from .propagator import Propagator
-from .timescale import entanglement_timescale, predicted_curvature
+from .timescale import check_alpha, entanglement_timescale, predicted_curvature
 
 __all__ = [
     "SchemaViolation",
     "ModelSpecFile",
     "RunReport",
-    "VerificationRow",
     "VerificationTable",
     "load_model_file",
     "cmd_timescale",
@@ -182,8 +174,6 @@ _SUBSCHEMAS = {
 class ModelSpecFile:
     """A parsed, validated and resolved model file."""
 
-    path: str
-    document: dict
     resolved: dict = field(repr=False)
     hamiltonian: ProductHamiltonian = field(repr=False)
     state: ProductState = field(repr=False)
@@ -338,9 +328,7 @@ def load_model_file(path: str) -> ModelSpecFile:
         "custom": _resolve_custom,
     }[document["model"]]
     h, state, echo = resolver(document)
-    return ModelSpecFile(
-        path=path, document=document, resolved=echo, hamiltonian=h, state=state
-    )
+    return ModelSpecFile(resolved=echo, hamiltonian=h, state=state)
 
 
 # ---------------------------------------------------------------------------
@@ -411,14 +399,16 @@ def cmd_timescale(
     *,
     include_timing: bool = True,
 ) -> RunReport:
-    """Evaluate the covariance timescale of a model file; write JSON."""
+    """Evaluate the covariance timescale of a model file; write JSON.
+
+    The total H is checked for Hermiticity first, as the dynamics commands
+    do; the covariance sum alone would not notice every non-Hermitian H.
+    """
     for alpha in alphas:
-        if alpha < 2:
-            raise SchemaViolation(
-                f"--alphas for timescale must all be >= 2, got {alpha}"
-            )
+        check_alpha(alpha, 2)
     started = time.perf_counter()
     model = load_model_file(spec_path)
+    check_hermitian(model.hamiltonian)
     report = entanglement_timescale(model.hamiltonian, model.state)
     predictions = [
         {
@@ -508,16 +498,6 @@ def cmd_evolve(
 # verify
 
 @dataclass
-class VerificationRow:
-    label: str
-    predicted: float | None
-    measured: float | None
-    rel_error: float | None
-    status: str
-    detail: str = ""
-
-
-@dataclass
 class VerificationTable:
     spec: dict
     degenerate: bool
@@ -570,161 +550,18 @@ class VerificationTable:
         }
 
 
-def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Least-squares slope, intercept and R^2 of y against x."""
-    if x.size < 2:
-        raise NumericalError("fit needs at least two points")
-    try:
-        slope, intercept = np.polyfit(x, y, 1)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"least-squares fit failed to converge: {exc}") from exc
-    residual = y - (slope * x + intercept)
-    total = y - y.mean()
-    denom = float(total @ total)
-    r_squared = 1.0 if denom == 0.0 else 1.0 - float(residual @ residual) / denom
-    if not (math.isfinite(slope) and math.isfinite(intercept) and math.isfinite(r_squared)):
-        raise NumericalError(
-            f"unstable fit: slope {slope!r}, intercept {intercept!r}, R^2 {r_squared!r}"
-        )
-    return float(slope), float(intercept), r_squared
-
-
-# Stencil width as a fraction of the entanglement timescale; small enough for
-# the O(h^4) truncation error to sit far below a 1% check, wide enough to
-# stay clear of roundoff.
-_VERIFY_STENCIL_DIVISOR = 50.0
-
-# Dimensionless onset-fit window for degenerate systems, in units of the
-# inverse square root of the covariance scale.
-_ONSET_WINDOW = (1e-3, 1e-1)
-_ONSET_POINTS = 13
-_ONSET_SLOPE = 6.0
-_ONSET_SLOPE_BAND = 0.1
-
-
 def cmd_verify(
     spec_path: str,
     alphas: list[int],
     tolerance_rel: float = 0.01,
     output_path: str | None = None,
 ) -> VerificationTable:
-    """Measure initial curvatures and check the predicted universal form.
+    """Run :func:`~enttime.entropy.verify_growth` on a model file.
 
-    Non-degenerate systems get one row per Renyi order: predicted curvature
-    (2 alpha / (alpha - 1)) * t_ent_inv_sq against a 5-point finite
-    difference around t = 0, PASS/FAIL at ``tolerance_rel``. An alpha of 1
-    adds an informational row fitting the von Neumann curvature to
-    a + b ln t. Degenerate systems instead fit the log-log onset slope of
-    S_2, which the product start pins at 6.
+    Returns the PASS/FAIL table and, with ``output_path``, writes it as JSON.
     """
-    if not math.isfinite(tolerance_rel) or tolerance_rel <= 0.0:
-        raise SchemaViolation(f"--tolerance-rel must be positive, got {tolerance_rel!r}")
     model = load_model_file(spec_path)
-    report = entanglement_timescale(model.hamiltonian, model.state)
-
-    rows: list[VerificationRow] = []
-    renyi_orders = [a for a in alphas if a != VON_NEUMANN_ALPHA]
-    wants_vn = any(a == VON_NEUMANN_ALPHA for a in alphas)
-
-    if report.degenerate:
-        if report.scale <= 0.0:
-            raise NumericalError(
-                "nothing to verify: covariance scale is exactly zero, the state "
-                "never entangles under this Hamiltonian"
-            )
-        unit = report.scale**-0.5
-        times = np.geomspace(_ONSET_WINDOW[0], _ONSET_WINDOW[1], _ONSET_POINTS) * unit
-        (series,) = entropy_series(model.hamiltonian, model.state, [2], times)
-        values = series.values
-        if np.any(values <= 0.0):
-            raise NumericalError(
-                "onset-slope fit impossible: S_2 not resolvable above the "
-                f"floating-point floor on the window {times[0]!r}..{times[-1]!r}"
-            )
-        slope, _, r_squared = _linear_fit(np.log(times), np.log(values))
-        status = "PASS" if abs(slope - _ONSET_SLOPE) <= _ONSET_SLOPE_BAND else "FAIL"
-        rows.append(
-            VerificationRow(
-                label="onset-slope(S_2)",
-                predicted=_ONSET_SLOPE,
-                measured=slope,
-                rel_error=abs(slope - _ONSET_SLOPE) / _ONSET_SLOPE,
-                status=status,
-                detail=f"log-log fit over {len(times)} points, R^2 = {r_squared:.6f}",
-            )
-        )
-        for alpha in renyi_orders:
-            rows.append(
-                VerificationRow(
-                    label=f"curvature(alpha={alpha})",
-                    predicted=0.0,
-                    measured=None,
-                    rel_error=None,
-                    status="SKIP",
-                    detail="degenerate timescale: quadratic coefficient is zero",
-                )
-            )
-        if wants_vn:
-            rows.append(
-                VerificationRow(
-                    label="vn-divergence",
-                    predicted=None,
-                    measured=None,
-                    rel_error=None,
-                    status="SKIP",
-                    detail="degenerate timescale: no logarithmic divergence",
-                )
-            )
-    else:
-        propagator = Propagator(model.hamiltonian, model.state)
-        width = report.t_ent / _VERIFY_STENCIL_DIVISOR
-        measured_all = stencil_curvatures(
-            propagator,
-            [lambda p, a=alpha: renyi_from_probabilities(p, a) for alpha in renyi_orders],
-            [0.0],
-            width,
-        )
-        for alpha, row in zip(renyi_orders, measured_all):
-            prediction = predicted_curvature(report, alpha)
-            measured = float(row[0])
-            rel = abs(measured - prediction.curvature) / abs(prediction.curvature)
-            rows.append(
-                VerificationRow(
-                    label=f"curvature(alpha={alpha})",
-                    predicted=prediction.curvature,
-                    measured=measured,
-                    rel_error=rel,
-                    status="PASS" if rel <= tolerance_rel else "FAIL",
-                    detail=f"5-point stencil, width t_ent/{_VERIFY_STENCIL_DIVISOR:g}",
-                )
-            )
-        if wants_vn:
-            probe_times = report.t_ent * np.array([1e-1, 1e-2, 1e-3, 1e-4])
-            pairs = von_neumann_curvature_probe(
-                model.hamiltonian,
-                model.state,
-                probe_times,
-                propagator=propagator,
-                report=report,
-            )
-            ts = np.array([t for t, _ in pairs])
-            curvatures = np.array([c for _, c in pairs])
-            slope, intercept, r_squared = _linear_fit(np.log(ts), curvatures)
-            rows.append(
-                VerificationRow(
-                    label="vn-divergence",
-                    predicted=-4.0 * report.t_ent_inv_sq,
-                    measured=slope,
-                    rel_error=abs(slope + 4.0 * report.t_ent_inv_sq)
-                    / (4.0 * report.t_ent_inv_sq),
-                    status="INFO",
-                    detail=(
-                        f"curvature ~ a + b ln t: a = {intercept!r}, b = {slope!r}, "
-                        f"R^2 = {r_squared:.6f}"
-                    ),
-                )
-            )
-
+    report, rows = verify_growth(model.hamiltonian, model.state, alphas, tolerance_rel)
     table = VerificationTable(
         spec=model.resolved,
         degenerate=report.degenerate,
@@ -741,13 +578,15 @@ def cmd_verify(
 
 def _alpha_list(text: str) -> list[int]:
     try:
-        values = [int(part) for part in text.split(",") if part.strip() != ""]
+        values = [
+            check_alpha(int(part), VON_NEUMANN_ALPHA)
+            for part in text.split(",")
+            if part.strip() != ""
+        ]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad alpha list {text!r}: {exc}") from exc
     if not values:
         raise argparse.ArgumentTypeError("alpha list is empty")
-    if any(a < 1 for a in values):
-        raise argparse.ArgumentTypeError("alphas must be >= 1 (1 marks von Neumann)")
     return values
 
 
@@ -814,21 +653,16 @@ def main(argv=None) -> int:
         table = cmd_verify(args.spec, args.alphas, args.tolerance_rel, args.out)
         sys.stdout.write(table.to_text())
         return 1 if table.failed else 0
-    except SchemaViolation as exc:
+    except (EnttimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return _exit_code(exc)
+
+
+def _exit_code(exc: Exception) -> int:
+    """The documented exit code of a failure: 2 usage, 3 model, 4 numerics."""
+    if isinstance(exc, SchemaViolation) or not isinstance(exc, EnttimeError):
         return 2
-    except ModelError as exc:  # includes TruncationError
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except EnttimeError as exc:
-        if isinstance(exc, NumericalError):
-            print(f"error: {exc}", file=sys.stderr)
-            return 4
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return 4 if isinstance(exc, NumericalError) else 3
 
 
 if __name__ == "__main__":

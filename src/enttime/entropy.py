@@ -1,46 +1,51 @@
-"""Renyi and von Neumann entropies of reduced states, exactly evolved.
+"""Renyi and von Neumann entropies along exact dynamics, and their checks.
 
-Two evaluation routes live here. The matrix route (:func:`alpha_purity`,
-:func:`renyi_entropy`, :func:`von_neumann_entropy`) diagonalizes a reduced
-density matrix; it is the natural interface when a caller already holds
-rho_A. The state route (:func:`schmidt_probabilities` plus the
-``*_from_probabilities`` kernels) takes the Schmidt spectrum from an SVD of
-the pure-state amplitude matrix and never forms the largest probability
+Every entropy here is a function of a Schmidt spectrum: the squared singular
+values of the pure-state amplitude matrix, from :func:`schmidt_probabilities`
+or, along a time grid, from :class:`~enttime.propagator.Propagator`. The
+``*_from_probabilities`` kernels never form the largest probability
 explicitly, which keeps entropies of nearly-product states accurate down to
-the 1e-30 range; the naive log-of-sum loses them below ~1e-15. Time series
-and the short-time von Neumann curvature probe are built on the state route.
+the 1e-30 range; the naive log-of-sum loses them below ~1e-15. Time series,
+the 5-point curvature stencil, the von Neumann curvature probe and
+:func:`verify_growth`, which measures the initial growth and holds it
+against the covariance-sum prediction, are all built on that one route.
 
 Entropies are in nats. alpha = 1 marks the von Neumann branch in
-:func:`entropy_series`; the Renyi-only entry points reject it.
+:func:`entropy_series` and :func:`verify_growth`; the Renyi-only entry points
+reject it.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, StateError
 from .hamiltonian import ProductHamiltonian, ProductState
-from .linalg import BipartitePureState, eig_hermitian
+from .linalg import BipartitePureState
 from .propagator import Propagator
-from .timescale import TimescaleReport, entanglement_timescale
+from .timescale import (
+    TimescaleReport,
+    check_alpha,
+    entanglement_timescale,
+    predicted_curvature,
+)
 from .tolerances import PSD_TOL, TRACE_TOL
 
 __all__ = [
     "VON_NEUMANN_ALPHA",
     "EntropySeries",
+    "VerificationRow",
     "schmidt_probabilities",
     "renyi_from_probabilities",
     "von_neumann_from_probabilities",
-    "alpha_purity",
-    "renyi_entropy",
-    "von_neumann_entropy",
     "entropy_series",
     "stencil_curvatures",
     "von_neumann_curvature_probe",
+    "first_derivative_check",
+    "verify_growth",
 ]
 
 # Sentinel order marking the von Neumann (alpha -> 1) branch in series requests.
@@ -55,13 +60,17 @@ _STENCIL_FLOOR = 1e-7
 _STENCIL_OFFSETS = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
 _STENCIL_WEIGHTS = np.array([-1.0, 16.0, -30.0, 16.0, -1.0])
 
+# Stencil width of verify_growth as a fraction of the entanglement timescale;
+# small enough for the O(h^4) truncation error to sit far below a 1% check,
+# wide enough to stay clear of roundoff.
+_VERIFY_STENCIL_DIVISOR = 50.0
 
-def _check_alpha(alpha, minimum: int) -> int:
-    if isinstance(alpha, bool) or not isinstance(alpha, (int, np.integer)):
-        raise ValueError(f"alpha must be an integer, got {alpha!r}")
-    if alpha < minimum:
-        raise ValueError(f"alpha must be >= {minimum}, got {alpha}")
-    return int(alpha)
+# Dimensionless onset-fit window for degenerate systems, in units of the
+# inverse square root of the covariance scale.
+_ONSET_WINDOW = (1e-3, 1e-1)
+_ONSET_POINTS = 13
+_ONSET_SLOPE = 6.0
+_ONSET_SLOPE_BAND = 0.1
 
 
 def _prepared_tail(probs) -> np.ndarray:
@@ -104,7 +113,7 @@ def renyi_from_probabilities(probs, alpha: int) -> float:
     Implemented through the purity defect sum p^alpha - 1 so values of order
     1e-30 survive; exact zero comes back for a pure spectrum.
     """
-    alpha = _check_alpha(alpha, 2)
+    alpha = check_alpha(alpha, 2)
     tail = _prepared_tail(probs)
     if tail.size == 0:
         return 0.0
@@ -120,51 +129,6 @@ def von_neumann_from_probabilities(probs) -> float:
         return 0.0
     eps = float(tail.sum())
     return -(1.0 - eps) * math.log1p(-eps) - float(np.sum(tail * np.log(tail)))
-
-
-def _density_spectrum(rho) -> np.ndarray:
-    """Descending, clipped eigenvalues of a density matrix."""
-    spectrum = eig_hermitian(rho)
-    p = spectrum.eigenvalues[::-1]
-    low = float(p.min())
-    if low < PSD_TOL:
-        raise StateError(
-            f"density matrix eigenvalue {low:.3e} is negative beyond roundoff"
-        )
-    trace = float(p.sum())
-    if abs(trace - 1.0) > TRACE_TOL:
-        raise StateError(f"density matrix trace {trace!r} deviates from 1")
-    clipped_mass = float(p[p < 0.0].sum())
-    if clipped_mass < -1e-9:
-        warnings.warn(
-            f"clipping {clipped_mass:.3e} of negative eigenvalue mass to zero",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return np.clip(p, 0.0, None)
-
-
-def alpha_purity(rho, alpha: int) -> float:
-    """tr rho^alpha through the eigenvalue spectrum, for integer alpha >= 1."""
-    alpha = _check_alpha(alpha, 1)
-    p = _density_spectrum(rho)
-    return float(np.sum(p**alpha))
-
-
-def renyi_entropy(rho, alpha: int) -> float:
-    """Order-alpha Renyi entropy of a density matrix, alpha integer >= 2.
-
-    The alpha -> 1 limit is :func:`von_neumann_entropy`; its short-time
-    growth law is different in kind (see
-    :func:`von_neumann_curvature_probe`), so alpha = 1 is rejected here.
-    """
-    alpha = _check_alpha(alpha, 2)
-    return renyi_from_probabilities(_density_spectrum(rho), alpha)
-
-
-def von_neumann_entropy(rho) -> float:
-    """Von Neumann entropy -tr(rho ln rho) in nats."""
-    return von_neumann_from_probabilities(_density_spectrum(rho))
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,13 +153,13 @@ class EntropySeries:
             self.spectra.setflags(write=False)
 
 
-def _check_times(times, *, require_nonnegative: bool) -> np.ndarray:
+def _check_times(times) -> np.ndarray:
     t = np.asarray(times, dtype=np.float64).reshape(-1)
     if t.size == 0:
         raise ValueError("time grid is empty")
     if not np.all(np.isfinite(t)):
         raise ValueError("time grid contains non-finite entries")
-    if require_nonnegative and t[0] < 0.0:
+    if t[0] < 0.0:
         raise ValueError(f"times must be nonnegative, got {t[0]!r}")
     if t.size > 1 and not np.all(np.diff(t) > 0.0):
         raise ValueError("times must be strictly ascending")
@@ -231,8 +195,8 @@ def entropy_series(
     alphas = list(alphas)
     if len(alphas) == 0:
         raise ValueError("alphas is empty")
-    checked = [_check_alpha(a, 1) for a in alphas]
-    t = _check_times(times, require_nonnegative=True)
+    checked = [check_alpha(a, VON_NEUMANN_ALPHA) for a in alphas]
+    t = _check_times(times)
     per_time = Propagator(h, state).probabilities(t)
     spectra = per_time if capture_spectra else None
     series = []
@@ -324,3 +288,194 @@ def von_neumann_curvature_probe(
         propagator, [von_neumann_from_probabilities], t, t / fraction
     )
     return [(float(ti), float(c)) for ti, c in zip(t, curvatures)]
+
+
+def first_derivative_check(
+    h: ProductHamiltonian,
+    state: ProductState,
+    alpha: int,
+    dt: float,
+) -> float:
+    """Centered-difference estimate of dS_alpha/dt at t = 0.
+
+    For a product initial state this is zero up to discretization and
+    roundoff; a clearly nonzero return means the input is not the product
+    state it claims to be. ``dt`` must be positive and small against the
+    entanglement timescale; the estimate is
+    (S_alpha(dt) - S_alpha(-dt)) / (2 dt).
+    """
+    alpha = check_alpha(alpha, 2)
+    dt = float(dt)
+    if not math.isfinite(dt) or dt <= 0.0:
+        raise ValueError(f"dt must be a positive finite number, got {dt!r}")
+    plus, minus = Propagator(h, state).probabilities([dt, -dt])
+    s_plus = renyi_from_probabilities(plus, alpha)
+    s_minus = renyi_from_probabilities(minus, alpha)
+    return (s_plus - s_minus) / (2.0 * dt)
+
+
+@dataclass
+class VerificationRow:
+    """One check of :func:`verify_growth`: a prediction against a measurement.
+
+    ``status`` is PASS or FAIL for a checked row, INFO for a fit reported
+    without a verdict, and SKIP for a check the start gives nothing to
+    measure.
+    """
+
+    label: str
+    predicted: float | None
+    measured: float | None
+    rel_error: float | None
+    status: str
+    detail: str = ""
+
+
+def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """Least-squares slope, intercept and R^2 of y against x."""
+    if x.size < 2:
+        raise NumericalError("fit needs at least two points")
+    try:
+        slope, intercept = np.polyfit(x, y, 1)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"least-squares fit failed to converge: {exc}") from exc
+    residual = y - (slope * x + intercept)
+    total = y - y.mean()
+    denom = float(total @ total)
+    r_squared = 1.0 if denom == 0.0 else 1.0 - float(residual @ residual) / denom
+    if not (math.isfinite(slope) and math.isfinite(intercept) and math.isfinite(r_squared)):
+        raise NumericalError(
+            f"unstable fit: slope {slope!r}, intercept {intercept!r}, R^2 {r_squared!r}"
+        )
+    return float(slope), float(intercept), r_squared
+
+
+def verify_growth(
+    h: ProductHamiltonian,
+    state: ProductState,
+    alphas,
+    tolerance_rel: float = 0.01,
+) -> tuple[TimescaleReport, list[VerificationRow]]:
+    """Measure the initial entropy growth and check the predicted universal form.
+
+    Non-degenerate systems get one row per Renyi order in ``alphas``:
+    predicted curvature (2 alpha / (alpha - 1)) * t_ent_inv_sq against a
+    5-point finite difference around t = 0 of width t_ent / 50, PASS/FAIL
+    at ``tolerance_rel``. ``VON_NEUMANN_ALPHA`` (= 1) adds an informational
+    row fitting the von Neumann curvature to a + b ln t. Degenerate systems
+    instead fit the log-log onset slope of S_2, which the product start pins
+    at 6.
+
+    One :class:`Propagator` and one :class:`TimescaleReport` serve every
+    row; the report comes back with the rows. The propagator is built
+    first, so a non-Hermitian H raises :class:`ModelError` before anything
+    is measured. Raises :class:`NumericalError` when the start never
+    entangles (covariance scale exactly zero) or a fit breaks down.
+    """
+    if not math.isfinite(tolerance_rel) or tolerance_rel <= 0.0:
+        raise ValueError(f"tolerance_rel must be positive, got {tolerance_rel!r}")
+    orders = [check_alpha(a, VON_NEUMANN_ALPHA) for a in alphas]
+    renyi_orders = [a for a in orders if a != VON_NEUMANN_ALPHA]
+    wants_vn = VON_NEUMANN_ALPHA in orders
+    propagator = Propagator(h, state)
+    report = entanglement_timescale(h, state)
+    rows: list[VerificationRow] = []
+
+    if report.degenerate:
+        if report.scale <= 0.0:
+            raise NumericalError(
+                "nothing to verify: covariance scale is exactly zero, the state "
+                "never entangles under this Hamiltonian"
+            )
+        times = np.geomspace(*_ONSET_WINDOW, _ONSET_POINTS) * report.scale**-0.5
+        values = np.array(
+            [renyi_from_probabilities(p, 2) for p in propagator.probabilities(times)]
+        )
+        if np.any(values <= 0.0):
+            raise NumericalError(
+                "onset-slope fit impossible: S_2 not resolvable above the "
+                f"floating-point floor on the window {times[0]!r}..{times[-1]!r}"
+            )
+        slope, _, r_squared = _linear_fit(np.log(times), np.log(values))
+        status = "PASS" if abs(slope - _ONSET_SLOPE) <= _ONSET_SLOPE_BAND else "FAIL"
+        rows.append(
+            VerificationRow(
+                label="onset-slope(S_2)",
+                predicted=_ONSET_SLOPE,
+                measured=slope,
+                rel_error=abs(slope - _ONSET_SLOPE) / _ONSET_SLOPE,
+                status=status,
+                detail=f"log-log fit over {len(times)} points, R^2 = {r_squared:.6f}",
+            )
+        )
+        for alpha in renyi_orders:
+            rows.append(
+                VerificationRow(
+                    label=f"curvature(alpha={alpha})",
+                    predicted=0.0,
+                    measured=None,
+                    rel_error=None,
+                    status="SKIP",
+                    detail="degenerate timescale: quadratic coefficient is zero",
+                )
+            )
+        if wants_vn:
+            rows.append(
+                VerificationRow(
+                    label="vn-divergence",
+                    predicted=None,
+                    measured=None,
+                    rel_error=None,
+                    status="SKIP",
+                    detail="degenerate timescale: no logarithmic divergence",
+                )
+            )
+        return report, rows
+
+    if renyi_orders:
+        measured_all = stencil_curvatures(
+            propagator,
+            [lambda p, a=alpha: renyi_from_probabilities(p, a) for alpha in renyi_orders],
+            [0.0],
+            report.t_ent / _VERIFY_STENCIL_DIVISOR,
+        )
+        for alpha, row in zip(renyi_orders, measured_all):
+            prediction = predicted_curvature(report, alpha)
+            measured = float(row[0])
+            rel = abs(measured - prediction.curvature) / abs(prediction.curvature)
+            rows.append(
+                VerificationRow(
+                    label=f"curvature(alpha={alpha})",
+                    predicted=prediction.curvature,
+                    measured=measured,
+                    rel_error=rel,
+                    status="PASS" if rel <= tolerance_rel else "FAIL",
+                    detail=f"5-point stencil, width t_ent/{_VERIFY_STENCIL_DIVISOR:g}",
+                )
+            )
+    if wants_vn:
+        pairs = von_neumann_curvature_probe(
+            h,
+            state,
+            report.t_ent * np.array([1e-1, 1e-2, 1e-3, 1e-4]),
+            propagator=propagator,
+            report=report,
+        )
+        ts = np.array([t for t, _ in pairs])
+        curvatures = np.array([c for _, c in pairs])
+        slope, intercept, r_squared = _linear_fit(np.log(ts), curvatures)
+        rows.append(
+            VerificationRow(
+                label="vn-divergence",
+                predicted=-4.0 * report.t_ent_inv_sq,
+                measured=slope,
+                rel_error=abs(slope + 4.0 * report.t_ent_inv_sq)
+                / (4.0 * report.t_ent_inv_sq),
+                status="INFO",
+                detail=(
+                    f"curvature ~ a + b ln t: a = {intercept!r}, b = {slope!r}, "
+                    f"R^2 = {r_squared:.6f}"
+                ),
+            )
+        )
+    return report, rows

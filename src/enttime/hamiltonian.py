@@ -39,7 +39,7 @@ class ProductHamiltonian:
     ``terms`` is a sequence of (A_n, B_n) pairs with A_n acting on the
     dim_a-dimensional subsystem and B_n on the dim_b-dimensional one.
     Construction validates shapes and finiteness; Hermiticity of the total
-    is checked where the dense matrix is built (:func:`assemble`), because
+    is checked by :func:`check_hermitian` and :func:`assemble`, because
     the factors themselves are generally not Hermitian.
     """
 

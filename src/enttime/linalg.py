@@ -2,8 +2,8 @@
 
 Index convention: a pure state of a bipartite system stores the amplitude of
 basis ket |i>|j> at flat position i * dim_b + j, i.e. subsystem A owns the
-slow (row-block) index. Kronecker products, partial traces and state
-reshapes all assume this ordering, and the test oracles check it.
+slow (row-block) index. Kronecker products and state reshapes all assume
+this ordering, and the test oracles check it.
 
 All heavy lifting is delegated to numpy (LAPACK); this module adds the
 validation and the error contract.
@@ -16,20 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NumericalError, StateError
-from .tolerances import MAX_DIM, NORM_TOL, RECON_TOL
+from .tolerances import NORM_TOL, RECON_TOL
 
 __all__ = [
     "as_complex_matrix",
     "dagger",
-    "hermitian_defect",
-    "hermitize",
-    "kron",
-    "partial_trace",
     "HermitianSpectrum",
     "eig_hermitian",
     "BipartitePureState",
     "propagate",
-    "evolve_state",
 ]
 
 
@@ -63,69 +58,6 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().T
 
 
-def hermitian_defect(m: np.ndarray) -> float:
-    """Largest absolute entry of M - M^dag."""
-    return float(np.max(np.abs(m - dagger(m))))
-
-
-def hermitize(m: np.ndarray) -> np.ndarray:
-    """Symmetrized (M + M^dag) / 2; exact no-op for Hermitian input."""
-    return 0.5 * (m + dagger(m))
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with the A-slow index convention.
-
-    Raises :class:`DimensionError` when the product dimension would exceed
-    ``MAX_DIM`` in either direction.
-    """
-    a = as_complex_matrix(a, name="left factor")
-    b = as_complex_matrix(b, name="right factor")
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[1] * b.shape[1]
-    if rows > MAX_DIM or cols > MAX_DIM:
-        raise DimensionError(
-            f"kron product dimension {rows}x{cols} exceeds the configured maximum {MAX_DIM}"
-        )
-    return np.kron(a, b)
-
-
-def partial_trace(rho, dim_a: int, dim_b: int, keep: str = "A") -> np.ndarray:
-    """Trace out one subsystem of a (dim_a*dim_b)-dimensional operator.
-
-    Parameters
-    ----------
-    rho : array_like
-        Square operator on the composite space, A-slow index ordering.
-    dim_a, dim_b : int
-        Subsystem dimensions.
-    keep : {"A", "B"}
-        Which subsystem survives.
-
-    Returns
-    -------
-    numpy.ndarray
-        The reduced operator, symmetrized to kill roundoff asymmetry.
-        The trace of the input is preserved exactly.
-    """
-    rho = as_complex_matrix(rho, name="rho")
-    if dim_a < 1 or dim_b < 1:
-        raise DimensionError(f"subsystem dimensions must be positive, got {dim_a}, {dim_b}")
-    d = dim_a * dim_b
-    if rho.shape != (d, d):
-        raise DimensionError(
-            f"rho has shape {rho.shape!r}, expected ({d}, {d}) for dims ({dim_a}, {dim_b})"
-        )
-    if keep not in ("A", "B"):
-        raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
-    blocks = rho.reshape(dim_a, dim_b, dim_a, dim_b)
-    if keep == "A":
-        reduced = np.einsum("ijkj->ik", blocks)
-    else:
-        reduced = np.einsum("ijil->jl", blocks)
-    return hermitize(reduced)
-
-
 @dataclass(frozen=True, eq=False)
 class HermitianSpectrum:
     """Eigendecomposition of a Hermitian matrix.
@@ -144,14 +76,6 @@ class HermitianSpectrum:
         self.eigenvalues.setflags(write=False)
         self.eigenvectors.setflags(write=False)
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        """The matrix V diag(w) V^dag this spectrum represents."""
-        return (self.eigenvectors * self.eigenvalues) @ dagger(self.eigenvectors)
-
 
 def eig_hermitian(m) -> HermitianSpectrum:
     """Eigendecomposition of a Hermitian matrix with a reconstruction check.
@@ -165,7 +89,7 @@ def eig_hermitian(m) -> HermitianSpectrum:
     m = as_complex_matrix(m, name="matrix")
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"matrix must be square, got shape {m.shape!r}")
-    sym = hermitize(m)
+    sym = 0.5 * (m + dagger(m))
     try:
         w, v = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
@@ -184,8 +108,7 @@ class BipartitePureState:
     """Pure state of an A x B system as a flat amplitude vector.
 
     The amplitude of |i>|j> sits at index i * dim_b + j. Construction
-    validates the norm against ``NORM_TOL`` and freezes the array, so
-    instances are safe to share between threads.
+    validates the norm against ``NORM_TOL`` and freezes the array.
     """
 
     dim_a: int
@@ -219,10 +142,6 @@ class BipartitePureState:
         """Amplitudes as a (dim_a, dim_b) matrix; its SVD is the Schmidt form."""
         return self.amplitudes.reshape(self.dim_a, self.dim_b)
 
-    def density_matrix(self) -> np.ndarray:
-        """Projector |psi><psi| on the composite space."""
-        return np.outer(self.amplitudes, self.amplitudes.conj())
-
 
 def propagate(spectrum: HermitianSpectrum, psi0: np.ndarray, times) -> np.ndarray:
     """Amplitudes exp(-i M t) psi0 for each time, one row per time.
@@ -238,45 +157,3 @@ def propagate(spectrum: HermitianSpectrum, psi0: np.ndarray, times) -> np.ndarra
     modes = (psi0.conj() @ spectrum.eigenvectors).conj()
     return psi0 + (shift * modes) @ spectrum.eigenvectors.T
 
-
-def evolve_state(
-    h,
-    psi0: BipartitePureState,
-    t: float,
-    *,
-    spectrum: HermitianSpectrum | None = None,
-) -> BipartitePureState:
-    """Propagate ``psi0`` to exp(-i H t) psi0 by exact diagonalization.
-
-    Parameters
-    ----------
-    h : array_like
-        Hermitian Hamiltonian on the composite space (hbar = 1; entries are
-        angular rates, t carries the inverse unit).
-    psi0 : BipartitePureState
-        Initial state.
-    t : float
-        Evolution time; negative values run the dynamics backwards.
-    spectrum : HermitianSpectrum, optional
-        Precomputed decomposition of ``h``. Pass it when evolving to many
-        times so the solve happens once.
-
-    Returns
-    -------
-    BipartitePureState
-        The evolved state; the constructor re-checks the norm, so unitarity
-        loss beyond ``NORM_TOL`` surfaces as a :class:`StateError`.
-    """
-    h = as_complex_matrix(h, name="hamiltonian")
-    if h.shape != (psi0.dim, psi0.dim):
-        raise DimensionError(
-            f"hamiltonian shape {h.shape!r} does not match state dimension {psi0.dim}"
-        )
-    if spectrum is None:
-        spectrum = eig_hermitian(h)
-    elif spectrum.dim != psi0.dim:
-        raise DimensionError(
-            f"spectrum dimension {spectrum.dim} does not match state dimension {psi0.dim}"
-        )
-    amps = propagate(spectrum, psi0.amplitudes, [float(t)])[0]
-    return BipartitePureState(psi0.dim_a, psi0.dim_b, amps)

@@ -12,8 +12,8 @@ Renyi entropy of order alpha >= 2 then starts out as
     S_alpha(t) = (alpha / (alpha - 1)) * t_ent_inv_sq * t**2 + O(t**3),
 
 so the initial curvature is (2 alpha / (alpha - 1)) * t_ent_inv_sq, one
-number for the whole family. The first derivative at t = 0 vanishes for any
-product start; :func:`first_derivative_check` measures it numerically.
+number for the whole family. Nothing here evolves the state or forms the
+dense H.
 """
 
 from __future__ import annotations
@@ -34,8 +34,27 @@ __all__ = [
     "expectation",
     "entanglement_timescale",
     "predicted_curvature",
-    "first_derivative_check",
+    "check_alpha",
 ]
+
+
+def check_alpha(alpha, minimum: int) -> int:
+    """``alpha`` as an int, if it is an integer entropy order >= ``minimum``.
+
+    Raises ValueError otherwise. Renyi-only entry points ask for 2; the
+    callers that take order 1 as the von Neumann branch ask for 1.
+    """
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, np.integer)):
+        raise ValueError(f"alpha must be an integer >= {minimum}, got {alpha!r}")
+    if alpha < minimum:
+        hint = ""
+        if minimum > 1:
+            hint = (
+                "; the alpha -> 1 limit diverges logarithmically, "
+                "see von_neumann_curvature_probe"
+            )
+        raise ValueError(f"alpha must be >= {minimum}, got {alpha}{hint}")
+    return int(alpha)
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,45 +180,11 @@ def predicted_curvature(report: TimescaleReport, alpha: int) -> CurvaturePredict
     :func:`enttime.entropy.von_neumann_curvature_probe` for its
     logarithmic growth instead.
     """
-    if isinstance(alpha, bool) or not isinstance(alpha, (int, np.integer)):
-        raise ValueError(f"alpha must be an integer >= 2, got {alpha!r}")
-    if alpha < 2:
-        raise ValueError(
-            f"alpha must be >= 2, got {alpha}; the alpha -> 1 limit diverges "
-            "logarithmically, see von_neumann_curvature_probe"
-        )
+    alpha = check_alpha(alpha, 2)
     coefficient = 2.0 * alpha / (alpha - 1.0)
     return CurvaturePrediction(
-        alpha=int(alpha),
+        alpha=alpha,
         coefficient=coefficient,
         curvature=coefficient * report.t_ent_inv_sq,
     )
 
-
-def first_derivative_check(
-    h: ProductHamiltonian,
-    state: ProductState,
-    alpha: int,
-    dt: float,
-) -> float:
-    """Centered-difference estimate of dS_alpha/dt at t = 0.
-
-    For a product initial state this is zero up to discretization and
-    roundoff; a clearly nonzero return means the input is not the product
-    state it claims to be. ``dt`` must be positive and small against the
-    entanglement timescale; the estimate is
-    (S_alpha(dt) - S_alpha(-dt)) / (2 dt).
-    """
-    # Local import: entropy builds on this module.
-    from .entropy import renyi_from_probabilities
-    from .propagator import Propagator
-
-    if isinstance(alpha, bool) or not isinstance(alpha, (int, np.integer)) or alpha < 2:
-        raise ValueError(f"alpha must be an integer >= 2, got {alpha!r}")
-    dt = float(dt)
-    if not math.isfinite(dt) or dt <= 0.0:
-        raise ValueError(f"dt must be a positive finite number, got {dt!r}")
-    plus, minus = Propagator(h, state).probabilities([dt, -dt])
-    s_plus = renyi_from_probabilities(plus, int(alpha))
-    s_minus = renyi_from_probabilities(minus, int(alpha))
-    return (s_plus - s_minus) / (2.0 * dt)

@@ -38,5 +38,5 @@ IMAG_TOL = 1e-10
 # Probability mass a truncated mode expansion may discard.
 TAIL_TOL = 1e-12
 
-# Deviation from unit trace tolerated for density-matrix spectra.
+# Deviation from unit total tolerated for probability vectors.
 TRACE_TOL = 1e-8

@@ -104,12 +104,6 @@ def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     return 0.5 * (g + g.conj().T)
 
 
-def random_density_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = random_matrix(rng, dim)
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
-
-
 def random_term_list(rng: np.random.Generator, dim_a: int, dim_b: int, n_groups: int):
     """Random (A, B) pairs whose assembled sum is Hermitian.
 

@@ -274,6 +274,58 @@ def test_dimension_cap_exits_with_model_error_code(tmp_path, capsys):
     assert "exceeds the configured maximum 4096" in capsys.readouterr().err
 
 
+def custom_doc(terms, psi_a, psi_b, dim_a=2, dim_b=2):
+    return {
+        "model": "custom",
+        "dim_a": dim_a,
+        "dim_b": dim_b,
+        "terms": [{"a": {"re": a}, "b": {"re": b}} for a, b in terms],
+        "state": {"psi_a": {"re": psi_a}, "psi_b": {"re": psi_b}},
+    }
+
+
+SIGMA_PLUS = [[0.0, 1.0], [0.0, 0.0]]
+SIGMA_X = [[0.0, 1.0], [1.0, 0.0]]
+SIGMA_Z = [[1.0, 0.0], [0.0, -1.0]]
+
+COMMANDS = [["timescale"], ["evolve", "--points", "3"], ["verify", "--alphas", "2"]]
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        # the covariance sum of this one is real and positive (t_ent = 1.052)
+        (
+            custom_doc([(SIGMA_PLUS, SIGMA_X), (SIGMA_Z, SIGMA_Z)], [0.6, 0.8], [0.6, 0.8]),
+            "not Hermitian",
+        ),
+        # and this start never entangles: covariance scale exactly zero
+        (
+            custom_doc([(SIGMA_PLUS, np.eye(2).tolist())], [1.0, 0.0], [1.0, 0.0]),
+            "not Hermitian",
+        ),
+        (custom_doc([(SIGMA_Z, SIGMA_X)], [1.0, 1.0], [1.0, 0.0]), "psi_a norm"),
+        (fock_doc(n_max=2, field={"type": "fock", "n": 5}), "n_max"),
+        (
+            custom_doc([(np.eye(3).tolist(), SIGMA_X)], [1.0, 0.0], [1.0, 0.0]),
+            "factor A has shape",
+        ),
+    ],
+    ids=[
+        "non-hermitian-entangling",
+        "non-hermitian-never-entangling",
+        "unnormalized-state",
+        "truncation",
+        "factor-shape",
+    ],
+)
+def test_model_and_state_errors_exit_3(tmp_path, capsys, doc, message, argv):
+    spec = write_model(tmp_path, doc)
+    assert main([argv[0], "--spec", spec, *argv[1:]]) == 3
+    assert message in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # model files: schema and units
 

@@ -5,18 +5,17 @@ import pytest
 
 from enttime.entropy import (
     VON_NEUMANN_ALPHA,
-    alpha_purity,
     entropy_series,
-    renyi_entropy,
     renyi_from_probabilities,
     schmidt_probabilities,
+    verify_growth,
     von_neumann_curvature_probe,
-    von_neumann_entropy,
     von_neumann_from_probabilities,
 )
 from enttime.errors import DimensionError, NumericalError, StateError
 from enttime.hamiltonian import ProductHamiltonian, ProductState, assemble, product_state_vector
-from enttime.linalg import BipartitePureState, evolve_state, partial_trace
+from enttime.linalg import BipartitePureState
+from enttime.propagator import Propagator
 from enttime.models import (
     CoherentField,
     FockField,
@@ -24,7 +23,7 @@ from enttime.models import (
     build_jcm,
     jcm_analytic_state,
 )
-from enttime.timescale import entanglement_timescale
+from enttime.timescale import check_alpha, entanglement_timescale
 
 import oracles
 
@@ -42,36 +41,32 @@ def random_pure_state(rng, dim_a, dim_b):
     )
 
 
+def reduced_density(state, keep):
+    rho = np.outer(state.amplitudes, state.amplitudes.conj())
+    return oracles.partial_trace_loops(rho, state.dim_a, state.dim_b, keep)
+
+
 # ---------------------------------------------------------------------------
-# matrix route against matrix-power oracles
-
-
-def test_alpha_purity_matches_matrix_power_oracle():
-    rng = np.random.default_rng(71)
-    for _ in range(40):
-        dim = int(rng.integers(2, 7))
-        rho = oracles.random_density_matrix(rng, dim)
-        for alpha in (1, 2, 3, 5):
-            ours = alpha_purity(rho, alpha)
-            assert abs(ours - oracles.purity_matrix_power(rho, alpha)) <= 1e-11
+# Schmidt route against matrix-power oracles on the reduced density matrix
 
 
 def test_renyi_entropy_matches_matrix_power_oracle():
     rng = np.random.default_rng(72)
     for _ in range(40):
-        dim = int(rng.integers(2, 7))
-        rho = oracles.random_density_matrix(rng, dim)
+        state = random_pure_state(rng, int(rng.integers(2, 7)), int(rng.integers(2, 7)))
+        probs = schmidt_probabilities(state)
+        rho_a = reduced_density(state, "A")
         for alpha in (2, 3, 4):
-            ours = renyi_entropy(rho, alpha)
-            assert abs(ours - oracles.renyi_matrix_power(rho, alpha)) <= 1e-10
+            ours = renyi_from_probabilities(probs, alpha)
+            assert abs(ours - oracles.renyi_matrix_power(rho_a, alpha)) <= 1e-10
 
 
 def test_von_neumann_matches_eigh_oracle():
     rng = np.random.default_rng(73)
     for _ in range(40):
-        dim = int(rng.integers(2, 7))
-        rho = oracles.random_density_matrix(rng, dim)
-        assert abs(von_neumann_entropy(rho) - oracles.von_neumann_eigh(rho)) <= 1e-10
+        state = random_pure_state(rng, int(rng.integers(2, 7)), int(rng.integers(2, 7)))
+        ours = von_neumann_from_probabilities(schmidt_probabilities(state))
+        assert abs(ours - oracles.von_neumann_eigh(reduced_density(state, "A"))) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -79,11 +74,9 @@ def test_von_neumann_matches_eigh_oracle():
 
 
 def test_maximally_mixed_qubit_values():
-    rho = np.eye(2) / 2.0
-    assert abs(alpha_purity(rho, 2) - 0.5) <= 1e-14
     for alpha in (2, 3, 8):
-        assert abs(renyi_entropy(rho, alpha) - math.log(2.0)) <= 1e-12
-    assert abs(von_neumann_entropy(rho) - math.log(2.0)) <= 1e-12
+        assert abs(renyi_from_probabilities([0.5, 0.5], alpha) - math.log(2.0)) <= 1e-12
+    assert abs(von_neumann_from_probabilities([0.5, 0.5]) - math.log(2.0)) <= 1e-12
 
     probs = schmidt_probabilities(bell_state())
     assert np.allclose(probs, [0.5, 0.5], atol=1e-14)
@@ -93,11 +86,10 @@ def test_maximally_mixed_qubit_values():
 def test_pure_state_entropies_are_exactly_zero():
     assert renyi_from_probabilities([1.0, 0.0, 0.0], 2) == 0.0
     assert von_neumann_from_probabilities([1.0, 0.0]) == 0.0
-    rho = np.zeros((3, 3), dtype=complex)
-    rho[1, 1] = 1.0
-    assert renyi_entropy(rho, 2) == 0.0
-    assert von_neumann_entropy(rho) == 0.0
-    assert alpha_purity(rho, 4) == 1.0
+    basis = BipartitePureState(3, 2, np.eye(6)[3])  # |1>|1>
+    probs = schmidt_probabilities(basis)
+    assert renyi_from_probabilities(probs, 4) == 0.0
+    assert von_neumann_from_probabilities(probs) == 0.0
 
 
 def test_two_outcome_von_neumann_value():
@@ -136,17 +128,12 @@ def test_alpha_validation():
     for bad in (1, 0, -3, 2.0, True):
         with pytest.raises(ValueError):
             renyi_from_probabilities(probs, bad)
-    with pytest.raises(ValueError):
-        alpha_purity(np.eye(2) / 2.0, 0)
-    with pytest.raises(ValueError):
-        renyi_entropy(np.eye(2) / 2.0, 1)
-
-
-def test_density_matrix_guards():
-    with pytest.raises(StateError, match="trace"):
-        von_neumann_entropy(np.eye(3))
-    with pytest.raises(StateError, match="negative"):
-        renyi_entropy(np.diag([1.001, -0.001]).astype(complex), 2)
+    assert check_alpha(np.int64(1), 1) == 1
+    for bad in (0, 1.0, False):
+        with pytest.raises(ValueError, match=">= 1"):
+            check_alpha(bad, 1)
+    with pytest.raises(ValueError, match="von_neumann_curvature_probe"):
+        check_alpha(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -185,16 +172,15 @@ def test_reduced_entropies_agree_between_subsystems():
         dim_a = int(rng.integers(2, 7))
         dim_b = int(rng.integers(2, 7))
         state = random_pure_state(rng, dim_a, dim_b)
-        rho = state.density_matrix()
-        rho_a = partial_trace(rho, dim_a, dim_b, keep="A")
-        rho_b = partial_trace(rho, dim_a, dim_b, keep="B")
+        rho_a = reduced_density(state, "A")
+        rho_b = reduced_density(state, "B")
         for alpha in (2, 3):
-            sa = renyi_entropy(rho_a, alpha)
-            sb = renyi_entropy(rho_b, alpha)
+            sa = oracles.renyi_matrix_power(rho_a, alpha)
+            sb = oracles.renyi_matrix_power(rho_b, alpha)
             assert abs(sa - sb) <= 1e-10
             direct = renyi_from_probabilities(schmidt_probabilities(state), alpha)
             assert abs(sa - direct) <= 1e-10
-        assert abs(von_neumann_entropy(rho_a) - von_neumann_entropy(rho_b)) <= 1e-10
+        assert abs(oracles.von_neumann_eigh(rho_a) - oracles.von_neumann_eigh(rho_b)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +206,9 @@ def test_series_orders_and_marker():
     assert [x.alpha for x in series] == [2, 1, 4]
     assert series[0].values.shape == (3,)
     # the alpha = 1 entry is the von Neumann branch
-    psi = evolve_state(assemble(h), product_state_vector(s), 0.7)
-    expected = von_neumann_from_probabilities(schmidt_probabilities(psi))
+    psi = oracles.expm_propagate(assemble(h), product_state_vector(s).amplitudes, 0.7)
+    evolved = BipartitePureState(h.dim_a, h.dim_b, psi)
+    expected = von_neumann_from_probabilities(schmidt_probabilities(evolved))
     assert abs(series[1].values[2] - expected) <= 1e-12
 
 
@@ -272,11 +259,10 @@ def test_leading_probability_curvature_at_zero():
     spec = JcmSpec(lam=1.0, n_max=10, field=FockField(3))
     h, s = build_jcm(spec)
     report = entanglement_timescale(h, s)
-    dense = assemble(h)
-    psi0 = product_state_vector(s)
+    propagator = Propagator(h, s)
 
     def p1(t):
-        return float(schmidt_probabilities(evolve_state(dense, psi0, t))[0])
+        return float(propagator.probabilities([t])[0, 0])
 
     measured = oracles.stencil_second_derivative(p1, 0.0, report.t_ent / 50.0)
     expected = -2.0 * report.t_ent_inv_sq
@@ -348,3 +334,32 @@ def test_probe_validation():
         von_neumann_curvature_probe(h, s, [0.1], stencil_fraction=2.0)
     with pytest.raises(NumericalError, match="floor"):
         von_neumann_curvature_probe(h, s, [1e-9])
+
+
+# ---------------------------------------------------------------------------
+# growth check
+
+
+def test_verify_growth_rows():
+    spec = JcmSpec(lam=1.0, n_max=10, field=FockField(3))
+    h, s = build_jcm(spec)
+    report, rows = verify_growth(h, s, [2, VON_NEUMANN_ALPHA, 3])
+    assert report.t_ent_inv_sq == entanglement_timescale(h, s).t_ent_inv_sq
+    assert [r.label for r in rows] == [
+        "curvature(alpha=2)",
+        "curvature(alpha=3)",
+        "vn-divergence",
+    ]
+    assert [r.status for r in rows] == ["PASS", "PASS", "INFO"]
+    assert abs(rows[0].predicted - 16.0) <= 1e-12
+    _, (vn,) = verify_growth(h, s, [VON_NEUMANN_ALPHA])
+    assert vn.measured == rows[2].measured
+
+
+def test_verify_growth_validation():
+    spec = JcmSpec(lam=1.0, n_max=4, field=FockField(1))
+    h, s = build_jcm(spec)
+    with pytest.raises(ValueError, match="tolerance_rel"):
+        verify_growth(h, s, [2], 0.0)
+    with pytest.raises(ValueError):
+        verify_growth(h, s, [0])

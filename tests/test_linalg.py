@@ -1,17 +1,13 @@
 import numpy as np
 import pytest
 
-from enttime.errors import DimensionError, NumericalError, StateError
+from enttime.errors import DimensionError, StateError
 from enttime.linalg import (
     BipartitePureState,
     as_complex_matrix,
     dagger,
     eig_hermitian,
-    evolve_state,
-    hermitian_defect,
-    hermitize,
-    kron,
-    partial_trace,
+    propagate,
 )
 
 import oracles
@@ -22,106 +18,11 @@ def bipartite_from(vec, dim_a, dim_b):
     return BipartitePureState(dim_a, dim_b, vec / np.linalg.norm(vec))
 
 
-def test_kron_identity_cases():
-    i2 = np.eye(2)
-    assert np.array_equal(kron(i2, i2), np.eye(4))
-    sz = np.diag([1.0, -1.0])
-    assert np.array_equal(kron(sz, i2), np.diag([1.0, 1.0, -1.0, -1.0]))
-
-
-def test_kron_matches_quadruple_loop_oracle():
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        ra, ca = rng.integers(1, 5, size=2)
-        rb, cb = rng.integers(1, 5, size=2)
-        a = oracles.random_matrix(rng, int(ra), int(ca))
-        b = oracles.random_matrix(rng, int(rb), int(cb))
-        # vectorized complex multiply may use FMA, so allow one-ulp slack
-        diff = np.max(np.abs(kron(a, b) - oracles.kron_loops(a, b)))
-        assert diff <= 1e-14
-
-
-def test_kron_associativity():
-    rng = np.random.default_rng(12)
-    for _ in range(25):
-        a = oracles.random_matrix(rng, int(rng.integers(1, 4)))
-        b = oracles.random_matrix(rng, int(rng.integers(1, 4)))
-        c = oracles.random_matrix(rng, int(rng.integers(1, 4)))
-        left = kron(kron(a, b), c)
-        right = kron(a, kron(b, c))
-        assert np.max(np.abs(left - right)) <= 1e-13
-
-
-def test_kron_dimension_cap():
-    big = np.eye(70)
-    with pytest.raises(DimensionError):
-        kron(big, big)  # 4900 > 4096
-
-
 def test_as_complex_matrix_rejects_bad_input():
     with pytest.raises(DimensionError):
         as_complex_matrix([1.0, 2.0])
     with pytest.raises(StateError):
         as_complex_matrix([[np.nan, 0.0], [0.0, 1.0]])
-
-
-def test_hermitize_and_defect():
-    rng = np.random.default_rng(13)
-    g = oracles.random_matrix(rng, 4)
-    h = hermitize(g)
-    assert hermitian_defect(h) <= 1e-15
-    assert np.allclose(dagger(h), h)
-
-
-def test_partial_trace_product_state():
-    rng = np.random.default_rng(21)
-    psi_a = oracles.random_unit_vector(rng, 3)
-    psi_b = oracles.random_unit_vector(rng, 4)
-    state = bipartite_from(np.kron(psi_a, psi_b), 3, 4)
-    rho_a = partial_trace(state.density_matrix(), 3, 4, keep="A")
-    assert np.max(np.abs(rho_a - np.outer(psi_a, psi_a.conj()))) <= 1e-14
-
-
-def test_partial_trace_bell_state():
-    bell = np.zeros(4, dtype=np.complex128)
-    bell[0] = bell[3] = 1.0 / np.sqrt(2.0)
-    rho = np.outer(bell, bell.conj())
-    for keep in ("A", "B"):
-        reduced = partial_trace(rho, 2, 2, keep=keep)
-        assert np.max(np.abs(reduced - 0.5 * np.eye(2))) <= 1e-15
-
-
-def test_partial_trace_matches_contraction_oracle():
-    rng = np.random.default_rng(22)
-    for _ in range(100):
-        dim_a = int(rng.integers(1, 7))
-        dim_b = int(rng.integers(1, 7))
-        psi = oracles.random_unit_vector(rng, dim_a * dim_b)
-        rho = np.outer(psi, psi.conj())
-        for keep in ("A", "B"):
-            ours = partial_trace(rho, dim_a, dim_b, keep=keep)
-            ref = oracles.partial_trace_loops(rho, dim_a, dim_b, keep)
-            assert np.max(np.abs(ours - ref)) <= 1e-12
-
-
-def test_partial_trace_preserves_trace_of_hermitian_input():
-    rng = np.random.default_rng(23)
-    for _ in range(50):
-        dim_a = int(rng.integers(1, 6))
-        dim_b = int(rng.integers(1, 6))
-        rho = oracles.random_hermitian(rng, dim_a * dim_b)
-        for keep in ("A", "B"):
-            reduced = partial_trace(rho, dim_a, dim_b, keep=keep)
-            assert abs(np.trace(reduced) - np.trace(rho)) <= 1e-12
-            assert hermitian_defect(reduced) == 0.0
-
-
-def test_partial_trace_shape_errors():
-    rho = np.eye(6) / 6.0
-    with pytest.raises(DimensionError):
-        partial_trace(rho, 2, 2, keep="A")
-    with pytest.raises(ValueError):
-        partial_trace(rho, 2, 3, keep="C")
 
 
 def test_eig_hermitian_known_values():
@@ -137,8 +38,8 @@ def test_eig_hermitian_reconstruction_random():
         m = oracles.random_hermitian(rng, 8)
         spec = eig_hermitian(m)
         assert np.all(np.diff(spec.eigenvalues) >= 0.0)
-        assert np.max(np.abs(spec.reconstruct() - m)) <= 1e-11
         v = spec.eigenvectors
+        assert np.max(np.abs((v * spec.eigenvalues) @ dagger(v) - m)) <= 1e-11
         assert np.max(np.abs(dagger(v) @ v - np.eye(8))) <= 1e-12
 
 
@@ -174,63 +75,49 @@ def test_bipartite_state_is_frozen():
         state.amplitudes[0] = 0.0
 
 
-def test_evolve_state_t0_is_identity():
-    rng = np.random.default_rng(41)
-    psi0 = bipartite_from(oracles.random_unit_vector(rng, 6), 2, 3)
-    h = oracles.random_hermitian(rng, 6)
-    out = evolve_state(h, psi0, 0.0)
-    assert np.max(np.abs(out.amplitudes - psi0.amplitudes)) <= 1e-14
-
-
-def test_evolve_state_eigenstate_phase():
-    # H = sigma_z (x) I, |e>|0> picks up exactly exp(-i t)
-    h = np.kron(np.diag([1.0, -1.0]), np.eye(2))
-    amps = np.zeros(4, dtype=np.complex128)
-    amps[0] = 1.0
-    psi0 = BipartitePureState(2, 2, amps)
+def _eigenstate_case(rng):
+    # H = sigma_z (x) I: |e>|0> picks up exactly exp(-i t)
+    psi0 = np.zeros(4, dtype=np.complex128)
+    psi0[0] = 1.0
     t = 0.73
-    out = evolve_state(h, psi0, t)
-    assert abs(out.amplitudes[0] - np.exp(-1j * t)) <= 1e-14
-    assert abs(np.linalg.norm(out.amplitudes) - 1.0) <= 1e-14
+    expected = np.zeros(4, dtype=np.complex128)
+    expected[0] = np.exp(-1j * t)
+    return np.kron(np.diag([1.0, -1.0]), np.eye(2)), psi0, [t], [expected], 1e-14
 
 
-def test_evolve_state_matches_expm_oracle():
-    rng = np.random.default_rng(42)
-    for _ in range(20):
-        dim_a = int(rng.integers(2, 5))
-        dim_b = int(rng.integers(2, 5))
-        h = oracles.random_hermitian(rng, dim_a * dim_b)
-        psi0 = bipartite_from(oracles.random_unit_vector(rng, dim_a * dim_b), dim_a, dim_b)
-        t = float(rng.uniform(-3.0, 3.0))
-        ours = evolve_state(h, psi0, t)
-        ref = oracles.expm_propagate(h, psi0.amplitudes, t)
-        assert np.max(np.abs(ours.amplitudes - ref)) <= 1e-10
+def _t0_case(rng):
+    h = oracles.random_hermitian(rng, 6)
+    psi0 = oracles.random_unit_vector(rng, 6)
+    return h, psi0, [0.0], [psi0], 1e-14
 
 
-def test_evolve_state_norm_preserved_long_times():
-    rng = np.random.default_rng(43)
+def _expm_case(rng):
+    d = int(rng.integers(2, 5)) * int(rng.integers(2, 5))
+    h = oracles.random_hermitian(rng, d)
+    psi0 = oracles.random_unit_vector(rng, d)
+    times = rng.uniform(-3.0, 3.0, size=20)
+    return h, psi0, times, [oracles.expm_propagate(h, psi0, t) for t in times], 1e-10
+
+
+def _long_time_case(rng):
     h = oracles.random_hermitian(rng, 12)
-    psi0 = bipartite_from(oracles.random_unit_vector(rng, 12), 3, 4)
-    spec = eig_hermitian(h)
-    for t in np.linspace(0.0, 10.0, 11):
-        out = evolve_state(h, psi0, float(t), spectrum=spec)
-        assert abs(np.linalg.norm(out.amplitudes) - 1.0) <= 1e-10
+    psi0 = oracles.random_unit_vector(rng, 12)
+    return h, psi0, np.linspace(0.0, 10.0, 11), None, 1e-10
 
 
-def test_evolve_state_spectrum_reuse_is_exact():
-    rng = np.random.default_rng(44)
-    h = oracles.random_hermitian(rng, 9)
-    psi0 = bipartite_from(oracles.random_unit_vector(rng, 9), 3, 3)
-    spec = eig_hermitian(h)
-    a = evolve_state(h, psi0, 1.234)
-    b = evolve_state(h, psi0, 1.234, spectrum=spec)
-    assert np.array_equal(a.amplitudes, b.amplitudes)
-
-
-def test_evolve_state_dimension_mismatch():
-    psi0 = bipartite_from(np.ones(4), 2, 2)
-    with pytest.raises(DimensionError):
-        evolve_state(np.eye(6), psi0, 1.0)
+@pytest.mark.parametrize(
+    "case",
+    [_t0_case, _eigenstate_case, _expm_case, _long_time_case],
+    ids=["t0-is-identity", "eigenstate-phase", "expm-oracle", "norm-at-long-times"],
+)
+def test_propagate(case):
+    rng = np.random.default_rng(41)
+    h, psi0, times, expected, tol = case(rng)
+    out = propagate(eig_hermitian(h), psi0, times)
+    assert out.shape == (len(times), psi0.size)
+    assert np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0)) <= tol
+    if expected is not None:
+        assert np.max(np.abs(out - np.array(expected))) <= tol
 
 
 def test_reduced_spectra_agree_for_random_pure_states():
@@ -240,8 +127,8 @@ def test_reduced_spectra_agree_for_random_pure_states():
         dim_b = int(rng.integers(1, 7))
         psi = oracles.random_unit_vector(rng, dim_a * dim_b)
         rho = np.outer(psi, psi.conj())
-        spec_a = eig_hermitian(partial_trace(rho, dim_a, dim_b, keep="A")).eigenvalues
-        spec_b = eig_hermitian(partial_trace(rho, dim_a, dim_b, keep="B")).eigenvalues
+        spec_a = eig_hermitian(oracles.partial_trace_loops(rho, dim_a, dim_b, "A")).eigenvalues
+        spec_b = eig_hermitian(oracles.partial_trace_loops(rho, dim_a, dim_b, "B")).eigenvalues
         width = max(dim_a, dim_b)
         padded_a = np.zeros(width)
         padded_b = np.zeros(width)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from enttime.entropy import first_derivative_check, renyi_from_probabilities
 from enttime.errors import DimensionError, NumericalError
 from enttime.hamiltonian import ProductHamiltonian, ProductState
 from enttime.models import (
@@ -15,10 +16,10 @@ from enttime.models import (
     number_operator,
     sigma_z,
 )
+from enttime.propagator import Propagator
 from enttime.timescale import (
     entanglement_timescale,
     expectation,
-    first_derivative_check,
     predicted_curvature,
 )
 
@@ -220,10 +221,6 @@ def test_coefficient_monotone_decreasing():
 def test_double_sum_equals_quarter_s2_curvature():
     # t_ent_inv_sq = (1/4) d^2 S_2/dt^2 at t = 0, by finite differences on
     # exact evolution, for random small systems
-    from enttime.entropy import renyi_from_probabilities, schmidt_probabilities
-    from enttime.hamiltonian import assemble, product_state_vector
-    from enttime.linalg import eig_hermitian, evolve_state
-
     rng = np.random.default_rng(65)
     checked = 0
     while checked < 10:
@@ -231,13 +228,10 @@ def test_double_sum_equals_quarter_s2_curvature():
         report = entanglement_timescale(h, s)
         if report.degenerate:
             continue
-        dense = assemble(h)
-        spectrum = eig_hermitian(dense)
-        psi0 = product_state_vector(s)
+        propagator = Propagator(h, s)
 
         def s2(t):
-            state = evolve_state(dense, psi0, t, spectrum=spectrum)
-            return renyi_from_probabilities(schmidt_probabilities(state), 2)
+            return renyi_from_probabilities(propagator.probabilities([t])[0], 2)
 
         measured = oracles.stencil_second_derivative(s2, 0.0, report.t_ent / 50.0)
         assert abs(measured / 4.0 - report.t_ent_inv_sq) <= 5e-3 * report.t_ent_inv_sq
