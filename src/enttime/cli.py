@@ -9,6 +9,10 @@ Three commands share one JSON model-file format:
 * ``enttime verify`` measures initial curvatures by finite differences and
   checks them against the prediction, printing a PASS/FAIL table.
 
+The model file is read in one pass, before any model object is built.
+Every object rejects unknown keys, ``3.0`` counts as an integer, booleans
+are not numbers, and errors name the ``$`` path of the bad field.
+
 Exit codes: 0 success, 1 verification ran but some row failed, 2 schema or
 usage violation, 3 model/state error, 4 numerical breakdown. Output files
 are written atomically (temp file + rename), and reports are deterministic
@@ -26,7 +30,6 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -50,6 +53,7 @@ __all__ = [
     "RunReport",
     "VerificationTable",
     "load_model_file",
+    "resolve_model_document",
     "cmd_timescale",
     "cmd_evolve",
     "cmd_verify",
@@ -58,116 +62,12 @@ __all__ = [
 
 
 class SchemaViolation(EnttimeError):
-    """Model file fails schema validation; message carries the field path."""
+    """Model file breaks a reading rule; the message names the ``$`` path."""
 
 
 # ---------------------------------------------------------------------------
-# Model file schema and resolution
-
-_NUMBER = {"type": "number"}
-_COMPLEX = {
-    "oneOf": [
-        {"type": "number"},
-        {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
-    ]
-}
-_REAL_VECTOR = {"type": "array", "minItems": 1, "items": {"type": "number"}}
-_REAL_MATRIX = {
-    "type": "array",
-    "minItems": 1,
-    "items": {"type": "array", "minItems": 1, "items": {"type": "number"}},
-}
-_COMPLEX_MATRIX = {
-    "type": "object",
-    "properties": {"re": _REAL_MATRIX, "im": _REAL_MATRIX},
-    "required": ["re"],
-    "additionalProperties": False,
-}
-_COMPLEX_VECTOR = {
-    "type": "object",
-    "properties": {"re": _REAL_VECTOR, "im": _REAL_VECTOR},
-    "required": ["re"],
-    "additionalProperties": False,
-}
-
-_SUBSCHEMAS = {
-    "jcm": {
-        "type": "object",
-        "properties": {
-            "model": {"const": "jcm"},
-            "lambda": _NUMBER,
-            "lambda_hz": _NUMBER,
-            "omega": _NUMBER,
-            "omega_hz": _NUMBER,
-            "n_max": {"type": "integer", "minimum": 1},
-            "atom": {
-                "type": "object",
-                "properties": {"c_e": _COMPLEX, "c_g": _COMPLEX},
-                "additionalProperties": False,
-            },
-            "field": {
-                "oneOf": [
-                    {
-                        "type": "object",
-                        "properties": {
-                            "type": {"const": "fock"},
-                            "n": {"type": "integer", "minimum": 0},
-                        },
-                        "required": ["type", "n"],
-                        "additionalProperties": False,
-                    },
-                    {
-                        "type": "object",
-                        "properties": {"type": {"const": "coherent"}, "nu": _COMPLEX},
-                        "required": ["type", "nu"],
-                        "additionalProperties": False,
-                    },
-                ]
-            },
-        },
-        "required": ["model", "field"],
-        "additionalProperties": False,
-    },
-    "bose_hubbard": {
-        "type": "object",
-        "properties": {
-            "model": {"const": "bose_hubbard"},
-            "j_rate": _NUMBER,
-            "j_rate_hz": _NUMBER,
-            "u_rate": _NUMBER,
-            "u_rate_hz": _NUMBER,
-            "n_per_site_max": {"type": "integer", "minimum": 1},
-        },
-        "required": ["model"],
-        "additionalProperties": False,
-    },
-    "custom": {
-        "type": "object",
-        "properties": {
-            "model": {"const": "custom"},
-            "dim_a": {"type": "integer", "minimum": 1},
-            "dim_b": {"type": "integer", "minimum": 1},
-            "terms": {
-                "type": "array",
-                "minItems": 1,
-                "items": {
-                    "type": "object",
-                    "properties": {"a": _COMPLEX_MATRIX, "b": _COMPLEX_MATRIX},
-                    "required": ["a", "b"],
-                    "additionalProperties": False,
-                },
-            },
-            "state": {
-                "type": "object",
-                "properties": {"psi_a": _COMPLEX_VECTOR, "psi_b": _COMPLEX_VECTOR},
-                "required": ["psi_a", "psi_b"],
-                "additionalProperties": False,
-            },
-        },
-        "required": ["model", "dim_a", "dim_b", "terms", "state"],
-        "additionalProperties": False,
-    },
-}
+# Model file reading: every field is checked as it is read, and read before
+# any model object is built, so a reading fault (exit 2) beats a model one.
 
 
 @dataclass(frozen=True)
@@ -179,84 +79,130 @@ class ModelSpecFile:
     state: ProductState = field(repr=False)
 
 
-def _as_complex(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(float(value), 0.0)
-    return complex(float(value[0]), float(value[1]))
+def _got(value) -> str:
+    """A JSON value as error messages show it, cut to 40 characters."""
+    text = json.dumps(value, default=repr)
+    return text if len(text) <= 40 else text[:37] + "..."
 
 
-def _complex_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+def _object(value, where: str, required=(), optional=()) -> dict:
+    """An object with every ``required`` key and no key outside the two lists."""
+    if not isinstance(value, dict):
+        raise SchemaViolation(f"{where}: expected an object, got {_got(value)}")
+    for key in value:
+        if key not in required and key not in optional:
+            raise SchemaViolation(f"{where}: unknown key {key!r}")
+    for key in required:
+        if key not in value:
+            raise SchemaViolation(f"{where}: missing required key {key!r}")
+    return value
 
 
-def _rate(doc: dict, name: str, *, required: bool = False, default: float = 0.0) -> float:
-    plain = doc.get(name)
-    in_hz = doc.get(name + "_hz")
-    if plain is not None and in_hz is not None:
-        raise SchemaViolation(f"$.{name}: give either {name} or {name}_hz, not both")
-    if plain is not None:
-        return float(plain)
-    if in_hz is not None:
-        return 2.0 * math.pi * float(in_hz)
-    if required:
-        raise SchemaViolation(f"$.{name}: one of {name} or {name}_hz is required")
-    return default
+def _nonempty_list(value, where: str) -> list:
+    if not isinstance(value, list) or not value:
+        raise SchemaViolation(f"{where}: expected a non-empty array, got {_got(value)}")
+    return value
 
 
-def _matrix_from(doc: dict, where: str) -> np.ndarray:
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(value, where: str) -> float:
+    """A JSON number; NaN and Infinity count, booleans do not."""
+    if not _is_number(value):
+        raise SchemaViolation(f"{where}: expected a number, got {_got(value)}")
     try:
-        re = np.array(doc["re"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise SchemaViolation(f"{where}.re: not a rectangular numeric array ({exc})") from exc
-    if "im" in doc:
-        try:
-            im = np.array(doc["im"], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise SchemaViolation(
-                f"{where}.im: not a rectangular numeric array ({exc})"
-            ) from exc
+        return float(value)
+    except OverflowError as exc:
+        raise SchemaViolation(f"{where}: integer beyond the range of a double") from exc
+
+
+def _integer(value, where: str, minimum: int) -> int:
+    """An integer, or an integral float such as 3.0, of at least ``minimum``."""
+    integral = _is_number(value) and (isinstance(value, int) or value.is_integer())
+    if not integral or value < minimum:
+        raise SchemaViolation(f"{where}: expected an integer >= {minimum}, got {_got(value)}")
+    return int(value)
+
+
+def _complex(value, where: str) -> complex:
+    """A complex scalar: a number or a [re, im] pair of numbers."""
+    if not isinstance(value, list):
+        return complex(_number(value, where), 0.0)
+    if len(value) != 2:
+        raise SchemaViolation(f"{where}: expected a number or [re, im], got {_got(value)}")
+    return complex(_number(value[0], f"{where}[0]"), _number(value[1], f"{where}[1]"))
+
+
+def _real_array(value, where: str, ndim: int) -> np.ndarray:
+    """A non-empty array of numbers (ndim 1), or of equally long ones (ndim 2)."""
+    rows = _nonempty_list(value, where) if ndim == 2 else [value]
+    for i, row in enumerate(rows):
+        path = f"{where}[{i}]" if ndim == 2 else where
+        for j, x in enumerate(_nonempty_list(row, path)):
+            if not _is_number(x):
+                raise SchemaViolation(f"{path}[{j}]: expected a number, got {_got(x)}")
+        if len(row) != len(rows[0]):
+            raise SchemaViolation(f"{path}: length {len(row)} differs from row 0's")
+    try:
+        array = np.array(rows, dtype=np.float64)
+    except OverflowError as exc:
+        raise SchemaViolation(f"{where}: integer beyond the range of a double") from exc
+    return array if ndim == 2 else array[0]
+
+
+def _complex_array(value, where: str, ndim: int) -> np.ndarray:
+    """A complex array written as {"re": ..., "im": ...}; a missing im is zero."""
+    parts = _object(value, where, required=("re",), optional=("im",))
+    re = _real_array(parts["re"], f"{where}.re", ndim)
+    im = np.zeros_like(re)
+    if "im" in parts:
+        im = _real_array(parts["im"], f"{where}.im", ndim)
         if im.shape != re.shape:
-            raise SchemaViolation(
-                f"{where}: re has shape {re.shape}, im has shape {im.shape}"
-            )
-    else:
-        im = np.zeros_like(re)
+            raise SchemaViolation(f"{where}: re has shape {re.shape}, im {im.shape}")
     return re + 1j * im
 
 
-def validate_model_document(doc) -> None:
-    """Schema-check a parsed model document; raises :class:`SchemaViolation`."""
-    if not isinstance(doc, dict):
-        raise SchemaViolation("$: top-level value must be an object")
-    model = doc.get("model")
-    if model not in _SUBSCHEMAS:
-        raise SchemaViolation(
-            f"$.model: expected one of {sorted(_SUBSCHEMAS)}, got {model!r}"
-        )
-    validator = jsonschema.Draft202012Validator(_SUBSCHEMAS[model])
-    errors = sorted(validator.iter_errors(doc), key=lambda e: str(e.json_path))
-    if errors:
-        best = jsonschema.exceptions.best_match(errors)
-        raise SchemaViolation(f"{best.json_path}: {best.message}")
+def _rate(doc: dict, name: str, *, required: bool = False) -> float:
+    """An angular rate, given as ``name`` or as ``name_hz`` (times 2 pi)."""
+    hz = name + "_hz"
+    if name in doc and hz in doc:
+        raise SchemaViolation(f"$.{name}: give either {name} or {hz}, not both")
+    if name in doc:
+        return _number(doc[name], f"$.{name}")
+    if hz in doc:
+        return 2.0 * math.pi * _number(doc[hz], f"$.{hz}")
+    if required:
+        raise SchemaViolation(f"$.{name}: one of {name} or {hz} is required")
+    return 0.0
 
 
 def _resolve_jcm(doc: dict) -> tuple[ProductHamiltonian, ProductState, dict]:
+    rates = ("lambda", "lambda_hz", "omega", "omega_hz")
+    _object(doc, "$", required=("model", "field"), optional=(*rates, "n_max", "atom"))
     lam = _rate(doc, "lambda", required=True)
     omega = _rate(doc, "omega")
-    atom = doc.get("atom", {})
-    c_e = _as_complex(atom.get("c_e", 1.0))
-    c_g = _as_complex(atom.get("c_g", 0.0))
-    field_doc = doc["field"]
-    if field_doc["type"] == "fock":
-        field_spec: FockField | CoherentField = FockField(n=int(field_doc["n"]))
-        default_n_max = field_spec.n + 2
-        field_echo: dict = {"type": "fock", "n": field_spec.n}
+    atom = _object(doc.get("atom", {}), "$.atom", optional=("c_e", "c_g"))
+    c_e = _complex(atom.get("c_e", 1.0), "$.atom.c_e")
+    c_g = _complex(atom.get("c_g", 0.0), "$.atom.c_g")
+    n_max = _integer(doc["n_max"], "$.n_max", 1) if "n_max" in doc else None
+    # the field is read last, because CoherentField may raise ModelError
+    kind = doc["field"].get("type") if isinstance(doc["field"], dict) else None
+    if kind not in ("fock", "coherent"):
+        raise SchemaViolation('$.field: expected {"type": "fock" or "coherent", ...}')
+    key = "n" if kind == "fock" else "nu"
+    value = _object(doc["field"], "$.field", required=("type", key))[key]
+    if kind == "fock":
+        n = _integer(value, "$.field.n", 0)
+        field_spec: FockField | CoherentField = FockField(n=n)
+        field_echo: dict = {"type": "fock", "n": n}
+        n_max = n + 2 if n_max is None else n_max
     else:
-        nu = _as_complex(field_doc["nu"])
+        nu = _complex(value, "$.field.nu")
         field_spec = CoherentField(nu=nu)
-        default_n_max = suggest_coherent_cutoff(nu)
-        field_echo = {"type": "coherent", "nu": _complex_pair(nu)}
-    n_max = int(doc.get("n_max", default_n_max))
+        field_echo = {"type": "coherent", "nu": [nu.real, nu.imag]}
+        n_max = suggest_coherent_cutoff(nu) if n_max is None else n_max
     spec = JcmSpec(lam=lam, n_max=n_max, field=field_spec, c_e=c_e, c_g=c_g, omega=omega)
     h, state = build_jcm(spec)
     echo = {
@@ -264,16 +210,18 @@ def _resolve_jcm(doc: dict) -> tuple[ProductHamiltonian, ProductState, dict]:
         "lambda": lam,
         "omega": omega,
         "n_max": n_max,
-        "atom": {"c_e": _complex_pair(c_e), "c_g": _complex_pair(c_g)},
+        "atom": {"c_e": [c_e.real, c_e.imag], "c_g": [c_g.real, c_g.imag]},
         "field": field_echo,
     }
     return h, state, echo
 
 
 def _resolve_bose_hubbard(doc: dict) -> tuple[ProductHamiltonian, ProductState, dict]:
+    rates = ("j_rate", "j_rate_hz", "u_rate", "u_rate_hz")
+    _object(doc, "$", required=("model",), optional=(*rates, "n_per_site_max"))
     j_rate = _rate(doc, "j_rate", required=True)
     u_rate = _rate(doc, "u_rate")
-    n_per_site_max = int(doc.get("n_per_site_max", 2))
+    n_per_site_max = _integer(doc.get("n_per_site_max", 2), "$.n_per_site_max", 1)
     spec = BoseHubbardBoundarySpec(
         j_rate=j_rate, u_rate=u_rate, n_per_site_max=n_per_site_max
     )
@@ -287,48 +235,55 @@ def _resolve_bose_hubbard(doc: dict) -> tuple[ProductHamiltonian, ProductState, 
     return h, state, echo
 
 
-def _vector_from(doc: dict, where: str) -> np.ndarray:
-    matrix_doc = {"re": [doc["re"]]}
-    if "im" in doc:
-        matrix_doc["im"] = [doc["im"]]
-    return _matrix_from(matrix_doc, where)[0]
-
-
 def _resolve_custom(doc: dict) -> tuple[ProductHamiltonian, ProductState, dict]:
-    dim_a = int(doc["dim_a"])
-    dim_b = int(doc["dim_b"])
-    terms = tuple(
-        (
-            _matrix_from(term["a"], f"$.terms[{k}].a"),
-            _matrix_from(term["b"], f"$.terms[{k}].b"),
+    _object(doc, "$", required=("model", "dim_a", "dim_b", "terms", "state"))
+    dim_a = _integer(doc["dim_a"], "$.dim_a", 1)
+    dim_b = _integer(doc["dim_b"], "$.dim_b", 1)
+    terms = []
+    for k, term in enumerate(_nonempty_list(doc["terms"], "$.terms")):
+        _object(term, f"$.terms[{k}]", required=("a", "b"))
+        terms.append(tuple(_complex_array(term[s], f"$.terms[{k}].{s}", 2) for s in "ab"))
+    state = _object(doc["state"], "$.state", required=("psi_a", "psi_b"))
+    psi_a, psi_b = (_complex_array(state[s], f"$.state.{s}", 1) for s in ("psi_a", "psi_b"))
+
+    h = ProductHamiltonian(dim_a=dim_a, dim_b=dim_b, terms=tuple(terms))
+    return h, ProductState(psi_a=psi_a, psi_b=psi_b), json.loads(json.dumps(doc))
+
+
+_RESOLVERS = {
+    "jcm": _resolve_jcm,
+    "bose_hubbard": _resolve_bose_hubbard,
+    "custom": _resolve_custom,
+}
+
+
+def resolve_model_document(doc) -> ModelSpecFile:
+    """Read a parsed model document in one pass and build the model it names.
+
+    Raises :class:`SchemaViolation` naming the ``$`` path of a bad field,
+    and the model's own errors only for a document that reads cleanly.
+    """
+    if not isinstance(doc, dict):
+        raise SchemaViolation(f"$: expected an object at the top level, got {_got(doc)}")
+    model = doc.get("model")
+    if not isinstance(model, str) or model not in _RESOLVERS:
+        raise SchemaViolation(
+            f"$.model: expected one of {sorted(_RESOLVERS)}, got {_got(model)}"
         )
-        for k, term in enumerate(doc["terms"])
-    )
-    h = ProductHamiltonian(dim_a=dim_a, dim_b=dim_b, terms=terms)
-    state = ProductState(
-        psi_a=_vector_from(doc["state"]["psi_a"], "$.state.psi_a"),
-        psi_b=_vector_from(doc["state"]["psi_b"], "$.state.psi_b"),
-    )
-    return h, state, json.loads(json.dumps(doc))
+    h, state, echo = _RESOLVERS[model](doc)
+    return ModelSpecFile(resolved=echo, hamiltonian=h, state=state)
 
 
 def load_model_file(path: str) -> ModelSpecFile:
-    """Parse, schema-validate and build the model named in a JSON file."""
+    """Parse a JSON model file and build the model it names."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             document = json.load(fh)
     except OSError as exc:
         raise SchemaViolation(f"cannot read model file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, deep nesting
         raise SchemaViolation(f"{path}: malformed JSON: {exc}") from exc
-    validate_model_document(document)
-    resolver = {
-        "jcm": _resolve_jcm,
-        "bose_hubbard": _resolve_bose_hubbard,
-        "custom": _resolve_custom,
-    }[document["model"]]
-    h, state, echo = resolver(document)
-    return ModelSpecFile(resolved=echo, hamiltonian=h, state=state)
+    return resolve_model_document(document)
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,10 @@ _STENCIL_WEIGHTS = np.array([-1.0, 16.0, -30.0, 16.0, -1.0])
 # wide enough to stay clear of roundoff.
 _VERIFY_STENCIL_DIVISOR = 50.0
 
+# Stencil width of von_neumann_curvature_probe as a fraction of each probe
+# time t; above 2, so that t - 2h stays positive.
+_PROBE_STENCIL_DIVISOR = 20.0
+
 # Dimensionless onset-fit window for degenerate systems, in units of the
 # inverse square root of the covariance scale.
 _ONSET_WINDOW = (1e-3, 1e-1)
@@ -240,7 +244,6 @@ def von_neumann_curvature_probe(
     state: ProductState,
     times,
     *,
-    stencil_fraction: float = 20.0,
     propagator: Propagator | None = None,
     report: TimescaleReport | None = None,
 ) -> list[tuple[float, float]]:
@@ -249,9 +252,8 @@ def von_neumann_curvature_probe(
     Unlike the Renyi orders, the von Neumann entropy has no finite initial
     curvature for a pure product start: d^2 S/dt^2 grows like
     -4 * t_ent_inv_sq * ln t as t -> 0+. This probe measures the curvature
-    at each requested time with a 5-point central stencil of width
-    t / stencil_fraction, returning (t, estimate) pairs for a caller-side
-    fit of a + b ln t.
+    at each requested time with a 5-point central stencil of width t / 20,
+    returning (t, estimate) pairs for a caller-side fit of a + b ln t.
 
     ``times`` must be strictly positive and strictly descending (largest
     first, walking toward the divergence). A stencil narrower than 1e-7 of
@@ -267,15 +269,10 @@ def von_neumann_curvature_probe(
         raise ValueError("probe times must be strictly positive and finite")
     if t.size > 1 and not np.all(np.diff(t) < 0.0):
         raise ValueError("probe times must be strictly descending")
-    fraction = float(stencil_fraction)
-    if not math.isfinite(fraction) or fraction <= 2.0:
-        raise ValueError(
-            f"stencil_fraction must exceed 2 so that t - 2h stays positive, got {fraction!r}"
-        )
     if report is None:
         report = entanglement_timescale(h, state)
     if not report.degenerate:
-        narrowest = float(t.min()) / fraction
+        narrowest = float(t.min()) / _PROBE_STENCIL_DIVISOR
         floor = _STENCIL_FLOOR * report.t_ent
         if narrowest < floor:
             raise NumericalError(
@@ -285,7 +282,7 @@ def von_neumann_curvature_probe(
     if propagator is None:
         propagator = Propagator(h, state)
     (curvatures,) = stencil_curvatures(
-        propagator, [von_neumann_from_probabilities], t, t / fraction
+        propagator, [von_neumann_from_probabilities], t, t / _PROBE_STENCIL_DIVISOR
     )
     return [(float(ti), float(c)) for ti, c in zip(t, curvatures)]
 

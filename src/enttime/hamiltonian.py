@@ -117,18 +117,19 @@ class ProductState:
         return self.psi_b.shape[0]
 
 
-def require_dense_dim(h: ProductHamiltonian) -> int:
-    """The composite dimension of ``h``, if the dense kernel may work on it.
+def require_dense_dim(dim_a: int, dim_b: int) -> int:
+    """The composite dimension dim_a * dim_b, if the dense kernel may work on it.
 
-    Raises :class:`DimensionError` when dim_a * dim_b exceeds ``MAX_DIM``,
-    before anything of that size is allocated.
+    Raises :class:`DimensionError` when it exceeds ``MAX_DIM``; callers run
+    it before anything of that size, or any factor of such a model, exists.
     """
-    if h.dim > MAX_DIM:
+    dim = dim_a * dim_b
+    if dim > MAX_DIM:
         raise DimensionError(
-            f"composite dimension {h.dim} = {h.dim_a} * {h.dim_b} exceeds the "
+            f"composite dimension {dim} = {dim_a} * {dim_b} exceeds the "
             f"configured maximum {MAX_DIM}"
         )
-    return h.dim
+    return dim
 
 
 def _row_slabs(h: ProductHamiltonian):
@@ -138,7 +139,7 @@ def _row_slabs(h: ProductHamiltonian):
     i of the A factors, where H[(i, l), :] = sum_n kron(A_n[i, :], B_n[l, :]);
     the H^dag slab is built the same way from the adjoint factors.
     """
-    d = require_dense_dim(h)
+    d = require_dense_dim(h.dim_a, h.dim_b)
     # A term with an all-zero factor adds exact zeros; rows of A that are
     # all zero are skipped below for the same reason.
     terms = [(a, b) for a, b in h.terms if a.any() and b.any()]
@@ -194,7 +195,7 @@ def assemble(h: ProductHamiltonian) -> np.ndarray:
     relative to max(1, max|H|). The result is symmetrized as
     (H + H^dag)/2, an exact no-op for a Hermitian sum.
     """
-    total = np.empty((require_dense_dim(h),) * 2, dtype=np.complex128)
+    total = np.empty((require_dense_dim(h.dim_a, h.dim_b),) * 2, dtype=np.complex128)
     _scan_hermitian(h, total)
     return total
 

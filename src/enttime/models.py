@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelError, StateError, TruncationError
-from .hamiltonian import ProductHamiltonian, ProductState
+from .hamiltonian import ProductHamiltonian, ProductState, require_dense_dim
 from .linalg import BipartitePureState
 from .timescale import entanglement_timescale
 from .tolerances import NORM_TOL, TAIL_TOL
@@ -117,6 +117,13 @@ class CoherentField:
     """Field prepared in the coherent state with complex amplitude nu."""
 
     nu: complex
+
+    def __post_init__(self) -> None:
+        size = abs(complex(self.nu))  # the cutoff estimates below need |nu|^2
+        if not math.isfinite(size * size):
+            raise ModelError(
+                f"coherent amplitude nu and |nu|^2 must be finite, got {self.nu!r}"
+            )
 
 
 def suggest_coherent_cutoff(nu: complex) -> int:
@@ -236,6 +243,7 @@ def build_jcm(spec: JcmSpec) -> tuple[ProductHamiltonian, ProductState]:
     the truncated space (truncation only removes couplings).
     """
     dim = spec.dim_field
+    require_dense_dim(2, dim)  # before any factor is allocated
     terms = (
         (0.5 * spec.omega * sigma_z(), identity(dim)),
         (identity(2), spec.omega * number_operator(dim)),
@@ -364,6 +372,7 @@ def build_bose_hubbard_boundary(
     timescale of this start is 4 J^2 independent of U.
     """
     dim = spec.dim_site
+    require_dense_dim(dim, dim)  # before any factor is allocated
     a = annihilation(dim)
     ad = creation(dim)
     terms: list[tuple[np.ndarray, np.ndarray]] = [

@@ -135,7 +135,7 @@ class Propagator:
             )
         self.dim_a = h.dim_a
         self.dim_b = h.dim_b
-        self.dim = require_dense_dim(h)
+        self.dim = require_dense_dim(h.dim_a, h.dim_b)
         psi0 = product_state_vector(state).amplitudes
         groups = invariant_blocks(h, np.flatnonzero(psi0))
         if groups[0].size == self.dim:

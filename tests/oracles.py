@@ -7,6 +7,7 @@ sizes the tests use, and sharing no code path with the package.
 
 from __future__ import annotations
 
+import jsonschema
 import numpy as np
 import scipy.linalg
 
@@ -121,3 +122,120 @@ def random_term_list(rng: np.random.Generator, dim_a: int, dim_b: int, n_groups:
             terms.append((ga, gb))
             terms.append((ga.conj().T, gb.conj().T))
     return terms
+
+
+# The model-file schema that the package's reader replaced, kept verbatim as
+# a Draft 2020-12 oracle for the differential test of that reader.
+
+_NUMBER = {"type": "number"}
+_COMPLEX = {
+    "oneOf": [
+        {"type": "number"},
+        {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
+    ]
+}
+_REAL_VECTOR = {"type": "array", "minItems": 1, "items": {"type": "number"}}
+_REAL_MATRIX = {
+    "type": "array",
+    "minItems": 1,
+    "items": {"type": "array", "minItems": 1, "items": {"type": "number"}},
+}
+_COMPLEX_MATRIX = {
+    "type": "object",
+    "properties": {"re": _REAL_MATRIX, "im": _REAL_MATRIX},
+    "required": ["re"],
+    "additionalProperties": False,
+}
+_COMPLEX_VECTOR = {
+    "type": "object",
+    "properties": {"re": _REAL_VECTOR, "im": _REAL_VECTOR},
+    "required": ["re"],
+    "additionalProperties": False,
+}
+
+_SUBSCHEMAS = {
+    "jcm": {
+        "type": "object",
+        "properties": {
+            "model": {"const": "jcm"},
+            "lambda": _NUMBER,
+            "lambda_hz": _NUMBER,
+            "omega": _NUMBER,
+            "omega_hz": _NUMBER,
+            "n_max": {"type": "integer", "minimum": 1},
+            "atom": {
+                "type": "object",
+                "properties": {"c_e": _COMPLEX, "c_g": _COMPLEX},
+                "additionalProperties": False,
+            },
+            "field": {
+                "oneOf": [
+                    {
+                        "type": "object",
+                        "properties": {
+                            "type": {"const": "fock"},
+                            "n": {"type": "integer", "minimum": 0},
+                        },
+                        "required": ["type", "n"],
+                        "additionalProperties": False,
+                    },
+                    {
+                        "type": "object",
+                        "properties": {"type": {"const": "coherent"}, "nu": _COMPLEX},
+                        "required": ["type", "nu"],
+                        "additionalProperties": False,
+                    },
+                ]
+            },
+        },
+        "required": ["model", "field"],
+        "additionalProperties": False,
+    },
+    "bose_hubbard": {
+        "type": "object",
+        "properties": {
+            "model": {"const": "bose_hubbard"},
+            "j_rate": _NUMBER,
+            "j_rate_hz": _NUMBER,
+            "u_rate": _NUMBER,
+            "u_rate_hz": _NUMBER,
+            "n_per_site_max": {"type": "integer", "minimum": 1},
+        },
+        "required": ["model"],
+        "additionalProperties": False,
+    },
+    "custom": {
+        "type": "object",
+        "properties": {
+            "model": {"const": "custom"},
+            "dim_a": {"type": "integer", "minimum": 1},
+            "dim_b": {"type": "integer", "minimum": 1},
+            "terms": {
+                "type": "array",
+                "minItems": 1,
+                "items": {
+                    "type": "object",
+                    "properties": {"a": _COMPLEX_MATRIX, "b": _COMPLEX_MATRIX},
+                    "required": ["a", "b"],
+                    "additionalProperties": False,
+                },
+            },
+            "state": {
+                "type": "object",
+                "properties": {"psi_a": _COMPLEX_VECTOR, "psi_b": _COMPLEX_VECTOR},
+                "required": ["psi_a", "psi_b"],
+                "additionalProperties": False,
+            },
+        },
+        "required": ["model", "dim_a", "dim_b", "terms", "state"],
+        "additionalProperties": False,
+    },
+}
+
+
+def schema_accepts(doc) -> bool:
+    """Whether the Draft 2020-12 schema of ``doc["model"]`` accepts ``doc``."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("model"), str):
+        return False
+    schema = _SUBSCHEMAS.get(doc["model"])
+    return schema is not None and jsonschema.Draft202012Validator(schema).is_valid(doc)

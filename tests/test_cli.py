@@ -1,16 +1,26 @@
+import copy
 import json
 import math
+import os
+import random
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import enttime
+import oracles
 from enttime.cli import (
     cmd_timescale,
     load_model_file,
     main,
-    validate_model_document,
+    resolve_model_document,
     SchemaViolation,
 )
+from enttime.errors import EnttimeError
 from enttime.timescale import entanglement_timescale
 
 
@@ -438,15 +448,15 @@ def test_custom_model_complex_parts_and_ragged_rejection(tmp_path):
         load_model_file(write_model(tmp_path, ragged, name="ragged.json"))
 
 
-def test_validate_model_document_paths():
+def test_resolve_model_document_paths():
     with pytest.raises(SchemaViolation, match=r"\$\.model"):
-        validate_model_document({"model": "nope"})
+        resolve_model_document({"model": "nope"})
     with pytest.raises(SchemaViolation, match="n_max"):
-        validate_model_document(
+        resolve_model_document(
             {"model": "jcm", "lambda": 1.0, "n_max": 0, "field": {"type": "fock", "n": 0}}
         )
     with pytest.raises(SchemaViolation):
-        validate_model_document([1, 2, 3])
+        resolve_model_document([1, 2, 3])
 
 
 def test_default_n_max_resolution(tmp_path):
@@ -463,3 +473,187 @@ def test_default_n_max_resolution(tmp_path):
     )
     model2 = load_model_file(spec2)
     assert model2.resolved["n_max"] == 44
+
+
+def coherent_doc(nu, **overrides):
+    """A coherent-field JCM document; an override of None drops that key."""
+    doc = fock_doc(field={"type": "coherent", "nu": nu}, **overrides)
+    return {key: value for key, value in doc.items() if value is not None}
+
+
+@pytest.mark.parametrize(
+    "text, code, message",
+    [
+        (json.dumps({"model": {}}), 2, "$.model"),
+        (json.dumps({"model": ["jcm"]}), 2, "$.model"),
+        ("[" * 200_000 + "]" * 200_000, 2, "malformed JSON"),
+        (json.dumps(coherent_doc(1e300)), 3, "nu"),
+        (json.dumps(coherent_doc(math.inf, n_max=None)), 3, "nu"),
+        (json.dumps(coherent_doc([0.0, math.nan])), 3, "nu"),
+        (json.dumps(coherent_doc(math.nan, n_max=None)), 3, "nu"),
+    ],
+    ids=[
+        "model-object",
+        "model-array",
+        "nested-200000-deep",
+        "nu-1e300",
+        "nu-infinity",
+        "nu-nan-imaginary",
+        "nu-nan",
+    ],
+)
+def test_malformed_model_files_exit_cleanly(tmp_path, capsys, text, code, message):
+    path = tmp_path / "model.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["timescale", "--spec", str(path)]) == code
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        fock_doc(n_max=2048),
+        {"model": "bose_hubbard", "j_rate": 1.0, "n_per_site_max": 64},
+        {"model": "bose_hubbard", "j_rate": 1.0, "u_rate": 1.0, "n_per_site_max": 2000},
+    ],
+    ids=["jcm-4098", "bose-hubbard-4225", "bose-hubbard-4004001"],
+)
+def test_size_cap_fails_before_allocating(tmp_path, capsys, doc):
+    spec = write_model(tmp_path, doc)
+    tracemalloc.start()
+    try:
+        code = main(["timescale", "--spec", spec])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "exceeds the configured maximum 4096" in capsys.readouterr().err
+    assert peak < 16 * 2**20
+
+
+def test_cli_import_does_not_load_jsonschema():
+    src = Path(enttime.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = "import sys, enttime.cli; print('jsonschema' in sys.modules)"
+    run = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# the reader against the Draft 2020-12 schema it replaced
+
+
+BASE_DOCUMENTS = [
+    fock_doc(omega=0.5, atom={"c_e": 1.0, "c_g": 0.0}),
+    {
+        "model": "jcm",
+        "lambda_hz": 0.5,
+        "omega": 0.3,
+        "n_max": 30,
+        "atom": {"c_e": [0.6, 0.0], "c_g": [0.0, 0.8]},
+        "field": {"type": "coherent", "nu": [1.5, 0.5]},
+    },
+    {"model": "bose_hubbard", "j_rate": 1.0, "u_rate_hz": 2.0, "n_per_site_max": 3},
+    {
+        "model": "custom",
+        "dim_a": 2,
+        "dim_b": 2,
+        "terms": [
+            {"a": {"re": SIGMA_X, "im": [[0.0, 0.0], [0.0, 0.0]]}, "b": {"re": SIGMA_Z}}
+        ],
+        "state": {
+            "psi_a": {"re": [1.0, 0.0], "im": [0.0, 0.0]},
+            "psi_b": {"re": [0.6, 0.8]},
+        },
+    },
+]
+
+# bool, null, string, int, integral float, fractional float, negative number,
+# 1e300, NaN, Infinity, [], [x], [x, y], [x, y, z], a nested list and {}
+REPLACEMENTS = [
+    True, False, None, "x", "fock", "coherent", "custom", 3, 2.0, 0.5, -2, 1e300,
+    math.nan, math.inf, [], [1.0], [0.6, 0.8], [1.0, 0.0, 0.5],
+    [[1.0, 0.0], [0.0, 1.0]], [[1.0], [0.0, 1.0]], {},
+]  # fmt: skip
+
+ADDED_KEYS = [
+    "extra", "lambda", "lambda_hz", "omega_hz", "n_max", "atom", "j_rate_hz",
+    "u_rate", "n_per_site_max", "re", "im", "n", "nu", "type", "c_g", "dim_a",
+]  # fmt: skip
+
+
+def _slots(node):
+    """(container, key) for every value below ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield node, key
+        if isinstance(value, (dict, list)):
+            yield from _slots(value)
+
+
+def mutate(doc, rng):
+    """Replace a value, delete a key or add a key, once or twice."""
+    for _ in range(rng.randint(1, 2)):
+        slots = list(_slots(doc))
+        action = rng.choice(["replace", "delete", "add"])
+        if action == "replace":
+            node, key = rng.choice(slots)
+            node[key] = copy.deepcopy(rng.choice(REPLACEMENTS))
+        elif action == "delete":
+            objects = [(node, key) for node, key in slots if isinstance(node, dict)]
+            node, key = rng.choice(objects)
+            del node[key]
+        else:
+            objects = [doc] + [n[k] for n, k in slots if isinstance(n[k], dict)]
+            rng.choice(objects)[rng.choice(ADDED_KEYS)] = copy.deepcopy(
+                rng.choice(REPLACEMENTS)
+            )
+    return doc
+
+
+def reader_only_fault(doc):
+    """One of the four rules a schema cannot state, on a schema-valid doc.
+
+    A rate given twice, a required rate missing, a ragged array, or re/im
+    parts of different shapes.
+    """
+    if doc["model"] == "custom":
+        parts = [term[side] for term in doc["terms"] for side in "ab"]
+        for part in parts + list(doc["state"].values()):
+            layouts = [
+                [len(row) for row in v] if isinstance(v[0], list) else len(v)
+                for v in part.values()
+            ]
+            if any(isinstance(lay, list) and len(set(lay)) > 1 for lay in layouts):
+                return True
+            if layouts[0] != layouts[-1]:
+                return True
+        return False
+    required, optional = {"jcm": ("lambda", "omega"), "bose_hubbard": ("j_rate", "u_rate")}[
+        doc["model"]
+    ]
+    if required not in doc and required + "_hz" not in doc:
+        return True
+    return any(rate in doc and rate + "_hz" in doc for rate in (required, optional))
+
+
+def test_reader_matches_schema_oracle():
+    rng = random.Random(4)
+    counts = {"rejected": 0, "accepted": 0, "reader-only": 0}
+    for k in range(2400):
+        doc = mutate(copy.deepcopy(BASE_DOCUMENTS[k % len(BASE_DOCUMENTS)]), rng)
+        try:
+            resolve_model_document(doc)
+            raised = None
+        except (EnttimeError, ValueError) as exc:  # anything else fails the test
+            raised = exc
+        if not oracles.schema_accepts(doc):
+            expected, outcome = True, "rejected"
+        else:
+            expected = reader_only_fault(doc)
+            outcome = "reader-only" if expected else "accepted"
+        counts[outcome] += 1
+        assert isinstance(raised, SchemaViolation) == expected, (doc, raised)
+    assert min(counts.values()) >= 40, counts

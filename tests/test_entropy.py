@@ -330,8 +330,6 @@ def test_probe_validation():
         von_neumann_curvature_probe(h, s, [])
     with pytest.raises(ValueError):
         von_neumann_curvature_probe(h, s, [0.1, 0.0])
-    with pytest.raises(ValueError):
-        von_neumann_curvature_probe(h, s, [0.1], stencil_fraction=2.0)
     with pytest.raises(NumericalError, match="floor"):
         von_neumann_curvature_probe(h, s, [1e-9])
 
