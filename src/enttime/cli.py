@@ -425,13 +425,7 @@ def cmd_evolve(
         )
     wanted = sorted(set(alphas))
     times = np.linspace(0.0, float(t_max), int(n_points))
-    series = entropy_series(
-        model.hamiltonian,
-        model.state,
-        wanted,
-        times,
-        capture_spectra=spectrum_columns,
-    )
+    series = entropy_series(model.hamiltonian, model.state, wanted, times)
     unit = math.log(2.0) if units_ln2 else 1.0
     lines = ["t,alpha,entropy,p1,p2" if spectrum_columns else "t,alpha,entropy"]
     for one in series:
@@ -439,10 +433,8 @@ def cmd_evolve(
             value = one.values[k] / unit
             row = f"{float(t)!r},{one.alpha},{float(value)!r}"
             if spectrum_columns:
-                spect = one.spectra[k]
-                p1 = float(spect[0])
-                p2 = float(spect[1]) if spect.shape[0] > 1 else 0.0
-                row += f",{p1!r},{p2!r}"
+                p1, p2 = np.append(one.spectra[k], 0.0)[:2]  # p2 = 0 when dim_b = 1
+                row += f",{float(p1)!r},{float(p2)!r}"
             lines.append(row)
     text = "\n".join(lines) + "\n"
     _write_text(output_path, text)

@@ -3,12 +3,13 @@
 Every entropy here is a function of a Schmidt spectrum: the squared singular
 values of the pure-state amplitude matrix, from :func:`schmidt_probabilities`
 or, along a time grid, from :class:`~enttime.propagator.Propagator`. The
-``*_from_probabilities`` kernels never form the largest probability
-explicitly, which keeps entropies of nearly-product states accurate down to
-the 1e-30 range; the naive log-of-sum loses them below ~1e-15. Time series,
-the 5-point curvature stencil, the von Neumann curvature probe and
-:func:`verify_growth`, which measures the initial growth and holds it
-against the covariance-sum prediction, are all built on that one route.
+``*_from_probabilities`` kernels take a stack of spectra along the last axis
+(one call per order for a whole time grid) and never form the largest
+probability explicitly, which keeps entropies of nearly-product states
+accurate down to 1e-30; a naive log-of-sum loses them below ~1e-15. Time
+series, the 5-point stencil, the von Neumann curvature probe and
+:func:`verify_growth`, which holds the measured initial growth against the
+covariance-sum prediction, are all built on that one route.
 
 Entropies are in nats. alpha = 1 marks the von Neumann branch in
 :func:`entropy_series` and :func:`verify_growth`; the Renyi-only entry points
@@ -77,14 +78,29 @@ _ONSET_SLOPE = 6.0
 _ONSET_SLOPE_BAND = 0.1
 
 
-def _prepared_tail(probs) -> np.ndarray:
-    """Sorted sub-leading probabilities, renormalized by the exact total.
+def _libm(fn):
+    """``fn`` from :mod:`math` applied elementwise, as float64.
 
-    The leading probability is carried implicitly as 1 - sum(tail), which is
-    what protects the kernels from cancellation when the state is nearly
-    pure.
+    numpy's SIMD expm1 and log1p differ from the C library's in the last bit
+    on some CPUs; through ``math`` the stacked kernels give the bits of a
+    one-spectrum evaluation with the C library, whatever the host's SIMD.
     """
-    q = np.asarray(probs, dtype=np.float64).reshape(-1)
+    elementwise = np.frompyfunc(fn, 1, 1)
+    return lambda x: np.asarray(elementwise(x), dtype=np.float64)
+
+
+_expm1 = _libm(math.expm1)
+_log1p = _libm(math.log1p)
+
+
+def _prepared_tail(probs) -> np.ndarray:
+    """Sorted sub-leading probabilities of each spectrum (the last axis), over its total.
+
+    The result has the shape (..., k - 1). The leading probability is
+    carried implicitly as 1 - sum(tail), which is what protects the kernels
+    from cancellation when the state is nearly pure.
+    """
+    q = np.atleast_1d(np.asarray(probs, dtype=np.float64))
     if q.size == 0:
         raise StateError("probability vector is empty")
     if not np.all(np.isfinite(q)):
@@ -92,12 +108,13 @@ def _prepared_tail(probs) -> np.ndarray:
     low = float(q.min())
     if low < PSD_TOL:
         raise StateError(f"probability {low:.3e} is negative beyond roundoff")
-    q = np.sort(np.clip(q, 0.0, None))[::-1]
-    total = float(q.sum())
-    if abs(total - 1.0) > TRACE_TOL:
-        raise StateError(f"probabilities sum to {total!r}, expected 1 within {TRACE_TOL}")
-    tail = q[1:] / total
-    return tail[tail > 0.0]
+    q = np.sort(np.clip(q, 0.0, None), axis=-1)[..., ::-1]
+    total = q.sum(axis=-1)
+    off = np.abs(total - 1.0)
+    if off.max() > TRACE_TOL:
+        worst = float(total.flat[np.argmax(off)])
+        raise StateError(f"probabilities sum to {worst!r}, expected 1 within {TRACE_TOL}")
+    return q[..., 1:] / total[..., None]
 
 
 def schmidt_probabilities(state: BipartitePureState) -> np.ndarray:
@@ -111,28 +128,35 @@ def schmidt_probabilities(state: BipartitePureState) -> np.ndarray:
     return singular * singular
 
 
-def renyi_from_probabilities(probs, alpha: int) -> float:
-    """Order-alpha Renyi entropy ln(sum p^alpha) / (1 - alpha) of a spectrum.
+def renyi_from_probabilities(probs, alpha: int):
+    """Order-alpha Renyi entropy ln(sum p^alpha) / (1 - alpha) of each spectrum.
 
-    Implemented through the purity defect sum p^alpha - 1 so values of order
-    1e-30 survive; exact zero comes back for a pure spectrum.
+    One spectrum gives a float, a stack of shape (..., k) an array of shape
+    (...). Computed through the purity defect sum p^alpha - 1 so values of
+    order 1e-30 survive; a pure spectrum gives exactly +0.0.
     """
     alpha = check_alpha(alpha, 2)
     tail = _prepared_tail(probs)
-    if tail.size == 0:
-        return 0.0
-    eps = float(tail.sum())
-    purity_defect = math.expm1(alpha * math.log1p(-eps)) + float(np.sum(tail**alpha))
-    return math.log1p(purity_defect) / (1.0 - alpha)
+    eps = tail.sum(axis=-1)
+    purity_defect = _expm1(alpha * _log1p(-eps)) + np.sum(tail**alpha, axis=-1)
+    values = _log1p(purity_defect) / (1.0 - alpha) + 0.0
+    return float(values) if values.ndim == 0 else values
 
 
-def von_neumann_from_probabilities(probs) -> float:
-    """Shannon entropy -sum p ln p of a spectrum, in nats."""
+def von_neumann_from_probabilities(probs):
+    """Shannon entropy -sum p ln p, in nats, per spectrum like the Renyi kernel."""
     tail = _prepared_tail(probs)
-    if tail.size == 0:
-        return 0.0
-    eps = float(tail.sum())
-    return -(1.0 - eps) * math.log1p(-eps) - float(np.sum(tail * np.log(tail)))
+    eps = tail.sum(axis=-1)
+    log_tail = np.log(np.where(tail > 0.0, tail, 1.0))
+    values = -(1.0 - eps) * _log1p(-eps) - np.sum(tail * log_tail, axis=-1) + 0.0
+    return float(values) if values.ndim == 0 else values
+
+
+def _entropy(probs, alpha: int):
+    """Order-``alpha`` entropy of each spectrum; ``VON_NEUMANN_ALPHA`` is von Neumann."""
+    if alpha == VON_NEUMANN_ALPHA:
+        return von_neumann_from_probabilities(probs)
+    return renyi_from_probabilities(probs, alpha)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,21 +164,20 @@ class EntropySeries:
     """Entropy values of one order along a time grid.
 
     ``alpha`` is the Renyi order, with ``VON_NEUMANN_ALPHA`` (= 1) marking
-    the von Neumann branch. ``spectra`` optionally carries the Schmidt
-    probabilities per time, shape (len(times), min(dim_a, dim_b)),
-    descending within each row.
+    the von Neumann branch. ``spectra`` carries the Schmidt probabilities
+    per time, shape (len(times), min(dim_a, dim_b)), descending within each
+    row; every series of one :func:`entropy_series` call shares it.
     """
 
     alpha: int
     times: np.ndarray
     values: np.ndarray
-    spectra: np.ndarray | None = None
+    spectra: np.ndarray
 
     def __post_init__(self) -> None:
         self.times.setflags(write=False)
         self.values.setflags(write=False)
-        if self.spectra is not None:
-            self.spectra.setflags(write=False)
+        self.spectra.setflags(write=False)
 
 
 def _check_times(times) -> np.ndarray:
@@ -175,8 +198,6 @@ def entropy_series(
     state: ProductState,
     alphas,
     times,
-    *,
-    capture_spectra: bool = False,
 ) -> list[EntropySeries]:
     """Exact-evolution entropy curves for several orders at once.
 
@@ -189,8 +210,6 @@ def entropy_series(
         the von Neumann branch. One series per entry, same order.
     times : array_like
         Strictly ascending, nonnegative time grid.
-    capture_spectra : bool
-        Attach the per-time Schmidt probabilities to each series.
 
     Returns
     -------
@@ -201,42 +220,32 @@ def entropy_series(
         raise ValueError("alphas is empty")
     checked = [check_alpha(a, VON_NEUMANN_ALPHA) for a in alphas]
     t = _check_times(times)
-    per_time = Propagator(h, state).probabilities(t)
-    spectra = per_time if capture_spectra else None
-    series = []
-    for alpha in checked:
-        if alpha == VON_NEUMANN_ALPHA:
-            values = np.array([von_neumann_from_probabilities(p) for p in per_time])
-        else:
-            values = np.array([renyi_from_probabilities(p, alpha) for p in per_time])
-        series.append(
-            EntropySeries(alpha=alpha, times=t.copy(), values=values, spectra=spectra)
-        )
-    return series
+    spectra = Propagator(h, state).probabilities(t)
+    return [
+        EntropySeries(alpha, t.copy(), _entropy(spectra, alpha), spectra) for alpha in checked
+    ]
 
 
-def stencil_curvatures(propagator: Propagator, kernels, centers, widths) -> np.ndarray:
+def stencil_curvatures(propagator: Propagator, alphas, centers, widths) -> np.ndarray:
     """5-point central second derivatives of entropies along exact dynamics.
 
-    Each kernel maps a Schmidt spectrum to an entropy. Row k of the result
-    holds d^2/dt^2 of ``kernels[k]`` at each center, sampled at
+    Row k of the result holds d^2/dt^2 of the order-``alphas[k]`` entropy
+    (``VON_NEUMANN_ALPHA`` for von Neumann) at each center, sampled at
     center + (-2, -1, 0, 1, 2) * width with that center's width. All
-    kernels share one batched propagation. Raises :class:`NumericalError`
+    orders share one batched propagation. Raises :class:`NumericalError`
     when a sampled entropy is not finite.
     """
     centers = np.asarray(centers, dtype=np.float64).reshape(-1)
     widths = np.broadcast_to(np.asarray(widths, dtype=np.float64), centers.shape)
     probs = propagator.probabilities(centers[:, None] + np.outer(widths, _STENCIL_OFFSETS))
-    out = np.empty((len(kernels), centers.size))
-    for k, kernel in enumerate(kernels):
-        values = np.array([kernel(p) for p in probs]).reshape(centers.size, -1)
-        if not np.all(np.isfinite(values)):
-            raise NumericalError(
-                f"finite-difference stencil at t = {centers!r}, widths {widths!r} "
-                f"produced non-finite entropies {values!r}"
-            )
-        out[k] = values @ _STENCIL_WEIGHTS / (12.0 * widths * widths)
-    return out
+    probs = probs.reshape(centers.size, _STENCIL_OFFSETS.size, -1)
+    values = np.array([_entropy(probs, alpha) for alpha in alphas])
+    if not np.all(np.isfinite(values)):
+        raise NumericalError(
+            f"finite-difference stencil at t = {centers!r}, widths {widths!r} "
+            f"produced non-finite entropies {values!r}"
+        )
+    return values @ _STENCIL_WEIGHTS / (12.0 * widths * widths)
 
 
 def von_neumann_curvature_probe(
@@ -282,7 +291,7 @@ def von_neumann_curvature_probe(
     if propagator is None:
         propagator = Propagator(h, state)
     (curvatures,) = stencil_curvatures(
-        propagator, [von_neumann_from_probabilities], t, t / _PROBE_STENCIL_DIVISOR
+        propagator, [VON_NEUMANN_ALPHA], t, t / _PROBE_STENCIL_DIVISOR
     )
     return [(float(ti), float(c)) for ti, c in zip(t, curvatures)]
 
@@ -305,10 +314,10 @@ def first_derivative_check(
     dt = float(dt)
     if not math.isfinite(dt) or dt <= 0.0:
         raise ValueError(f"dt must be a positive finite number, got {dt!r}")
-    plus, minus = Propagator(h, state).probabilities([dt, -dt])
-    s_plus = renyi_from_probabilities(plus, alpha)
-    s_minus = renyi_from_probabilities(minus, alpha)
-    return (s_plus - s_minus) / (2.0 * dt)
+    s_plus, s_minus = renyi_from_probabilities(
+        Propagator(h, state).probabilities([dt, -dt]), alpha
+    )
+    return float(s_plus - s_minus) / (2.0 * dt)
 
 
 @dataclass
@@ -385,9 +394,7 @@ def verify_growth(
                 "never entangles under this Hamiltonian"
             )
         times = np.geomspace(*_ONSET_WINDOW, _ONSET_POINTS) * report.scale**-0.5
-        values = np.array(
-            [renyi_from_probabilities(p, 2) for p in propagator.probabilities(times)]
-        )
+        values = renyi_from_probabilities(propagator.probabilities(times), 2)
         if np.any(values <= 0.0):
             raise NumericalError(
                 "onset-slope fit impossible: S_2 not resolvable above the "
@@ -431,10 +438,7 @@ def verify_growth(
 
     if renyi_orders:
         measured_all = stencil_curvatures(
-            propagator,
-            [lambda p, a=alpha: renyi_from_probabilities(p, a) for alpha in renyi_orders],
-            [0.0],
-            report.t_ent / _VERIFY_STENCIL_DIVISOR,
+            propagator, renyi_orders, [0.0], report.t_ent / _VERIFY_STENCIL_DIVISOR
         )
         for alpha, row in zip(renyi_orders, measured_all):
             prediction = predicted_curvature(report, alpha)
@@ -458,8 +462,7 @@ def verify_growth(
             propagator=propagator,
             report=report,
         )
-        ts = np.array([t for t, _ in pairs])
-        curvatures = np.array([c for _, c in pairs])
+        ts, curvatures = np.array(pairs).T
         slope, intercept, r_squared = _linear_fit(np.log(ts), curvatures)
         rows.append(
             VerificationRow(

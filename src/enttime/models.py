@@ -140,7 +140,8 @@ def coherent_tail_mass(nu: complex, n_max: int) -> float:
     """Probability a coherent state holds above occupation n_max.
 
     Summed upward from n_max + 1 in log space, so small tails come out
-    without cancellation against 1.
+    without cancellation against 1. Below the mean |nu|^2 the tail is about
+    1/2 or more, and 1 minus the n_max + 1 terms below it is as exact.
     """
     if n_max < 0:
         raise ModelError(f"n_max must be nonnegative, got {n_max}")
@@ -148,6 +149,9 @@ def coherent_tail_mass(nu: complex, n_max: int) -> float:
     if mean == 0.0:
         return 0.0
     log_mean = math.log(mean)
+    if n_max < mean:
+        below = range(n_max + 1)
+        return 1.0 - sum(math.exp(-mean + n * log_mean - math.lgamma(n + 1)) for n in below)
     mass = 0.0
     for n in range(n_max + 1, n_max + 1 + max(200, 4 * int(mean) + 40)):
         log_term = -mean + n * log_mean - math.lgamma(n + 1)
@@ -181,6 +185,7 @@ class JcmSpec:
             raise ModelError("lam and omega must be finite")
         if self.n_max < 1:
             raise ModelError(f"n_max must be at least 1, got {self.n_max}")
+        require_dense_dim(2, self.dim_field)  # before the tail sum or any factor
         norm = math.hypot(abs(self.c_e), abs(self.c_g))
         if abs(norm - 1.0) > NORM_TOL:
             raise StateError(f"atom amplitudes have norm {norm!r}, expected 1")
@@ -243,7 +248,6 @@ def build_jcm(spec: JcmSpec) -> tuple[ProductHamiltonian, ProductState]:
     the truncated space (truncation only removes couplings).
     """
     dim = spec.dim_field
-    require_dense_dim(2, dim)  # before any factor is allocated
     terms = (
         (0.5 * spec.omega * sigma_z(), identity(dim)),
         (identity(2), spec.omega * number_operator(dim)),
@@ -354,6 +358,7 @@ class BoseHubbardBoundarySpec:
                 f"n_per_site_max must be at least 1 to hold one boson, "
                 f"got {self.n_per_site_max}"
             )
+        require_dense_dim(self.dim_site, self.dim_site)  # before any factor
 
     @property
     def dim_site(self) -> int:
@@ -372,7 +377,6 @@ def build_bose_hubbard_boundary(
     timescale of this start is 4 J^2 independent of U.
     """
     dim = spec.dim_site
-    require_dense_dim(dim, dim)  # before any factor is allocated
     a = annihilation(dim)
     ad = creation(dim)
     terms: list[tuple[np.ndarray, np.ndarray]] = [

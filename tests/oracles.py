@@ -7,6 +7,8 @@ sizes the tests use, and sharing no code path with the package.
 
 from __future__ import annotations
 
+import math
+
 import jsonschema
 import numpy as np
 import scipy.linalg
@@ -75,6 +77,25 @@ def von_neumann_eigh(rho: np.ndarray) -> float:
     p = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
     p = p[p > 0.0]
     return float(-np.sum(p * np.log(p)))
+
+
+def spectrum_entropy_scalar(probs, alpha: int) -> float:
+    """The package's entropy kernel for one spectrum, one Python float at a time.
+
+    The same purity-defect arithmetic with the C library's expm1 and log1p
+    (``math``); ``alpha = 1`` is von Neumann. The vectorized kernels must
+    match it bit for bit.
+    """
+    q = np.sort(np.clip(np.asarray(probs, dtype=np.float64), 0.0, None))[::-1]
+    tail = q[1:] / q.sum()
+    tail = tail[tail > 0.0]
+    if tail.size == 0:
+        return 0.0
+    eps = float(tail.sum())
+    if alpha == 1:
+        return -(1.0 - eps) * math.log1p(-eps) - float(np.sum(tail * np.log(tail)))
+    defect = math.expm1(alpha * math.log1p(-eps)) + float(np.sum(tail**alpha))
+    return math.log1p(defect) / (1.0 - alpha)
 
 
 def expm_propagate(h: np.ndarray, psi: np.ndarray, t: float) -> np.ndarray:

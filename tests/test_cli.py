@@ -317,6 +317,8 @@ COMMANDS = [["timescale"], ["evolve", "--points", "3"], ["verify", "--alphas", "
         ),
         (custom_doc([(SIGMA_Z, SIGMA_X)], [1.0, 1.0], [1.0, 0.0]), "psi_a norm"),
         (fock_doc(n_max=2, field={"type": "fock", "n": 5}), "n_max"),
+        # |nu|^2 = 900 far above the cutoff: the first tail terms underflow
+        (fock_doc(n_max=10, field={"type": "coherent", "nu": 30}), "use n_max >= "),
         (
             custom_doc([(np.eye(3).tolist(), SIGMA_X)], [1.0, 0.0], [1.0, 0.0]),
             "factor A has shape",
@@ -327,13 +329,15 @@ COMMANDS = [["timescale"], ["evolve", "--points", "3"], ["verify", "--alphas", "
         "non-hermitian-never-entangling",
         "unnormalized-state",
         "truncation",
+        "coherent-cutoff-below-mean",
         "factor-shape",
     ],
 )
-def test_model_and_state_errors_exit_3(tmp_path, capsys, doc, message, argv):
+def test_model_and_state_errors_exit_3(tmp_path, capsys, recwarn, doc, message, argv):
     spec = write_model(tmp_path, doc)
     assert main([argv[0], "--spec", spec, *argv[1:]]) == 3
     assert message in capsys.readouterr().err
+    assert [str(w.message) for w in recwarn] == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -123,6 +124,33 @@ def test_probability_kernel_guards():
     assert renyi_from_probabilities([1.0, -1e-13], 2) == 0.0
 
 
+@pytest.mark.parametrize("alpha", [VON_NEUMANN_ALPHA, 2, 5])
+def test_kernels_take_a_stack_of_spectra(alpha):
+    kernel = von_neumann_from_probabilities
+    if alpha != VON_NEUMANN_ALPHA:
+        kernel = functools.partial(renyi_from_probabilities, alpha=alpha)
+    rng = np.random.default_rng(76)
+    stack = rng.dirichlet(np.ones(12), size=(2, 40))  # (2, T, k), k past numpy's 8-way sums
+    stack[0, 3] = np.eye(12)[0]  # pure
+    stack[1, 5] = np.eye(12)[4]  # pure, leading entry not first
+    stack[1, 2, :2], stack[1, 2, 2:] = (0.7, 0.3), 0.0  # zeros in the tail
+    both = kernel(stack)
+    assert both.shape == (2, 40)
+    np.testing.assert_array_equal(kernel(stack[0]), both[0])
+    for i, j in np.ndindex(2, 40):
+        assert both[i, j] == kernel(stack[i, j])
+        assert both[i, j] == oracles.spectrum_entropy_scalar(stack[i, j], alpha)
+    for i, j in ((0, 3), (1, 5)):
+        # -0.0 == 0.0, so test the sign bit
+        assert both[i, j] == 0.0 and math.copysign(1.0, both[i, j]) == 1.0
+        assert math.copysign(1.0, kernel(stack[i, j])) == 1.0
+    for bad in ([1.1, -0.1], [0.5, np.nan], [0.6, 0.3]):
+        broken = stack.copy()
+        broken[1, 4] = np.pad(bad, (0, 10))
+        with pytest.raises(StateError):
+            kernel(broken)
+
+
 def test_alpha_validation():
     probs = [0.5, 0.5]
     for bad in (1, 0, -3, 2.0, True):
@@ -216,7 +244,7 @@ def test_series_spectra_capture():
     spec = JcmSpec(lam=1.0, n_max=5, field=FockField(2))
     h, s = build_jcm(spec)
     times = np.linspace(0.0, 1.0, 7)
-    (series,) = entropy_series(h, s, [2], times, capture_spectra=True)
+    (series,) = entropy_series(h, s, [2], times)
     assert series.spectra is not None
     assert series.spectra.shape == (7, 2)  # min(2, n_max + 1) Schmidt values
     assert np.all(np.diff(series.spectra, axis=1) <= 0.0)
@@ -228,9 +256,9 @@ def test_series_batched_matches_single_time():
     spec = JcmSpec(lam=1.0, n_max=40, field=CoherentField(1.2), c_e=0.6, c_g=0.8)
     h, s = build_jcm(spec)
     times = np.linspace(0.0, 2.0, 9)
-    (batched,) = entropy_series(h, s, [3], times, capture_spectra=True)
+    (batched,) = entropy_series(h, s, [3], times)
     for k, t in enumerate(times):
-        (single,) = entropy_series(h, s, [3], [t], capture_spectra=True)
+        (single,) = entropy_series(h, s, [3], [t])
         assert abs(single.values[0] - batched.values[k]) <= 1e-14
         assert np.max(np.abs(single.spectra[0] - batched.spectra[k])) <= 1e-14
 

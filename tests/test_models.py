@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from enttime.errors import ModelError, StateError, TruncationError
+import enttime.models
+from enttime.errors import DimensionError, ModelError, StateError, TruncationError
 from enttime.hamiltonian import assemble, product_state_vector
 from enttime.models import (
     ATOM_EXCITED,
@@ -97,13 +98,31 @@ def test_coherent_cutoff_enforcement():
     # tail mass decreases monotonically with the cutoff
     tails = [coherent_tail_mass(3.0, n) for n in range(10, 60, 5)]
     assert all(t1 > t2 for t1, t2 in zip(tails, tails[1:]))
+    # a cutoff far below the mean |nu|^2 = 900: the first terms underflow,
+    # yet nearly all the mass lies above the cutoff
+    assert abs(coherent_tail_mass(30.0, 10) - 1.0) <= 1e-12
+    assert coherent_tail_mass(1e4, 10) == 1.0  # |nu|^2 = 1e8, and no 1e8-term loop
+    with pytest.raises(TruncationError, match="n_max >= "):
+        JcmSpec(lam=1.0, n_max=10, field=CoherentField(30.0))
+
+
+def test_spec_size_cap_precedes_tail_sum(monkeypatch):
+    def refuse(nu, n_max):
+        raise AssertionError("tail summed before the size cap was checked")
+
+    monkeypatch.setattr(enttime.models, "coherent_tail_mass", refuse)
+    nu = 1e5
+    with pytest.raises(DimensionError, match="exceeds the configured maximum 4096"):
+        JcmSpec(lam=1.0, n_max=suggest_coherent_cutoff(nu), field=CoherentField(nu))
+    with pytest.raises(DimensionError, match="exceeds the configured maximum 4096"):
+        BoseHubbardBoundarySpec(j_rate=1.0, n_per_site_max=64)
 
 
 def test_coherent_tail_against_direct_sum():
     # compare the log-space accumulation with a naive Poisson partial sum
     nu = 2.0
     mean = abs(nu) ** 2
-    for n_max in (5, 10, 20):
+    for n_max in (2, 5, 10, 20):  # 2 lies below the mean
         direct = 1.0 - sum(
             math.exp(-mean) * mean**n / math.factorial(n) for n in range(n_max + 1)
         )
