@@ -38,8 +38,6 @@ from .models import (
     JcmSpec,
     build_bose_hubbard_boundary,
     build_jcm,
-    jcm_analytic_state,
-    jcm_log_divergence_coefficient,
     jcm_timescale_closed_form,
 )
 from .propagator import Propagator
@@ -89,8 +87,6 @@ __all__ = [
     "CoherentField",
     "BoseHubbardBoundarySpec",
     "build_jcm",
-    "jcm_analytic_state",
     "jcm_timescale_closed_form",
-    "jcm_log_divergence_coefficient",
     "build_bose_hubbard_boundary",
 ]

@@ -5,8 +5,12 @@ package: the timescale formula consumes the factors directly, and so does
 the exact dynamics, which builds only the blocks of H its start reaches and
 falls back to the assembled dense matrix. Individual factors need not be
 Hermitian (ladder operators pair up with their adjoints across terms); only
-the total must be, and it is checked entry by entry in row slabs, so the
-check never holds H, H^dag or their difference in full.
+the total must be. :func:`check_hermitian` first bounds ||H - H^dag||_F from
+the factors alone (realignment: Van Loan and Pitsianis, "Approximation with
+Kronecker products", 1993) and accepts when that bound proves the entrywise
+test would pass; otherwise, and always in :func:`assemble`, H is checked
+entry by entry in row slabs, never holding H, H^dag or their difference in
+full.
 """
 
 from __future__ import annotations
@@ -41,6 +45,11 @@ class ProductHamiltonian:
     Construction validates shapes and finiteness; Hermiticity of the total
     is checked by :func:`check_hermitian` and :func:`assemble`, because
     the factors themselves are generally not Hermitian.
+
+    The stored factors are read-only. A read-only complex128 array that owns
+    its memory is taken over as it is (the model builders hand theirs over
+    this way); any other factor is copied, so a caller who keeps a writeable
+    array, or the writeable base of a read-only view, cannot change ``terms``.
     """
 
     dim_a: int
@@ -70,11 +79,7 @@ class ProductHamiltonian:
                     f"term {k} factor B has shape {b.shape!r}, expected "
                     f"({self.dim_b}, {self.dim_b})"
                 )
-            a = a.copy()
-            b = b.copy()
-            a.setflags(write=False)
-            b.setflags(write=False)
-            frozen.append((a, b))
+            frozen.append((_frozen(a), _frozen(b)))
         object.__setattr__(self, "terms", tuple(frozen))
 
     @property
@@ -84,6 +89,14 @@ class ProductHamiltonian:
     @property
     def dim(self) -> int:
         return self.dim_a * self.dim_b
+
+
+def _frozen(m: np.ndarray) -> np.ndarray:
+    """``m`` itself if it is read-only and owns its memory, else a read-only copy."""
+    if m.flags.writeable or m.base is not None:
+        m = m.copy()
+        m.setflags(write=False)
+    return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,11 +192,52 @@ def _scan_hermitian(h: ProductHamiltonian, out: np.ndarray | None) -> None:
         )
 
 
+def _realigned_r(factors: list[np.ndarray], sign: float) -> np.ndarray:
+    """R of the QR decomposition of [vec(M_1) ... vec(M_N), sign vec(M_1^dag) ...].
+
+    Only the flat positions where some factor or its adjoint is nonzero are
+    stacked; the rows left out are zero and add nothing to R. The adjoint
+    is read by index, m[j, i].conj(), without forming it.
+    """
+    n = factors[0].shape[0]
+    flat = np.concatenate([np.flatnonzero(m != 0) for m in factors])
+    rows, cols = np.divmod(flat, n)
+    rows, cols = np.divmod(np.union1d(flat, cols * n + rows), n)
+    columns = np.empty((rows.size, 2 * len(factors)), dtype=np.complex128)
+    for k, m in enumerate(factors):
+        columns[:, k] = m[rows, cols]
+        columns[:, len(factors) + k] = sign * m[cols, rows].conj()
+    return np.linalg.qr(columns, mode="r")
+
+
+def _factor_norms(h: ProductHamiltonian) -> tuple[float, float]:
+    """(||H - H^dag||_F, ||H||_F) from the factors, never forming H.
+
+    H - H^dag = sum_n A_n (x) B_n - A_n^dag (x) B_n^dag. Realigned, a sum
+    sum_m C_m (x) D_m becomes the matrix C D^T of the stacked columns
+    vec(C_m) and vec(D_m), which has the same Frobenius norm, and with
+    C = Q_C R_C and D = Q_D R_D that norm is ||R_C R_D^T||_F. The first
+    n_terms columns of the same R factors hold H itself.
+    """
+    r_a = _realigned_r([a for a, _ in h.terms], -1.0)
+    r_b = _realigned_r([b for _, b in h.terms], 1.0)
+    n = h.n_terms
+    defect = float(np.linalg.norm(r_a @ r_b.T))
+    return defect, float(np.linalg.norm(r_a[:, :n] @ r_b[:, :n].T))
+
+
 def check_hermitian(h: ProductHamiltonian) -> None:
     """Verify that sum_n kron(A_n, B_n) is Hermitian without forming it.
 
-    Sees every entry, with the tolerance and error of :func:`assemble`.
+    Accepts when the factor-level ||H - H^dag||_F is at most
+    HERM_TOL * max(1, ||H||_F / d): since max|X| <= ||X||_F and
+    max|H| >= ||H||_F / d, the entrywise test of :func:`assemble` would
+    then pass too. Otherwise it runs that entrywise test, with its
+    tolerance and error, and its ``MAX_DIM`` cap.
     """
+    defect, norm = _factor_norms(h)
+    if defect <= HERM_TOL * max(1.0, norm / h.dim):
+        return
     _scan_hermitian(h, None)
 
 

@@ -16,8 +16,8 @@ The resonant rotating-wave Jaynes-Cummings Hamiltonian built here is
 
 and its dynamics from a product start (atom superposition times a fixed
 photon distribution C_n) stays pairwise: each |e, n> rotates against
-|g, n+1> at Rabi rate lam * sqrt(n+1). That closed form powers the analytic
-cross-checks below.
+|g, n+1> at Rabi rate lam * sqrt(n+1). That closed form gives
+:func:`jcm_timescale_closed_form` below, and the tests' analytic states.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import numpy as np
 
 from .errors import ModelError, StateError, TruncationError
 from .hamiltonian import ProductHamiltonian, ProductState, require_dense_dim
-from .linalg import BipartitePureState
 from .timescale import entanglement_timescale
 from .tolerances import NORM_TOL, TAIL_TOL
 
@@ -50,9 +49,7 @@ __all__ = [
     "coherent_tail_mass",
     "suggest_coherent_cutoff",
     "build_jcm",
-    "jcm_analytic_state",
     "jcm_timescale_closed_form",
-    "jcm_log_divergence_coefficient",
     "BoseHubbardBoundarySpec",
     "build_bose_hubbard_boundary",
 ]
@@ -61,19 +58,23 @@ ATOM_EXCITED = 0
 ATOM_GROUND = 1
 
 
-def annihilation(dim: int) -> np.ndarray:
-    """Truncated mode annihilation operator, a[n-1, n] = sqrt(n)."""
+def _ladder(dim: int, *, raising: bool) -> np.ndarray:
     if dim < 1:
         raise ModelError(f"mode dimension must be positive, got {dim}")
-    a = np.zeros((dim, dim), dtype=np.complex128)
+    m = np.zeros((dim, dim), dtype=np.complex128)
     ns = np.arange(1, dim)
-    a[ns - 1, ns] = np.sqrt(ns)
-    return a
+    m[(ns, ns - 1) if raising else (ns - 1, ns)] = np.sqrt(ns)
+    return m
+
+
+def annihilation(dim: int) -> np.ndarray:
+    """Truncated mode annihilation operator, a[n-1, n] = sqrt(n)."""
+    return _ladder(dim, raising=False)
 
 
 def creation(dim: int) -> np.ndarray:
-    """Adjoint of :func:`annihilation` on the same truncated space."""
-    return annihilation(dim).conj().T
+    """Adjoint of :func:`annihilation` on the same truncated space, a^dag[n, n-1] = sqrt(n)."""
+    return _ladder(dim, raising=True)
 
 
 def number_operator(dim: int) -> np.ndarray:
@@ -214,6 +215,14 @@ class JcmSpec:
         return self.n_max + 1
 
 
+def _handed_over(terms) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Freeze factors the builder owns, so ProductHamiltonian keeps them uncopied."""
+    for pair in terms:
+        for m in pair:
+            m.setflags(write=False)
+    return tuple(terms)
+
+
 def field_amplitudes(spec: JcmSpec) -> np.ndarray:
     """Photon-number amplitudes C_n of the initial field, length n_max + 1.
 
@@ -248,46 +257,18 @@ def build_jcm(spec: JcmSpec) -> tuple[ProductHamiltonian, ProductState]:
     the truncated space (truncation only removes couplings).
     """
     dim = spec.dim_field
-    terms = (
+    terms = _handed_over([
         (0.5 * spec.omega * sigma_z(), identity(dim)),
         (identity(2), spec.omega * number_operator(dim)),
         (spec.lam * sigma_minus(), creation(dim)),
         (spec.lam * sigma_plus(), annihilation(dim)),
-    )
+    ])
     psi_a = np.zeros(2, dtype=np.complex128)
     psi_a[ATOM_EXCITED] = spec.c_e
     psi_a[ATOM_GROUND] = spec.c_g
     h = ProductHamiltonian(dim_a=2, dim_b=dim, terms=terms)
     state = ProductState(psi_a=psi_a, psi_b=field_amplitudes(spec))
     return h, state
-
-
-def jcm_analytic_state(spec: JcmSpec, t: float) -> BipartitePureState:
-    """Closed-form state at time t, bypassing diagonalization.
-
-    Each doublet {|e, n>, |g, n+1>} rotates at Rabi rate lam * sqrt(n+1);
-    on top of that the free part contributes the local phases
-    exp(-i omega (n + 1/2) t) on the e branch and exp(-i omega (n - 1/2) t)
-    on the g branch. Those phases are local unitaries, so entropies and
-    timescales cannot see them, but they make this expression agree with
-    full-Hamiltonian propagation for any omega, not just omega = 0.
-    """
-    t = float(t)
-    dim = spec.dim_field
-    c = field_amplitudes(spec)
-    c_up = np.append(c[1:], 0.0)  # C_{n+1}, zero past the cutoff
-    c_down = np.append(0.0, c[:-1])  # C_{n-1}, zero below the vacuum
-    ns = np.arange(dim)
-    rabi_e = spec.lam * np.sqrt(ns + 1.0) * t
-    rabi_g = spec.lam * np.sqrt(ns.astype(np.float64)) * t
-    amp_e = spec.c_e * c * np.cos(rabi_e) - 1j * spec.c_g * c_up * np.sin(rabi_e)
-    amp_g = -1j * spec.c_e * c_down * np.sin(rabi_g) + spec.c_g * c * np.cos(rabi_g)
-    amp_e = amp_e * np.exp(-1j * spec.omega * (ns + 0.5) * t)
-    amp_g = amp_g * np.exp(-1j * spec.omega * (ns - 0.5) * t)
-    amps = np.zeros(2 * dim, dtype=np.complex128)
-    amps[ATOM_EXCITED * dim : ATOM_EXCITED * dim + dim] = amp_e
-    amps[ATOM_GROUND * dim : ATOM_GROUND * dim + dim] = amp_g
-    return BipartitePureState(dim_a=2, dim_b=dim, amplitudes=amps)
 
 
 def jcm_timescale_closed_form(spec: JcmSpec) -> float:
@@ -315,25 +296,6 @@ def jcm_timescale_closed_form(spec: JcmSpec) -> float:
         quadratic = float(np.sum(ns * weights))
     value = spec.lam**2 * (quadratic - abs(cross) ** 2)
     return max(value, 0.0)
-
-
-def jcm_log_divergence_coefficient(spec: JcmSpec) -> tuple[float, float]:
-    """Coefficients (a, b) of the short-time von Neumann curvature a + b ln t.
-
-    Defined for an atom starting exactly excited with a non-degenerate
-    timescale; the logarithmic coefficient is b = -4 * t_ent_inv_sq.
-    """
-    if abs(spec.c_g) != 0.0:
-        raise ModelError(
-            "log-divergence coefficients are defined for an exactly excited atom"
-        )
-    t2 = jcm_timescale_closed_form(spec)
-    if t2 <= 0.0:
-        raise ModelError(
-            "degenerate timescale: the von Neumann curvature has no logarithmic term"
-        )
-    constant = 2.0 * (-2.0 + math.log(2.0) - math.log(t2)) * t2
-    return constant, -4.0 * t2
 
 
 @dataclass(frozen=True)
@@ -390,6 +352,6 @@ def build_bose_hubbard_boundary(
         terms.append((identity(dim), anharmonic))
     psi = np.zeros(dim, dtype=np.complex128)
     psi[1] = 1.0
-    h = ProductHamiltonian(dim_a=dim, dim_b=dim, terms=tuple(terms))
+    h = ProductHamiltonian(dim_a=dim, dim_b=dim, terms=_handed_over(terms))
     state = ProductState(psi_a=psi, psi_b=psi.copy())
     return h, state

@@ -13,6 +13,16 @@ import jsonschema
 import numpy as np
 import scipy.linalg
 
+from enttime.errors import ModelError
+from enttime.linalg import BipartitePureState
+from enttime.models import (
+    ATOM_EXCITED,
+    ATOM_GROUND,
+    JcmSpec,
+    field_amplitudes,
+    jcm_timescale_closed_form,
+)
+
 
 def kron_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ra, ca = a.shape
@@ -143,6 +153,57 @@ def random_term_list(rng: np.random.Generator, dim_a: int, dim_b: int, n_groups:
             terms.append((ga, gb))
             terms.append((ga.conj().T, gb.conj().T))
     return terms
+
+
+# Closed forms of the resonant Jaynes-Cummings model (conventions of
+# enttime.models), used only as checks.
+
+
+def jcm_analytic_state(spec: JcmSpec, t: float) -> BipartitePureState:
+    """Closed-form state at time t, bypassing diagonalization.
+
+    Each doublet {|e, n>, |g, n+1>} rotates at Rabi rate lam * sqrt(n+1);
+    on top of that the free part contributes the local phases
+    exp(-i omega (n + 1/2) t) on the e branch and exp(-i omega (n - 1/2) t)
+    on the g branch. Those phases are local unitaries, so entropies and
+    timescales cannot see them, but they make this expression agree with
+    full-Hamiltonian propagation for any omega, not just omega = 0.
+    """
+    t = float(t)
+    dim = spec.dim_field
+    c = field_amplitudes(spec)
+    c_up = np.append(c[1:], 0.0)  # C_{n+1}, zero past the cutoff
+    c_down = np.append(0.0, c[:-1])  # C_{n-1}, zero below the vacuum
+    ns = np.arange(dim)
+    rabi_e = spec.lam * np.sqrt(ns + 1.0) * t
+    rabi_g = spec.lam * np.sqrt(ns.astype(np.float64)) * t
+    amp_e = spec.c_e * c * np.cos(rabi_e) - 1j * spec.c_g * c_up * np.sin(rabi_e)
+    amp_g = -1j * spec.c_e * c_down * np.sin(rabi_g) + spec.c_g * c * np.cos(rabi_g)
+    amp_e = amp_e * np.exp(-1j * spec.omega * (ns + 0.5) * t)
+    amp_g = amp_g * np.exp(-1j * spec.omega * (ns - 0.5) * t)
+    amps = np.zeros(2 * dim, dtype=np.complex128)
+    amps[ATOM_EXCITED * dim : ATOM_EXCITED * dim + dim] = amp_e
+    amps[ATOM_GROUND * dim : ATOM_GROUND * dim + dim] = amp_g
+    return BipartitePureState(dim_a=2, dim_b=dim, amplitudes=amps)
+
+
+def jcm_log_divergence_coefficient(spec: JcmSpec) -> tuple[float, float]:
+    """Coefficients (a, b) of the short-time von Neumann curvature a + b ln t.
+
+    Defined for an atom starting exactly excited with a non-degenerate
+    timescale; the logarithmic coefficient is b = -4 * t_ent_inv_sq.
+    """
+    if abs(spec.c_g) != 0.0:
+        raise ModelError(
+            "log-divergence coefficients are defined for an exactly excited atom"
+        )
+    t2 = jcm_timescale_closed_form(spec)
+    if t2 <= 0.0:
+        raise ModelError(
+            "degenerate timescale: the von Neumann curvature has no logarithmic term"
+        )
+    constant = 2.0 * (-2.0 + math.log(2.0) - math.log(t2)) * t2
+    return constant, -4.0 * t2
 
 
 # The model-file schema that the package's reader replaced, kept verbatim as

@@ -28,7 +28,6 @@ from enttime.models import (
     JcmSpec,
     build_bose_hubbard_boundary,
     build_jcm,
-    jcm_analytic_state,
     jcm_timescale_closed_form,
 )
 from enttime.timescale import entanglement_timescale, predicted_curvature
@@ -406,7 +405,7 @@ def test_criterion_8_property_suites():
         h, state = build_jcm(spec)
         t = float(rng.uniform(0.0, 5.0))
         numeric = oracles.expm_propagate(assemble(h), product_state_vector(state).amplitudes, t)
-        analytic = jcm_analytic_state(spec, t)
+        analytic = oracles.jcm_analytic_state(spec, t)
         _check(
             failures,
             float(np.max(np.abs(analytic.amplitudes - numeric))) <= 1e-9,

@@ -271,17 +271,39 @@ def test_solver_breakdown_is_numerical_error(tmp_path, monkeypatch, capsys):
     assert "error: Hermitian eigensolver failed to converge" in err
 
 
-def test_dimension_cap_exits_with_model_error_code(tmp_path, capsys):
-    doc = {
+def above_cap_doc():
+    """65 x 64 = 4160 > MAX_DIM: identity plus an embedded sigma_x (x) sigma_x."""
+    flip_a, flip_b = np.zeros((65, 65)), np.zeros((64, 64))
+    flip_a[[0, 1], [1, 0]] = flip_b[[0, 1], [1, 0]] = 1.0
+    return {
         "model": "custom",
         "dim_a": 65,
         "dim_b": 64,
-        "terms": [{"a": {"re": np.eye(65).tolist()}, "b": {"re": np.eye(64).tolist()}}],
+        "terms": [
+            {"a": {"re": np.eye(65).tolist()}, "b": {"re": np.eye(64).tolist()}},
+            {"a": {"re": flip_a.tolist()}, "b": {"re": flip_b.tolist()}},
+        ],
         "state": {"psi_a": {"re": np.eye(65)[0].tolist()}, "psi_b": {"re": np.eye(64)[0].tolist()}},
     }
-    spec = write_model(tmp_path, doc)
+
+
+def test_dimension_cap_exits_with_model_error_code(tmp_path, capsys):
+    spec = write_model(tmp_path, above_cap_doc())
     assert main(["evolve", "--spec", spec, "--points", "3"]) == 3
     assert "exceeds the configured maximum 4096" in capsys.readouterr().err
+    assert main(["verify", "--spec", spec]) == 3
+    assert "exceeds the configured maximum 4096" in capsys.readouterr().err
+
+
+def test_timescale_needs_no_dimension_cap(tmp_path):
+    # the covariance sum and the factor Hermiticity proof never form H;
+    # <0|sigma_x|0> = 0 and <0|sigma_x^2|0> = 1 on each side give t_ent = 1
+    spec = write_model(tmp_path, above_cap_doc())
+    out = tmp_path / "out.json"
+    assert main(["timescale", "--spec", spec, "--no-timing", "--out", str(out)]) == 0
+    timescale = json.loads(out.read_text(encoding="utf-8"))["timescale"]
+    assert timescale["t_ent_inv_sq"] == pytest.approx(1.0, abs=1e-14)
+    assert timescale["t_ent"] == pytest.approx(1.0, abs=1e-14)
 
 
 def custom_doc(terms, psi_a, psi_b, dim_a=2, dim_b=2):

@@ -22,7 +22,6 @@ from enttime.models import (
     FockField,
     JcmSpec,
     build_jcm,
-    jcm_analytic_state,
 )
 from enttime.timescale import check_alpha, entanglement_timescale
 
@@ -221,7 +220,7 @@ def test_series_matches_analytic_jcm():
     times = np.linspace(0.0, 3.0 / spec.lam, 16)
     (series,) = entropy_series(h, s, [2], times)
     for t, value in zip(times, series.values):
-        probs = schmidt_probabilities(jcm_analytic_state(spec, t))
+        probs = schmidt_probabilities(oracles.jcm_analytic_state(spec, t))
         assert abs(value - renyi_from_probabilities(probs, 2)) <= 1e-9
     assert series.values[0] <= 1e-10
 

@@ -1,15 +1,33 @@
+import re
+
 import numpy as np
 import pytest
+
+import enttime.hamiltonian as hamiltonian_module
 
 from enttime.entropy import renyi_from_probabilities
 from enttime.errors import DimensionError, ModelError, StateError
 from enttime.hamiltonian import (
     ProductHamiltonian,
     ProductState,
+    _factor_norms,
+    _scan_hermitian,
     assemble,
+    check_hermitian,
     product_state_vector,
 )
-from enttime.models import annihilation, creation, identity, sigma_minus, sigma_plus, sigma_z
+from enttime.models import (
+    FockField,
+    JcmSpec,
+    annihilation,
+    build_jcm,
+    creation,
+    identity,
+    sigma_minus,
+    sigma_plus,
+    sigma_z,
+)
+from enttime.tolerances import HERM_TOL
 
 import oracles
 
@@ -75,6 +93,87 @@ def test_assemble_rejects_non_hermitian_total():
         assemble(h)
 
 
+def dense_total(h):
+    return sum(oracles.kron_loops(a, b) for a, b in h.terms)
+
+
+def sparse_matrix(rng, dim):
+    m = oracles.random_matrix(rng, dim)
+    m[rng.random((dim, dim)) < 0.6] = 0.0
+    return m
+
+
+def test_factor_norms_match_dense_frobenius_norms():
+    rng = np.random.default_rng(54)
+    for _ in range(40):
+        dim_a = int(rng.integers(1, 5))
+        dim_b = int(rng.integers(1, 5))
+        if rng.random() < 0.5:
+            terms = oracles.random_term_list(rng, dim_a, dim_b, int(rng.integers(1, 3)))
+        else:  # sparse factors only: their adjoints hit positions they leave zero
+            ga, gb = sparse_matrix(rng, dim_a), sparse_matrix(rng, dim_b)
+            terms = [(ga, gb), (ga.conj().T, gb.conj().T)]
+        if rng.random() < 0.5:  # a non-Hermitian stray term
+            terms.append((sparse_matrix(rng, dim_a), sparse_matrix(rng, dim_b)))
+        if rng.random() < 0.3:  # a term with an all-zero factor
+            terms.append((np.zeros((dim_a, dim_a)), sparse_matrix(rng, dim_b)))
+        h = ProductHamiltonian(dim_a, dim_b, tuple(terms))
+        total = dense_total(h)
+        defect, norm = _factor_norms(h)
+        assert defect == pytest.approx(np.linalg.norm(total - total.conj().T), abs=1e-12)
+        assert norm == pytest.approx(np.linalg.norm(total), rel=1e-13, abs=1e-13)
+    ladder = ProductHamiltonian(2, 4, ((sigma_plus(), annihilation(4)),))
+    assert _factor_norms(ladder) == pytest.approx((np.sqrt(12.0), np.sqrt(6.0)), rel=1e-15)
+    zero = ProductHamiltonian(2, 3, ((np.zeros((2, 2)), np.eye(3)),))
+    assert _factor_norms(zero) == (0.0, 0.0)
+    check_hermitian(zero)
+
+
+def hermiticity_verdict(check, h):
+    try:
+        check(h)
+    except ModelError as exc:
+        return str(exc)
+    return None
+
+
+def test_factor_proof_keeps_the_scan_verdict(monkeypatch):
+    spec = JcmSpec(lam=1.0, omega=0.7, n_max=30, field=FockField(3))
+    h, _ = build_jcm(spec)
+    dense = dense_total(h)
+    _, norm = _factor_norms(h)
+    factor_bound = HERM_TOL * max(1.0, norm / h.dim)
+    scan_tol = HERM_TOL * max(1.0, np.max(np.abs(dense)))
+    assert 2 * factor_bound < 0.5 * scan_tol
+    # one entry of the annihilation factor of lam sigma_+ (x) a moves by delta;
+    # H - H^dag gains delta sigma_+ (x) E_(5,6) minus its adjoint, so
+    # ||H - H^dag||_F = sqrt(2) |delta| and max|H - H^dag| = |delta|
+    phase = np.exp(0.3j)
+    cases = [
+        (0.5 * factor_bound / np.sqrt(2), False, None),
+        (2.0 * factor_bound / np.sqrt(2), True, None),
+        (0.5 * scan_tol, True, None),
+        (2.0 * scan_tol, True, r"\(5, 37\)"),
+    ]
+    scans = []
+    real_scan = _scan_hermitian
+    monkeypatch.setattr(
+        hamiltonian_module, "_scan_hermitian", lambda h, out: scans.append(h) or real_scan(h, out)
+    )
+    for delta, falls_back, message in cases:
+        a = h.terms[3][1].copy()
+        a[5, 6] += delta * phase
+        broken = ProductHamiltonian(2, h.dim_b, h.terms[:3] + ((h.terms[3][0], a),))
+        scans.clear()
+        verdict = hermiticity_verdict(check_hermitian, broken)
+        assert bool(scans) == falls_back
+        assert verdict == hermiticity_verdict(lambda m: real_scan(m, None), broken)
+        if message is None:
+            assert verdict is None
+        else:
+            assert re.search(message, verdict)
+
+
 def test_product_hamiltonian_validation():
     with pytest.raises(ModelError):
         ProductHamiltonian(2, 2, ())
@@ -87,11 +186,20 @@ def test_product_hamiltonian_validation():
 def test_product_hamiltonian_copies_inputs():
     a = np.eye(2, dtype=np.complex128)
     b = np.eye(2, dtype=np.complex128)
-    h = ProductHamiltonian(2, 2, ((a, b),))
+    view = b[:, :]
+    view.setflags(write=False)  # read-only, but b can still write to it
+    h = ProductHamiltonian(2, 2, ((a, view),))
     a[0, 0] = 99.0
+    b[1, 1] = 99.0
     assert h.terms[0][0][0, 0] == 1.0
+    assert h.terms[0][1][1, 1] == 1.0
+    assert not np.shares_memory(h.terms[0][0], a)
+    assert not np.shares_memory(h.terms[0][1], b)
     with pytest.raises(ValueError):
         h.terms[0][0][0, 0] = 5.0
+    owned = np.eye(2, dtype=np.complex128)
+    owned.setflags(write=False)
+    assert ProductHamiltonian(2, 2, ((owned, owned),)).terms[0][0] is owned
 
 
 def test_product_state_validation():

@@ -20,8 +20,6 @@ from enttime.models import (
     creation,
     field_amplitudes,
     identity,
-    jcm_analytic_state,
-    jcm_log_divergence_coefficient,
     jcm_timescale_closed_form,
     number_operator,
     sigma_minus,
@@ -167,6 +165,32 @@ def test_excitation_number_is_conserved():
     assert np.max(np.abs(comm)) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "build, spec",
+    [
+        (build_jcm, JcmSpec(lam=1.0, omega=0.5, n_max=6, field=FockField(2))),
+        (build_bose_hubbard_boundary, BoseHubbardBoundarySpec(j_rate=1.0, u_rate=2.0)),
+    ],
+    ids=["jcm", "bose-hubbard"],
+)
+def test_builders_hand_over_frozen_factors(monkeypatch, build, spec):
+    handed = []
+    product = enttime.models.ProductHamiltonian
+
+    def spy(**kwargs):
+        handed.append(kwargs["terms"])
+        return product(**kwargs)
+
+    monkeypatch.setattr(enttime.models, "ProductHamiltonian", spy)
+    h, _ = build(spec)
+    (given,) = handed
+    assert len(given) == h.n_terms
+    for pair, kept in zip(given, h.terms):
+        for m, k in zip(pair, kept):
+            assert np.shares_memory(k, m)
+            assert not k.flags.writeable
+
+
 def test_initial_state_layout():
     spec = JcmSpec(lam=1.0, n_max=3, field=FockField(2), c_e=0.6, c_g=0.8)
     _, state = build_jcm(spec)
@@ -185,7 +209,7 @@ def test_analytic_state_at_zero_is_the_initial_product():
     spec = JcmSpec(lam=1.0, n_max=20, field=CoherentField(1.0), c_e=0.6j, c_g=0.8)
     h, state = build_jcm(spec)
     vec = product_state_vector(state)
-    analytic = jcm_analytic_state(spec, 0.0)
+    analytic = oracles.jcm_analytic_state(spec, 0.0)
     assert np.max(np.abs(analytic.amplitudes - vec.amplitudes)) <= 1e-12
 
 
@@ -193,7 +217,7 @@ def test_analytic_state_half_rabi_swap():
     # |e, 0> -> -i |g, 1> after a quarter period of the vacuum Rabi cycle
     spec = JcmSpec(lam=1.0, n_max=3, field=FockField(0))
     t = 0.5 * math.pi
-    analytic = jcm_analytic_state(spec, t)
+    analytic = oracles.jcm_analytic_state(spec, t)
     dim = spec.dim_field
     target = ATOM_GROUND * dim + 1
     assert abs(abs(analytic.amplitudes[target]) - 1.0) <= 1e-12
@@ -223,7 +247,7 @@ def test_analytic_agrees_with_dense_propagation():
         h, state = build_jcm(spec)
         t = float(rng.uniform(0.0, 5.0))
         numeric = oracles.expm_propagate(assemble(h), product_state_vector(state).amplitudes, t)
-        analytic = jcm_analytic_state(spec, t)
+        analytic = oracles.jcm_analytic_state(spec, t)
         assert np.max(np.abs(analytic.amplitudes - numeric)) <= 1e-9
 
 
@@ -280,16 +304,16 @@ def test_closed_form_matches_covariance_sum():
 
 def test_log_divergence_coefficients():
     spec = JcmSpec(lam=1.0, n_max=10, field=FockField(3))
-    constant, slope = jcm_log_divergence_coefficient(spec)
+    constant, slope = oracles.jcm_log_divergence_coefficient(spec)
     assert slope == -16.0
     assert abs(constant - 2.0 * (-2.0 + math.log(2.0) - math.log(4.0)) * 4.0) <= 1e-12
 
     with pytest.raises(ModelError, match="excited"):
-        jcm_log_divergence_coefficient(
+        oracles.jcm_log_divergence_coefficient(
             JcmSpec(lam=1.0, n_max=4, field=FockField(1), c_e=0.0, c_g=1.0)
         )
     with pytest.raises(ModelError, match="degenerate"):
-        jcm_log_divergence_coefficient(JcmSpec(lam=0.0, n_max=4, field=FockField(1)))
+        oracles.jcm_log_divergence_coefficient(JcmSpec(lam=0.0, n_max=4, field=FockField(1)))
 
 
 # ---------------------------------------------------------------------------

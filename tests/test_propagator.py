@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -231,8 +233,19 @@ def test_dimension_cap_applies_before_any_allocation():
         Propagator(h, state)
     with pytest.raises(DimensionError, match="4160"):
         assemble(h)
-    with pytest.raises(DimensionError, match="4160"):
+    # the factor proof needs no d x d array (276 MB here), so no cap applies
+    tracemalloc.start()
+    try:
         check_hermitian(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # a defect the proof cannot clear falls back to the capped scan
+    stray = np.zeros((64, 64))
+    stray[0, 1] = 1.0
+    with pytest.raises(DimensionError, match="4160"):
+        check_hermitian(ProductHamiltonian(65, 64, h.terms + ((np.eye(65), stray),)))
 
 
 def test_propagator_guards():
