@@ -5,8 +5,9 @@ term has A_n[k, i] != 0 and B_n[l, j] != 0. Read undirected, that pattern is
 a graph on the composite basis, and each of its connected components spans
 a coordinate subspace H maps into itself. The start evolves inside the
 components that meet its support, so only those blocks are diagonalized;
-nothing outside them is ever touched. This is exact: zero means an exact
-zero of a factor, never a small one. When one component covers the whole
+nothing outside them is ever touched. This is exact: the pattern is read
+from :attr:`~enttime.hamiltonian.ProductHamiltonian.nonzeros`, where zero
+means an exact zero of a factor, never a small one. When one component covers the whole
 space the search stops there and the dense matrix comes from
 :func:`~enttime.hamiltonian.assemble`.
 
@@ -40,16 +41,16 @@ __all__ = ["Propagator", "invariant_blocks"]
 _CHUNK_ENTRIES = 1 << 17
 
 
-def _neighbours(m: np.ndarray):
-    """The nonzero pattern of ``m`` as two adjacency lists in CSR form.
+def _neighbours(flat: np.ndarray, n: int):
+    """Adjacency lists, in CSR form, of an n x n pattern with nonzeros at ``flat``.
 
-    The first maps each column i to the rows k with m[k, i] != 0, the
+    ``flat`` holds ascending flat indices. The first maps each column i to the rows k with m[k, i] != 0, the
     second each row i to the columns k with m[i, k] != 0; each is a pair
     (indptr, targets).
     """
-    rows, cols = np.divmod(np.flatnonzero(m != 0), m.shape[1])
+    rows, cols = np.divmod(flat, n)
     by_col = np.argsort(cols, kind="stable")
-    edges = np.arange(m.shape[0] + 1)
+    edges = np.arange(n + 1)
     down = (np.searchsorted(cols[by_col], edges), rows[by_col])
     up = (np.searchsorted(rows, edges), cols)
     return down, up
@@ -66,8 +67,9 @@ def invariant_blocks(h: ProductHamiltonian, support) -> list[np.ndarray]:
     """
     d, dim_b = h.dim, h.dim_b
     moves = []
-    for a, b in h.terms:
-        (down_a, up_a), (down_b, up_b) = _neighbours(a), _neighbours(b)
+    for flat_a, flat_b in h.nonzeros:
+        down_a, up_a = _neighbours(flat_a, h.dim_a)
+        down_b, up_b = _neighbours(flat_b, dim_b)
         moves += [(down_a, down_b), (up_a, up_b)]
     seen = np.zeros(d, dtype=bool)
     blocks: list[np.ndarray] = []

@@ -104,10 +104,15 @@ def expectation(op, psi) -> complex:
 
 
 def _covariance_matrix(factors: list[np.ndarray], psi: np.ndarray) -> np.ndarray:
-    """Connected-correlator matrix G[n, m] = <F_n F_m> - <F_n><F_m>."""
+    """Connected-correlator matrix G[n, m] = <F_n F_m> - <F_n><F_m>.
+
+    <F_n F_m> is the overlap of F_n^dag psi with F_m psi. The bra
+    (F_n^dag psi)^dag is the row vector psi^dag F_n, so no adjoint factor is
+    formed: each factor is read once for F psi and once for psi^dag F.
+    """
     applied = np.stack([f @ psi for f in factors])
-    applied_adj = np.stack([dag @ psi for dag in (f.conj().T for f in factors)])
-    second = np.einsum("nd,md->nm", applied_adj.conj(), applied)
+    bras = np.stack([psi.conj() @ f for f in factors])
+    second = np.einsum("nd,md->nm", bras, applied)
     means = np.array([np.vdot(psi, row) for row in applied])
     return second - np.outer(means, means)
 

@@ -557,14 +557,29 @@ def test_size_cap_fails_before_allocating(tmp_path, capsys, doc):
     assert peak < 16 * 2**20
 
 
-def test_cli_import_does_not_load_jsonschema():
+def test_cli_import_does_not_load_jsonschema(tmp_path):
     src = Path(enttime.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
-    probe = "import sys, enttime.cli; print('jsonschema' in sys.modules)"
-    run = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
-    assert run.stdout.strip() == "False"
+    spec = write_model(tmp_path, fock_doc())
+    out = tmp_path / "out.json"
+    commands = [["timescale", "--spec", spec, "--out", str(out)], ["verify", "--spec", spec]]
+    probes = [
+        # importing the command line loads no schema library
+        "import sys, enttime.cli; print('jsonschema' in sys.modules)",
+        # nor does running it; numpy.ma (numpy 2 imports it lazily, from
+        # np.unique for one) is not loaded either
+        "import contextlib, io, sys, enttime.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [enttime.cli.main(argv) for argv in {commands!r}]\n"
+        "print(codes, 'jsonschema' in sys.modules, 'numpy.ma' in sys.modules)",
+    ]
+    outputs = []
+    for probe in probes:
+        run = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        outputs.append(run.stdout.strip())
+    assert outputs == ["False", "[0, 0] False False"]
 
 
 # ---------------------------------------------------------------------------

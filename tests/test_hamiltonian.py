@@ -174,6 +174,32 @@ def test_factor_proof_keeps_the_scan_verdict(monkeypatch):
             assert re.search(message, verdict)
 
 
+def test_nonzeros_are_the_exact_nonzeros_of_each_factor():
+    rng = np.random.default_rng(81)
+    # entries that are exactly zero although written differently, and
+    # nonzeros with no real part
+    specials = np.array([-0.0, 0j, complex(-0.0, -0.0), 2.5j, -1e-300j, 1e-300])
+    for _ in range(30):
+        dim_a = int(rng.integers(1, 6))
+        dim_b = int(rng.integers(1, 6))
+        terms = []
+        for _ in range(int(rng.integers(1, 4))):
+            pair = [sparse_matrix(rng, dim) for dim in (dim_a, dim_b)]
+            for m in pair:
+                hits = rng.random(m.shape) < 0.3
+                m[hits] = rng.choice(specials, size=int(hits.sum()))
+            terms.append(tuple(pair))
+        h = ProductHamiltonian(dim_a, dim_b, tuple(terms))
+        assert len(h.nonzeros) == h.n_terms
+        for factors, flats in zip(h.terms, h.nonzeros):
+            for m, flat in zip(factors, flats):
+                assert np.array_equal(flat, np.flatnonzero(m != 0))
+                assert not flat.flags.writeable
+        again = h.nonzeros
+        assert again is h.nonzeros
+        assert all(x is y for pair, same in zip(again, h.nonzeros) for x, y in zip(pair, same))
+
+
 def test_product_hamiltonian_validation():
     with pytest.raises(ModelError):
         ProductHamiltonian(2, 2, ())

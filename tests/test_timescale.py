@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,6 +126,20 @@ def test_jcm_fock_timescales():
         assert abs(
             entanglement_timescale(hg, sg).t_ent_inv_sq - 3.0 * lam**2
         ) <= 1e-12 * 3.0 * lam**2
+
+
+def test_covariance_sum_copies_no_factor():
+    # d = 1536, as in the benchmark: each B factor is 768 x 768 complex
+    h, state = build_jcm(JcmSpec(lam=1.0, n_max=767, field=FockField(3)))
+    factor_bytes = h.terms[0][1].nbytes
+    tracemalloc.start()
+    try:
+        report = entanglement_timescale(h, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.t_ent_inv_sq == pytest.approx(4.0, rel=1e-12)
+    assert peak < factor_bytes
 
 
 def test_jcm_vacuum_ground_is_degenerate_and_stationary():
