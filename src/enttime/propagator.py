@@ -7,9 +7,9 @@ a coordinate subspace H maps into itself. The start evolves inside the
 components that meet its support, so only those blocks are diagonalized;
 nothing outside them is ever touched. This is exact: the pattern is read
 from :attr:`~enttime.hamiltonian.ProductHamiltonian.nonzeros`, where zero
-means an exact zero of a factor, never a small one. When one component covers the whole
-space the search stops there and the dense matrix comes from
-:func:`~enttime.hamiltonian.assemble`.
+means an exact zero of a factor, never a small one. When one component
+covers the whole space the search stops there and the dense matrix comes
+from :func:`~enttime.hamiltonian.assemble`.
 
 The Hermiticity of the whole H is checked either way, including entries
 outside the blocks, and every block keeps the reconstruction check of
@@ -44,9 +44,9 @@ _CHUNK_ENTRIES = 1 << 17
 def _neighbours(flat: np.ndarray, n: int):
     """Adjacency lists, in CSR form, of an n x n pattern with nonzeros at ``flat``.
 
-    ``flat`` holds ascending flat indices. The first maps each column i to the rows k with m[k, i] != 0, the
-    second each row i to the columns k with m[i, k] != 0; each is a pair
-    (indptr, targets).
+    ``flat`` holds ascending flat indices. The first list maps each column
+    i to the rows k with m[k, i] != 0, the second each row i to the columns
+    k with m[i, k] != 0; each is a pair (indptr, targets).
     """
     rows, cols = np.divmod(flat, n)
     by_col = np.argsort(cols, kind="stable")
