@@ -52,10 +52,11 @@ class ProductHamiltonian:
     this way); any other factor is copied, so a caller who keeps a writeable
     array, or the writeable base of a read-only view, cannot change ``terms``.
 
-    ``nonzeros`` holds, for each (A_n, B_n), the ascending flat indices of
-    the exact nonzeros of both factors, computed on first use. It is the one
-    place where an entry counts as zero: only an exact zero does, never a
-    small value.
+    ``nonzeros`` holds, for each (A_n, B_n), one boolean mask per factor,
+    True at its exact nonzeros, computed on first use. It is the one place
+    where an entry counts as zero: only an exact zero does, never a small
+    value. A mask takes one byte per entry of its factor, a sixteenth of
+    the factor, however dense the factor is.
     """
 
     dim_a: int
@@ -90,8 +91,8 @@ class ProductHamiltonian:
 
     @cached_property
     def nonzeros(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Read-only ascending flat indices of the nonzeros of each (A_n, B_n)."""
-        return tuple((_flat_nonzeros(a), _flat_nonzeros(b)) for a, b in self.terms)
+        """Read-only masks of the exact nonzeros of each (A_n, B_n)."""
+        return tuple((_nonzero_mask(a), _nonzero_mask(b)) for a, b in self.terms)
 
     @property
     def n_terms(self) -> int:
@@ -102,10 +103,10 @@ class ProductHamiltonian:
         return self.dim_a * self.dim_b
 
 
-def _flat_nonzeros(m: np.ndarray) -> np.ndarray:
-    flat = np.flatnonzero(m != 0)
-    flat.setflags(write=False)
-    return flat
+def _nonzero_mask(m: np.ndarray) -> np.ndarray:
+    mask = m != 0
+    mask.setflags(write=False)
+    return mask
 
 
 def _frozen(m: np.ndarray) -> np.ndarray:
@@ -209,19 +210,15 @@ def _scan_hermitian(h: ProductHamiltonian, out: np.ndarray | None) -> None:
         )
 
 
-def _realigned_r(factors: list[np.ndarray], nonzeros, sign: float) -> np.ndarray:
+def _realigned_r(factors: list[np.ndarray], masks, sign: float) -> np.ndarray:
     """R of the QR decomposition of [vec(M_1) ... vec(M_N), sign vec(M_1^dag) ...].
 
     Only the flat positions where some factor or its adjoint is nonzero are
-    stacked, in ascending order (``nonzeros`` lists each factor's); the rows
-    left out are zero and add nothing to R. The adjoint is read by index,
-    m[j, i].conj(), without forming it.
+    stacked, in ascending order (``masks`` holds each factor's nonzero
+    mask); the rows left out are zero and add nothing to R. The adjoint is
+    read by index, m[j, i].conj(), without forming it.
     """
-    n = factors[0].shape[0]
-    support = np.zeros(n * n, dtype=bool)
-    for flat in nonzeros:
-        support[flat] = True
-    support = support.reshape(n, n)
+    support = np.logical_or.reduce(masks)
     rows, cols = np.nonzero(support | support.T)
     columns = np.empty((rows.size, 2 * len(factors)), dtype=np.complex128)
     for k, m in enumerate(factors):
@@ -239,8 +236,8 @@ def _factor_norms(h: ProductHamiltonian) -> tuple[float, float]:
     C = Q_C R_C and D = Q_D R_D that norm is ||R_C R_D^T||_F. The first
     n_terms columns of the same R factors hold H itself.
     """
-    r_a = _realigned_r([a for a, _ in h.terms], [fa for fa, _ in h.nonzeros], -1.0)
-    r_b = _realigned_r([b for _, b in h.terms], [fb for _, fb in h.nonzeros], 1.0)
+    r_a = _realigned_r([a for a, _ in h.terms], [ma for ma, _ in h.nonzeros], -1.0)
+    r_b = _realigned_r([b for _, b in h.terms], [mb for _, mb in h.nonzeros], 1.0)
     n = h.n_terms
     defect = float(np.linalg.norm(r_a @ r_b.T))
     return defect, float(np.linalg.norm(r_a[:, :n] @ r_b[:, :n].T))

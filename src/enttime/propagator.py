@@ -41,14 +41,15 @@ __all__ = ["Propagator", "invariant_blocks"]
 _CHUNK_ENTRIES = 1 << 17
 
 
-def _neighbours(flat: np.ndarray, n: int):
-    """Adjacency lists, in CSR form, of an n x n pattern with nonzeros at ``flat``.
+def _neighbours(mask: np.ndarray):
+    """Adjacency lists, in CSR form, of the n x n nonzero pattern ``mask``.
 
-    ``flat`` holds ascending flat indices. The first list maps each column
-    i to the rows k with m[k, i] != 0, the second each row i to the columns
-    k with m[i, k] != 0; each is a pair (indptr, targets).
+    The first list maps each column i to the rows k with m[k, i] != 0, the
+    second each row i to the columns k with m[i, k] != 0; each is a pair
+    (indptr, targets).
     """
-    rows, cols = np.divmod(flat, n)
+    n = mask.shape[0]
+    rows, cols = np.nonzero(mask)
     by_col = np.argsort(cols, kind="stable")
     edges = np.arange(n + 1)
     down = (np.searchsorted(cols[by_col], edges), rows[by_col])
@@ -67,9 +68,9 @@ def invariant_blocks(h: ProductHamiltonian, support) -> list[np.ndarray]:
     """
     d, dim_b = h.dim, h.dim_b
     moves = []
-    for flat_a, flat_b in h.nonzeros:
-        down_a, up_a = _neighbours(flat_a, h.dim_a)
-        down_b, up_b = _neighbours(flat_b, dim_b)
+    for mask_a, mask_b in h.nonzeros:
+        down_a, up_a = _neighbours(mask_a)
+        down_b, up_b = _neighbours(mask_b)
         moves += [(down_a, down_b), (up_a, up_b)]
     seen = np.zeros(d, dtype=bool)
     blocks: list[np.ndarray] = []

@@ -80,3 +80,13 @@ def test_summary_counts_pairs_the_change_wins():
     assert summary["attempted_runs"] == {"parent": 40, "change": 48}
     assert summary["traced"]["parent"]["wall_s"] == 2.0
     assert summary["traced"]["change"]["speedup"] == 1.0
+
+
+@pytest.mark.parametrize("missing", ["--seed", "--trace-seed"])
+def test_seeds_have_no_default(missing, capsys):
+    argv = ["--parent", "HEAD", "--label", "x", "--what", "y", "--seed", "1", "--trace-seed", "2"]
+    k = argv.index(missing)
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(argv[:k] + argv[k + 2:])
+    assert exit_info.value.code == 2
+    assert missing in capsys.readouterr().err

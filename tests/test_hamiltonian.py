@@ -191,10 +191,11 @@ def test_nonzeros_are_the_exact_nonzeros_of_each_factor():
             terms.append(tuple(pair))
         h = ProductHamiltonian(dim_a, dim_b, tuple(terms))
         assert len(h.nonzeros) == h.n_terms
-        for factors, flats in zip(h.terms, h.nonzeros):
-            for m, flat in zip(factors, flats):
-                assert np.array_equal(flat, np.flatnonzero(m != 0))
-                assert not flat.flags.writeable
+        for factors, masks in zip(h.terms, h.nonzeros):
+            for m, mask in zip(factors, masks):
+                assert mask.dtype == bool and mask.shape == m.shape
+                assert np.array_equal(np.flatnonzero(mask), np.flatnonzero(m != 0))
+                assert not mask.flags.writeable
         again = h.nonzeros
         assert again is h.nonzeros
         assert all(x is y for pair, same in zip(again, h.nonzeros) for x, y in zip(pair, same))

@@ -3,14 +3,16 @@
 Usage, from the root of the repository::
 
     python3 tools/bench_pairs.py --parent REV --label NAME --what TEXT \
-        [--pairs 10] [--seconds 55] [--seed 201] [--trace-seed 301]
+        --seed FIRST --trace-seed SEED
 
 Extracts REV with ``git archive`` into a temporary directory (under
 ``TMPDIR``). For each workload named in ``BENCHMARK.json`` it then runs
-``--pairs`` pairs of ``perfbench/run.py --trace 0``, each side with its own
-copy of the harness from its own root, on seeds ``--seed`` onwards, the side
-that runs first alternating from pair to pair; then one ``--trace 1`` run
-per side at ``--trace-seed``. It writes ``BENCH_<label>.json`` at the root
+10 pairs of ``perfbench/run.py --trace 0`` for the ``run_seconds`` that
+``BENCHMARK.json`` sets, each side with its own copy of the harness from
+its own root, on seeds ``--seed`` onwards, the side that runs first
+alternating from pair to pair; then one ``--trace 1`` run per side at
+``--trace-seed``. Both seeds have no default, so that every comparison
+picks seeds not used before on purpose. It writes ``BENCH_<label>.json`` at the root
 of the repository: how the runs were made, every run's result line, and per
 workload and end-to-end metric each side's median and quartiles, the number
 of pairs the change won and the ratio of the medians, with the failed and
@@ -29,6 +31,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
 def parse_run_output(stdout: str) -> tuple[dict, dict]:
@@ -107,17 +110,17 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="git revision to compare against")
     parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
     parser.add_argument("--what", required=True, help="one line on what the change does")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=55.0)
-    parser.add_argument("--seed", type=int, default=201, help="seed of the first pair")
-    parser.add_argument("--trace-seed", type=int, default=301, dest="trace_seed")
+    parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
+    parser.add_argument("--trace-seed", type=int, required=True, dest="trace_seed",
+                        help="seed of the traced runs")
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = bench["run_seconds"]
     parent_commit = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
     head = git("rev-parse", "HEAD")
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
-    seeds = range(args.seed, args.seed + args.pairs)
+    seeds = range(args.seed, args.seed + PAIRS)
     runs: list[dict] = []
     env: dict = {}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
@@ -134,7 +137,7 @@ def main(argv=None) -> int:
             schedule += [(args.trace_seed, side, 1) for side in SIDES]
             for seed, side, trace in schedule:
                 print(f"{workload} seed {seed} {side} trace {trace}", file=sys.stderr, flush=True)
-                env, result = run_side(roots[side], workload, seed, args.seconds, trace)
+                env, result = run_side(roots[side], workload, seed, seconds, trace)
                 runs.append({"side": side, "workload": workload, "seed": seed,
                              "trace": trace, "result": result})
 
@@ -143,12 +146,12 @@ def main(argv=None) -> int:
         "label": args.label,
         "what": args.what,
         "how": {
-            "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} "
+            "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} "
                        "--trace T, run from the root of each checkout",
             "parent": f"commit {parent_commit} ({args.parent}), from a git archive copy",
             "change": f"the working tree on commit {head}"
                       + (", with uncommitted changes" if dirty else ""),
-            "pairs": f"{args.pairs} per workload, seeds {first}-{last}, the side that runs first "
+            "pairs": f"{PAIRS} per workload, seeds {first}-{last}, the side that runs first "
                      "alternating from pair to pair; then one --trace 1 run per side at seed "
                      f"{args.trace_seed}",
             "machine": f"{env.get('nproc')} CPUs ({env.get('cpu')}), Python {env.get('python')}, "
