@@ -49,7 +49,7 @@ def _neighbours(mask: np.ndarray):
     (indptr, targets).
     """
     n = mask.shape[0]
-    rows, cols = np.nonzero(mask)
+    rows, cols = np.divmod(np.flatnonzero(mask), n)
     by_col = np.argsort(cols, kind="stable")
     edges = np.arange(n + 1)
     down = (np.searchsorted(cols[by_col], edges), rows[by_col])
