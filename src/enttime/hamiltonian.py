@@ -1,14 +1,14 @@
 """Product-form Hamiltonians H = sum_n A_n (x) B_n and product states.
 
 The decomposition into local factor pairs is the input format of the whole
-package: the timescale formula consumes the factors directly, and so does
-the exact dynamics, which builds only the blocks of H its start reaches and
-falls back to the assembled dense matrix. Individual factors need not be
-Hermitian (ladder operators pair up with their adjoints across terms); only
-the total must be. :func:`check_hermitian` first bounds ||H - H^dag||_F from
-the factors alone (realignment: Van Loan and Pitsianis, "Approximation with
-Kronecker products", 1993) and accepts when that bound proves the entrywise
-test would pass; otherwise, and always in :func:`assemble`, H is checked
+package: the timescale formula consumes the factors directly, and the exact
+dynamics builds the blocks of H its start reaches, each through
+:func:`block_matrix`, the one place where entries of H are formed.
+Individual factors need not be Hermitian (ladder operators pair up with
+their adjoints across terms); only the total must be. :func:`check_hermitian`
+first bounds ||H - H^dag||_F from the factors alone (realignment: Van Loan
+and Pitsianis, "Approximation with Kronecker products", 1993) and accepts
+when that bound proves the entrywise test would pass; otherwise H is checked
 entry by entry in row slabs, never holding H, H^dag or their difference in
 full.
 """
@@ -28,12 +28,13 @@ __all__ = [
     "ProductHamiltonian",
     "ProductState",
     "assemble",
+    "block_matrix",
     "check_hermitian",
     "product_state_vector",
     "require_dense_dim",
 ]
 
-# Entries of H held at once while it is checked or assembled (4 MB).
+# Entries of H held at once while it is checked entry by entry (4 MB).
 _SLAB_ENTRIES = 1 << 18
 
 
@@ -44,8 +45,8 @@ class ProductHamiltonian:
     ``terms`` is a sequence of (A_n, B_n) pairs with A_n acting on the
     dim_a-dimensional subsystem and B_n on the dim_b-dimensional one.
     Construction validates shapes and finiteness; Hermiticity of the total
-    is checked by :func:`check_hermitian` and :func:`assemble`, because
-    the factors themselves are generally not Hermitian.
+    is checked by :func:`check_hermitian`, because the factors themselves
+    are generally not Hermitian.
 
     The stored factors are read-only. A read-only complex128 array that owns
     its memory is taken over as it is (the model builders hand theirs over
@@ -189,8 +190,8 @@ def _row_slabs(h: ProductHamiltonian):
             yield i * h.dim_b + l0, slabs[0], slabs[1]
 
 
-def _scan_hermitian(h: ProductHamiltonian, out: np.ndarray | None) -> None:
-    """Check every entry of H against H^dag; optionally store (H + H^dag)/2."""
+def _scan_hermitian(h: ProductHamiltonian) -> None:
+    """Check every entry of H against H^dag."""
     worst, where, peak = 0.0, (0, 0), 0.0
     for r0, slab, adjoint in _row_slabs(h):
         defect = np.abs(slab - adjoint)
@@ -199,8 +200,6 @@ def _scan_hermitian(h: ProductHamiltonian, out: np.ndarray | None) -> None:
             worst = float(defect.flat[k])
             where = divmod(r0 * h.dim + k, h.dim)
         peak = max(peak, float(np.max(np.abs(slab))))
-        if out is not None:
-            out[r0 : r0 + slab.shape[0]] = 0.5 * (slab + adjoint)
     tol = HERM_TOL * max(1.0, peak)
     if worst > tol:
         i, j = where
@@ -251,27 +250,41 @@ def check_hermitian(h: ProductHamiltonian) -> None:
 
     Accepts when the factor-level ||H - H^dag||_F is at most
     HERM_TOL * max(1, ||H||_F / d): since max|X| <= ||X||_F and
-    max|H| >= ||H||_F / d, the entrywise test of :func:`assemble` would
-    then pass too. Otherwise it runs that entrywise test, with its
-    tolerance and error, and its ``MAX_DIM`` cap.
+    max|H| >= ||H||_F / d, the entrywise test would then pass too.
+    Otherwise it runs that test, with its ``MAX_DIM`` cap; its
+    :class:`ModelError` names the worst off-diagonal residual.
     """
     defect, norm = _factor_norms(h)
     if defect <= HERM_TOL * max(1.0, norm / h.dim):
         return
-    _scan_hermitian(h, None)
+    _scan_hermitian(h)
+
+
+def block_matrix(h: ProductHamiltonian, indices: np.ndarray) -> np.ndarray:
+    """H restricted to the ascending composite ``indices``.
+
+    Entry (r, c) is sum_n A_n[i_r, i_c] B_n[j_r, j_c], added in term order
+    from zero; rows that share an A index i are built together.
+    """
+    ii, jj = np.divmod(indices, h.dim_b)
+    bounds = [0, *(np.flatnonzero(np.diff(ii)) + 1).tolist(), indices.size]
+    block = np.zeros((indices.size, indices.size), dtype=np.complex128)
+    for r0, r1 in zip(bounds[:-1], bounds[1:]):
+        i, rows, cols = ii[r0], block[r0:r1], jj[r0:r1, None]
+        for a, b in h.terms:
+            rows += a[i, ii] * b[cols, jj]
+    return block
 
 
 def assemble(h: ProductHamiltonian) -> np.ndarray:
     """Dense matrix sum_n kron(A_n, B_n), verified Hermitian.
 
-    Raises :class:`ModelError` naming the worst off-diagonal residual when
-    the terms do not add up to a Hermitian operator within ``HERM_TOL``
-    relative to max(1, max|H|). The result is symmetrized as
-    (H + H^dag)/2, an exact no-op for a Hermitian sum.
+    The exact term-by-term sum, not symmetrized, after the dimension cap
+    and :func:`check_hermitian`.
     """
-    total = np.empty((require_dense_dim(h.dim_a, h.dim_b),) * 2, dtype=np.complex128)
-    _scan_hermitian(h, total)
-    return total
+    d = require_dense_dim(h.dim_a, h.dim_b)
+    check_hermitian(h)
+    return block_matrix(h, np.arange(d))
 
 
 def product_state_vector(state: ProductState) -> BipartitePureState:

@@ -8,11 +8,12 @@ components that meet its support, so only those blocks are diagonalized;
 nothing outside them is ever touched. This is exact: the pattern is read
 from :attr:`~enttime.hamiltonian.ProductHamiltonian.nonzeros`, where zero
 means an exact zero of a factor, never a small one. When one component
-covers the whole space the search stops there and the dense matrix comes
-from :func:`~enttime.hamiltonian.assemble`.
+covers the whole space the search stops there, and that component is one
+block like any other: every block comes from
+:func:`~enttime.hamiltonian.block_matrix`.
 
-The Hermiticity of the whole H is checked either way, including entries
-outside the blocks, and every block keeps the reconstruction check of
+The Hermiticity of the whole H is checked once, including entries outside
+the blocks, and every block keeps the reconstruction check of
 :func:`~enttime.linalg.eig_hermitian`.
 """
 
@@ -26,9 +27,8 @@ from .errors import DimensionError, NumericalError, StateError
 from .hamiltonian import (
     ProductHamiltonian,
     ProductState,
-    assemble,
+    block_matrix,
     check_hermitian,
-    product_state_vector,
     require_dense_dim,
 )
 from .linalg import HermitianSpectrum, eig_hermitian, propagate
@@ -102,15 +102,6 @@ def invariant_blocks(h: ProductHamiltonian, support) -> list[np.ndarray]:
     return blocks
 
 
-def _block_matrix(h: ProductHamiltonian, indices: np.ndarray) -> np.ndarray:
-    """H restricted to ``indices``: sum_n A_n[ii, ii] * B_n[jj, jj] entrywise."""
-    ii, jj = np.divmod(indices, h.dim_b)
-    block = np.zeros((indices.size, indices.size), dtype=np.complex128)
-    for a, b in h.terms:
-        block += a[np.ix_(ii, ii)] * b[np.ix_(jj, jj)]
-    return block
-
-
 @dataclass(frozen=True, eq=False)
 class _Block:
     indices: np.ndarray
@@ -136,19 +127,14 @@ class Propagator:
                 f"state dimensions ({state.dim_a}, {state.dim_b}) do not match "
                 f"Hamiltonian dimensions ({h.dim_a}, {h.dim_b})"
             )
-        self.dim_a = h.dim_a
-        self.dim_b = h.dim_b
+        self.dim_a, self.dim_b = h.dim_a, h.dim_b
         self.dim = require_dense_dim(h.dim_a, h.dim_b)
-        psi0 = product_state_vector(state).amplitudes
-        groups = invariant_blocks(h, np.flatnonzero(psi0))
-        if groups[0].size == self.dim:
-            matrices = [assemble(h)]
-        else:
-            check_hermitian(h)
-            matrices = [_block_matrix(h, indices) for indices in groups]
+        check_hermitian(h)
+        psi0 = np.kron(state.psi_a, state.psi_b)
+        self.norm = float(np.linalg.norm(psi0))
         self.blocks = tuple(
-            _Block(indices, eig_hermitian(matrix), psi0[indices])
-            for indices, matrix in zip(groups, matrices)
+            _Block(indices, eig_hermitian(block_matrix(h, indices)), psi0[indices])
+            for indices in invariant_blocks(h, np.flatnonzero(psi0))
         )
 
     @property
@@ -160,8 +146,8 @@ class Propagator:
         """Squared Schmidt coefficients, descending, one row per time.
 
         ``times`` may be any finite values in any order; the result has
-        shape (len(times), min(dim_a, dim_b)). Each evolved state is checked
-        for unit norm within ``NORM_TOL``.
+        shape (len(times), min(dim_a, dim_b)). Each evolved state's norm is
+        checked against the start's norm ``norm`` within ``NORM_TOL``.
         """
         t = np.asarray(times, dtype=np.float64).reshape(-1)
         if not np.all(np.isfinite(t)):
@@ -173,11 +159,11 @@ class Propagator:
             amps = np.zeros((chunk.size, self.dim), dtype=np.complex128)
             for block in self.blocks:
                 amps[:, block.indices] = propagate(block.spectrum, block.psi0, chunk)
-            drift = np.abs(np.linalg.norm(amps, axis=1) - 1.0)
+            drift = np.abs(np.linalg.norm(amps, axis=1) - self.norm)
             worst = int(np.argmax(drift))
             if not drift[worst] <= NORM_TOL:
                 raise StateError(
-                    f"state norm at t = {chunk[worst]!r} deviates from 1 by "
+                    f"state norm at t = {chunk[worst]!r} differs from the start's norm by "
                     f"{drift[worst]!r}, more than {NORM_TOL}"
                 )
             try:

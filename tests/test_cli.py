@@ -362,6 +362,15 @@ def test_model_and_state_errors_exit_3(tmp_path, capsys, recwarn, doc, message, 
     assert [str(w.message) for w in recwarn] == []
 
 
+@pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+def test_start_the_reader_accepts_is_evolved(tmp_path, capsys, argv):
+    # each factor is within NORM_TOL of unit norm; their product is not
+    edge = 1.00000000009
+    spec = write_model(tmp_path, custom_doc([(SIGMA_X, SIGMA_X)], [edge, 0.0], [edge, 0.0]))
+    assert main([argv[0], "--spec", spec, *argv[1:]]) == 0
+    assert capsys.readouterr().err == ""
+
+
 # ---------------------------------------------------------------------------
 # model files: schema and units
 

@@ -44,6 +44,15 @@ def dense_oracle(h):
     return total
 
 
+def dense_model(rng, dim_a, dim_b):
+    """Random Hermitian product terms with every factor dense, and a random start."""
+    terms = oracles.random_term_list(rng, dim_a, dim_b, 3)
+    state = ProductState(
+        psi_a=oracles.random_unit_vector(rng, dim_a), psi_b=oracles.random_unit_vector(rng, dim_b)
+    )
+    return ProductHamiltonian(dim_a, dim_b, tuple(terms)), state
+
+
 def oracle_entropies(h, state, times):
     """Entropies from scipy's expm on the full dense H, per order."""
     dense = dense_oracle(h)
@@ -180,6 +189,36 @@ def test_hermiticity_defect_outside_the_reached_block_is_caught():
         assemble(bad)
     assert str(from_blocks.value) == str(from_dense.value)
     assert Propagator(h, state).block_sizes == [2]
+    # a dense model, whose one block is the whole space, takes the same check
+    h, state = dense_model(np.random.default_rng(86), 4, 4)
+    bad = ProductHamiltonian(4, 4, h.terms + ((np.eye(4), stray[4:, 4:]),))
+    with pytest.raises(ModelError, match="not Hermitian") as from_blocks:
+        Propagator(bad, state)
+    with pytest.raises(ModelError) as from_dense:
+        assemble(bad)
+    assert str(from_blocks.value) == str(from_dense.value)
+    assert Propagator(h, state).block_sizes == [16]
+
+
+def test_dense_models_take_the_factor_proof(monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("the entrywise scan ran")
+
+    h, state = dense_model(np.random.default_rng(87), 8, 8)
+    monkeypatch.setattr(hamiltonian_module, "_scan_hermitian", no_scan)
+    assert Propagator(h, state).block_sizes == [64]
+    assert np.array_equal(assemble(h), sum(np.kron(a, b) for a, b in h.terms))
+
+
+def test_norm_is_kept_relative_to_the_start():
+    # each factor is within NORM_TOL of unit norm, so the start is not
+    edge = 1.00000000009
+    sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    state = ProductState(psi_a=np.array([edge, 0.0]), psi_b=np.array([edge, 0.0]))
+    propagator = Propagator(ProductHamiltonian(2, 2, ((sigma_x, sigma_x),)), state)
+    assert propagator.norm == edge * edge
+    probs = propagator.probabilities(np.linspace(0.0, 3.0, 7))
+    assert np.max(np.abs(probs.sum(axis=1) - edge**4)) <= 1e-14
 
 
 def test_slab_check_matches_dense_on_every_slab_split(monkeypatch):
