@@ -112,8 +112,8 @@ class _Block:
 class Propagator:
     """Schmidt spectra of one product start evolving under ``h``, for any times.
 
-    Construction finds the invariant blocks the start reaches, checks the
-    whole Hamiltonian for Hermiticity and diagonalizes each block once.
+    Construction checks the whole Hamiltonian for Hermiticity, finds the
+    invariant blocks the start reaches and diagonalizes each block once.
     :meth:`probabilities` then serves any number of time grids.
 
     Raises :class:`DimensionError` when the state does not fit ``h`` or the

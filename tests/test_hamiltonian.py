@@ -54,11 +54,15 @@ def test_assemble_matches_loop_oracle():
         dim_b = int(rng.integers(1, 5))
         terms = oracles.random_term_list(rng, dim_a, dim_b, int(rng.integers(1, 4)))
         h = ProductHamiltonian(dim_a, dim_b, tuple(terms))
-        # the same products, added in term order from zero: the exact sum
         ref = np.zeros((dim_a * dim_b,) * 2, dtype=np.complex128)
+        exact = ref.copy()
         for a, b in terms:
-            ref += np.kron(a, b)
-        assert np.array_equal(assemble(h), ref)
+            ref += oracles.kron_loops(a, b)
+            exact += np.kron(a, b)
+        # the same products, added in term order from zero, and not symmetrized
+        dense = assemble(h)
+        assert np.array_equal(dense, exact)
+        assert np.max(np.abs(dense - ref)) <= 1e-13
 
 
 def test_assemble_jcm_matches_direct_build():

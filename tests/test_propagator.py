@@ -183,21 +183,18 @@ def test_hermiticity_defect_outside_the_reached_block_is_caught():
     stray[5, 6] = 0.5  # |g,6> -> |g,5> with no adjoint partner
     ground = np.diag([0.0, 1.0])
     bad = ProductHamiltonian(2, dim, h.terms + ((ground, stray),))
-    with pytest.raises(ModelError, match=r"\(13, 14\)") as from_blocks:
-        Propagator(bad, state)
-    with pytest.raises(ModelError) as from_dense:
-        assemble(bad)
-    assert str(from_blocks.value) == str(from_dense.value)
     assert Propagator(h, state).block_sizes == [2]
     # a dense model, whose one block is the whole space, takes the same check
-    h, state = dense_model(np.random.default_rng(86), 4, 4)
-    bad = ProductHamiltonian(4, 4, h.terms + ((np.eye(4), stray[4:, 4:]),))
-    with pytest.raises(ModelError, match="not Hermitian") as from_blocks:
-        Propagator(bad, state)
-    with pytest.raises(ModelError) as from_dense:
-        assemble(bad)
-    assert str(from_blocks.value) == str(from_dense.value)
-    assert Propagator(h, state).block_sizes == [16]
+    dense, dense_state = dense_model(np.random.default_rng(86), 4, 4)
+    dense_bad = ProductHamiltonian(4, 4, dense.terms + ((np.eye(4), stray[4:, 4:]),))
+    assert Propagator(dense, dense_state).block_sizes == [16]
+    cases = ((bad, state, r"\(13, 14\)"), (dense_bad, dense_state, "not Hermitian"))
+    for broken, start, where in cases:
+        with pytest.raises(ModelError, match=where) as from_blocks:
+            Propagator(broken, start)
+        with pytest.raises(ModelError) as from_dense:
+            assemble(broken)
+        assert str(from_blocks.value) == str(from_dense.value)
 
 
 def test_dense_models_take_the_factor_proof(monkeypatch):
