@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError, ModelError, StateError
-from .linalg import BipartitePureState, as_complex_matrix
+from .linalg import as_complex_matrix
 from .tolerances import HERM_TOL, MAX_DIM, NORM_TOL
 
 __all__ = [
@@ -287,7 +287,10 @@ def assemble(h: ProductHamiltonian) -> np.ndarray:
     return block_matrix(h, np.arange(d))
 
 
-def product_state_vector(state: ProductState) -> BipartitePureState:
-    """Flatten a product state into the composite-space amplitude vector."""
-    amps = np.kron(state.psi_a, state.psi_b)
-    return BipartitePureState(state.dim_a, state.dim_b, amps)
+def product_state_vector(state: ProductState) -> np.ndarray:
+    """Composite-space amplitudes psi_a (x) psi_b, entry i * dim_b + j = psi_a[i] psi_b[j].
+
+    Not renormalized: its norm is the product of the factors' norms, which
+    :class:`ProductState` holds within ``NORM_TOL`` of 1 each.
+    """
+    return np.kron(state.psi_a, state.psi_b)

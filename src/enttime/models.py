@@ -252,21 +252,23 @@ def build_jcm(spec: JcmSpec) -> tuple[ProductHamiltonian, ProductState]:
     """Product-form Hamiltonian and initial state for the model.
 
     Term order: atomic splitting, mode energy, sigma_- (x) a^dag,
-    sigma_+ (x) a. On resonance the free terms commute with the coupling,
-    and excitation number sigma_z/2 + a^dag a is conserved exactly even on
-    the truncated space (truncation only removes couplings).
+    sigma_+ (x) a. At omega = 0 the two free terms are exactly zero and are
+    not built, so the list is the two coupling terms alone; they are always
+    built, even at lam = 0. On resonance the free terms commute with the
+    coupling, and excitation number sigma_z/2 + a^dag a is conserved exactly
+    even on the truncated space (truncation only removes couplings).
     """
     dim = spec.dim_field
-    terms = _handed_over([
-        (0.5 * spec.omega * sigma_z(), identity(dim)),
-        (identity(2), spec.omega * number_operator(dim)),
-        (spec.lam * sigma_minus(), creation(dim)),
-        (spec.lam * sigma_plus(), annihilation(dim)),
-    ])
+    terms: list[tuple[np.ndarray, np.ndarray]] = []
+    if spec.omega != 0.0:
+        terms.append((0.5 * spec.omega * sigma_z(), identity(dim)))
+        terms.append((identity(2), spec.omega * number_operator(dim)))
+    terms.append((spec.lam * sigma_minus(), creation(dim)))
+    terms.append((spec.lam * sigma_plus(), annihilation(dim)))
     psi_a = np.zeros(2, dtype=np.complex128)
     psi_a[ATOM_EXCITED] = spec.c_e
     psi_a[ATOM_GROUND] = spec.c_g
-    h = ProductHamiltonian(dim_a=2, dim_b=dim, terms=terms)
+    h = ProductHamiltonian(dim_a=2, dim_b=dim, terms=_handed_over(terms))
     state = ProductState(psi_a=psi_a, psi_b=field_amplitudes(spec))
     return h, state
 

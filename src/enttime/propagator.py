@@ -29,6 +29,7 @@ from .hamiltonian import (
     ProductState,
     block_matrix,
     check_hermitian,
+    product_state_vector,
     require_dense_dim,
 )
 from .linalg import HermitianSpectrum, eig_hermitian, propagate
@@ -130,7 +131,7 @@ class Propagator:
         self.dim_a, self.dim_b = h.dim_a, h.dim_b
         self.dim = require_dense_dim(h.dim_a, h.dim_b)
         check_hermitian(h)
-        psi0 = np.kron(state.psi_a, state.psi_b)
+        psi0 = product_state_vector(state)
         self.norm = float(np.linalg.norm(psi0))
         self.blocks = tuple(
             _Block(indices, eig_hermitian(block_matrix(h, indices)), psi0[indices])

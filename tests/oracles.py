@@ -14,6 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from enttime.errors import ModelError
+from enttime.hamiltonian import ProductHamiltonian
 from enttime.linalg import BipartitePureState
 from enttime.models import (
     ATOM_EXCITED,
@@ -157,6 +158,27 @@ def random_term_list(rng: np.random.Generator, dim_a: int, dim_b: int, n_groups:
 
 # Closed forms of the resonant Jaynes-Cummings model (conventions of
 # enttime.models), used only as checks.
+
+
+def jcm_four_term_hamiltonian(spec: JcmSpec) -> ProductHamiltonian:
+    """The JCM Hamiltonian with all four terms written out, at any omega.
+
+    Term order: (omega/2) sigma_z (x) 1, 1 (x) omega n, lam sigma_- (x) a^dag,
+    lam sigma_+ (x) a; at omega = 0 the first two are kept as exact zeros.
+    """
+    dim = spec.dim_field
+    a = np.diag(np.sqrt(np.arange(1, dim, dtype=np.float64)), k=1).astype(np.complex128)
+    sigma_plus = np.zeros((2, 2), dtype=np.complex128)
+    sigma_plus[ATOM_EXCITED, ATOM_GROUND] = 1.0
+    terms = [
+        (0.5 * spec.omega * np.diag([1.0, -1.0]).astype(np.complex128),
+         np.eye(dim, dtype=np.complex128)),
+        (np.eye(2, dtype=np.complex128),
+         spec.omega * np.diag(np.arange(dim, dtype=np.float64)).astype(np.complex128)),
+        (spec.lam * sigma_plus.T.copy(), a.T.copy()),
+        (spec.lam * sigma_plus, a),
+    ]
+    return ProductHamiltonian(dim_a=2, dim_b=dim, terms=terms)
 
 
 def jcm_analytic_state(spec: JcmSpec, t: float) -> BipartitePureState:

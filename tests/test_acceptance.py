@@ -404,7 +404,7 @@ def test_criterion_8_property_suites():
         )
         h, state = build_jcm(spec)
         t = float(rng.uniform(0.0, 5.0))
-        numeric = oracles.expm_propagate(assemble(h), product_state_vector(state).amplitudes, t)
+        numeric = oracles.expm_propagate(assemble(h), product_state_vector(state), t)
         analytic = oracles.jcm_analytic_state(spec, t)
         _check(
             failures,

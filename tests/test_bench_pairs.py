@@ -90,3 +90,35 @@ def test_seeds_have_no_default(missing, capsys):
         bench_pairs.main(argv[:k] + argv[k + 2:])
     assert exit_info.value.code == 2
     assert missing in capsys.readouterr().err
+
+
+def bench_file(root, label, seeds):
+    runs = [{"side": side, "workload": "w", "seed": seed, "trace": 0, "result": {}}
+            for seed in seeds for side in bench_pairs.SIDES]
+    (root / f"BENCH_{label}.json").write_text(json.dumps({"label": label, "runs": runs}))
+
+
+@pytest.mark.parametrize(
+    "seed, trace_seed, clash",
+    [(105, 300, "105 in BENCH_old.json"), (91, 300, "100 in BENCH_old.json"),
+     (500, 201, "201 in BENCH_other.json")],
+    ids=["pair-seed", "last-pair-seed", "trace-seed"],
+)
+def test_seeds_a_bench_file_records_are_refused(tmp_path, monkeypatch, capsys,
+                                                 seed, trace_seed, clash):
+    bench_file(tmp_path, "old", range(100, 111))
+    bench_file(tmp_path, "other", [201])
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    argv = ["--parent", "HEAD", "--label", "new", "--what", "y",
+            "--seed", str(seed), "--trace-seed", str(trace_seed)]
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(argv)
+    assert exit_info.value.code != 0
+    assert clash in capsys.readouterr().err
+    assert not (tmp_path / "BENCH_new.json").exists()
+
+
+def test_unused_seeds_pass_the_check(tmp_path):
+    bench_file(tmp_path, "old", range(100, 111))
+    assert bench_pairs.used_seeds(tmp_path, [*range(111, 121), 99]) == []
+    assert bench_pairs.used_seeds(tmp_path, [*range(90, 100), 110]) == [("BENCH_old.json", 110)]

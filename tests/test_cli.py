@@ -52,8 +52,11 @@ def parse_csv(text):
 # timescale
 
 
-def test_timescale_report_document(tmp_path):
-    spec = write_model(tmp_path, fock_doc())
+@pytest.mark.parametrize("omega, rows", [(0.0, 2), (0.5, 4)])
+def test_timescale_report_document(tmp_path, omega, rows):
+    # the JCM free terms are built only off zero detuning
+    spec = write_model(tmp_path, fock_doc(omega=omega))
+    assert load_model_file(spec).hamiltonian.n_terms == rows
     out = tmp_path / "report.json"
     cmd_timescale(spec, [2, 3], str(out))
     doc = json.loads(out.read_text())
@@ -63,7 +66,10 @@ def test_timescale_report_document(tmp_path):
     assert abs(doc["timescale"]["t_ent"] - 0.5) <= 1e-12
     assert doc["spec"]["lambda"] == 1.0
     assert doc["spec"]["n_max"] == 10
-    assert len(doc["timescale"]["cov_a"]["re"]) == 4  # one row per term
+    for key in ("cov_a", "cov_b"):  # one row and one column per term
+        for part in ("re", "im"):
+            assert len(doc["timescale"][key][part]) == rows
+            assert all(len(row) == rows for row in doc["timescale"][key][part])
     preds = {p["alpha"]: p for p in doc["predictions"]}
     assert preds[2]["coefficient"] == 4.0
     assert abs(preds[2]["curvature"] - 16.0) <= 1e-11

@@ -233,7 +233,7 @@ def test_series_orders_and_marker():
     assert [x.alpha for x in series] == [2, 1, 4]
     assert series[0].values.shape == (3,)
     # the alpha = 1 entry is the von Neumann branch
-    psi = oracles.expm_propagate(assemble(h), product_state_vector(s).amplitudes, 0.7)
+    psi = oracles.expm_propagate(assemble(h), product_state_vector(s), 0.7)
     evolved = BipartitePureState(h.dim_a, h.dim_b, psi)
     expected = von_neumann_from_probabilities(schmidt_probabilities(evolved))
     assert abs(series[1].values[2] - expected) <= 1e-12

@@ -245,15 +245,15 @@ def test_product_state_vector_layouts():
     # |e> (x) |0> in a 2 x 3 space: single amplitude at index 0
     s = ProductState(psi_a=np.array([1.0, 0.0]), psi_b=np.array([1.0, 0.0, 0.0]))
     vec = product_state_vector(s)
-    assert vec.amplitudes[0] == 1.0
-    assert np.count_nonzero(vec.amplitudes) == 1
+    assert vec[0] == 1.0
+    assert np.count_nonzero(vec) == 1
 
     inv = 1.0 / np.sqrt(2.0)
     s2 = ProductState(psi_a=np.array([inv, inv]), psi_b=np.array([0.0, 1.0]))
     vec2 = product_state_vector(s2)
-    assert abs(vec2.amplitudes[1] - inv) <= 1e-15
-    assert abs(vec2.amplitudes[3] - inv) <= 1e-15
-    assert np.count_nonzero(vec2.amplitudes) == 2
+    assert abs(vec2[1] - inv) <= 1e-15
+    assert abs(vec2[3] - inv) <= 1e-15
+    assert np.count_nonzero(vec2) == 2
 
 
 def test_product_state_vector_matches_index_formula():
@@ -267,7 +267,16 @@ def test_product_state_vector_matches_index_formula():
         for i in range(dim_a):
             for j in range(dim_b):
                 expected = psi_a[i] * psi_b[j]
-                assert abs(vec.amplitudes[i * dim_b + j] - expected) <= 1e-14
+                assert abs(vec[i * dim_b + j] - expected) <= 1e-14
+
+
+def test_product_state_vector_takes_every_state_the_reader_accepts():
+    # each factor is within NORM_TOL of unit norm, the product is not
+    psi = np.array([1.00000000009, 0.0])
+    state = ProductState(psi_a=psi, psi_b=psi)
+    vec = product_state_vector(state)
+    assert np.array_equal(vec, np.kron(state.psi_a, state.psi_b))
+    assert vec[0] == 1.00000000009 * 1.00000000009
 
 
 def test_product_states_have_rank_one_reductions_and_zero_entropy():
@@ -278,7 +287,7 @@ def test_product_states_have_rank_one_reductions_and_zero_entropy():
         psi_a = oracles.random_unit_vector(rng, dim_a)
         psi_b = oracles.random_unit_vector(rng, dim_b)
         vec = product_state_vector(ProductState(psi_a=psi_a, psi_b=psi_b))
-        rho = np.outer(vec.amplitudes, vec.amplitudes.conj())
+        rho = np.outer(vec, vec.conj())
         for keep, dim in (("A", dim_a), ("B", dim_b)):
             reduced = oracles.partial_trace_loops(rho, dim_a, dim_b, keep)
             eigenvalues = np.linalg.eigvalsh(reduced)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from enttime.models import (
     sigma_z,
     suggest_coherent_cutoff,
 )
+from enttime.propagator import Propagator
 from enttime.timescale import entanglement_timescale
 
 import oracles
@@ -165,6 +167,62 @@ def test_excitation_number_is_conserved():
     assert np.max(np.abs(comm)) <= 1e-12
 
 
+def test_jcm_builds_free_terms_only_off_zero_detuning():
+    dim = 9
+    coupling = [(0.7 * sigma_minus(), creation(dim)), (0.7 * sigma_plus(), annihilation(dim))]
+    h, _ = build_jcm(JcmSpec(lam=0.7, n_max=dim - 1, field=FockField(2)))
+    assert h.n_terms == 2
+    for (a, b), (want_a, want_b) in zip(h.terms, coupling):
+        assert np.array_equal(a, want_a) and np.array_equal(b, want_b)
+
+    hd, _ = build_jcm(JcmSpec(lam=0.7, n_max=dim - 1, field=FockField(2), omega=1.3))
+    free = [(0.65 * sigma_z(), identity(dim)), (identity(2), 1.3 * number_operator(dim))]
+    assert hd.n_terms == 4
+    for (a, b), (want_a, want_b) in zip(hd.terms, free + coupling):
+        assert np.array_equal(a, want_a) and np.array_equal(b, want_b)
+
+    # lam = 0 still leaves a valid (all-zero) coupling pair
+    h0, _ = build_jcm(JcmSpec(lam=0.0, n_max=dim - 1, field=FockField(2)))
+    assert h0.n_terms == 2 and not h0.terms[0][0].any()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        JcmSpec(lam=1.0, n_max=12, field=FockField(3)),
+        JcmSpec(lam=1.0, n_max=40, field=CoherentField(2.0)),
+        JcmSpec(lam=1.0, n_max=40, field=CoherentField(2.0), c_e=0.0, c_g=1.0),
+        JcmSpec(lam=0.8, n_max=40, field=CoherentField(1.5 - 0.5j), c_e=0.6, c_g=0.8j),
+    ],
+    ids=["fock", "coherent-excited", "coherent-ground", "coherent-superposition"],
+)
+def test_zero_detuning_matches_the_four_term_hamiltonian_bit_for_bit(spec):
+    h, state = build_jcm(spec)
+    full = oracles.jcm_four_term_hamiltonian(spec)
+    assert (h.n_terms, full.n_terms) == (2, 4)
+    got, want = entanglement_timescale(h, state), entanglement_timescale(full, state)
+    assert got.t_ent_inv_sq == want.t_ent_inv_sq
+    assert got.scale == want.scale
+    assert got.degenerate == want.degenerate
+    times = np.linspace(0.0, 4.0, 41)
+    assert np.array_equal(
+        Propagator(h, state).probabilities(times), Propagator(full, state).probabilities(times)
+    )
+
+
+def test_zero_detuning_build_holds_no_dense_free_factor():
+    # n_max 767 as in the benchmark: each dense field factor is 768 x 768 complex
+    factor_bytes = 768 * 768 * 16
+    tracemalloc.start()
+    try:
+        h, _ = build_jcm(JcmSpec(lam=1.0, n_max=767, field=FockField(3)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h.n_terms == 2
+    assert peak < 2.5 * factor_bytes
+
+
 @pytest.mark.parametrize(
     "build, spec",
     [
@@ -196,9 +254,9 @@ def test_initial_state_layout():
     _, state = build_jcm(spec)
     vec = product_state_vector(state)
     dim = spec.dim_field
-    assert abs(vec.amplitudes[ATOM_EXCITED * dim + 2] - 0.6) <= 1e-15
-    assert abs(vec.amplitudes[ATOM_GROUND * dim + 2] - 0.8) <= 1e-15
-    assert np.count_nonzero(np.abs(vec.amplitudes) > 1e-15) == 2
+    assert abs(vec[ATOM_EXCITED * dim + 2] - 0.6) <= 1e-15
+    assert abs(vec[ATOM_GROUND * dim + 2] - 0.8) <= 1e-15
+    assert np.count_nonzero(np.abs(vec) > 1e-15) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +268,7 @@ def test_analytic_state_at_zero_is_the_initial_product():
     h, state = build_jcm(spec)
     vec = product_state_vector(state)
     analytic = oracles.jcm_analytic_state(spec, 0.0)
-    assert np.max(np.abs(analytic.amplitudes - vec.amplitudes)) <= 1e-12
+    assert np.max(np.abs(analytic.amplitudes - vec)) <= 1e-12
 
 
 def test_analytic_state_half_rabi_swap():
@@ -246,7 +304,7 @@ def test_analytic_agrees_with_dense_propagation():
         )
         h, state = build_jcm(spec)
         t = float(rng.uniform(0.0, 5.0))
-        numeric = oracles.expm_propagate(assemble(h), product_state_vector(state).amplitudes, t)
+        numeric = oracles.expm_propagate(assemble(h), product_state_vector(state), t)
         analytic = oracles.jcm_analytic_state(spec, t)
         assert np.max(np.abs(analytic.amplitudes - numeric)) <= 1e-9
 
@@ -326,7 +384,7 @@ def test_bose_hubbard_term_structure():
     assert h.n_terms == 2
     assert h.dim_a == h.dim_b == 3
     vec = product_state_vector(state)
-    assert vec.amplitudes[1 * 3 + 1] == 1.0
+    assert vec[1 * 3 + 1] == 1.0
 
     interacting = BoseHubbardBoundarySpec(j_rate=1.0, u_rate=0.5)
     hi, _ = build_bose_hubbard_boundary(interacting)

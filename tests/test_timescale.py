@@ -99,16 +99,19 @@ def test_subsystem_swap_symmetry():
         assert abs(direct.t_ent_inv_sq - mirrored.t_ent_inv_sq) <= 1e-12 * scale
 
 
-def test_covariance_matrices_shape_and_adjoint_pairing():
-    spec = JcmSpec(lam=1.0, n_max=6, field=FockField(2))
+@pytest.mark.parametrize("omega, n_terms", [(0.0, 2), (0.7, 4)])
+def test_covariance_matrices_shape_and_adjoint_pairing(omega, n_terms):
+    spec = JcmSpec(lam=1.0, n_max=6, field=FockField(2), omega=omega)
     h, s = build_jcm(spec)
     report = entanglement_timescale(h, s)
     n = h.n_terms
+    assert n == n_terms
     assert report.cov_a.shape == (n, n)
     assert report.cov_b.shape == (n, n)
     # excited atom: <sigma+ sigma-> = 1 while <sigma- sigma+> = 0, so the
-    # covariance matrices are not entrywise Hermitian; the total still is real
-    assert report.cov_a[3, 2] != report.cov_a[2, 3].conjugate()
+    # covariance matrices are not entrywise Hermitian; the total still is real.
+    # The coupling pair sigma_- (x) a^dag, sigma_+ (x) a closes the term list.
+    assert report.cov_a[n - 1, n - 2] != report.cov_a[n - 2, n - 1].conjugate()
     assert report.imag_residual <= 1e-10 * max(1.0, report.scale)
 
 

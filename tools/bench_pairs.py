@@ -12,7 +12,8 @@ Extracts REV with ``git archive`` into a temporary directory (under
 its own root, on seeds ``--seed`` onwards, the side that runs first
 alternating from pair to pair; then one ``--trace 1`` run per side at
 ``--trace-seed``. Both seeds have no default, so that every comparison
-picks seeds not used before on purpose. It writes ``BENCH_<label>.json`` at the root
+picks seeds not used before on purpose, and a seed that any ``BENCH_*.json``
+at the root of the repository already records is refused. It writes ``BENCH_<label>.json`` at the root
 of the repository: how the runs were made, every run's result line, and per
 workload and end-to-end metric each side's median and quartiles, the number
 of pairs the change won and the ratio of the medians, with the failed and
@@ -91,6 +92,16 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     return summary
 
 
+def used_seeds(root: Path, seeds) -> list[tuple[str, int]]:
+    """(file name, seed) for each of ``seeds`` that a ``BENCH_*.json`` in ``root`` already ran."""
+    wanted = set(seeds)
+    clashes = []
+    for path in sorted(root.glob("BENCH_*.json")):
+        runs = json.loads(path.read_text(encoding="utf-8"))["runs"]
+        clashes += [(path.name, seed) for seed in sorted({run["seed"] for run in runs} & wanted)]
+    return clashes
+
+
 def run_side(root: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -114,13 +125,16 @@ def main(argv=None) -> int:
     parser.add_argument("--trace-seed", type=int, required=True, dest="trace_seed",
                         help="seed of the traced runs")
     args = parser.parse_args(argv)
+    seeds = range(args.seed, args.seed + PAIRS)
+    clashes = used_seeds(ROOT, [*seeds, args.trace_seed])
+    if clashes:
+        parser.error("seeds already used: " + ", ".join(f"{seed} in {name}" for name, seed in clashes))
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = bench["run_seconds"]
     parent_commit = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
     head = git("rev-parse", "HEAD")
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
-    seeds = range(args.seed, args.seed + PAIRS)
     runs: list[dict] = []
     env: dict = {}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
