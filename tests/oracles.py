@@ -175,7 +175,7 @@ def jcm_four_term_hamiltonian(spec: JcmSpec) -> ProductHamiltonian:
          np.eye(dim, dtype=np.complex128)),
         (np.eye(2, dtype=np.complex128),
          spec.omega * np.diag(np.arange(dim, dtype=np.float64)).astype(np.complex128)),
-        (spec.lam * sigma_plus.T.copy(), a.T.copy()),
+        (spec.lam * sigma_plus.T, a.T),
         (spec.lam * sigma_plus, a),
     ]
     return ProductHamiltonian(dim_a=2, dim_b=dim, terms=terms)

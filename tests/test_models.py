@@ -176,7 +176,7 @@ def test_jcm_builds_free_terms_only_off_zero_detuning():
         assert np.array_equal(a, want_a) and np.array_equal(b, want_b)
 
     hd, _ = build_jcm(JcmSpec(lam=0.7, n_max=dim - 1, field=FockField(2), omega=1.3))
-    free = [(0.65 * sigma_z(), identity(dim)), (identity(2), 1.3 * number_operator(dim))]
+    free = [(0.5 * 1.3 * sigma_z(), identity(dim)), (identity(2), 1.3 * number_operator(dim))]
     assert hd.n_terms == 4
     for (a, b), (want_a, want_b) in zip(hd.terms, free + coupling):
         assert np.array_equal(a, want_a) and np.array_equal(b, want_b)

@@ -13,8 +13,9 @@ its own root, on seeds ``--seed`` onwards, the side that runs first
 alternating from pair to pair; then one ``--trace 1`` run per side at
 ``--trace-seed``. Both seeds have no default, so that every comparison
 picks seeds not used before on purpose, and a seed that any ``BENCH_*.json``
-at the root of the repository already records is refused. It writes ``BENCH_<label>.json`` at the root
-of the repository: how the runs were made, every run's result line, and per
+at the root of the repository already records is refused (exit status 2,
+naming the file). It writes ``BENCH_<label>.json`` at the root of the
+repository: how the runs were made, every run's result line, and per
 workload and end-to-end metric each side's median and quartiles, the number
 of pairs the change won and the ratio of the medians, with the failed and
 attempted runs and each side's traced per-layer metrics.
@@ -128,7 +129,8 @@ def main(argv=None) -> int:
     seeds = range(args.seed, args.seed + PAIRS)
     clashes = used_seeds(ROOT, [*seeds, args.trace_seed])
     if clashes:
-        parser.error("seeds already used: " + ", ".join(f"{seed} in {name}" for name, seed in clashes))
+        parser.error("seeds already used: "
+                     + ", ".join(f"{seed} in {name}" for name, seed in clashes))
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = bench["run_seconds"]
