@@ -29,7 +29,7 @@ from .entropy import (
     von_neumann_curvature_probe,
     von_neumann_from_probabilities,
 )
-from .hamiltonian import ProductHamiltonian, ProductState, assemble, product_state_vector
+from .hamiltonian import Factor, ProductHamiltonian, ProductState, assemble, product_state_vector
 from .linalg import BipartitePureState, HermitianSpectrum, eig_hermitian
 from .models import (
     BoseHubbardBoundarySpec,
@@ -62,6 +62,7 @@ __all__ = [
     "BipartitePureState",
     "HermitianSpectrum",
     "eig_hermitian",
+    "Factor",
     "ProductHamiltonian",
     "ProductState",
     "assemble",

@@ -66,6 +66,15 @@ _STENCIL_WEIGHTS = np.array([-1.0, 16.0, -30.0, 16.0, -1.0])
 # wide enough to stay clear of roundoff.
 _VERIFY_STENCIL_DIVISOR = 50.0
 
+# Cap on that width h in units of 1/Omega, Omega the spread of the
+# eigenvalues of the reached blocks, since scales absent from T_ent still
+# bend S_alpha. The truncation error over the curvature is
+# (h^4 / 90) |S^(6)| / |S''| <= K (h Omega)^4 / 90 with |S^(6)| <= K Omega^4 |S''|;
+# K = 14 for S_2 of one two-level oscillation, -ln((3 + cos(2 Omega t)) / 4),
+# the largest seen. Holding that to 1e-3 of the default tolerance_rel 0.01
+# gives h Omega <= (90 * 1e-5 / 14)^(1/4) = 0.0895.
+_VERIFY_STENCIL_PHASE = (90.0 * 1e-3 * 0.01 / 14.0) ** 0.25
+
 # Stencil width of von_neumann_curvature_probe as a fraction of each probe
 # time t; above 2, so that t - 2h stays positive.
 _PROBE_STENCIL_DIVISOR = 20.0
@@ -366,8 +375,10 @@ def verify_growth(
 
     Non-degenerate systems get one row per Renyi order in ``alphas``:
     predicted curvature (2 alpha / (alpha - 1)) * t_ent_inv_sq against a
-    5-point finite difference around t = 0 of width t_ent / 50, PASS/FAIL
-    at ``tolerance_rel``. ``VON_NEUMANN_ALPHA`` (= 1) adds an informational
+    5-point finite difference around t = 0 of width t_ent / 50, or
+    0.0895 / Omega when that is narrower (Omega the spread of the
+    eigenvalues of the blocks the start reaches), PASS/FAIL at
+    ``tolerance_rel``. ``VON_NEUMANN_ALPHA`` (= 1) adds an informational
     row fitting the von Neumann curvature to a + b ln t. Degenerate systems
     instead fit the log-log onset slope of S_2, which the product start pins
     at 6.
@@ -437,9 +448,16 @@ def verify_growth(
         return report, rows
 
     if renyi_orders:
-        measured_all = stencil_curvatures(
-            propagator, renyi_orders, [0.0], report.t_ent / _VERIFY_STENCIL_DIVISOR
-        )
+        width = report.t_ent / _VERIFY_STENCIL_DIVISOR
+        detail = f"5-point stencil, width t_ent/{_VERIFY_STENCIL_DIVISOR:g}"
+        levels = np.concatenate([block.spectrum.eigenvalues for block in propagator.blocks])
+        omega = float(levels.max() - levels.min())
+        if omega * width > _VERIFY_STENCIL_PHASE:
+            width = _VERIFY_STENCIL_PHASE / omega
+            detail += (
+                f" capped at {_VERIFY_STENCIL_PHASE:.3g}/Omega = {width:.3e}, Omega = {omega:.6g}"
+            )
+        measured_all = stencil_curvatures(propagator, renyi_orders, [0.0], width)
         for alpha, row in zip(renyi_orders, measured_all):
             prediction = predicted_curvature(report, alpha)
             measured = float(row[0])
@@ -451,7 +469,7 @@ def verify_growth(
                     measured=measured,
                     rel_error=rel,
                     status="PASS" if rel <= tolerance_rel else "FAIL",
-                    detail=f"5-point stencil, width t_ent/{_VERIFY_STENCIL_DIVISOR:g}",
+                    detail=detail,
                 )
             )
     if wants_vn:

@@ -3,14 +3,15 @@
 The decomposition into local factor pairs is the input format of the whole
 package: the timescale formula consumes the factors directly, and the exact
 dynamics builds the blocks of H its start reaches, each through
-:func:`block_matrix`, the one place where entries of H are formed.
-Individual factors need not be Hermitian (ladder operators pair up with
-their adjoints across terms); only the total must be. :func:`check_hermitian`
-first bounds ||H - H^dag||_F from the factors alone (realignment: Van Loan
-and Pitsianis, "Approximation with Kronecker products", 1993) and accepts
-when that bound proves the entrywise test would pass; otherwise H is checked
-entry by entry in row slabs, never holding H, H^dag or their difference in
-full.
+:func:`block_matrix`, the one place where entries of H are formed. Each
+factor is a :class:`Factor`, its exact nonzeros in CSR form, which every
+reader reads directly. Individual factors need not be Hermitian (ladder
+operators pair up with their adjoints across terms); only the total must
+be. :func:`check_hermitian` first bounds ||H - H^dag||_F from the factors
+alone (realignment: Van Loan and Pitsianis, "Approximation with Kronecker
+products", 1993) and accepts when that bound proves the entrywise test
+would pass; otherwise H is checked entry by entry in row slabs, never
+holding H, H^dag or their difference in full.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .linalg import as_complex_matrix
 from .tolerances import HERM_TOL, MAX_DIM, NORM_TOL
 
 __all__ = [
+    "Factor",
     "ProductHamiltonian",
     "ProductState",
     "assemble",
@@ -37,6 +39,110 @@ __all__ = [
 # Entries of H held at once while it is checked entry by entry (4 MB).
 _SLAB_ENTRIES = 1 << 18
 
+# A Factor of at most this size keeps its dense matrix too: gathers and
+# products read it faster than they search the stored entries.
+_SMALL_N = 64
+
+
+@dataclass(frozen=True, eq=False)
+class Factor:
+    """An n x n matrix held as its exact nonzeros, row by row (CSR).
+
+    Row i stores ``values[indptr[i]:indptr[i + 1]]`` at the ascending columns
+    ``indices[indptr[i]:indptr[i + 1]]``. Construction copies the arrays
+    read-only (int64, int32, complex128) and drops every value that is
+    exactly zero, the only entries that count as zero, never small ones.
+    With no zero entry, ``values`` is the dense matrix row by row (the full
+    pattern). A stored entry takes 20 bytes; a factor of at most 64 x 64
+    also keeps its dense matrix once it is read.
+    """
+
+    n: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        n, indptr = int(self.n), np.array(self.indptr, dtype=np.int64)
+        indices = np.array(self.indices, dtype=np.int64).reshape(-1)
+        values = np.array(self.values, dtype=np.complex128).reshape(-1)
+        if not (n >= 1 and indptr.shape == (n + 1,) and indptr[0] == 0
+                and np.all(np.diff(indptr) >= 0) and indptr[-1] == indices.size == values.size
+                and np.all((indices >= 0) & (indices < n))
+                and np.all(np.diff(_flat_keys(n, indptr, indices)) > 0)):
+            raise DimensionError(f"not the CSR arrays of a {n} x {n} matrix with sorted rows")
+        if not np.all(np.isfinite(values)):
+            raise StateError("factor contains non-finite entries")
+        kept = values != 0
+        object.__setattr__(self, "n", n)
+        for name, array in zip(("indptr", "indices", "values"), (
+            np.concatenate(([0], np.cumsum(kept)))[indptr],
+            indices[kept].astype(np.int32),
+            values[kept],
+        )):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+
+    def _rows(self) -> np.ndarray:
+        """Row of each stored entry."""
+        return np.repeat(np.arange(self.n), np.diff(self.indptr))
+
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        """:func:`_flat_keys` of the stored entries, then n * n, which no entry reaches."""
+        return np.append(_flat_keys(self.n, self.indptr, self.indices), self.n * self.n)
+
+    @cached_property
+    def _dense(self) -> np.ndarray | None:
+        """The dense matrix where it is cheap (a view for the full pattern), else None."""
+        if self.values.size == self.n**2:
+            return self.values.reshape(self.n, self.n)
+        return self.toarray() if self.n <= _SMALL_N else None
+
+    def scaled(self, c: complex) -> Factor:
+        return Factor(self.n, self.indptr, self.indices, c * self.values)
+
+    def adjoint(self) -> Factor:
+        order = np.argsort(self.indices, kind="stable")
+        indptr = np.searchsorted(self.indices[order], np.arange(self.n + 1))
+        return Factor(self.n, indptr, self._rows()[order], self.values[order].conj())
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros((self.n, self.n), dtype=np.complex128)
+        out[self._rows(), self.indices] = self.values
+        return out
+
+    def entries(self, rows, cols) -> np.ndarray:
+        """F[rows, cols] for index arrays that broadcast together; 0 where F stores none."""
+        if self._dense is not None:
+            return self._dense[rows, cols]
+        if self.values.size == 0:
+            return np.zeros(np.broadcast(rows, cols).shape, dtype=np.complex128)
+        flat = rows * self.n + cols
+        at = self._keys.searchsorted(flat)
+        return np.where(self._keys[at] == flat, self.values.take(at, mode="clip"), 0)
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """F @ x, off the dense matrix each row summed in column order."""
+        if self._dense is not None:
+            return self._dense @ x
+        out = np.zeros(self.n, dtype=np.complex128)
+        np.add.at(out, self._rows(), self.values * x[self.indices])
+        return out
+
+    def vecmat(self, x: np.ndarray) -> np.ndarray:
+        """x @ F, off the dense matrix each column summed in row order."""
+        if self._dense is not None:
+            return x @ self._dense
+        out = np.zeros(self.n, dtype=np.complex128)
+        np.add.at(out, self.indices, x[self._rows()] * self.values)
+        return out
+
+
+def _flat_keys(n: int, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Flat position row * n + column of each stored entry."""
+    return np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr)) + indices
+
 
 @dataclass(frozen=True, eq=False)
 class ProductHamiltonian:
@@ -48,21 +154,13 @@ class ProductHamiltonian:
     is checked by :func:`check_hermitian`, because the factors themselves
     are generally not Hermitian.
 
-    The stored factors are read-only. A read-only complex128 array that owns
-    its memory is taken over as it is (the model builders hand theirs over
-    this way); any other factor is copied, so a caller who keeps a writeable
-    array, or the writeable base of a read-only view, cannot change ``terms``.
-
-    ``nonzeros`` holds, for each (A_n, B_n), one boolean mask per factor,
-    True at its exact nonzeros, computed on first use. It is the one place
-    where an entry counts as zero: only an exact zero does, never a small
-    value. A mask takes one byte per entry of its factor, a sixteenth of
-    the factor, however dense the factor is.
+    A factor given as a :class:`Factor` is kept as it is; any other is read
+    as a dense matrix into a new Factor, which shares no memory with it.
     """
 
     dim_a: int
     dim_b: int
-    terms: tuple[tuple[np.ndarray, np.ndarray], ...]
+    terms: tuple[tuple[Factor, Factor], ...]
 
     def __post_init__(self) -> None:
         if self.dim_a < 1 or self.dim_b < 1:
@@ -75,25 +173,9 @@ class ProductHamiltonian:
         for k, pair in enumerate(self.terms):
             if len(pair) != 2:
                 raise ModelError(f"term {k} is not an (A, B) pair")
-            a = as_complex_matrix(pair[0], name=f"term {k} factor A")
-            b = as_complex_matrix(pair[1], name=f"term {k} factor B")
-            if a.shape != (self.dim_a, self.dim_a):
-                raise DimensionError(
-                    f"term {k} factor A has shape {a.shape!r}, expected "
-                    f"({self.dim_a}, {self.dim_a})"
-                )
-            if b.shape != (self.dim_b, self.dim_b):
-                raise DimensionError(
-                    f"term {k} factor B has shape {b.shape!r}, expected "
-                    f"({self.dim_b}, {self.dim_b})"
-                )
-            frozen.append((_frozen(a), _frozen(b)))
+            frozen.append((_factor(pair[0], self.dim_a, f"term {k} factor A"),
+                           _factor(pair[1], self.dim_b, f"term {k} factor B")))
         object.__setattr__(self, "terms", tuple(frozen))
-
-    @cached_property
-    def nonzeros(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Read-only masks of the exact nonzeros of each (A_n, B_n)."""
-        return tuple((_nonzero_mask(a), _nonzero_mask(b)) for a, b in self.terms)
 
     @property
     def n_terms(self) -> int:
@@ -104,18 +186,17 @@ class ProductHamiltonian:
         return self.dim_a * self.dim_b
 
 
-def _nonzero_mask(m: np.ndarray) -> np.ndarray:
-    mask = m != 0
-    mask.setflags(write=False)
-    return mask
-
-
-def _frozen(m: np.ndarray) -> np.ndarray:
-    """``m`` itself if it is read-only and owns its memory, else a read-only copy."""
-    if m.flags.writeable or m.base is not None:
-        m = m.copy()
-        m.setflags(write=False)
-    return m
+def _factor(m, dim: int, name: str) -> Factor:
+    """``m`` as a dim x dim :class:`Factor`, read as a dense matrix unless it is one."""
+    if isinstance(m, Factor):
+        if m.n != dim:
+            raise DimensionError(f"{name} has shape {(m.n, m.n)!r}, expected ({dim}, {dim})")
+        return m
+    m = as_complex_matrix(m, name=name)
+    if m.shape != (dim, dim):
+        raise DimensionError(f"{name} has shape {m.shape!r}, expected ({dim}, {dim})")
+    flat = np.flatnonzero(m)
+    return Factor(dim, np.searchsorted(flat, np.arange(dim + 1) * dim), flat % dim, m.flat[flat])
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,14 +250,16 @@ def _row_slabs(h: ProductHamiltonian):
 
     Yields (first row, H[rows], H^dag[rows]). Each slab lies within one row
     i of the A factors, where H[(i, l), :] = sum_n kron(A_n[i, :], B_n[l, :]);
-    the H^dag slab is built the same way from the adjoint factors.
+    the H^dag slab is built the same way from the adjoint factors. Factors
+    are expanded one row (of A) or one slab of rows (of B) at a time.
     """
     d = require_dense_dim(h.dim_a, h.dim_b)
     # A term with an all-zero factor adds exact zeros; rows of A that are
     # all zero are skipped below for the same reason.
-    terms = [(a, b) for a, b in h.terms if a.any() and b.any()]
-    adjoints = [(a.conj().T, b.conj().T) for a, b in terms]
+    terms = [(a, b) for a, b in h.terms if a.values.size and b.values.size]
+    adjoints = [(a.adjoint(), b.adjoint()) for a, b in terms]
     step = max(1, min(h.dim_b, _SLAB_ENTRIES // d))
+    all_a, all_b = np.arange(h.dim_a), np.arange(h.dim_b)
     for i in range(h.dim_a):
         for l0 in range(0, h.dim_b, step):
             l1 = min(l0 + step, h.dim_b)
@@ -184,8 +267,9 @@ def _row_slabs(h: ProductHamiltonian):
             for factors in (terms, adjoints):
                 slab = np.zeros((l1 - l0, h.dim_a, h.dim_b), dtype=np.complex128)
                 for a, b in factors:
-                    if a[i].any():
-                        slab += a[i][None, :, None] * b[l0:l1][:, None, :]
+                    if a.indptr[i] < a.indptr[i + 1]:
+                        row = a.entries(i, all_a)[None, :, None]
+                        slab += row * b.entries(all_b[l0:l1, None], all_b)[:, None, :]
                 slabs.append(slab.reshape(l1 - l0, d))
             yield i * h.dim_b + l0, slabs[0], slabs[1]
 
@@ -209,23 +293,23 @@ def _scan_hermitian(h: ProductHamiltonian) -> None:
         )
 
 
-def _realigned_r(factors: list[np.ndarray], masks, sign: float) -> np.ndarray:
+def _realigned_r(factors: list[Factor], sign: float) -> np.ndarray:
     """R of the QR decomposition of [vec(M_1) ... vec(M_N), sign vec(M_1^dag) ...].
 
     Only the flat positions where some factor or its adjoint is nonzero are
-    stacked, in ascending order (``masks`` holds each factor's nonzero
-    mask); the rows left out are zero and add nothing to R. The adjoint is
-    read by index, m[j, i].conj(), without forming it.
+    stacked, in ascending order; the rows left out are zero and add nothing
+    to R. The adjoint is read by index, m[j, i].conj(), without forming it.
     """
-    support = np.zeros_like(masks[0])
-    for mask in masks:
-        support |= mask
-    # flatnonzero, then divmod: np.nonzero on a 2-D mask is ten times slower
-    rows, cols = np.divmod(np.flatnonzero(support | support.T), support.shape[0])
+    n = factors[0].n
+    flat = np.concatenate([_flat_keys(n, m.indptr, m.indices) for m in factors])
+    rows, cols = np.divmod(flat, n)
+    # sorted and deduplicated by hand: np.unique imports numpy.ma on first use
+    flat = np.sort(np.concatenate((flat, cols * n + rows)))
+    rows, cols = np.divmod(flat[np.diff(flat, prepend=-1) != 0], n)
     columns = np.empty((rows.size, 2 * len(factors)), dtype=np.complex128)
     for k, m in enumerate(factors):
-        columns[:, k] = m[rows, cols]
-        columns[:, len(factors) + k] = sign * m[cols, rows].conj()
+        columns[:, k] = m.entries(rows, cols)
+        columns[:, len(factors) + k] = sign * m.entries(cols, rows).conj()
     return np.linalg.qr(columns, mode="r")
 
 
@@ -238,8 +322,8 @@ def _factor_norms(h: ProductHamiltonian) -> tuple[float, float]:
     C = Q_C R_C and D = Q_D R_D that norm is ||R_C R_D^T||_F. The first
     n_terms columns of the same R factors hold H itself.
     """
-    r_a = _realigned_r([a for a, _ in h.terms], [ma for ma, _ in h.nonzeros], -1.0)
-    r_b = _realigned_r([b for _, b in h.terms], [mb for _, mb in h.nonzeros], 1.0)
+    r_a = _realigned_r([a for a, _ in h.terms], -1.0)
+    r_b = _realigned_r([b for _, b in h.terms], 1.0)
     n = h.n_terms
     defect = float(np.linalg.norm(r_a @ r_b.T))
     return defect, float(np.linalg.norm(r_a[:, :n] @ r_b[:, :n].T))
@@ -264,7 +348,8 @@ def block_matrix(h: ProductHamiltonian, indices: np.ndarray) -> np.ndarray:
     """H restricted to the ascending composite ``indices``.
 
     Entry (r, c) is sum_n A_n[i_r, i_c] B_n[j_r, j_c], added in term order
-    from zero; rows that share an A index i are built together.
+    from zero; rows that share an A index i are built together, and a term
+    whose A_n has no entry in row i is skipped there, as it adds only zeros.
     """
     ii, jj = np.divmod(indices, h.dim_b)
     bounds = [0, *(np.flatnonzero(np.diff(ii)) + 1).tolist(), indices.size]
@@ -272,7 +357,8 @@ def block_matrix(h: ProductHamiltonian, indices: np.ndarray) -> np.ndarray:
     for r0, r1 in zip(bounds[:-1], bounds[1:]):
         i, rows, cols = ii[r0], block[r0:r1], jj[r0:r1, None]
         for a, b in h.terms:
-            rows += a[i, ii] * b[cols, jj]
+            if a.indptr[i] < a.indptr[i + 1]:
+                rows += a.entries(i, ii) * b.entries(cols, jj)
     return block
 
 

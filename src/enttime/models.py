@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelError, StateError, TruncationError
-from .hamiltonian import ProductHamiltonian, ProductState, require_dense_dim
+from .hamiltonian import Factor, ProductHamiltonian, ProductState, require_dense_dim
 from .timescale import entanglement_timescale
 from .tolerances import NORM_TOL, TAIL_TOL
 
@@ -58,52 +58,52 @@ ATOM_EXCITED = 0
 ATOM_GROUND = 1
 
 
-def _ladder(dim: int, *, raising: bool) -> np.ndarray:
+def _diagonal(values, offset: int = 0) -> Factor:
+    """The Factor with ``values`` along one diagonal, ``offset`` places right of the main one."""
+    values = np.asarray(values, dtype=np.complex128)
+    n, first_row = values.size + abs(offset), max(0, -offset)
+    indptr = np.clip(np.arange(n + 1) - first_row, 0, values.size)
+    return Factor(n, indptr, np.arange(values.size) + first_row + offset, values)
+
+
+def _mode_levels(dim: int) -> np.ndarray:
+    """0, 1, ..., dim - 1 as floats."""
     if dim < 1:
         raise ModelError(f"mode dimension must be positive, got {dim}")
-    m = np.zeros((dim, dim), dtype=np.complex128)
-    ns = np.arange(1, dim)
-    m[(ns, ns - 1) if raising else (ns - 1, ns)] = np.sqrt(ns)
-    return m
+    return np.arange(dim, dtype=np.float64)
 
 
-def annihilation(dim: int) -> np.ndarray:
+def annihilation(dim: int) -> Factor:
     """Truncated mode annihilation operator, a[n-1, n] = sqrt(n)."""
-    return _ladder(dim, raising=False)
+    return _diagonal(np.sqrt(_mode_levels(dim)[1:]), 1)
 
 
-def creation(dim: int) -> np.ndarray:
+def creation(dim: int) -> Factor:
     """Adjoint of :func:`annihilation` on the same truncated space, a^dag[n, n-1] = sqrt(n)."""
-    return _ladder(dim, raising=True)
+    return _diagonal(np.sqrt(_mode_levels(dim)[1:]), -1)
 
 
-def number_operator(dim: int) -> np.ndarray:
+def number_operator(dim: int) -> Factor:
     """diag(0, 1, ..., dim - 1)."""
-    if dim < 1:
-        raise ModelError(f"mode dimension must be positive, got {dim}")
-    return np.diag(np.arange(dim, dtype=np.float64)).astype(np.complex128)
+    return _diagonal(_mode_levels(dim))
 
 
-def identity(dim: int) -> np.ndarray:
-    return np.eye(dim, dtype=np.complex128)
+def identity(dim: int) -> Factor:
+    return _diagonal(np.ones(dim))
 
 
-def sigma_z() -> np.ndarray:
-    return np.diag([1.0, -1.0]).astype(np.complex128)
+def sigma_z() -> Factor:
+    return _diagonal([1.0, -1.0])
 
 
-def sigma_plus() -> np.ndarray:
-    """|e><g| in the (excited, ground) ordering."""
-    out = np.zeros((2, 2), dtype=np.complex128)
-    out[ATOM_EXCITED, ATOM_GROUND] = 1.0
-    return out
+def sigma_plus() -> Factor:
+    """|e><g| in the (excited, ground) ordering: entry (0, 1)."""
+    return _diagonal([1.0], ATOM_GROUND - ATOM_EXCITED)
 
 
-def sigma_minus() -> np.ndarray:
-    """|g><e| in the (excited, ground) ordering."""
-    out = np.zeros((2, 2), dtype=np.complex128)
-    out[ATOM_GROUND, ATOM_EXCITED] = 1.0
-    return out
+def sigma_minus() -> Factor:
+    """|g><e| in the (excited, ground) ordering: entry (1, 0)."""
+    return _diagonal([1.0], ATOM_EXCITED - ATOM_GROUND)
 
 
 @dataclass(frozen=True)
@@ -215,14 +215,6 @@ class JcmSpec:
         return self.n_max + 1
 
 
-def _handed_over(terms) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Freeze factors the builder owns, so ProductHamiltonian keeps them uncopied."""
-    for pair in terms:
-        for m in pair:
-            m.setflags(write=False)
-    return tuple(terms)
-
-
 def field_amplitudes(spec: JcmSpec) -> np.ndarray:
     """Photon-number amplitudes C_n of the initial field, length n_max + 1.
 
@@ -259,16 +251,16 @@ def build_jcm(spec: JcmSpec) -> tuple[ProductHamiltonian, ProductState]:
     even on the truncated space (truncation only removes couplings).
     """
     dim = spec.dim_field
-    terms: list[tuple[np.ndarray, np.ndarray]] = []
+    terms: list[tuple[Factor, Factor]] = []
     if spec.omega != 0.0:
-        terms.append((0.5 * spec.omega * sigma_z(), identity(dim)))
-        terms.append((identity(2), spec.omega * number_operator(dim)))
-    terms.append((spec.lam * sigma_minus(), creation(dim)))
-    terms.append((spec.lam * sigma_plus(), annihilation(dim)))
+        terms.append((sigma_z().scaled(0.5 * spec.omega), identity(dim)))
+        terms.append((identity(2), number_operator(dim).scaled(spec.omega)))
+    terms.append((sigma_minus().scaled(spec.lam), creation(dim)))
+    terms.append((sigma_plus().scaled(spec.lam), annihilation(dim)))
     psi_a = np.zeros(2, dtype=np.complex128)
     psi_a[ATOM_EXCITED] = spec.c_e
     psi_a[ATOM_GROUND] = spec.c_g
-    h = ProductHamiltonian(dim_a=2, dim_b=dim, terms=_handed_over(terms))
+    h = ProductHamiltonian(dim_a=2, dim_b=dim, terms=tuple(terms))
     state = ProductState(psi_a=psi_a, psi_b=field_amplitudes(spec))
     return h, state
 
@@ -343,17 +335,17 @@ def build_bose_hubbard_boundary(
     dim = spec.dim_site
     a = annihilation(dim)
     ad = creation(dim)
-    terms: list[tuple[np.ndarray, np.ndarray]] = [
-        (-spec.j_rate * ad, a),
-        (-spec.j_rate * a, ad),
+    terms: list[tuple[Factor, Factor]] = [
+        (ad.scaled(-spec.j_rate), a),
+        (a.scaled(-spec.j_rate), ad),
     ]
     if spec.u_rate != 0.0:
-        n = number_operator(dim)
-        anharmonic = 0.5 * spec.u_rate * (n @ n - n)
+        n = _mode_levels(dim)
+        anharmonic = _diagonal(0.5 * spec.u_rate * (n * n - n))
         terms.append((anharmonic, identity(dim)))
         terms.append((identity(dim), anharmonic))
     psi = np.zeros(dim, dtype=np.complex128)
     psi[1] = 1.0
-    h = ProductHamiltonian(dim_a=dim, dim_b=dim, terms=_handed_over(terms))
+    h = ProductHamiltonian(dim_a=dim, dim_b=dim, terms=tuple(terms))
     state = ProductState(psi_a=psi, psi_b=psi.copy())
     return h, state

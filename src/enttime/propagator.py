@@ -5,11 +5,12 @@ term has A_n[k, i] != 0 and B_n[l, j] != 0. Read undirected, that pattern is
 a graph on the composite basis, and each of its connected components spans
 a coordinate subspace H maps into itself. The start evolves inside the
 components that meet its support, so only those blocks are diagonalized;
-nothing outside them is ever touched. This is exact: the pattern is read
-from :attr:`~enttime.hamiltonian.ProductHamiltonian.nonzeros`, where zero
-means an exact zero of a factor, never a small one. When one component
-covers the whole space the search stops there, and that component is one
-block like any other: every block comes from
+nothing outside them is ever touched. This is exact: the pattern is the
+stored entries of each :class:`~enttime.hamiltonian.Factor`, where zero
+means an exact zero of a factor, never a small one, and the CSR rows of a
+factor and of its adjoint are the adjacency lists of the search. When one
+component covers the whole space the search stops there, and that
+component is one block like any other: every block comes from
 :func:`~enttime.hamiltonian.block_matrix`.
 
 The Hermiticity of the whole H is checked once, including entries outside
@@ -42,22 +43,6 @@ __all__ = ["Propagator", "invariant_blocks"]
 _CHUNK_ENTRIES = 1 << 17
 
 
-def _neighbours(mask: np.ndarray):
-    """Adjacency lists, in CSR form, of the n x n nonzero pattern ``mask``.
-
-    The first list maps each column i to the rows k with m[k, i] != 0, the
-    second each row i to the columns k with m[i, k] != 0; each is a pair
-    (indptr, targets).
-    """
-    n = mask.shape[0]
-    rows, cols = np.divmod(np.flatnonzero(mask), n)
-    by_col = np.argsort(cols, kind="stable")
-    edges = np.arange(n + 1)
-    down = (np.searchsorted(cols[by_col], edges), rows[by_col])
-    up = (np.searchsorted(rows, edges), cols)
-    return down, up
-
-
 def invariant_blocks(h: ProductHamiltonian, support) -> list[np.ndarray]:
     """Connected components of the coupling graph of ``h`` that meet ``support``.
 
@@ -68,11 +53,11 @@ def invariant_blocks(h: ProductHamiltonian, support) -> list[np.ndarray]:
     ends the search at once.
     """
     d, dim_b = h.dim, h.dim_b
-    moves = []
-    for mask_a, mask_b in h.nonzeros:
-        down_a, up_a = _neighbours(mask_a)
-        down_b, up_b = _neighbours(mask_b)
-        moves += [(down_a, down_b), (up_a, up_b)]
+    moves = [
+        ((fa.indptr, fa.indices), (fb.indptr, fb.indices))
+        for a, b in h.terms
+        for fa, fb in ((a.adjoint(), b.adjoint()), (a, b))
+    ]
     seen = np.zeros(d, dtype=bool)
     blocks: list[np.ndarray] = []
     for seed in np.asarray(support, dtype=np.intp).reshape(-1):
@@ -89,7 +74,7 @@ def invariant_blocks(h: ProductHamiltonian, support) -> list[np.ndarray]:
                 ls = rows_b[ptr_b[j] : ptr_b[j + 1]]
                 if ks.size == 0 or ls.size == 0:
                     continue
-                reach = (ks[:, None] * dim_b + ls).ravel()
+                reach = (ks[:, None].astype(np.intp) * dim_b + ls).ravel()
                 new = reach[~seen[reach]]
                 if new.size == 0:
                     continue

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NumericalError
-from .hamiltonian import ProductHamiltonian, ProductState
+from .hamiltonian import Factor, ProductHamiltonian, ProductState
 from .linalg import as_complex_matrix
 from .tolerances import DEGEN_TOL_REL, IMAG_TOL
 
@@ -103,15 +103,17 @@ def expectation(op, psi) -> complex:
     return complex(np.vdot(vec, op @ vec))
 
 
-def _covariance_matrix(factors: list[np.ndarray], psi: np.ndarray) -> np.ndarray:
+def _covariance_matrix(factors: list[Factor], psi: np.ndarray) -> np.ndarray:
     """Connected-correlator matrix G[n, m] = <F_n F_m> - <F_n><F_m>.
 
     <F_n F_m> is the overlap of F_n^dag psi with F_m psi. The bra
     (F_n^dag psi)^dag is the row vector psi^dag F_n, so no adjoint factor is
-    formed: each factor is read once for F psi and once for psi^dag F.
+    formed: each factor's nonzeros are read once for F psi and once for
+    psi^dag F.
     """
-    applied = np.stack([f @ psi for f in factors])
-    bras = np.stack([psi.conj() @ f for f in factors])
+    applied = np.stack([f.matvec(psi) for f in factors])
+    bra = psi.conj()
+    bras = np.stack([f.vecmat(bra) for f in factors])
     second = np.einsum("nd,md->nm", bras, applied)
     means = np.array([np.vdot(psi, row) for row in applied])
     return second - np.outer(means, means)

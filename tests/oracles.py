@@ -37,6 +37,20 @@ def kron_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def dense_factor(f) -> np.ndarray:
+    """The dense matrix of a package ``Factor``, entry by entry from its CSR arrays."""
+    out = np.zeros((f.n, f.n), dtype=np.complex128)
+    for i in range(f.n):
+        for k in range(f.indptr[i], f.indptr[i + 1]):
+            out[i, f.indices[k]] = f.values[k]
+    return out
+
+
+def dense_terms(h: ProductHamiltonian) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (A_n, B_n) pairs of ``h`` as dense matrices."""
+    return [(dense_factor(a), dense_factor(b)) for a, b in h.terms]
+
+
 def partial_trace_loops(rho: np.ndarray, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
     if keep == "A":
         out = np.zeros((dim_a, dim_a), dtype=np.complex128)

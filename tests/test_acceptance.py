@@ -120,7 +120,7 @@ def test_criterion_2_curvature_universality():
         _check(failures, not report.degenerate, f"{label}: degenerate timescale")
         if report.degenerate:
             continue
-        h_dense = _dense(h.terms)
+        h_dense = _dense(oracles.dense_terms(h))
         psi0 = np.kron(state.psi_a, state.psi_b)
         width = report.t_ent / 50.0
         probs = [
@@ -328,7 +328,8 @@ def test_criterion_8_property_suites():
     for _ in range(100):
         h, state = random_system()
         report = entanglement_timescale(h, state)
-        raw = oracles.covariance_sum_loops(h.terms, state.psi_a, state.psi_b)
+        terms = oracles.dense_terms(h)
+        raw = oracles.covariance_sum_loops(terms, state.psi_a, state.psi_b)
         _check(
             failures,
             raw.real >= -1e-12 * max(1.0, report.scale) and report.t_ent_inv_sq >= 0.0,

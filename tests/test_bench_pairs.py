@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -122,3 +123,69 @@ def test_unused_seeds_pass_the_check(tmp_path):
     bench_file(tmp_path, "old", range(100, 111))
     assert bench_pairs.used_seeds(tmp_path, [*range(111, 121), 99]) == []
     assert bench_pairs.used_seeds(tmp_path, [*range(90, 100), 110]) == [("BENCH_old.json", 110)]
+
+
+def git_repo(root, *commits):
+    """A repository at ``root`` with one commit per dict of file texts; their hashes."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(root), "-c", "user.name=t",
+                               "-c", "user.email=t@t", *args],
+                              capture_output=True, text=True, check=True).stdout.strip()
+
+    git("init", "-q")
+    hashes = []
+    for files in commits:
+        for name, text in files.items():
+            (root / name).write_text(text)
+        git("add", "-A")
+        git("commit", "-q", "-m", "c")
+        hashes.append(git("rev-parse", "HEAD"))
+    return hashes
+
+
+def test_both_sides_run_from_archive_copies_made_the_same_way(tmp_path, monkeypatch):
+    bench = {"run_seconds": 1, "end_to_end": END_TO_END, "workloads": [{"name": "w"}]}
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    parent, head = git_repo(
+        repo,
+        {"BENCHMARK.json": json.dumps(bench), "side.txt": "parent"},
+        {"side.txt": "change"},
+    )
+    (repo / "untracked.txt").write_text("not part of any commit")
+    seen = []
+
+    def fake_run(root, workload, seed, seconds, trace):
+        seen.append((root, (root / "side.txt").read_text(), seed, trace,
+                     (root / "untracked.txt").exists()))
+        return bench_pairs.parse_run_output(run_output(1.0 if root.name == "parent" else 0.5,
+                                                       1.0))
+
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    monkeypatch.setattr(bench_pairs, "run_side", fake_run)
+    argv = ["--parent", "HEAD~1", "--label", "t", "--what", "y",
+            "--seed", "1", "--trace-seed", "50"]
+    assert bench_pairs.main(argv) == 0
+    roots = {root.name: root for root, *_ in seen}
+    # two sibling copies in one temporary directory, neither the working tree
+    assert set(roots) == {"parent", "change"}
+    assert roots["parent"].parent == roots["change"].parent != repo
+    assert all(text == root.name and not untracked for root, text, _, _, untracked in seen)
+    assert len(seen) == 2 * (bench_pairs.PAIRS + 1)
+    document = json.loads((repo / "BENCH_t.json").read_text())
+    assert document["how"]["parent"] == f"commit {parent} (HEAD~1), from a git archive copy"
+    assert document["how"]["change"] == f"commit {head} (HEAD), from a git archive copy"
+    assert document["summary"]["w"]["wall_s"]["change_better_pairs"] == bench_pairs.PAIRS
+
+
+def test_uncommitted_changes_are_refused(tmp_path, monkeypatch, capsys):
+    git_repo(tmp_path, {"BENCHMARK.json": "{}", "side.txt": "parent"}, {"side.txt": "change"})
+    (tmp_path / "side.txt").write_text("edited")
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    argv = ["--parent", "HEAD~1", "--label", "t", "--what", "y",
+            "--seed", "1", "--trace-seed", "50"]
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(argv)
+    assert exit_info.value.code == 2
+    assert "uncommitted changes" in capsys.readouterr().err
+    assert not (tmp_path / "BENCH_t.json").exists()

@@ -8,6 +8,7 @@ import enttime.hamiltonian as hamiltonian_module
 from enttime.entropy import renyi_from_probabilities
 from enttime.errors import DimensionError, ModelError, StateError
 from enttime.hamiltonian import (
+    Factor,
     ProductHamiltonian,
     ProductState,
     _factor_norms,
@@ -82,10 +83,10 @@ def test_assemble_jcm_matches_direct_build():
         2,
         dim,
         (
-            (0.5 * omega * sigma_z(), identity(dim)),
+            (sigma_z().scaled(0.5 * omega), identity(dim)),
             (identity(2), omega * np.diag(np.arange(dim, dtype=float)).astype(complex)),
-            (lam * sigma_minus(), creation(dim)),
-            (lam * sigma_plus(), annihilation(dim)),
+            (lam * sigma_minus().toarray(), creation(dim)),
+            (sigma_plus().scaled(lam), annihilation(dim).toarray()),
         ),
     )
     assert np.max(np.abs(assemble(h) - direct)) <= 1e-15
@@ -99,7 +100,7 @@ def test_assemble_rejects_non_hermitian_total():
 
 
 def dense_total(h):
-    return sum(oracles.kron_loops(a, b) for a, b in h.terms)
+    return sum(oracles.kron_loops(a, b) for a, b in oracles.dense_terms(h))
 
 
 def sparse_matrix(rng, dim):
@@ -166,7 +167,7 @@ def test_factor_proof_keeps_the_scan_verdict(monkeypatch):
         hamiltonian_module, "_scan_hermitian", lambda h: scans.append(h) or real_scan(h)
     )
     for delta, falls_back, message in cases:
-        a = h.terms[3][1].copy()
+        a = h.terms[3][1].toarray()
         a[5, 6] += delta * phase
         broken = ProductHamiltonian(2, h.dim_b, h.terms[:3] + ((h.terms[3][0], a),))
         scans.clear()
@@ -179,7 +180,7 @@ def test_factor_proof_keeps_the_scan_verdict(monkeypatch):
             assert re.search(message, verdict)
 
 
-def test_nonzeros_are_the_exact_nonzeros_of_each_factor():
+def test_factors_store_the_exact_nonzeros_of_each_input():
     rng = np.random.default_rng(81)
     # entries that are exactly zero although written differently, and
     # nonzeros with no real part
@@ -195,15 +196,18 @@ def test_nonzeros_are_the_exact_nonzeros_of_each_factor():
                 m[hits] = rng.choice(specials, size=int(hits.sum()))
             terms.append(tuple(pair))
         h = ProductHamiltonian(dim_a, dim_b, tuple(terms))
-        assert len(h.nonzeros) == h.n_terms
-        for factors, masks in zip(h.terms, h.nonzeros):
-            for m, mask in zip(factors, masks):
-                assert mask.dtype == bool and mask.shape == m.shape
-                assert np.array_equal(np.flatnonzero(mask), np.flatnonzero(m != 0))
-                assert not mask.flags.writeable
-        again = h.nonzeros
-        assert again is h.nonzeros
-        assert all(x is y for pair, same in zip(again, h.nonzeros) for x, y in zip(pair, same))
+        assert h.n_terms == len(terms)
+        for factors, given in zip(h.terms, terms):
+            for f, m in zip(factors, given):
+                assert f.n == m.shape[0]
+                assert f.indptr.dtype == np.int64 and f.indices.dtype == np.int32
+                rows, cols = np.nonzero(m != 0)
+                assert np.array_equal(np.diff(f.indptr), np.count_nonzero(m, axis=1))
+                assert np.array_equal(f.indices, cols)
+                assert np.array_equal(f.values, m[rows, cols])
+                assert np.array_equal(oracles.dense_factor(f), m)
+                for array in (f.indptr, f.indices, f.values):
+                    assert not array.flags.writeable
 
 
 def test_product_hamiltonian_validation():
@@ -223,15 +227,16 @@ def test_product_hamiltonian_copies_inputs():
     h = ProductHamiltonian(2, 2, ((a, view),))
     a[0, 0] = 99.0
     b[1, 1] = 99.0
-    assert h.terms[0][0][0, 0] == 1.0
-    assert h.terms[0][1][1, 1] == 1.0
-    assert not np.shares_memory(h.terms[0][0], a)
-    assert not np.shares_memory(h.terms[0][1], b)
+    assert np.array_equal(h.terms[0][0].toarray(), np.eye(2))
+    assert np.array_equal(h.terms[0][1].toarray(), np.eye(2))
     with pytest.raises(ValueError):
-        h.terms[0][0][0, 0] = 5.0
-    owned = np.eye(2, dtype=np.complex128)
-    owned.setflags(write=False)
-    assert ProductHamiltonian(2, 2, ((owned, owned),)).terms[0][0] is owned
+        h.terms[0][0].values[0] = 5.0
+    # a Factor is immutable and taken over as it is; its own arrays are copies
+    values = np.ones(2, dtype=np.complex128)
+    factor = Factor(2, [0, 1, 2], [0, 1], values)
+    values[0] = 5.0
+    assert factor.values[0] == 1.0
+    assert ProductHamiltonian(2, 2, ((factor, factor),)).terms[0][0] is factor
 
 
 def test_product_state_validation():

@@ -43,23 +43,27 @@ def test_operator_matrices():
     expected = np.array(
         [[0.0, 1.0, 0.0], [0.0, 0.0, math.sqrt(2.0)], [0.0, 0.0, 0.0]]
     )
-    assert np.array_equal(a, expected)
-    assert np.array_equal(creation(3), expected.T)
-    assert np.array_equal(number_operator(4), np.diag([0.0, 1.0, 2.0, 3.0]))
-    assert np.array_equal(sigma_z(), np.diag([1.0, -1.0]))
-    assert sigma_plus()[ATOM_EXCITED, ATOM_GROUND] == 1.0
-    assert sigma_minus()[ATOM_GROUND, ATOM_EXCITED] == 1.0
-    assert np.array_equal(sigma_plus(), sigma_minus().conj().T)
+    assert np.array_equal(a.toarray(), expected)
+    # only the nonzeros are stored: the zero level of n, the empty rows of a
+    assert a.values.size == 2 and np.array_equal(a.indptr, [0, 1, 2, 2])
+    assert number_operator(4).values.size == 3
+    assert np.array_equal(creation(3).toarray(), expected.T)
+    assert np.array_equal(number_operator(4).toarray(), np.diag([0.0, 1.0, 2.0, 3.0]))
+    assert np.array_equal(identity(3).toarray(), np.eye(3))
+    assert np.array_equal(sigma_z().toarray(), np.diag([1.0, -1.0]))
+    assert sigma_plus().toarray()[ATOM_EXCITED, ATOM_GROUND] == 1.0
+    assert sigma_minus().toarray()[ATOM_GROUND, ATOM_EXCITED] == 1.0
+    assert np.array_equal(sigma_plus().toarray(), sigma_minus().adjoint().toarray())
 
 
 def test_ladder_algebra_below_cutoff():
     dim = 7
-    a = annihilation(dim)
-    ad = creation(dim)
+    a = annihilation(dim).toarray()
+    ad = creation(dim).toarray()
     comm = a @ ad - ad @ a
     # canonical commutator holds except on the truncated top level
     assert np.max(np.abs(comm[: dim - 1, : dim - 1] - np.eye(dim - 1))) <= 1e-14
-    assert np.max(np.abs(ad @ a - number_operator(dim))) <= 1e-14
+    assert np.max(np.abs(ad @ a - number_operator(dim).toarray())) <= 1e-14
 
 
 def test_operator_dimension_guards():
@@ -160,8 +164,8 @@ def test_excitation_number_is_conserved():
     h, _ = build_jcm(spec)
     dense = assemble(h)
     dim = spec.dim_field
-    excitation = np.kron(0.5 * sigma_z(), identity(dim)) + np.kron(
-        identity(2), number_operator(dim)
+    excitation = np.kron(0.5 * sigma_z().toarray(), identity(dim).toarray()) + np.kron(
+        identity(2).toarray(), number_operator(dim).toarray()
     )
     comm = dense @ excitation - excitation @ dense
     assert np.max(np.abs(comm)) <= 1e-12
@@ -169,21 +173,27 @@ def test_excitation_number_is_conserved():
 
 def test_jcm_builds_free_terms_only_off_zero_detuning():
     dim = 9
-    coupling = [(0.7 * sigma_minus(), creation(dim)), (0.7 * sigma_plus(), annihilation(dim))]
+    coupling = [
+        (0.7 * sigma_minus().toarray(), creation(dim).toarray()),
+        (0.7 * sigma_plus().toarray(), annihilation(dim).toarray()),
+    ]
     h, _ = build_jcm(JcmSpec(lam=0.7, n_max=dim - 1, field=FockField(2)))
     assert h.n_terms == 2
-    for (a, b), (want_a, want_b) in zip(h.terms, coupling):
+    for (a, b), (want_a, want_b) in zip(oracles.dense_terms(h), coupling):
         assert np.array_equal(a, want_a) and np.array_equal(b, want_b)
 
     hd, _ = build_jcm(JcmSpec(lam=0.7, n_max=dim - 1, field=FockField(2), omega=1.3))
-    free = [(0.5 * 1.3 * sigma_z(), identity(dim)), (identity(2), 1.3 * number_operator(dim))]
+    free = [
+        (0.5 * 1.3 * sigma_z().toarray(), identity(dim).toarray()),
+        (identity(2).toarray(), 1.3 * number_operator(dim).toarray()),
+    ]
     assert hd.n_terms == 4
-    for (a, b), (want_a, want_b) in zip(hd.terms, free + coupling):
+    for (a, b), (want_a, want_b) in zip(oracles.dense_terms(hd), free + coupling):
         assert np.array_equal(a, want_a) and np.array_equal(b, want_b)
 
-    # lam = 0 still leaves a valid (all-zero) coupling pair
+    # lam = 0 still leaves a valid coupling pair, whose A factors store nothing
     h0, _ = build_jcm(JcmSpec(lam=0.0, n_max=dim - 1, field=FockField(2)))
-    assert h0.n_terms == 2 and not h0.terms[0][0].any()
+    assert h0.n_terms == 2 and h0.terms[0][0].values.size == h0.terms[1][0].values.size == 0
 
 
 @pytest.mark.parametrize(
@@ -245,8 +255,8 @@ def test_builders_hand_over_frozen_factors(monkeypatch, build, spec):
     assert len(given) == h.n_terms
     for pair, kept in zip(given, h.terms):
         for m, k in zip(pair, kept):
-            assert np.shares_memory(k, m)
-            assert not k.flags.writeable
+            assert k is m
+            assert not any(x.flags.writeable for x in (k.indptr, k.indices, k.values))
 
 
 def test_initial_state_layout():
@@ -390,7 +400,7 @@ def test_bose_hubbard_term_structure():
     hi, _ = build_bose_hubbard_boundary(interacting)
     assert hi.n_terms == 4
     # the on-site term is (U/2) n (n - 1) = diag(0, 0, U) at two bosons max
-    assert np.allclose(hi.terms[2][0], np.diag([0.0, 0.0, 0.5]))
+    assert np.allclose(hi.terms[2][0].toarray(), np.diag([0.0, 0.0, 0.5]))
 
 
 def test_bose_hubbard_timescale_value():
@@ -414,8 +424,7 @@ def test_bose_hubbard_hopping_is_number_conserving():
     h, _ = build_bose_hubbard_boundary(spec)
     dense = assemble(h)
     dim = spec.dim_site
-    total_n = np.kron(number_operator(dim), identity(dim)) + np.kron(
-        identity(dim), number_operator(dim)
-    )
+    n, one = number_operator(dim).toarray(), identity(dim).toarray()
+    total_n = np.kron(n, one) + np.kron(one, n)
     comm = dense @ total_n - total_n @ dense
     assert np.max(np.abs(comm)) <= 1e-12

@@ -39,7 +39,7 @@ ALPHAS = (VON_NEUMANN_ALPHA, 2, 3)
 
 def dense_oracle(h):
     total = np.zeros((h.dim, h.dim), dtype=np.complex128)
-    for a, b in h.terms:
+    for a, b in oracles.dense_terms(h):
         total += oracles.kron_loops(a, b)
     return total
 
@@ -204,7 +204,7 @@ def test_dense_models_take_the_factor_proof(monkeypatch):
     h, state = dense_model(np.random.default_rng(87), 8, 8)
     monkeypatch.setattr(hamiltonian_module, "_scan_hermitian", no_scan)
     assert Propagator(h, state).block_sizes == [64]
-    assert np.array_equal(assemble(h), sum(np.kron(a, b) for a, b in h.terms))
+    assert np.array_equal(assemble(h), sum(np.kron(a, b) for a, b in oracles.dense_terms(h)))
 
 
 def test_norm_is_kept_relative_to_the_start():

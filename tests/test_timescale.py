@@ -42,10 +42,10 @@ def random_system(rng, max_dim=6, n_groups=None):
 
 def test_expectation_known_values():
     excited = np.array([1.0, 0.0])
-    assert expectation(sigma_z(), excited) == 1.0 + 0.0j
+    assert expectation(sigma_z().toarray(), excited) == 1.0 + 0.0j
     fock = np.zeros(6)
     fock[4] = 1.0
-    assert expectation(number_operator(6), fock) == 4.0 + 0.0j
+    assert expectation(number_operator(6).toarray(), fock) == 4.0 + 0.0j
 
 
 def test_expectation_matches_double_sum_oracle():
@@ -69,7 +69,7 @@ def test_double_sum_matches_definition_oracle():
     for _ in range(100):
         h, s = random_system(rng)
         report = entanglement_timescale(h, s)
-        ref = oracles.covariance_sum_loops(h.terms, s.psi_a, s.psi_b)
+        ref = oracles.covariance_sum_loops(oracles.dense_terms(h), s.psi_a, s.psi_b)
         scale = max(1.0, report.scale)
         assert abs(report.t_ent_inv_sq - ref.real) <= 1e-12 * scale
         assert abs(ref.imag) <= 1e-10 * scale
@@ -81,7 +81,7 @@ def test_positivity_of_double_sum():
         h, s = random_system(rng)
         report = entanglement_timescale(h, s)
         assert report.t_ent_inv_sq >= 0.0  # clipped
-        ref = oracles.covariance_sum_loops(h.terms, s.psi_a, s.psi_b)
+        ref = oracles.covariance_sum_loops(oracles.dense_terms(h), s.psi_a, s.psi_b)
         assert ref.real >= -1e-12 * max(1.0, report.scale)
 
 
@@ -132,9 +132,10 @@ def test_jcm_fock_timescales():
 
 
 def test_covariance_sum_copies_no_factor():
-    # d = 1536, as in the benchmark: each B factor is 768 x 768 complex
+    # d = 1536, as in the benchmark: each B factor is 768 x 768, with at most
+    # 768 nonzeros; the sum reads those and holds a few vectors of length 768
     h, state = build_jcm(JcmSpec(lam=1.0, n_max=767, field=FockField(3)))
-    factor_bytes = h.terms[0][1].nbytes
+    factor_bytes = 16 * (768 * 16)
     tracemalloc.start()
     try:
         report = entanglement_timescale(h, state)

@@ -5,9 +5,12 @@ Usage, from the root of the repository::
     python3 tools/bench_pairs.py --parent REV --label NAME --what TEXT \
         --seed FIRST --trace-seed SEED
 
-Extracts REV with ``git archive`` into a temporary directory (under
-``TMPDIR``). For each workload named in ``BENCHMARK.json`` it then runs
-10 pairs of ``perfbench/run.py --trace 0`` for the ``run_seconds`` that
+Extracts REV and HEAD the same way, each with ``git archive`` into its own
+temporary directory (under ``TMPDIR``), so that neither side runs from the
+working tree; a working tree with uncommitted changes to tracked files is
+refused (exit status 2), since they would not be measured. For each
+workload named in ``BENCHMARK.json`` it then runs 10 pairs of
+``perfbench/run.py --trace 0`` for the ``run_seconds`` that
 ``BENCHMARK.json`` sets, each side with its own copy of the harness from
 its own root, on seeds ``--seed`` onwards, the side that runs first
 alternating from pair to pair; then one ``--trace 1`` run per side at
@@ -117,6 +120,16 @@ def git(*args: str) -> str:
                           check=True).stdout.strip()
 
 
+def extract(commit: str, dest: Path) -> None:
+    """Write the tree of ``commit`` into the new directory ``dest`` with ``git archive``."""
+    dest.mkdir()
+    archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", commit],
+                               stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout, check=True)
+    if archive.wait() != 0:
+        raise RuntimeError(f"git archive {commit} failed")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
@@ -132,21 +145,20 @@ def main(argv=None) -> int:
         parser.error("seeds already used: "
                      + ", ".join(f"{seed} in {name}" for name, seed in clashes))
 
+    if git("status", "--porcelain", "--untracked-files=no"):
+        parser.error("the working tree has uncommitted changes, which a git archive copy "
+                     "of HEAD would not measure; commit them first")
+
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = bench["run_seconds"]
-    parent_commit = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
-    head = git("rev-parse", "HEAD")
-    dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
+    commits = {"parent": git("rev-parse", "--verify", f"{args.parent}^{{commit}}"),
+               "change": git("rev-parse", "HEAD")}
     runs: list[dict] = []
     env: dict = {}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        parent_root = Path(tmp)
-        archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", parent_commit],
-                                   stdout=subprocess.PIPE)
-        subprocess.run(["tar", "-x", "-C", str(parent_root)], stdin=archive.stdout, check=True)
-        if archive.wait() != 0:
-            raise RuntimeError(f"git archive {parent_commit} failed")
-        roots = {"parent": parent_root, "change": ROOT}
+        roots = {side: Path(tmp) / side for side in SIDES}
+        for side in SIDES:
+            extract(commits[side], roots[side])
         for workload in (w["name"] for w in bench["workloads"]):
             schedule = [(seed, order, 0) for k, seed in enumerate(seeds)
                         for order in (SIDES if k % 2 == 0 else SIDES[::-1])]
@@ -164,9 +176,8 @@ def main(argv=None) -> int:
         "how": {
             "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} "
                        "--trace T, run from the root of each checkout",
-            "parent": f"commit {parent_commit} ({args.parent}), from a git archive copy",
-            "change": f"the working tree on commit {head}"
-                      + (", with uncommitted changes" if dirty else ""),
+            "parent": f"commit {commits['parent']} ({args.parent}), from a git archive copy",
+            "change": f"commit {commits['change']} (HEAD), from a git archive copy",
             "pairs": f"{PAIRS} per workload, seeds {first}-{last}, the side that runs first "
                      "alternating from pair to pair; then one --trace 1 run per side at seed "
                      f"{args.trace_seed}",
