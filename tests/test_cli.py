@@ -247,6 +247,32 @@ def test_verify_json_table(tmp_path, capsys):
     assert abs(row["predicted"] - 16.0) <= 1e-11
 
 
+@pytest.mark.parametrize("u_rate", [100.0, 1000.0], ids=["u100", "u1000"])
+def test_verify_caps_the_stencil_by_the_reached_spectral_width(tmp_path, capsys, u_rate):
+    # t_ent = 0.5, but the reached block spans Omega ~ U; at width t_ent/50
+    # alpha = 2 measured 15.838 against 16 at U = 100 and 0.769 at U = 1000
+    doc = {"model": "bose_hubbard", "j_rate": 1.0, "u_rate": u_rate, "n_per_site_max": 4}
+    spec = write_model(tmp_path, doc)
+    out = tmp_path / "table.json"
+    assert main(["verify", "--spec", spec, "--alphas", "2,3", "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = json.loads(out.read_text())["rows"]
+    assert [row["label"] for row in rows] == ["curvature(alpha=2)", "curvature(alpha=3)"]
+    for row in rows:
+        assert row["status"] == "PASS" and row["rel_error"] <= 1e-5
+        assert row["detail"].startswith("5-point stencil, width t_ent/50 capped at 0.0895/Omega")
+
+
+def test_verify_names_no_cap_where_it_does_not_bind(tmp_path, capsys):
+    # JCM Fock n = 3: Omega = 4 and t_ent = 0.5, so Omega t_ent / 50 = 0.04
+    spec = write_model(tmp_path, fock_doc())
+    out = tmp_path / "table.json"
+    assert main(["verify", "--spec", spec, "--alphas", "2,3", "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = json.loads(out.read_text())["rows"]
+    assert [row["detail"] for row in rows] == ["5-point stencil, width t_ent/50"] * 2
+
+
 # ---------------------------------------------------------------------------
 # exit codes of failures outside the model
 
