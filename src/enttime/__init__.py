@@ -22,15 +22,13 @@ from .entropy import (
     EntropySeries,
     VerificationRow,
     entropy_series,
-    first_derivative_check,
     renyi_from_probabilities,
-    schmidt_probabilities,
     verify_growth,
     von_neumann_curvature_probe,
     von_neumann_from_probabilities,
 )
 from .hamiltonian import Factor, ProductHamiltonian, ProductState, assemble, product_state_vector
-from .linalg import BipartitePureState, HermitianSpectrum, eig_hermitian
+from .linalg import HermitianSpectrum, eig_hermitian
 from .models import (
     BoseHubbardBoundarySpec,
     CoherentField,
@@ -45,7 +43,6 @@ from .timescale import (
     CurvaturePrediction,
     TimescaleReport,
     entanglement_timescale,
-    expectation,
     predicted_curvature,
 )
 
@@ -59,7 +56,6 @@ __all__ = [
     "ModelError",
     "TruncationError",
     "NumericalError",
-    "BipartitePureState",
     "HermitianSpectrum",
     "eig_hermitian",
     "Factor",
@@ -70,13 +66,10 @@ __all__ = [
     "Propagator",
     "TimescaleReport",
     "CurvaturePrediction",
-    "expectation",
     "entanglement_timescale",
     "predicted_curvature",
-    "first_derivative_check",
     "VON_NEUMANN_ALPHA",
     "EntropySeries",
-    "schmidt_probabilities",
     "renyi_from_probabilities",
     "von_neumann_from_probabilities",
     "entropy_series",

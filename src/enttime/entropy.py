@@ -1,8 +1,8 @@
 """Renyi and von Neumann entropies along exact dynamics, and their checks.
 
 Every entropy here is a function of a Schmidt spectrum: the squared singular
-values of the pure-state amplitude matrix, from :func:`schmidt_probabilities`
-or, along a time grid, from :class:`~enttime.propagator.Propagator`. The
+values of the pure-state amplitude matrix, which
+:class:`~enttime.propagator.Propagator` gives for a whole time grid. The
 ``*_from_probabilities`` kernels take a stack of spectra along the last axis
 (one call per order for a whole time grid) and never form the largest
 probability explicitly, which keeps entropies of nearly-product states
@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import NumericalError, StateError
 from .hamiltonian import ProductHamiltonian, ProductState
-from .linalg import BipartitePureState
 from .propagator import Propagator
 from .timescale import (
     TimescaleReport,
@@ -39,13 +38,11 @@ __all__ = [
     "VON_NEUMANN_ALPHA",
     "EntropySeries",
     "VerificationRow",
-    "schmidt_probabilities",
     "renyi_from_probabilities",
     "von_neumann_from_probabilities",
     "entropy_series",
     "stencil_curvatures",
     "von_neumann_curvature_probe",
-    "first_derivative_check",
     "verify_growth",
 ]
 
@@ -124,17 +121,6 @@ def _prepared_tail(probs) -> np.ndarray:
         worst = float(total.flat[np.argmax(off)])
         raise StateError(f"probabilities sum to {worst!r}, expected 1 within {TRACE_TOL}")
     return q[..., 1:] / total[..., None]
-
-
-def schmidt_probabilities(state: BipartitePureState) -> np.ndarray:
-    """Schmidt coefficients squared, descending.
-
-    These are the common eigenvalues of both reduced density matrices
-    (padded with zeros up to the respective dimension); min(dim_a, dim_b)
-    values are returned.
-    """
-    singular = np.linalg.svd(state.amplitude_matrix(), compute_uv=False)
-    return singular * singular
 
 
 def renyi_from_probabilities(probs, alpha: int):
@@ -258,12 +244,7 @@ def stencil_curvatures(propagator: Propagator, alphas, centers, widths) -> np.nd
 
 
 def von_neumann_curvature_probe(
-    h: ProductHamiltonian,
-    state: ProductState,
-    times,
-    *,
-    propagator: Propagator | None = None,
-    report: TimescaleReport | None = None,
+    propagator: Propagator, report: TimescaleReport, times
 ) -> list[tuple[float, float]]:
     """Second derivative of the von Neumann entropy at short positive times.
 
@@ -276,9 +257,8 @@ def von_neumann_curvature_probe(
     ``times`` must be strictly positive and strictly descending (largest
     first, walking toward the divergence). A stencil narrower than 1e-7 of
     the entanglement timescale is rejected as numerically meaningless.
-    A caller that already holds the :class:`Propagator` or the
-    :class:`TimescaleReport` of this ``h`` and ``state`` passes them in, so
-    neither the eigendecomposition nor the covariance sum runs twice.
+    ``propagator`` and ``report`` belong to the same system and start; the
+    report's t_ent sets that floor.
     """
     t = np.asarray(times, dtype=np.float64).reshape(-1)
     if t.size == 0:
@@ -287,8 +267,6 @@ def von_neumann_curvature_probe(
         raise ValueError("probe times must be strictly positive and finite")
     if t.size > 1 and not np.all(np.diff(t) < 0.0):
         raise ValueError("probe times must be strictly descending")
-    if report is None:
-        report = entanglement_timescale(h, state)
     if not report.degenerate:
         narrowest = float(t.min()) / _PROBE_STENCIL_DIVISOR
         floor = _STENCIL_FLOOR * report.t_ent
@@ -297,36 +275,10 @@ def von_neumann_curvature_probe(
                 f"stencil width {narrowest:.3e} is below the stability floor "
                 f"{floor:.3e} (1e-7 of the entanglement timescale)"
             )
-    if propagator is None:
-        propagator = Propagator(h, state)
     (curvatures,) = stencil_curvatures(
         propagator, [VON_NEUMANN_ALPHA], t, t / _PROBE_STENCIL_DIVISOR
     )
     return [(float(ti), float(c)) for ti, c in zip(t, curvatures)]
-
-
-def first_derivative_check(
-    h: ProductHamiltonian,
-    state: ProductState,
-    alpha: int,
-    dt: float,
-) -> float:
-    """Centered-difference estimate of dS_alpha/dt at t = 0.
-
-    For a product initial state this is zero up to discretization and
-    roundoff; a clearly nonzero return means the input is not the product
-    state it claims to be. ``dt`` must be positive and small against the
-    entanglement timescale; the estimate is
-    (S_alpha(dt) - S_alpha(-dt)) / (2 dt).
-    """
-    alpha = check_alpha(alpha, 2)
-    dt = float(dt)
-    if not math.isfinite(dt) or dt <= 0.0:
-        raise ValueError(f"dt must be a positive finite number, got {dt!r}")
-    s_plus, s_minus = renyi_from_probabilities(
-        Propagator(h, state).probabilities([dt, -dt]), alpha
-    )
-    return float(s_plus - s_minus) / (2.0 * dt)
 
 
 @dataclass
@@ -386,12 +338,15 @@ def verify_growth(
     One :class:`Propagator` and one :class:`TimescaleReport` serve every
     row; the report comes back with the rows. The propagator is built
     first, so a non-Hermitian H raises :class:`ModelError` before anything
-    is measured. Raises :class:`NumericalError` when the start never
-    entangles (covariance scale exactly zero) or a fit breaks down.
+    is measured. Raises ValueError when ``alphas`` is empty, and
+    :class:`NumericalError` when the start never entangles (covariance
+    scale exactly zero) or a fit breaks down.
     """
     if not math.isfinite(tolerance_rel) or tolerance_rel <= 0.0:
         raise ValueError(f"tolerance_rel must be positive, got {tolerance_rel!r}")
     orders = [check_alpha(a, VON_NEUMANN_ALPHA) for a in alphas]
+    if not orders:
+        raise ValueError("alphas is empty")
     renyi_orders = [a for a in orders if a != VON_NEUMANN_ALPHA]
     wants_vn = VON_NEUMANN_ALPHA in orders
     propagator = Propagator(h, state)
@@ -474,11 +429,7 @@ def verify_growth(
             )
     if wants_vn:
         pairs = von_neumann_curvature_probe(
-            h,
-            state,
-            report.t_ent * np.array([1e-1, 1e-2, 1e-3, 1e-4]),
-            propagator=propagator,
-            report=report,
+            propagator, report, report.t_ent * np.array([1e-1, 1e-2, 1e-3, 1e-4])
         )
         ts, curvatures = np.array(pairs).T
         slope, intercept, r_squared = _linear_fit(np.log(ts), curvatures)

@@ -1,9 +1,10 @@
 """Dense complex linear algebra kernel shared by all higher modules.
 
-Index convention: a pure state of a bipartite system stores the amplitude of
-basis ket |i>|j> at flat position i * dim_b + j, i.e. subsystem A owns the
-slow (row-block) index. Kronecker products and state reshapes all assume
-this ordering, and the test oracles check it.
+Input validation, the checked Hermitian eigendecomposition and propagation
+in its eigenbasis. Nothing here knows about the bipartite split: the
+composite index i * dim_b + j is laid out by
+:func:`~enttime.hamiltonian.product_state_vector` and read back by
+:class:`~enttime.propagator.Propagator`.
 
 All heavy lifting is delegated to numpy (LAPACK); this module adds the
 validation and the error contract.
@@ -16,14 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NumericalError, StateError
-from .tolerances import NORM_TOL, RECON_TOL
+from .tolerances import RECON_TOL
 
 __all__ = [
     "as_complex_matrix",
-    "dagger",
     "HermitianSpectrum",
     "eig_hermitian",
-    "BipartitePureState",
     "propagate",
 ]
 
@@ -51,11 +50,6 @@ def as_complex_matrix(m, *, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise StateError(f"{name} contains non-finite entries")
     return out
-
-
-def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,58 +83,18 @@ def eig_hermitian(m) -> HermitianSpectrum:
     m = as_complex_matrix(m, name="matrix")
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"matrix must be square, got shape {m.shape!r}")
-    sym = 0.5 * (m + dagger(m))
+    sym = 0.5 * (m + m.conj().T)
     try:
         w, v = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Hermitian eigensolver failed to converge: {exc}") from exc
-    residual = float(np.max(np.abs((v * w) @ dagger(v) - sym)))
+    residual = float(np.max(np.abs((v * w) @ v.conj().T - sym)))
     tol = RECON_TOL * max(1.0, float(np.max(np.abs(sym))))
     if residual > tol:
         raise NumericalError(
             f"eigendecomposition reconstruction residual {residual:.3e} exceeds {tol:.3e}"
         )
     return HermitianSpectrum(eigenvalues=w, eigenvectors=v)
-
-
-@dataclass(frozen=True, eq=False)
-class BipartitePureState:
-    """Pure state of an A x B system as a flat amplitude vector.
-
-    The amplitude of |i>|j> sits at index i * dim_b + j. Construction
-    validates the norm against ``NORM_TOL`` and freezes the array.
-    """
-
-    dim_a: int
-    dim_b: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.dim_a < 1 or self.dim_b < 1:
-            raise DimensionError(
-                f"subsystem dimensions must be positive, got {self.dim_a}, {self.dim_b}"
-            )
-        amps = np.array(self.amplitudes, dtype=np.complex128, copy=True).reshape(-1)
-        if amps.shape[0] != self.dim_a * self.dim_b:
-            raise DimensionError(
-                f"amplitude vector has length {amps.shape[0]}, expected "
-                f"{self.dim_a * self.dim_b} = {self.dim_a} * {self.dim_b}"
-            )
-        if not np.all(np.isfinite(amps)):
-            raise StateError("state amplitudes contain non-finite entries")
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise StateError(f"state norm {norm!r} deviates from 1 by more than {NORM_TOL}")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def dim(self) -> int:
-        return self.dim_a * self.dim_b
-
-    def amplitude_matrix(self) -> np.ndarray:
-        """Amplitudes as a (dim_a, dim_b) matrix; its SVD is the Schmidt form."""
-        return self.amplitudes.reshape(self.dim_a, self.dim_b)
 
 
 def propagate(spectrum: HermitianSpectrum, psi0: np.ndarray, times) -> np.ndarray:

@@ -25,13 +25,11 @@ import numpy as np
 
 from .errors import DimensionError, NumericalError
 from .hamiltonian import Factor, ProductHamiltonian, ProductState
-from .linalg import as_complex_matrix
 from .tolerances import DEGEN_TOL_REL, IMAG_TOL
 
 __all__ = [
     "TimescaleReport",
     "CurvaturePrediction",
-    "expectation",
     "entanglement_timescale",
     "predicted_curvature",
     "check_alpha",
@@ -90,17 +88,6 @@ class CurvaturePrediction:
     alpha: int
     coefficient: float
     curvature: float
-
-
-def expectation(op, psi) -> complex:
-    """<psi| op |psi> for a normalized single-subsystem vector."""
-    op = as_complex_matrix(op, name="operator")
-    vec = np.asarray(psi, dtype=np.complex128).reshape(-1)
-    if op.shape != (vec.shape[0], vec.shape[0]):
-        raise DimensionError(
-            f"operator shape {op.shape!r} does not match vector length {vec.shape[0]}"
-        )
-    return complex(np.vdot(vec, op @ vec))
 
 
 def _covariance_matrix(factors: list[Factor], psi: np.ndarray) -> np.ndarray:

@@ -15,7 +15,6 @@ import scipy.linalg
 
 from enttime.errors import ModelError
 from enttime.hamiltonian import ProductHamiltonian
-from enttime.linalg import BipartitePureState
 from enttime.models import (
     ATOM_EXCITED,
     ATOM_GROUND,
@@ -88,6 +87,12 @@ def covariance_sum_loops(terms, psi_a: np.ndarray, psi_b: np.ndarray) -> complex
             ) * expectation_loops(b_m, psi_b)
             total += cov_a * cov_b
     return complex(total)
+
+
+def schmidt_probabilities_svd(psi: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
+    """Squared singular values of the (dim_a, dim_b) amplitude matrix, descending."""
+    singular = np.linalg.svd(np.reshape(psi, (dim_a, dim_b)), compute_uv=False)
+    return singular * singular
 
 
 def purity_matrix_power(rho: np.ndarray, alpha: int) -> float:
@@ -195,15 +200,16 @@ def jcm_four_term_hamiltonian(spec: JcmSpec) -> ProductHamiltonian:
     return ProductHamiltonian(dim_a=2, dim_b=dim, terms=terms)
 
 
-def jcm_analytic_state(spec: JcmSpec, t: float) -> BipartitePureState:
-    """Closed-form state at time t, bypassing diagonalization.
+def jcm_analytic_state(spec: JcmSpec, t: float) -> np.ndarray:
+    """Closed-form amplitudes at time t, bypassing diagonalization.
 
     Each doublet {|e, n>, |g, n+1>} rotates at Rabi rate lam * sqrt(n+1);
     on top of that the free part contributes the local phases
     exp(-i omega (n + 1/2) t) on the e branch and exp(-i omega (n - 1/2) t)
     on the g branch. Those phases are local unitaries, so entropies and
     timescales cannot see them, but they make this expression agree with
-    full-Hamiltonian propagation for any omega, not just omega = 0.
+    full-Hamiltonian propagation for any omega, not just omega = 0. The
+    amplitude of |atom, n> sits at atom * dim_field + n.
     """
     t = float(t)
     dim = spec.dim_field
@@ -220,7 +226,7 @@ def jcm_analytic_state(spec: JcmSpec, t: float) -> BipartitePureState:
     amps = np.zeros(2 * dim, dtype=np.complex128)
     amps[ATOM_EXCITED * dim : ATOM_EXCITED * dim + dim] = amp_e
     amps[ATOM_GROUND * dim : ATOM_GROUND * dim + dim] = amp_g
-    return BipartitePureState(dim_a=2, dim_b=dim, amplitudes=amps)
+    return amps
 
 
 def jcm_log_divergence_coefficient(spec: JcmSpec) -> tuple[float, float]:

@@ -14,13 +14,10 @@ import numpy as np
 
 from enttime.entropy import (
     entropy_series,
-    first_derivative_check,
     renyi_from_probabilities,
-    schmidt_probabilities,
     von_neumann_curvature_probe,
 )
 from enttime.hamiltonian import ProductHamiltonian, ProductState, assemble, product_state_vector
-from enttime.linalg import BipartitePureState
 from enttime.models import (
     BoseHubbardBoundarySpec,
     CoherentField,
@@ -30,6 +27,7 @@ from enttime.models import (
     build_jcm,
     jcm_timescale_closed_form,
 )
+from enttime.propagator import Propagator
 from enttime.timescale import entanglement_timescale, predicted_curvature
 
 import oracles
@@ -55,9 +53,7 @@ def _dense(terms) -> np.ndarray:
 
 
 def _oracle_probabilities(h_dense, psi0, dim_a, dim_b, t):
-    psi_t = oracles.expm_propagate(h_dense, psi0, t)
-    singular = np.linalg.svd(psi_t.reshape(dim_a, dim_b), compute_uv=False)
-    return singular * singular
+    return oracles.schmidt_probabilities_svd(oracles.expm_propagate(h_dense, psi0, t), dim_a, dim_b)
 
 
 def _oracle_renyi(probs, alpha):
@@ -236,7 +232,7 @@ def test_criterion_6_von_neumann_log_divergence():
     h, state = build_jcm(spec)
     report = entanglement_timescale(h, state)
     times = np.array([1e-2, 1e-3, 1e-4, 1e-5]) / spec.lam
-    rows = von_neumann_curvature_probe(h, state, times)
+    rows = von_neumann_curvature_probe(Propagator(h, state), report, times)
     x = np.log(spec.lam * np.array([t for t, _ in rows]))
     y = np.array([c for _, c in rows])
     slope, intercept = np.polyfit(x, y, 1)
@@ -297,8 +293,11 @@ def test_criterion_7_first_derivative_lemma():
     )
     cases.append(("random-4x4", *_random_4x4_model(), 1e-5, 1.0))
     for label, h, state, dt, rate_scale in cases:
+        # (S_alpha(dt) - S_alpha(-dt)) / (2 dt), in units of the model's rate
+        spectra = Propagator(h, state).probabilities([dt, -dt])
         for alpha in (2, 3):
-            estimate = first_derivative_check(h, state, alpha, dt) / rate_scale
+            s_plus, s_minus = renyi_from_probabilities(spectra, alpha)
+            estimate = float(s_plus - s_minus) / (2.0 * dt) / rate_scale
             worst = max(worst, abs(estimate))
             _check(
                 failures,
@@ -375,15 +374,19 @@ def test_criterion_8_property_suites():
             f"alpha-monotonicity broken for {probs!r}",
         )
 
-    # Schmidt probabilities against the eigenvalues of the index-loop partial trace
+    # Schmidt probabilities of the exact dynamics against the eigenvalues of
+    # the index-loop partial traces of the expm-evolved state
     for _ in range(100):
-        dim_a = int(rng.integers(1, 7))
-        dim_b = int(rng.integers(1, 7))
-        psi = oracles.random_unit_vector(rng, dim_a * dim_b)
-        ours = schmidt_probabilities(BipartitePureState(dim_a, dim_b, psi))
+        h, state = random_system()
+        t = float(rng.uniform(0.0, 2.0))
+        ours = Propagator(h, state).probabilities([t])[0]
+        psi0 = np.kron(state.psi_a, state.psi_b)
+        psi = oracles.expm_propagate(_dense(oracles.dense_terms(h)), psi0, t)
         rho = np.outer(psi, psi.conj())
         for keep in ("A", "B"):
-            ref = np.linalg.eigvalsh(oracles.partial_trace_loops(rho, dim_a, dim_b, keep))[::-1]
+            ref = np.linalg.eigvalsh(
+                oracles.partial_trace_loops(rho, h.dim_a, h.dim_b, keep)
+            )[::-1]
             _check(
                 failures,
                 float(np.max(np.abs(ref[: ours.size] - ours))) <= 1e-12
@@ -409,7 +412,7 @@ def test_criterion_8_property_suites():
         analytic = oracles.jcm_analytic_state(spec, t)
         _check(
             failures,
-            float(np.max(np.abs(analytic.amplitudes - numeric))) <= 1e-9,
+            float(np.max(np.abs(analytic - numeric))) <= 1e-9,
             f"analytic propagator deviates at t = {t!r}",
         )
 

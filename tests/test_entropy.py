@@ -8,14 +8,12 @@ from enttime.entropy import (
     VON_NEUMANN_ALPHA,
     entropy_series,
     renyi_from_probabilities,
-    schmidt_probabilities,
     verify_growth,
     von_neumann_curvature_probe,
     von_neumann_from_probabilities,
 )
 from enttime.errors import DimensionError, NumericalError, StateError
 from enttime.hamiltonian import ProductHamiltonian, ProductState, assemble, product_state_vector
-from enttime.linalg import BipartitePureState
 from enttime.propagator import Propagator
 from enttime.models import (
     CoherentField,
@@ -28,22 +26,18 @@ from enttime.timescale import check_alpha, entanglement_timescale
 import oracles
 
 
-def bell_state():
-    amps = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
-    return BipartitePureState(dim_a=2, dim_b=2, amplitudes=amps)
-
-
 def random_pure_state(rng, dim_a, dim_b):
-    return BipartitePureState(
-        dim_a=dim_a,
-        dim_b=dim_b,
-        amplitudes=oracles.random_unit_vector(rng, dim_a * dim_b),
-    )
+    """Random (amplitudes, dim_a, dim_b) of an A x B pure state."""
+    return oracles.random_unit_vector(rng, dim_a * dim_b), dim_a, dim_b
 
 
 def reduced_density(state, keep):
-    rho = np.outer(state.amplitudes, state.amplitudes.conj())
-    return oracles.partial_trace_loops(rho, state.dim_a, state.dim_b, keep)
+    psi, dim_a, dim_b = state
+    return oracles.partial_trace_loops(np.outer(psi, psi.conj()), dim_a, dim_b, keep)
+
+
+def probe(h, s, times):
+    return von_neumann_curvature_probe(Propagator(h, s), entanglement_timescale(h, s), times)
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +48,7 @@ def test_renyi_entropy_matches_matrix_power_oracle():
     rng = np.random.default_rng(72)
     for _ in range(40):
         state = random_pure_state(rng, int(rng.integers(2, 7)), int(rng.integers(2, 7)))
-        probs = schmidt_probabilities(state)
+        probs = oracles.schmidt_probabilities_svd(*state)
         rho_a = reduced_density(state, "A")
         for alpha in (2, 3, 4):
             ours = renyi_from_probabilities(probs, alpha)
@@ -65,7 +59,7 @@ def test_von_neumann_matches_eigh_oracle():
     rng = np.random.default_rng(73)
     for _ in range(40):
         state = random_pure_state(rng, int(rng.integers(2, 7)), int(rng.integers(2, 7)))
-        ours = von_neumann_from_probabilities(schmidt_probabilities(state))
+        ours = von_neumann_from_probabilities(oracles.schmidt_probabilities_svd(*state))
         assert abs(ours - oracles.von_neumann_eigh(reduced_density(state, "A"))) <= 1e-10
 
 
@@ -78,7 +72,8 @@ def test_maximally_mixed_qubit_values():
         assert abs(renyi_from_probabilities([0.5, 0.5], alpha) - math.log(2.0)) <= 1e-12
     assert abs(von_neumann_from_probabilities([0.5, 0.5]) - math.log(2.0)) <= 1e-12
 
-    probs = schmidt_probabilities(bell_state())
+    bell = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+    probs = oracles.schmidt_probabilities_svd(bell, 2, 2)
     assert np.allclose(probs, [0.5, 0.5], atol=1e-14)
     assert abs(renyi_from_probabilities(probs, 2) - math.log(2.0)) <= 1e-12
 
@@ -86,8 +81,7 @@ def test_maximally_mixed_qubit_values():
 def test_pure_state_entropies_are_exactly_zero():
     assert renyi_from_probabilities([1.0, 0.0, 0.0], 2) == 0.0
     assert von_neumann_from_probabilities([1.0, 0.0]) == 0.0
-    basis = BipartitePureState(3, 2, np.eye(6)[3])  # |1>|1>
-    probs = schmidt_probabilities(basis)
+    probs = oracles.schmidt_probabilities_svd(np.eye(6)[3], 3, 2)  # |1>|1>
     assert renyi_from_probabilities(probs, 4) == 0.0
     assert von_neumann_from_probabilities(probs) == 0.0
 
@@ -185,7 +179,7 @@ def test_entropy_bounds():
         dim_a = int(rng.integers(2, 6))
         dim_b = int(rng.integers(2, 6))
         state = random_pure_state(rng, dim_a, dim_b)
-        probs = schmidt_probabilities(state)
+        probs = oracles.schmidt_probabilities_svd(*state)
         cap = math.log(min(dim_a, dim_b)) + 1e-9
         for alpha in (2, 5):
             value = renyi_from_probabilities(probs, alpha)
@@ -205,7 +199,7 @@ def test_reduced_entropies_agree_between_subsystems():
             sa = oracles.renyi_matrix_power(rho_a, alpha)
             sb = oracles.renyi_matrix_power(rho_b, alpha)
             assert abs(sa - sb) <= 1e-10
-            direct = renyi_from_probabilities(schmidt_probabilities(state), alpha)
+            direct = renyi_from_probabilities(oracles.schmidt_probabilities_svd(*state), alpha)
             assert abs(sa - direct) <= 1e-10
         assert abs(oracles.von_neumann_eigh(rho_a) - oracles.von_neumann_eigh(rho_b)) <= 1e-10
 
@@ -220,7 +214,8 @@ def test_series_matches_analytic_jcm():
     times = np.linspace(0.0, 3.0 / spec.lam, 16)
     (series,) = entropy_series(h, s, [2], times)
     for t, value in zip(times, series.values):
-        probs = schmidt_probabilities(oracles.jcm_analytic_state(spec, t))
+        psi = oracles.jcm_analytic_state(spec, t)
+        probs = oracles.schmidt_probabilities_svd(psi, 2, spec.dim_field)
         assert abs(value - renyi_from_probabilities(probs, 2)) <= 1e-9
     assert series.values[0] <= 1e-10
 
@@ -234,8 +229,8 @@ def test_series_orders_and_marker():
     assert series[0].values.shape == (3,)
     # the alpha = 1 entry is the von Neumann branch
     psi = oracles.expm_propagate(assemble(h), product_state_vector(s), 0.7)
-    evolved = BipartitePureState(h.dim_a, h.dim_b, psi)
-    expected = von_neumann_from_probabilities(schmidt_probabilities(evolved))
+    probs = oracles.schmidt_probabilities_svd(psi, h.dim_a, h.dim_b)
+    expected = von_neumann_from_probabilities(probs)
     assert abs(series[1].values[2] - expected) <= 1e-12
 
 
@@ -311,7 +306,7 @@ def test_probe_matches_exact_single_doublet_curvature():
     spec = JcmSpec(lam=1.0, n_max=3, field=FockField(0))
     h, s = build_jcm(spec)
     times = [0.3, 0.2, 0.1]
-    rows = von_neumann_curvature_probe(h, s, times)
+    rows = probe(h, s, times)
     for (t, measured), t_req in zip(rows, times):
         assert t == t_req
         exact = exact_doublet_curvature(1.0, t)
@@ -323,7 +318,7 @@ def test_probe_log_divergence_coefficient():
     h, s = build_jcm(spec)
     report = entanglement_timescale(h, s)
     times = report.t_ent * np.array([1e-1, 1e-2, 1e-3, 1e-4])
-    rows = von_neumann_curvature_probe(h, s, times)
+    rows = von_neumann_curvature_probe(Propagator(h, s), report, times)
     log_t = np.log([t for t, _ in rows])
     curv = np.array([c for _, c in rows])
     slope, _ = np.polyfit(log_t, curv, 1)
@@ -334,7 +329,7 @@ def test_probe_log_divergence_coefficient():
 def test_probe_stationary_state_is_flat():
     spec = JcmSpec(lam=1.0, n_max=4, field=FockField(0), c_e=0.0, c_g=1.0)
     h, s = build_jcm(spec)
-    rows = von_neumann_curvature_probe(h, s, [0.1, 0.01])
+    rows = probe(h, s, [0.1, 0.01])
     for _, curvature in rows:
         assert abs(curvature) <= 1e-10
 
@@ -342,7 +337,7 @@ def test_probe_stationary_state_is_flat():
 def test_probe_degenerate_coherent_ground_vanishes():
     spec = JcmSpec(lam=1.0, n_max=40, field=CoherentField(2.0), c_e=0.0, c_g=1.0)
     h, s = build_jcm(spec)
-    rows = von_neumann_curvature_probe(h, s, [1e-2, 1e-3])
+    rows = probe(h, s, [1e-2, 1e-3])
     # sixth-order onset: the curvature dies out instead of diverging
     assert abs(rows[1][1]) < abs(rows[0][1])
     assert abs(rows[1][1]) < 1e-6
@@ -352,13 +347,13 @@ def test_probe_validation():
     spec = JcmSpec(lam=1.0, n_max=4, field=FockField(1))
     h, s = build_jcm(spec)
     with pytest.raises(ValueError, match="descending"):
-        von_neumann_curvature_probe(h, s, [0.1, 0.2])
+        probe(h, s, [0.1, 0.2])
     with pytest.raises(ValueError):
-        von_neumann_curvature_probe(h, s, [])
+        probe(h, s, [])
     with pytest.raises(ValueError):
-        von_neumann_curvature_probe(h, s, [0.1, 0.0])
+        probe(h, s, [0.1, 0.0])
     with pytest.raises(NumericalError, match="floor"):
-        von_neumann_curvature_probe(h, s, [1e-9])
+        probe(h, s, [1e-9])
 
 
 # ---------------------------------------------------------------------------
@@ -388,3 +383,14 @@ def test_verify_growth_validation():
         verify_growth(h, s, [2], 0.0)
     with pytest.raises(ValueError):
         verify_growth(h, s, [0])
+
+
+def test_verify_growth_rejects_empty_alphas():
+    # an empty request would otherwise return no rows, which reads as a pass
+    for spec in (
+        JcmSpec(lam=1.0, n_max=4, field=FockField(1)),
+        JcmSpec(lam=1.0, n_max=40, field=CoherentField(2.0), c_e=0.0, c_g=1.0),
+    ):
+        h, s = build_jcm(spec)
+        with pytest.raises(ValueError, match="alphas is empty"):
+            verify_growth(h, s, [])

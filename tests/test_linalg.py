@@ -2,20 +2,9 @@ import numpy as np
 import pytest
 
 from enttime.errors import DimensionError, StateError
-from enttime.linalg import (
-    BipartitePureState,
-    as_complex_matrix,
-    dagger,
-    eig_hermitian,
-    propagate,
-)
+from enttime.linalg import as_complex_matrix, eig_hermitian, propagate
 
 import oracles
-
-
-def bipartite_from(vec, dim_a, dim_b):
-    vec = np.asarray(vec, dtype=np.complex128)
-    return BipartitePureState(dim_a, dim_b, vec / np.linalg.norm(vec))
 
 
 def test_as_complex_matrix_rejects_bad_input():
@@ -39,8 +28,8 @@ def test_eig_hermitian_reconstruction_random():
         spec = eig_hermitian(m)
         assert np.all(np.diff(spec.eigenvalues) >= 0.0)
         v = spec.eigenvectors
-        assert np.max(np.abs((v * spec.eigenvalues) @ dagger(v) - m)) <= 1e-11
-        assert np.max(np.abs(dagger(v) @ v - np.eye(8))) <= 1e-12
+        assert np.max(np.abs((v * spec.eigenvalues) @ v.conj().T - m)) <= 1e-11
+        assert np.max(np.abs(v.conj().T @ v - np.eye(8))) <= 1e-12
 
 
 def test_eig_hermitian_rejects_nonsquare():
@@ -48,31 +37,12 @@ def test_eig_hermitian_rejects_nonsquare():
         eig_hermitian(np.ones((2, 3)))
 
 
-def test_bipartite_state_validation():
-    with pytest.raises(DimensionError):
-        BipartitePureState(2, 2, np.ones(3) / np.sqrt(3.0))
-    with pytest.raises(StateError):
-        BipartitePureState(2, 2, np.ones(4))  # norm 2
-    bad = np.zeros(4, dtype=np.complex128)
-    bad[0] = np.inf
-    with pytest.raises(StateError):
-        BipartitePureState(2, 2, bad)
-
-
-def test_bipartite_state_index_convention():
-    # amplitude of |i>_A |j>_B sits at i * dim_b + j
-    amps = np.zeros(6, dtype=np.complex128)
-    amps[1 * 3 + 2] = 1.0  # |1>_A |2>_B with dim_b = 3
-    state = BipartitePureState(2, 3, amps)
-    matrix = state.amplitude_matrix()
-    assert matrix[1, 2] == 1.0
-    assert np.count_nonzero(matrix) == 1
-
-
-def test_bipartite_state_is_frozen():
-    state = bipartite_from(np.ones(4), 2, 2)
+def test_hermitian_spectrum_is_frozen():
+    spec = eig_hermitian(np.diag([1.0, 2.0]))
     with pytest.raises(ValueError):
-        state.amplitudes[0] = 0.0
+        spec.eigenvalues[0] = 0.0
+    with pytest.raises(ValueError):
+        spec.eigenvectors[0, 0] = 0.0
 
 
 def _eigenstate_case(rng):

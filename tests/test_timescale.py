@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from enttime.entropy import first_derivative_check, renyi_from_probabilities
+from enttime.entropy import renyi_from_probabilities
 from enttime.errors import DimensionError, NumericalError
 from enttime.hamiltonian import ProductHamiltonian, ProductState
 from enttime.models import (
@@ -14,15 +14,9 @@ from enttime.models import (
     JcmSpec,
     build_bose_hubbard_boundary,
     build_jcm,
-    number_operator,
-    sigma_z,
 )
 from enttime.propagator import Propagator
-from enttime.timescale import (
-    entanglement_timescale,
-    expectation,
-    predicted_curvature,
-)
+from enttime.timescale import entanglement_timescale, predicted_curvature
 
 import oracles
 
@@ -38,30 +32,6 @@ def random_system(rng, max_dim=6, n_groups=None):
         psi_b=oracles.random_unit_vector(rng, dim_b),
     )
     return h, s
-
-
-def test_expectation_known_values():
-    excited = np.array([1.0, 0.0])
-    assert expectation(sigma_z().toarray(), excited) == 1.0 + 0.0j
-    fock = np.zeros(6)
-    fock[4] = 1.0
-    assert expectation(number_operator(6).toarray(), fock) == 4.0 + 0.0j
-
-
-def test_expectation_matches_double_sum_oracle():
-    rng = np.random.default_rng(61)
-    for _ in range(100):
-        dim = int(rng.integers(1, 7))
-        op = oracles.random_matrix(rng, dim)
-        psi = oracles.random_unit_vector(rng, dim)
-        ours = expectation(op, psi)
-        ref = oracles.expectation_loops(op, psi)
-        assert abs(ours - ref) <= 1e-13
-
-
-def test_expectation_dimension_mismatch():
-    with pytest.raises(DimensionError):
-        expectation(np.eye(3), np.array([1.0, 0.0]))
 
 
 def test_double_sum_matches_definition_oracle():
@@ -257,31 +227,27 @@ def test_double_sum_equals_quarter_s2_curvature():
         checked += 1
 
 
+def first_derivative(propagator, alpha, dt):
+    """Centered difference (S_alpha(dt) - S_alpha(-dt)) / (2 dt) at t = 0."""
+    s_plus, s_minus = renyi_from_probabilities(propagator.probabilities([dt, -dt]), alpha)
+    return float(s_plus - s_minus) / (2.0 * dt)
+
+
 def test_first_derivative_vanishes_for_product_states():
     spec = JcmSpec(lam=1.0, n_max=10, field=FockField(3))
-    h, s = build_jcm(spec)
+    propagator = Propagator(*build_jcm(spec))
     for alpha in (2, 3, 8):
-        assert abs(first_derivative_check(h, s, alpha, 1e-4)) <= 1e-6
+        assert abs(first_derivative(propagator, alpha, 1e-4)) <= 1e-6
 
     j = 2.0 * math.pi * 66.0
     hb, sb = build_bose_hubbard_boundary(BoseHubbardBoundarySpec(j_rate=j))
-    assert abs(first_derivative_check(hb, sb, 2, 1e-4 / j)) <= 1e-6
+    assert abs(first_derivative(Propagator(hb, sb), 2, 1e-4 / j)) <= 1e-6
 
 
 def test_first_derivative_zero_for_stationary_state():
     # |g>|0> is an eigenstate of the JCM Hamiltonian
     spec = JcmSpec(lam=1.0, n_max=4, field=FockField(0), c_e=0.0, c_g=1.0)
-    h, s = build_jcm(spec)
-    assert abs(first_derivative_check(h, s, 2, 1e-3)) <= 1e-12
-
-
-def test_first_derivative_check_guards():
-    spec = JcmSpec(lam=1.0, n_max=4, field=FockField(1))
-    h, s = build_jcm(spec)
-    with pytest.raises(ValueError):
-        first_derivative_check(h, s, 2, 0.0)
-    with pytest.raises(ValueError):
-        first_derivative_check(h, s, 1, 1e-4)
+    assert abs(first_derivative(Propagator(*build_jcm(spec)), 2, 1e-3)) <= 1e-12
 
 
 def test_report_scaling_relation():
