@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .entropy import VON_NEUMANN_ALPHA, VerificationRow, entropy_series, verify_growth
+from .entropy import VON_NEUMANN_ALPHA, entropy_series, verify_growth
 from .errors import EnttimeError, ModelError, NumericalError
 from .hamiltonian import ProductHamiltonian, ProductState, check_hermitian
 from .models import (
@@ -50,8 +50,6 @@ from .timescale import check_alpha, entanglement_timescale, predicted_curvature
 __all__ = [
     "SchemaViolation",
     "ModelSpecFile",
-    "RunReport",
-    "VerificationTable",
     "load_model_file",
     "resolve_model_document",
     "cmd_timescale",
@@ -247,7 +245,7 @@ def _resolve_custom(doc: dict) -> tuple[ProductHamiltonian, ProductState, dict]:
     psi_a, psi_b = (_complex_array(state[s], f"$.state.{s}", 1) for s in ("psi_a", "psi_b"))
 
     h = ProductHamiltonian(dim_a=dim_a, dim_b=dim_b, terms=tuple(terms))
-    return h, ProductState(psi_a=psi_a, psi_b=psi_b), json.loads(json.dumps(doc))
+    return h, ProductState(psi_a=psi_a, psi_b=psi_b), doc
 
 
 _RESOLVERS = {
@@ -318,43 +316,14 @@ def _matrix_doc(m: np.ndarray) -> dict:
 # ---------------------------------------------------------------------------
 # timescale
 
-@dataclass
-class RunReport:
-    """JSON-serializable record of one timescale evaluation."""
-
-    command: str
-    spec: dict
-    degenerate: bool
-    timescale: dict
-    predictions: list[dict]
-    version: str
-    wall_time_s: float | None
-
-    def to_document(self) -> dict:
-        doc = {
-            "command": self.command,
-            "version": self.version,
-            "spec": self.spec,
-            "degenerate": self.degenerate,
-            "timescale": self.timescale,
-            "predictions": self.predictions,
-        }
-        if self.wall_time_s is not None:
-            doc["wall_time_s"] = self.wall_time_s
-        return doc
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_document(), indent=2) + "\n"
-
-
 def cmd_timescale(
     spec_path: str,
     alphas: list[int],
     output_path: str | None = None,
     *,
     include_timing: bool = True,
-) -> RunReport:
-    """Evaluate the covariance timescale of a model file; write JSON.
+) -> dict:
+    """Evaluate the covariance timescale of a model file; write and return the JSON document.
 
     The total H is checked for Hermiticity first, as the dynamics commands
     do; the covariance sum alone would not notice every non-Hermitian H.
@@ -365,19 +334,12 @@ def cmd_timescale(
     model = load_model_file(spec_path)
     check_hermitian(model.hamiltonian)
     report = entanglement_timescale(model.hamiltonian, model.state)
-    predictions = [
-        {
-            "alpha": pred.alpha,
-            "coefficient": pred.coefficient,
-            "curvature": pred.curvature,
-        }
-        for pred in (predicted_curvature(report, a) for a in alphas)
-    ]
-    run = RunReport(
-        command="timescale",
-        spec=model.resolved,
-        degenerate=report.degenerate,
-        timescale={
+    doc = {
+        "command": "timescale",
+        "version": __version__,
+        "spec": model.resolved,
+        "degenerate": report.degenerate,
+        "timescale": {
             "t_ent_inv_sq": report.t_ent_inv_sq,
             "t_ent": None if report.degenerate else report.t_ent,
             "imag_residual": report.imag_residual,
@@ -385,18 +347,21 @@ def cmd_timescale(
             "cov_a": _matrix_doc(report.cov_a),
             "cov_b": _matrix_doc(report.cov_b),
         },
-        predictions=predictions,
-        version=__version__,
-        wall_time_s=(time.perf_counter() - started) if include_timing else None,
-    )
-    if run.degenerate:
+        "predictions": [
+            {"alpha": pred.alpha, "coefficient": pred.coefficient, "curvature": pred.curvature}
+            for pred in (predicted_curvature(report, a) for a in alphas)
+        ],
+    }
+    if include_timing:
+        doc["wall_time_s"] = time.perf_counter() - started
+    if report.degenerate:
         print(
             "note: degenerate timescale (t_ent_inv_sq ~ 0); entanglement onset "
             "is slower than quadratic",
             file=sys.stderr,
         )
-    _write_text(output_path, run.to_json())
-    return run
+    _write_text(output_path, json.dumps(doc, indent=2) + "\n")
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -444,80 +409,59 @@ def cmd_evolve(
 # ---------------------------------------------------------------------------
 # verify
 
-@dataclass
-class VerificationTable:
-    spec: dict
-    degenerate: bool
-    t_ent_inv_sq: float
-    rows: list[VerificationRow]
-
-    @property
-    def failed(self) -> bool:
-        return any(row.status == "FAIL" for row in self.rows)
-
-    def to_text(self) -> str:
-        head = (
-            f"model: {self.spec.get('model', '?')}   "
-            f"t_ent_inv_sq: {self.t_ent_inv_sq!r}   "
-            f"degenerate: {'yes' if self.degenerate else 'no'}"
-        )
-        lines = [head, ""]
-        lines.append(
-            f"{'check':<22} {'predicted':>24} {'measured':>24} {'rel_error':>12} status"
-        )
-        for row in self.rows:
-            pred = "-" if row.predicted is None else repr(row.predicted)
-            meas = "-" if row.measured is None else repr(row.measured)
-            rel = "-" if row.rel_error is None else f"{row.rel_error:.3e}"
-            lines.append(
-                f"{row.label:<22} {pred:>24} {meas:>24} {rel:>12} {row.status}"
-            )
-            if row.detail:
-                lines.append(f"{'':<22} {row.detail}")
-        return "\n".join(lines) + "\n"
-
-    def to_document(self) -> dict:
-        return {
-            "command": "verify",
-            "version": __version__,
-            "spec": self.spec,
-            "degenerate": self.degenerate,
-            "t_ent_inv_sq": self.t_ent_inv_sq,
-            "rows": [
-                {
-                    "label": row.label,
-                    "predicted": row.predicted,
-                    "measured": row.measured,
-                    "rel_error": row.rel_error,
-                    "status": row.status,
-                    "detail": row.detail,
-                }
-                for row in self.rows
-            ],
-        }
-
-
 def cmd_verify(
     spec_path: str,
     alphas: list[int],
     tolerance_rel: float = 0.01,
     output_path: str | None = None,
-) -> VerificationTable:
+) -> dict:
     """Run :func:`~enttime.entropy.verify_growth` on a model file.
 
-    Returns the PASS/FAIL table and, with ``output_path``, writes it as JSON.
+    Returns the PASS/FAIL table as a JSON document and, with ``output_path``,
+    writes it; :func:`_table_text` prints it.
     """
     model = load_model_file(spec_path)
     report, rows = verify_growth(model.hamiltonian, model.state, alphas, tolerance_rel)
-    table = VerificationTable(
-        spec=model.resolved,
-        degenerate=report.degenerate,
-        t_ent_inv_sq=report.t_ent_inv_sq,
-        rows=rows,
-    )
+    doc = {
+        "command": "verify",
+        "version": __version__,
+        "spec": model.resolved,
+        "degenerate": report.degenerate,
+        "t_ent_inv_sq": report.t_ent_inv_sq,
+        "rows": [
+            {
+                "label": row.label,
+                "predicted": row.predicted,
+                "measured": row.measured,
+                "rel_error": row.rel_error,
+                "status": row.status,
+                "detail": row.detail,
+            }
+            for row in rows
+        ],
+    }
     if output_path is not None:
-        _write_text(output_path, json.dumps(table.to_document(), indent=2) + "\n")
-    return table
+        _write_text(output_path, json.dumps(doc, indent=2) + "\n")
+    return doc
+
+
+def _table_text(doc: dict) -> str:
+    """The PASS/FAIL table of a :func:`cmd_verify` document, as ``verify`` prints it."""
+    lines = [
+        f"model: {doc['spec'].get('model', '?')}   "
+        f"t_ent_inv_sq: {doc['t_ent_inv_sq']!r}   "
+        f"degenerate: {'yes' if doc['degenerate'] else 'no'}",
+        "",
+        f"{'check':<22} {'predicted':>24} {'measured':>24} {'rel_error':>12} status",
+    ]
+    for row in doc["rows"]:
+        pred = "-" if row["predicted"] is None else repr(row["predicted"])
+        meas = "-" if row["measured"] is None else repr(row["measured"])
+        rel = "-" if row["rel_error"] is None else f"{row['rel_error']:.3e}"
+        lines.append(f"{row['label']:<22} {pred:>24} {meas:>24} {rel:>12} {row['status']}")
+        if row["detail"]:
+            lines.append(f"{'':<22} {row['detail']}")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -597,9 +541,9 @@ def main(argv=None) -> int:
                 spectrum_columns=args.spectrum,
             )
             return 0
-        table = cmd_verify(args.spec, args.alphas, args.tolerance_rel, args.out)
-        sys.stdout.write(table.to_text())
-        return 1 if table.failed else 0
+        doc = cmd_verify(args.spec, args.alphas, args.tolerance_rel, args.out)
+        sys.stdout.write(_table_text(doc))
+        return 1 if any(row["status"] == "FAIL" for row in doc["rows"]) else 0
     except (EnttimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)

@@ -5,19 +5,20 @@ package: the timescale formula consumes the factors directly, and the exact
 dynamics builds the blocks of H its start reaches, each through
 :func:`block_matrix`, the one place where entries of H are formed. Each
 factor is a :class:`Factor`, its exact nonzeros in CSR form, which every
-reader reads directly. Individual factors need not be Hermitian (ladder
-operators pair up with their adjoints across terms); only the total must
-be. :func:`check_hermitian` first bounds ||H - H^dag||_F from the factors
-alone (realignment: Van Loan and Pitsianis, "Approximation with Kronecker
-products", 1993) and accepts when that bound proves the entrywise test
-would pass; otherwise H is checked entry by entry in row slabs, never
-holding H, H^dag or their difference in full.
+reader reads directly; entries are read only as dense rows scattered from
+the CSR slices (:meth:`Factor.rows`). Individual factors need not be
+Hermitian (ladder operators pair up with their adjoints across terms);
+only the total must be. :func:`check_hermitian` first bounds
+||H - H^dag||_F from the factors alone (realignment: Van Loan and
+Pitsianis, "Approximation with Kronecker products", 1993) and accepts when
+that bound proves the entrywise test would pass; otherwise H and H^dag are
+compared entry by entry in row slabs, each from :func:`block_matrix`,
+never holding H, H^dag or their difference in full.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -39,10 +40,6 @@ __all__ = [
 # Entries of H held at once while it is checked entry by entry (4 MB).
 _SLAB_ENTRIES = 1 << 18
 
-# A Factor of at most this size keeps its dense matrix too: gathers and
-# products read it faster than they search the stored entries.
-_SMALL_N = 64
-
 
 @dataclass(frozen=True, eq=False)
 class Factor:
@@ -53,8 +50,7 @@ class Factor:
     read-only (int64, int32, complex128) and drops every value that is
     exactly zero, the only entries that count as zero, never small ones.
     With no zero entry, ``values`` is the dense matrix row by row (the full
-    pattern). A stored entry takes 20 bytes; a factor of at most 64 x 64
-    also keeps its dense matrix once it is read.
+    pattern). A stored entry takes 20 bytes.
     """
 
     n: int
@@ -87,18 +83,6 @@ class Factor:
         """Row of each stored entry."""
         return np.repeat(np.arange(self.n), np.diff(self.indptr))
 
-    @cached_property
-    def _keys(self) -> np.ndarray:
-        """:func:`_flat_keys` of the stored entries, then n * n, which no entry reaches."""
-        return np.append(_flat_keys(self.n, self.indptr, self.indices), self.n * self.n)
-
-    @cached_property
-    def _dense(self) -> np.ndarray | None:
-        """The dense matrix where it is cheap (a view for the full pattern), else None."""
-        if self.values.size == self.n**2:
-            return self.values.reshape(self.n, self.n)
-        return self.toarray() if self.n <= _SMALL_N else None
-
     def scaled(self, c: complex) -> Factor:
         return Factor(self.n, self.indptr, self.indices, c * self.values)
 
@@ -108,32 +92,28 @@ class Factor:
         return Factor(self.n, indptr, self._rows()[order], self.values[order].conj())
 
     def toarray(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n), dtype=np.complex128)
-        out[self._rows(), self.indices] = self.values
+        return self.rows(np.arange(self.n))
+
+    def rows(self, ix: np.ndarray) -> np.ndarray:
+        """The dense rows F[ix, :] of a 1-D index array, each scattered from its CSR slice."""
+        out = np.zeros((len(ix), self.n), dtype=np.complex128)
+        for row, i in zip(out, ix.tolist()):
+            lo, hi = self.indptr[i : i + 2].tolist()
+            row[self.indices[lo:hi]] = self.values[lo:hi]
         return out
 
-    def entries(self, rows, cols) -> np.ndarray:
-        """F[rows, cols] for index arrays that broadcast together; 0 where F stores none."""
-        if self._dense is not None:
-            return self._dense[rows, cols]
-        if self.values.size == 0:
-            return np.zeros(np.broadcast(rows, cols).shape, dtype=np.complex128)
-        flat = rows * self.n + cols
-        at = self._keys.searchsorted(flat)
-        return np.where(self._keys[at] == flat, self.values.take(at, mode="clip"), 0)
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """F @ x, off the dense matrix each row summed in column order."""
-        if self._dense is not None:
-            return self._dense @ x
+        """F @ x: BLAS on a full pattern, else each row summed in column order."""
+        if self.values.size == self.n * self.n:
+            return self.values.reshape(self.n, self.n) @ x
         out = np.zeros(self.n, dtype=np.complex128)
         np.add.at(out, self._rows(), self.values * x[self.indices])
         return out
 
     def vecmat(self, x: np.ndarray) -> np.ndarray:
-        """x @ F, off the dense matrix each column summed in row order."""
-        if self._dense is not None:
-            return x @ self._dense
+        """x @ F: BLAS on a full pattern, else each column summed in row order."""
+        if self.values.size == self.n * self.n:
+            return x @ self.values.reshape(self.n, self.n)
         out = np.zeros(self.n, dtype=np.complex128)
         np.add.at(out, self.indices, x[self._rows()] * self.values)
         return out
@@ -248,30 +228,20 @@ def require_dense_dim(dim_a: int, dim_b: int) -> int:
 def _row_slabs(h: ProductHamiltonian):
     """Consecutive row slabs of H and of H^dag, never holding either in full.
 
-    Yields (first row, H[rows], H^dag[rows]). Each slab lies within one row
-    i of the A factors, where H[(i, l), :] = sum_n kron(A_n[i, :], B_n[l, :]);
-    the H^dag slab is built the same way from the adjoint factors. Factors
-    are expanded one row (of A) or one slab of rows (of B) at a time.
+    Yields (first row, H[rows], H^dag[rows]), both from :func:`block_matrix`:
+    H^dag = sum_n A_n^dag (x) B_n^dag is the product Hamiltonian of the
+    adjoint factor pairs. Each slab lies within one row of the A factors.
     """
     d = require_dense_dim(h.dim_a, h.dim_b)
-    # A term with an all-zero factor adds exact zeros; rows of A that are
-    # all zero are skipped below for the same reason.
-    terms = [(a, b) for a, b in h.terms if a.values.size and b.values.size]
-    adjoints = [(a.adjoint(), b.adjoint()) for a, b in terms]
+    h_adj = ProductHamiltonian(
+        h.dim_a, h.dim_b, tuple((a.adjoint(), b.adjoint()) for a, b in h.terms)
+    )
     step = max(1, min(h.dim_b, _SLAB_ENTRIES // d))
-    all_a, all_b = np.arange(h.dim_a), np.arange(h.dim_b)
-    for i in range(h.dim_a):
-        for l0 in range(0, h.dim_b, step):
-            l1 = min(l0 + step, h.dim_b)
-            slabs = []
-            for factors in (terms, adjoints):
-                slab = np.zeros((l1 - l0, h.dim_a, h.dim_b), dtype=np.complex128)
-                for a, b in factors:
-                    if a.indptr[i] < a.indptr[i + 1]:
-                        row = a.entries(i, all_a)[None, :, None]
-                        slab += row * b.entries(all_b[l0:l1, None], all_b)[:, None, :]
-                slabs.append(slab.reshape(l1 - l0, d))
-            yield i * h.dim_b + l0, slabs[0], slabs[1]
+    every = np.arange(d)
+    for r0 in range(0, d, h.dim_b):
+        for l0 in range(r0, r0 + h.dim_b, step):
+            slab = np.arange(l0, min(l0 + step, r0 + h.dim_b))
+            yield l0, block_matrix(h, slab, every), block_matrix(h_adj, slab, every)
 
 
 def _scan_hermitian(h: ProductHamiltonian) -> None:
@@ -298,18 +268,20 @@ def _realigned_r(factors: list[Factor], sign: float) -> np.ndarray:
 
     Only the flat positions where some factor or its adjoint is nonzero are
     stacked, in ascending order; the rows left out are zero and add nothing
-    to R. The adjoint is read by index, m[j, i].conj(), without forming it.
+    to R. Each stored entry m[i, j] is placed at the position of (i, j),
+    and its adjoint entry m[i, j].conj() at that of (j, i), found by
+    searching the sorted positions, so no adjoint is formed.
     """
     n = factors[0].n
-    flat = np.concatenate([_flat_keys(n, m.indptr, m.indices) for m in factors])
-    rows, cols = np.divmod(flat, n)
+    keys = [_flat_keys(n, m.indptr, m.indices) for m in factors]
+    transposed = [(key % n) * n + key // n for key in keys]
     # sorted and deduplicated by hand: np.unique imports numpy.ma on first use
-    flat = np.sort(np.concatenate((flat, cols * n + rows)))
-    rows, cols = np.divmod(flat[np.diff(flat, prepend=-1) != 0], n)
-    columns = np.empty((rows.size, 2 * len(factors)), dtype=np.complex128)
+    flat = np.sort(np.concatenate(keys + transposed))
+    flat = flat[np.diff(flat, prepend=-1) != 0]
+    columns = np.zeros((flat.size, 2 * len(factors)), dtype=np.complex128)
     for k, m in enumerate(factors):
-        columns[:, k] = m.entries(rows, cols)
-        columns[:, len(factors) + k] = sign * m.entries(cols, rows).conj()
+        columns[flat.searchsorted(keys[k]), k] = m.values
+        columns[flat.searchsorted(transposed[k]), len(factors) + k] = sign * m.values.conj()
     return np.linalg.qr(columns, mode="r")
 
 
@@ -344,21 +316,26 @@ def check_hermitian(h: ProductHamiltonian) -> None:
     _scan_hermitian(h)
 
 
-def block_matrix(h: ProductHamiltonian, indices: np.ndarray) -> np.ndarray:
-    """H restricted to the ascending composite ``indices``.
+def block_matrix(h: ProductHamiltonian, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """H[rows][:, cols] for composite index arrays ``rows`` and ``cols``.
 
     Entry (r, c) is sum_n A_n[i_r, i_c] B_n[j_r, j_c], added in term order
-    from zero; rows that share an A index i are built together, and a term
-    whose A_n has no entry in row i is skipped there, as it adds only zeros.
+    from zero; rows that share an A index i are built together from row i
+    of A_n and the rows j_r of B_n (:meth:`Factor.rows`), and a term whose
+    A_n has no entry in row i is skipped there, as it adds only zeros.
     """
-    ii, jj = np.divmod(indices, h.dim_b)
-    bounds = [0, *(np.flatnonzero(np.diff(ii)) + 1).tolist(), indices.size]
-    block = np.zeros((indices.size, indices.size), dtype=np.complex128)
+    ii, jj = np.divmod(rows, h.dim_b)
+    ci, cj = np.divmod(cols, h.dim_b)
+    # the runs are found in a list: on the many 2 x 2 blocks of a coherent
+    # start, numpy calls cost more than this loop
+    heads = ii.tolist()
+    bounds = [0, *(r for r in range(1, rows.size) if heads[r] != heads[r - 1]), rows.size]
+    block = np.zeros((rows.size, cols.size), dtype=np.complex128)
     for r0, r1 in zip(bounds[:-1], bounds[1:]):
-        i, rows, cols = ii[r0], block[r0:r1], jj[r0:r1, None]
+        i, run = heads[r0], block[r0:r1]
         for a, b in h.terms:
             if a.indptr[i] < a.indptr[i + 1]:
-                rows += a.entries(i, ii) * b.entries(cols, jj)
+                run += a.rows(ii[r0:r0 + 1])[:, ci] * b.rows(jj[r0:r1])[:, cj]
     return block
 
 
@@ -368,9 +345,9 @@ def assemble(h: ProductHamiltonian) -> np.ndarray:
     The exact term-by-term sum, not symmetrized, after the dimension cap
     and :func:`check_hermitian`.
     """
-    d = require_dense_dim(h.dim_a, h.dim_b)
+    every = np.arange(require_dense_dim(h.dim_a, h.dim_b))
     check_hermitian(h)
-    return block_matrix(h, np.arange(d))
+    return block_matrix(h, every, every)
 
 
 def product_state_vector(state: ProductState) -> np.ndarray:

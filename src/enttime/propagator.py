@@ -119,7 +119,7 @@ class Propagator:
         psi0 = product_state_vector(state)
         self.norm = float(np.linalg.norm(psi0))
         self.blocks = tuple(
-            _Block(indices, eig_hermitian(block_matrix(h, indices)), psi0[indices])
+            _Block(indices, eig_hermitian(block_matrix(h, indices, indices)), psi0[indices])
             for indices in invariant_blocks(h, np.flatnonzero(psi0))
         )
 

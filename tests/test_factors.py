@@ -1,8 +1,8 @@
 """Property suite: the CSR factors and every reader of them against dense oracles.
 
-Each property runs twice: once with every factor read through its stored
-entries (the CSR route, forced by ``_SMALL_N = 0``), once with the default
-size rule, under which the small factors here also keep a dense copy.
+Every reader takes the one route a factor has: entries come only as dense
+rows scattered from the CSR slices (``Factor.rows``), and products use BLAS
+on a full pattern and ``np.add.at`` on any other.
 """
 
 import tracemalloc
@@ -34,15 +34,15 @@ import oracles
 SPECIALS = np.array([-0.0, 0j, complex(-0.0, -0.0), 2.5j, -1e-300j, 1e-300, -3j])
 
 # t_ent_inv_sq off the dense matrices may differ from the CSR route by at most
-# this many ulps of the covariance scale (the CSR sums run in column order;
-# 4 is the largest gap seen over 1000 random systems)
+# this many ulps of the covariance scale (the sums over a factor that is not
+# full run in column order; 2.5 is the largest gap seen over 1000 random
+# systems)
 ULPS_OF_SCALE = 16
 
 
-@pytest.fixture(params=["csr", "default"])
-def route(request, monkeypatch):
-    if request.param == "csr":
-        monkeypatch.setattr(hamiltonian_module, "_SMALL_N", 0)
+@pytest.fixture(params=["default"])
+def route(request):
+    """The one read route every factor has, named in the test ids."""
     return request.param
 
 
@@ -89,8 +89,9 @@ def test_factor_reads_match_the_dense_matrix(route):
         assert np.array_equal(oracles.dense_factor(f), m)
         assert np.array_equal(f.toarray(), m)
         assert np.array_equal(oracles.dense_factor(f.adjoint()), m.conj().T)
-        rows, cols = rng.integers(dim, size=(2, 7))
-        assert np.array_equal(f.entries(rows[:, None], cols), m[rows[:, None], cols])
+        rows = rng.integers(dim, size=7)  # in any order, repeats included
+        assert np.array_equal(f.rows(rows), m[rows])
+        assert f.rows(rows[:0]).shape == (0, dim)
         x = oracles.random_unit_vector(rng, dim)
         assert np.allclose(f.matvec(x), m @ x, rtol=1e-14, atol=1e-15)
         assert np.allclose(f.vecmat(x), x @ m, rtol=1e-14, atol=1e-15)
@@ -197,20 +198,26 @@ def test_hermiticity_verdicts_match_dense(route, monkeypatch):
         assert verdict(check_hermitian, h) == scan
 
 
+def random_indices(rng, dim):
+    """A non-empty ascending subset of range(dim)."""
+    indices = np.flatnonzero(rng.random(dim) < 0.6)
+    return indices if indices.size else np.arange(dim)
+
+
 def test_block_matrix_matches_kron_slices(route):
     rng = np.random.default_rng(94)
     for _ in range(100):
         terms, state = random_system(rng, stray=True)
         h = ProductHamiltonian(state.dim_a, state.dim_b, tuple(terms))
-        indices = np.flatnonzero(rng.random(h.dim) < 0.6)
-        if indices.size == 0:
-            indices = np.arange(h.dim)
-        got = block_matrix(h, indices)
-        # the same products in term order; numpy may round a complex product
-        # differently in np.kron's loop, so the match is to the last bits
-        for total in (dense_total(terms), sum(oracles.kron_loops(a, b) for a, b in terms)):
-            gap = np.max(np.abs(got - total[np.ix_(indices, indices)]), initial=0.0)
-            assert gap <= 1e-14 * max(1.0, np.max(np.abs(total)))
+        rows, other = random_indices(rng, h.dim), random_indices(rng, h.dim)
+        for cols in (rows, other):  # a square block, then a rectangular one
+            got = block_matrix(h, rows, cols)
+            assert got.shape == (rows.size, cols.size)
+            # the same products in term order; numpy may round a complex product
+            # differently in np.kron's loop, so the match is to the last bits
+            for total in (dense_total(terms), sum(oracles.kron_loops(a, b) for a, b in terms)):
+                gap = np.max(np.abs(got - total[np.ix_(rows, cols)]), initial=0.0)
+                assert gap <= 1e-14 * max(1.0, np.max(np.abs(total)))
 
 
 @pytest.mark.parametrize("n_max, n_blocks", [(40, 41), (767, 493)])
@@ -229,7 +236,7 @@ def test_coherent_ground_blocks_match_kron_slices(route, n_max, n_blocks):
         slice_ = np.zeros((indices.size,) * 2, dtype=np.complex128)
         for a, b in dense:  # kron(a, b)[indices][:, indices], term by term
             slice_ += a[np.ix_(ii, ii)] * b[np.ix_(jj, jj)]
-        got = block_matrix(h, indices)
+        got = block_matrix(h, indices, indices)
         assert np.array_equal(got, slice_)
         if loops is not None:
             assert np.array_equal(got, loops[np.ix_(indices, indices)])
@@ -253,8 +260,6 @@ def test_timescale_matches_the_dense_double_sum(route):
         cov_a = dense_covariance([a for a, _ in dense], state.psi_a)
         cov_b = dense_covariance([b for _, b in dense], state.psi_b)
         want = max(complex(np.sum(cov_a * cov_b)).real, 0.0)
-        if route == "default":  # every factor here is small: BLAS on its dense copy
-            assert report.t_ent_inv_sq == want
         gap = abs(report.t_ent_inv_sq - want)
         assert gap <= ULPS_OF_SCALE * np.spacing(max(report.scale, 1.0))
         loops = oracles.covariance_sum_loops(dense, state.psi_a, state.psi_b)

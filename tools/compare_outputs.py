@@ -1,0 +1,153 @@
+"""Byte-for-byte command outputs of HEAD against a parent revision.
+
+Usage, from the root of the repository::
+
+    python3 tools/compare_outputs.py --parent REV
+
+Extracts REV and HEAD with ``bench_pairs.extract`` (``git archive`` into
+sibling temporary directories under ``TMPDIR``); a working tree with
+uncommitted changes to tracked files is refused (exit status 2), since the
+copy of HEAD would not hold them. Each model of ``model_documents`` is
+written once as a JSON file, and on each side, from that side's ``src/``
+with one BLAS thread, the script runs ``timescale --no-timing``,
+``verify --alphas 1,2,3`` (not on the d = 1024 model, to keep the run
+short) and
+``evolve --alphas 1,2,3 --points 201``, each with ``--out``. It prints one
+line per run and exits with status 1 if any run differs between the sides
+in exit code, stdout, stderr or the ``--out`` file, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+SIDES = ("parent", "change")
+
+
+def _load(name: str):
+    """A module of this checkout, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / name
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = _load("tools/bench_pairs.py")
+
+# the model whose verify run is left out
+DENSE = "dense_evolve"
+
+
+def _custom(dim_a: int, dim_b: int, terms: list, psi_a: list, psi_b: list) -> dict:
+    """A custom model document from nested lists of complex numbers."""
+    def parts(x):
+        x = np.asarray(x, dtype=np.complex128)
+        return {"re": x.real.tolist(), "im": x.imag.tolist()}
+
+    return {"model": "custom", "dim_a": dim_a, "dim_b": dim_b,
+            "terms": [{"a": parts(a), "b": parts(b)} for a, b in terms],
+            "state": {"psi_a": parts(psi_a), "psi_b": parts(psi_b)}}
+
+
+def model_documents() -> dict[str, dict]:
+    """The fixed model set, by name."""
+    def jcm(**fields):
+        return {"model": "jcm", "lambda": 1.0, **fields}
+
+    def coherent(nu):
+        return {"type": "coherent", "nu": nu}
+
+    ground = {"c_e": 0.0, "c_g": 1.0}
+    sigma_p, sigma_m = [[0, 1], [0, 0]], [[0, 0], [1, 0]]
+    sigma_x, sigma_z, one = [[0, 1], [1, 0]], [[1, 0], [0, -1]], [[1, 0], [0, 1]]
+    b = [[0, 0, 1j], [0, 0, 0], [0, 0, 0]]
+    b_adj = [[0, 0, 0], [0, 0, 0], [-1j, 0, 0]]
+    diag = [[0.5, 0, 0], [0, 0, 0], [0, 0, -0.25]]
+    return {
+        "jcm_fock_767": jcm(n_max=767, field={"type": "fock", "n": 3}),
+        "jcm_fock_7": jcm(n_max=7, field={"type": "fock", "n": 3}),
+        "coherent_excited": jcm(field=coherent([1.5, -0.5])),
+        "coherent_ground_40": jcm(n_max=40, atom=ground, field=coherent(3.0)),
+        "coherent_ground_767": jcm(n_max=767, atom=ground, field=coherent(3.0)),
+        "detuned": {"model": "jcm", "lambda": 0.7, "omega": 0.3, "n_max": 40,
+                    "atom": {"c_e": 0.6, "c_g": [0.0, 0.8]}, "field": coherent([1.5, 0.5])},
+        "bose_hubbard_u0": {"model": "bose_hubbard", "j_rate": 1.0, "u_rate": 0.0,
+                            "n_per_site_max": 4},
+        "bose_hubbard_u100": {"model": "bose_hubbard", "j_rate": 1.0, "u_rate": 100.0,
+                              "n_per_site_max": 4},
+        "custom_2x3": _custom(2, 3, [(sigma_p, b), (sigma_m, b_adj), (sigma_z, diag)],
+                              [0.6, 0.8j], [0.8, 0, 0.6]),
+        "t4_onset": _custom(2, 2, [(sigma_x, one), (sigma_z, sigma_x)], [1, 0], [1, 0]),
+        DENSE: _load("perfbench/workloads.py").dense_document(12345, 32),
+        "non_hermitian": _custom(2, 2, [(sigma_p, sigma_x)], [1, 0], [1, 0]),
+    }
+
+
+def commands(model: str) -> list[list[str]]:
+    """The command lines run on ``model``, without ``--spec`` and ``--out``."""
+    runs = [["timescale", "--no-timing"], ["verify", "--alphas", "1,2,3"],
+            ["evolve", "--alphas", "1,2,3", "--points", "201"]]
+    return [argv for argv in runs if not (model == DENSE and argv[0] == "verify")]
+
+
+def run_side(root: Path, argv: list[str], workdir: Path) -> dict:
+    """Run ``enttime`` from ``root/src`` in ``workdir`` with ``--out out``; what it left."""
+    workdir.mkdir(parents=True)
+    env = {**os.environ, "PYTHONPATH": str(root / "src"),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from enttime.cli import main; sys.exit(main())",
+         *argv, "--out", "out"],
+        cwd=workdir, env=env, capture_output=True,
+    )
+    out = workdir / "out"
+    return {"exit code": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr,
+            "--out": out.read_bytes() if out.exists() else None}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="git revision to compare against")
+    args = parser.parse_args(argv)
+    git = bench_pairs.git
+    if git("status", "--porcelain", "--untracked-files=no"):
+        parser.error("the working tree has uncommitted changes, which a git archive copy "
+                     "of HEAD would not hold; commit them first")
+
+    commits = {"parent": git("rev-parse", "--verify", f"{args.parent}^{{commit}}"),
+               "change": git("rev-parse", "HEAD")}
+    differing = 0
+    with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
+        tmp = Path(tmp)
+        roots = {side: tmp / side for side in SIDES}
+        for side in SIDES:
+            bench_pairs.extract(commits[side], roots[side])
+        for model, doc in model_documents().items():
+            spec = tmp / f"{model}.json"
+            spec.write_text(json.dumps(doc), encoding="utf-8")
+            for k, cmd in enumerate(commands(model)):
+                argv_k = [*cmd, "--spec", str(spec)]
+                got = {side: run_side(roots[side], argv_k, tmp / "runs" / side / f"{model}-{k}")
+                       for side in SIDES}
+                diff = [key for key in got["parent"] if got["parent"][key] != got["change"][key]]
+                differing += bool(diff)
+                status = "differs in " + ", ".join(diff) if diff else "identical"
+                print(f"{model:<20} {' '.join(cmd):<40} exit {got['change']['exit code']}  "
+                      f"{status}", flush=True)
+    print(f"{differing} of the runs differ" if differing else "every run is identical")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
