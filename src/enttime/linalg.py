@@ -1,8 +1,10 @@
 """Dense complex linear algebra kernel shared by all higher modules.
 
-Input validation, the checked Hermitian eigendecomposition and propagation
-in its eigenbasis. Nothing here knows about the bipartite split: the
-composite index i * dim_b + j is laid out by
+Input validation, the checked Hermitian eigendecomposition (of one matrix
+or of a stack of equal-size ones, checked by an O(k n^2) residual probe
+rather than an O(n^3) reconstruction) and propagation in its eigenbasis.
+Nothing here knows about the bipartite split: the composite index
+i * dim_b + j is laid out by
 :func:`~enttime.hamiltonian.product_state_vector` and read back by
 :class:`~enttime.propagator.Propagator`.
 
@@ -12,12 +14,13 @@ validation and the error contract.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, NumericalError, StateError
-from .tolerances import RECON_TOL
+from .tolerances import PROBE_COLUMNS, PROBE_SEED, RECON_TOL
 
 __all__ = [
     "as_complex_matrix",
@@ -54,13 +57,14 @@ def as_complex_matrix(m, *, name: str = "matrix") -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class HermitianSpectrum:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of a stack of them.
 
     ``eigenvalues`` are real and ascending, ``eigenvectors`` holds the
     orthonormal eigenvectors as columns, so
     ``(eigenvectors * eigenvalues) @ eigenvectors.conj().T`` reconstructs the
-    matrix. Instances come out of :func:`eig_hermitian`, which enforces the
-    reconstruction residual; the fields are kept read-only.
+    matrix; a stack carries its leading axis on both fields. Instances come
+    out of :func:`eig_hermitian`, which checks the residual; the fields are
+    kept read-only.
     """
 
     eigenvalues: np.ndarray
@@ -72,42 +76,82 @@ class HermitianSpectrum:
 
 
 def eig_hermitian(m) -> HermitianSpectrum:
-    """Eigendecomposition of a Hermitian matrix with a reconstruction check.
+    """Eigendecomposition of a Hermitian matrix, or of an (b, n, n) stack, with a residual probe.
 
-    The input is symmetrized as (M + M^dag)/2 before the solve; callers are
-    expected to pass matrices that are already Hermitian to working
-    precision. Raises :class:`NumericalError` when LAPACK fails to converge
-    or the reconstruction residual exceeds ``RECON_TOL`` relative to
-    max(1, max|M|).
+    The input is symmetrized as S = (M + M^dag)/2 before the solve; callers
+    are expected to pass matrices that are already Hermitian to working
+    precision. A stack goes through one LAPACK call and one batched probe,
+    and each of its matrices gets exactly the spectrum it would get alone.
+    The residual E = S - V W V^dag is probed, never formed: its Frobenius
+    norm is estimated from E X with ``PROBE_COLUMNS`` fixed Gaussian
+    columns X (or exactly, with X the identity, when n is at most that), in
+    O(n^2) work per column; ``tolerances.RECON_TOL`` states the detection
+    bound. Raises :class:`NumericalError` when LAPACK fails to converge or
+    the estimate of any matrix exceeds ``RECON_TOL`` relative to
+    max(1, ||S||_F).
     """
-    m = as_complex_matrix(m, name="matrix")
-    if m.shape[0] != m.shape[1]:
+    m = np.asarray(m, dtype=np.complex128)
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
         raise DimensionError(f"matrix must be square, got shape {m.shape!r}")
-    sym = 0.5 * (m + m.conj().T)
+    if not np.all(np.isfinite(m)):
+        raise StateError("matrix contains non-finite entries")
+    sym = m.conj().swapaxes(-1, -2)
+    sym += m
+    sym *= 0.5
     try:
         w, v = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Hermitian eigensolver failed to converge: {exc}") from exc
-    residual = float(np.max(np.abs((v * w) @ v.conj().T - sym)))
-    tol = RECON_TOL * max(1.0, float(np.max(np.abs(sym))))
-    if residual > tol:
+    residual = _residual_estimate(sym, w, v)
+    tol = RECON_TOL * np.maximum(1.0, np.linalg.norm(sym, axis=(-2, -1)))
+    bad = np.flatnonzero(~(residual <= tol))
+    if bad.size:
+        k = bad[0]
         raise NumericalError(
-            f"eigendecomposition reconstruction residual {residual:.3e} exceeds {tol:.3e}"
+            f"eigendecomposition residual {residual.flat[k]:.3e} exceeds {tol.flat[k]:.3e}"
         )
     return HermitianSpectrum(eigenvalues=w, eigenvectors=v)
 
 
-def propagate(spectrum: HermitianSpectrum, psi0: np.ndarray, times) -> np.ndarray:
+def _residual_estimate(sym: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """||(S - V W V^dag) X||_F / sqrt(columns of X) for each matrix of the stack.
+
+    X is the identity when n <= ``PROBE_COLUMNS`` (the exact Frobenius
+    residual), else ``PROBE_COLUMNS`` standard normal columns from
+    ``PROBE_SEED``, applied as S X - V (W (V^dag X)).
+    """
+    n = w.shape[-1]
+    if n <= PROBE_COLUMNS:
+        e = (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2) - sym
+        return np.linalg.norm(e, axis=(-2, -1))
+    x = np.random.default_rng(PROBE_SEED).standard_normal((n, PROBE_COLUMNS))
+    vx = (v.swapaxes(-1, -2) @ x).conj()  # V^dag X, as X is real
+    e = sym @ x - v @ (w[..., :, None] * vx)
+    return np.linalg.norm(e, axis=(-2, -1)) / math.sqrt(PROBE_COLUMNS)
+
+
+def propagate(spectrum: HermitianSpectrum, psi0: np.ndarray, times, modes=None) -> np.ndarray:
     """Amplitudes exp(-i M t) psi0 for each time, one row per time.
 
     Evaluated as psi0 + V diag(exp(-i w t) - 1) V^dag psi0 with the phase
     shift written through sines, so t = 0 returns psi0 exactly and the
     change of a nearly unmoved state keeps its relative accuracy. The rows
-    for all times come out of one (T x dim) by (dim x dim) product.
+    for all times come out of one (T x dim) by (dim x dim) product, into a
+    new array. ``modes`` is V^dag psi0 when the caller keeps it across time
+    grids; it is computed here otherwise.
     """
+    if modes is None:
+        modes = (psi0.conj() @ spectrum.eigenvectors).conj()
     theta = np.multiply.outer(np.asarray(times, dtype=np.float64), spectrum.eigenvalues)
-    half = np.sin(0.5 * theta)
-    shift = -2.0 * half * half - 1j * np.sin(theta)
-    modes = (psi0.conj() @ spectrum.eigenvectors).conj()
-    return psi0 + (shift * modes) @ spectrum.eigenvectors.T
-
+    half = 0.5 * theta
+    np.sin(half, out=half)
+    np.sin(theta, out=theta)
+    shift = 1j * theta
+    # -2 sin^2(theta / 2) - i sin(theta), in the order of the complex expression
+    np.multiply(half, -2.0, out=theta)
+    theta *= half
+    np.subtract(theta, shift, out=shift)
+    shift *= modes
+    out = shift @ spectrum.eigenvectors.T
+    out += psi0
+    return out

@@ -14,13 +14,17 @@ component is one block like any other: every block comes from
 :func:`~enttime.hamiltonian.block_matrix`.
 
 The Hermiticity of the whole H is checked once, including entries outside
-the blocks, and every block keeps the reconstruction check of
-:func:`~enttime.linalg.eig_hermitian`.
+the blocks. Blocks of equal size are diagonalized together, in one stacked
+call of :func:`~enttime.linalg.eig_hermitian`, and each keeps its own
+residual check. A block's V^dag psi0 is formed once for every time grid,
+and the block that covers the whole space (any dense model) is propagated
+straight into the amplitudes, with no scatter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -88,23 +92,48 @@ def invariant_blocks(h: ProductHamiltonian, support) -> list[np.ndarray]:
     return blocks
 
 
+def _spectra(h: ProductHamiltonian, blocks: list[np.ndarray]) -> list[HermitianSpectrum]:
+    """The checked spectrum of each block, equal-size blocks in one stacked call."""
+    by_size: dict[int, list[int]] = {}
+    for k, indices in enumerate(blocks):
+        by_size.setdefault(indices.size, []).append(k)
+    spectra: list = [None] * len(blocks)
+    for members in by_size.values():
+        mats = [block_matrix(h, blocks[k], blocks[k]) for k in members]
+        if len(mats) == 1:
+            spectra[members[0]] = eig_hermitian(mats[0])
+            continue
+        stacked = eig_hermitian(np.stack(mats))
+        for k, w, v in zip(members, stacked.eigenvalues, stacked.eigenvectors):
+            spectra[k] = HermitianSpectrum(eigenvalues=w, eigenvectors=v)
+    return spectra
+
+
 @dataclass(frozen=True, eq=False)
 class _Block:
     indices: np.ndarray
     spectrum: HermitianSpectrum
     psi0: np.ndarray
 
+    @cached_property
+    def modes(self) -> np.ndarray:
+        """V^dag psi0, formed once for every time chunk."""
+        return (self.psi0.conj() @ self.spectrum.eigenvectors).conj()
+
 
 class Propagator:
     """Schmidt spectra of one product start evolving under ``h``, for any times.
 
     Construction checks the whole Hamiltonian for Hermiticity, finds the
-    invariant blocks the start reaches and diagonalizes each block once.
-    :meth:`probabilities` then serves any number of time grids.
+    invariant blocks the start reaches and diagonalizes each block once,
+    equal-size blocks in one stacked call. :meth:`probabilities` then
+    serves any number of time grids.
 
     Raises :class:`DimensionError` when the state does not fit ``h`` or the
     composite dimension exceeds ``MAX_DIM``, :class:`ModelError` when H is
-    not Hermitian.
+    not Hermitian, and :class:`NumericalError` when LAPACK does not converge
+    on a block or a block's eigendecomposition fails its residual probe (see
+    :func:`~enttime.linalg.eig_hermitian`).
     """
 
     def __init__(self, h: ProductHamiltonian, state: ProductState):
@@ -118,9 +147,10 @@ class Propagator:
         check_hermitian(h)
         psi0 = product_state_vector(state)
         self.norm = float(np.linalg.norm(psi0))
+        found = invariant_blocks(h, np.flatnonzero(psi0))
         self.blocks = tuple(
-            _Block(indices, eig_hermitian(block_matrix(h, indices, indices)), psi0[indices])
-            for indices in invariant_blocks(h, np.flatnonzero(psi0))
+            _Block(indices, spectrum, psi0[indices])
+            for indices, spectrum in zip(found, _spectra(h, found))
         )
 
     @property
@@ -140,11 +170,17 @@ class Propagator:
             raise ValueError("times must be finite")
         out = np.empty((t.size, min(self.dim_a, self.dim_b)))
         step = max(1, _CHUNK_ENTRIES // self.dim)
+        # a block of all d indices is range(d) in order: its rows are the amplitudes
+        whole = self.blocks[0] if self.blocks[0].indices.size == self.dim else None
         for start in range(0, t.size, step):
             chunk = t[start : start + step]
-            amps = np.zeros((chunk.size, self.dim), dtype=np.complex128)
-            for block in self.blocks:
-                amps[:, block.indices] = propagate(block.spectrum, block.psi0, chunk)
+            if whole is not None:
+                amps = propagate(whole.spectrum, whole.psi0, chunk, whole.modes)
+            else:
+                amps = np.zeros((chunk.size, self.dim), dtype=np.complex128)
+                for block in self.blocks:
+                    amps[:, block.indices] = propagate(block.spectrum, block.psi0, chunk,
+                                                       block.modes)
             drift = np.abs(np.linalg.norm(amps, axis=1) - self.norm)
             worst = int(np.argmax(drift))
             if not drift[worst] <= NORM_TOL:

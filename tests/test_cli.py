@@ -608,11 +608,13 @@ def test_cli_import_does_not_load_jsonschema(tmp_path):
         # importing the command line loads no schema library
         "import sys, enttime.cli; print('jsonschema' in sys.modules)",
         # nor does running it; numpy.ma (numpy 2 imports it lazily, from
-        # np.unique for one) is not loaded either
+        # np.unique for one) is not loaded either, nor numpy.random (also
+        # lazy, about 15 ms): a 2 x 2 block is checked without random probes
         "import contextlib, io, sys, enttime.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    codes = [enttime.cli.main(argv) for argv in {commands!r}]\n"
-        "print(codes, 'jsonschema' in sys.modules, 'numpy.ma' in sys.modules)",
+        "print(codes, 'jsonschema' in sys.modules, 'numpy.ma' in sys.modules,\n"
+        "      'numpy.random' in sys.modules)",
     ]
     outputs = []
     for probe in probes:
@@ -620,7 +622,7 @@ def test_cli_import_does_not_load_jsonschema(tmp_path):
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
         )
         outputs.append(run.stdout.strip())
-    assert outputs == ["False", "[0, 0] False False"]
+    assert outputs == ["False", "[0, 0] False False False"]
 
 
 # ---------------------------------------------------------------------------

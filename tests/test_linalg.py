@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
-from enttime.errors import DimensionError, StateError
+import enttime.linalg as linalg_module
+from enttime.errors import DimensionError, NumericalError, StateError
 from enttime.linalg import as_complex_matrix, eig_hermitian, propagate
+from enttime.tolerances import PROBE_COLUMNS, RECON_TOL
 
 import oracles
 
@@ -35,6 +39,135 @@ def test_eig_hermitian_reconstruction_random():
 def test_eig_hermitian_rejects_nonsquare():
     with pytest.raises(DimensionError):
         eig_hermitian(np.ones((2, 3)))
+    with pytest.raises(DimensionError):
+        eig_hermitian(np.ones((2, 3, 3, 3)))
+    with pytest.raises(StateError):
+        eig_hermitian(np.array([[[1.0, 0.0], [0.0, np.inf]]]))
+
+
+def test_eig_hermitian_stack_matches_single_calls():
+    rng = np.random.default_rng(37)
+    for n in (2, 5, 12):
+        stack = np.stack([oracles.random_hermitian(rng, n) for _ in range(4)])
+        spec = eig_hermitian(stack)
+        assert spec.eigenvalues.shape == (4, n) and spec.eigenvectors.shape == (4, n, n)
+        for k in range(4):
+            alone = eig_hermitian(stack[k])
+            assert np.array_equal(spec.eigenvalues[k], alone.eigenvalues)
+            assert np.array_equal(spec.eigenvectors[k], alone.eigenvectors)
+
+
+# ---------------------------------------------------------------------------
+# the residual probe against the O(n^3) reconstruction check it replaced
+
+
+def _reconstruction_rejects(sym, w, v) -> bool:
+    """The check the probe replaced: max|V W V^dag - S| against RECON_TOL max(1, max|S|)."""
+    residual = np.max(np.abs((v * w) @ v.conj().T - sym))
+    return not residual <= RECON_TOL * max(1.0, np.max(np.abs(sym)))
+
+
+def _perturb_entry(w, v):
+    v[3, v.shape[1] // 2] += 1e-6
+
+
+def _shift_eigenvalue(w, v):
+    w[w.size // 2] += 1e-6 * np.max(np.abs(w))
+
+
+def _swap_columns(w, v):
+    v[:, [0, -1]] = v[:, [-1, 0]]
+
+
+def _scale_column(w, v):
+    v[:, -1] *= 1.0 + 1e-6
+
+
+@pytest.mark.parametrize("n", [6, 200])
+@pytest.mark.parametrize(
+    "corrupt", [_perturb_entry, _shift_eigenvalue, _swap_columns, _scale_column],
+    ids=["eigenvector-entry", "eigenvalue-shift", "swapped-columns", "scaled-column"],
+)
+def test_probe_rejects_what_the_reconstruction_check_rejects(monkeypatch, corrupt, n):
+    rng = np.random.default_rng(53)
+    stack = np.stack([oracles.random_hermitian(rng, n) for _ in range(3)])
+    eigh = np.linalg.eigh
+    broken = {}
+
+    def corrupted_eigh(a):
+        w, v = eigh(a)
+        w, v = w.copy(), v.copy()
+        corrupt(*((w[1], v[1]) if w.ndim == 2 else (w, v)))
+        broken["decomposition"] = (w, v)
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eigh", corrupted_eigh)
+    for m in (stack[1], stack):  # alone, and as the middle matrix of a stack
+        with pytest.raises(NumericalError, match="residual"):
+            eig_hermitian(m)
+        w, v = broken["decomposition"]
+        if w.ndim == 2:
+            w, v = w[1], v[1]
+        assert _reconstruction_rejects(stack[1], w, v)
+
+
+def test_small_probe_is_the_exact_frobenius_residual():
+    rng = np.random.default_rng(59)
+    for n in range(1, PROBE_COLUMNS + 1):
+        sym = oracles.random_hermitian(rng, n)
+        w, v = np.linalg.eigh(sym)
+        w = w + rng.uniform(-1e-3, 1e-3, size=n)  # a residual well above roundoff
+        exact = np.linalg.norm(sym - (v * w) @ v.conj().T, "fro")
+        probe = linalg_module._residual_estimate(sym, w, v)
+        assert probe == pytest.approx(exact, rel=1e-12)
+        assert probe == pytest.approx(np.linalg.norm((sym - (v * w) @ v.conj().T) @ np.eye(n)),
+                                      rel=1e-12)
+
+
+def _chi2_cdf_even(x: float, k: int) -> float:
+    """P(chi2_k <= x) for even k, in closed form."""
+    half = x / 2.0
+    return 1.0 - math.exp(-half) * sum(half**j / math.factorial(j) for j in range(k // 2))
+
+
+@pytest.mark.parametrize("kind", ["real-rank-1", "complex-rank-1", "complex-rank-2"])
+def test_probe_miss_rate_within_the_stated_bound(monkeypatch, kind):
+    """Over probe seeds, a residual gamma times the threshold is accepted at most
+    as often as P(chi2_k <= k / gamma^2), the bound stated next to RECON_TOL."""
+    n, gamma, trials = 16, 2.0, 2000
+    rng = np.random.default_rng(61)
+    if kind == "real-rank-1":
+        e = np.outer(rng.standard_normal(n), rng.standard_normal(n)).astype(np.complex128)
+    else:
+        rank = 1 if kind == "complex-rank-1" else 2
+        e = oracles.random_matrix(rng, n, rank) @ oracles.random_matrix(rng, rank, n)
+    w = np.arange(n, dtype=np.float64)
+    sym = np.diag(w).astype(np.complex128) + e  # V = I, so the residual is exactly e
+    threshold = np.linalg.norm(e) / gamma
+    missed = 0
+    for seed in range(trials):
+        monkeypatch.setattr(linalg_module, "PROBE_SEED", seed)
+        missed += linalg_module._residual_estimate(sym, w, np.eye(n)) <= threshold
+    bound = _chi2_cdf_even(PROBE_COLUMNS / gamma**2, PROBE_COLUMNS)
+    spread = math.sqrt(trials * bound * (1.0 - bound))
+    assert missed <= trials * bound + 4.0 * spread
+    if kind == "real-rank-1":  # the bound is attained there
+        assert missed >= trials * bound - 4.0 * spread
+
+
+def test_probe_margin_on_a_healthy_matrix(record_property):
+    """A complex Hermitian matrix at d = 1024 passes far inside the threshold."""
+    rng = np.random.default_rng(67)
+    m = oracles.random_hermitian(rng, 1024)
+    spec = eig_hermitian(m)
+    sym = 0.5 * (m + m.conj().T)
+    estimate = linalg_module._residual_estimate(sym, spec.eigenvalues, spec.eigenvectors)
+    exact = np.linalg.norm(sym - (spec.eigenvectors * spec.eigenvalues)
+                           @ spec.eigenvectors.conj().T)
+    margin = RECON_TOL * np.linalg.norm(sym) / estimate
+    record_property("probe_margin", float(margin))
+    assert 0.5 * exact <= estimate <= 2.0 * exact
+    assert margin >= 1e3
 
 
 def test_hermitian_spectrum_is_frozen():

@@ -11,7 +11,7 @@ from enttime.entropy import (
     renyi_from_probabilities,
     von_neumann_from_probabilities,
 )
-from enttime.errors import DimensionError, ModelError
+from enttime.errors import DimensionError, ModelError, NumericalError
 from enttime.hamiltonian import (
     ProductHamiltonian,
     ProductState,
@@ -174,6 +174,45 @@ def test_ladder_pair_keeps_asymmetric_patterns_apart():
     propagator = Propagator(h, state)
     assert [list(b.indices) for b in propagator.blocks] == [[1, dim + 2], [4, dim + 5]]
     assert_matches_oracle(h, state, np.linspace(0.0, 2.5, 9))
+
+
+def test_equal_size_blocks_share_one_stacked_eigh(monkeypatch):
+    """Blocks of one size go through one eig_hermitian call, each with exactly
+    the spectrum it gets alone; a forced residual in one of them is refused."""
+    cases = [
+        build_jcm(JcmSpec(lam=1.0, n_max=40, field=CoherentField(3.0), c_e=0.0, c_g=1.0)),
+        (build_bose_hubbard_boundary(
+            BoseHubbardBoundarySpec(j_rate=1.0, u_rate=0.7, n_per_site_max=2))[0],
+         ProductState(psi_a=np.ones(3) / np.sqrt(3.0), psi_b=np.ones(3) / np.sqrt(3.0))),
+    ]
+    calls = []
+    eig = propagator_module.eig_hermitian
+    monkeypatch.setattr(propagator_module, "eig_hermitian",
+                        lambda m: calls.append(np.shape(m)) or eig(m))
+    for h, state in cases:
+        calls.clear()
+        propagator = Propagator(h, state)
+        sizes = propagator.block_sizes
+        assert sorted(calls) == sorted(
+            (sizes.count(n), n, n) if sizes.count(n) > 1 else (n, n) for n in set(sizes))
+        for block in propagator.blocks:
+            alone = eig(hamiltonian_module.block_matrix(h, block.indices, block.indices))
+            assert np.array_equal(block.spectrum.eigenvalues, alone.eigenvalues)
+            assert np.array_equal(block.spectrum.eigenvectors, alone.eigenvectors)
+
+    h, state = cases[0]
+    eigh = np.linalg.eigh
+
+    def one_bad_doublet(a):
+        w, v = eigh(a)
+        if w.ndim == 2:
+            w = w.copy()
+            w[w.shape[0] // 2, 0] += 1e-6
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eigh", one_bad_doublet)
+    with pytest.raises(NumericalError, match="residual"):
+        Propagator(h, state)
 
 
 def test_hermiticity_defect_outside_the_reached_block_is_caught():
