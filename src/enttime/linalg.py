@@ -130,18 +130,17 @@ def _residual_estimate(sym: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndar
     return np.linalg.norm(e, axis=(-2, -1)) / math.sqrt(PROBE_COLUMNS)
 
 
-def propagate(spectrum: HermitianSpectrum, psi0: np.ndarray, times, modes=None) -> np.ndarray:
+def propagate(spectrum: HermitianSpectrum, psi0: np.ndarray, modes: np.ndarray,
+              times) -> np.ndarray:
     """Amplitudes exp(-i M t) psi0 for each time, one row per time.
 
     Evaluated as psi0 + V diag(exp(-i w t) - 1) V^dag psi0 with the phase
     shift written through sines, so t = 0 returns psi0 exactly and the
-    change of a nearly unmoved state keeps its relative accuracy. The rows
-    for all times come out of one (T x dim) by (dim x dim) product, into a
-    new array. ``modes`` is V^dag psi0 when the caller keeps it across time
-    grids; it is computed here otherwise.
+    change of a nearly unmoved state keeps its relative accuracy. ``modes``
+    is V^dag psi0, formed once by the caller for all its time grids as
+    ``(psi0.conj() @ V).conj()``. The rows for all times come out of one
+    (T x dim) by (dim x dim) product, into a new array.
     """
-    if modes is None:
-        modes = (psi0.conj() @ spectrum.eigenvectors).conj()
     theta = np.multiply.outer(np.asarray(times, dtype=np.float64), spectrum.eigenvalues)
     half = 0.5 * theta
     np.sin(half, out=half)

@@ -216,11 +216,30 @@ def _long_time_case(rng):
 def test_propagate(case):
     rng = np.random.default_rng(41)
     h, psi0, times, expected, tol = case(rng)
-    out = propagate(eig_hermitian(h), psi0, times)
+    spec = eig_hermitian(h)
+    out = propagate(spec, psi0, (psi0.conj() @ spec.eigenvectors).conj(), times)
     assert out.shape == (len(times), psi0.size)
     assert np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0)) <= tol
     if expected is not None:
         assert np.max(np.abs(out - np.array(expected))) <= tol
+
+
+def test_propagate_keeps_the_bits_of_the_complex_expression():
+    """The in-place phase shift gives the bits of psi0 + (shift * modes) @ V^T,
+    shift = -2 sin^2(theta / 2) - i sin(theta), signed zeros at t = 0 included."""
+    rng = np.random.default_rng(43)
+    h = oracles.random_hermitian(rng, 24)
+    h[np.diag_indices(24)] -= 3.0  # eigenvalues of both signs
+    psi0 = oracles.random_unit_vector(rng, 24)
+    spec = eig_hermitian(h)
+    v = spec.eigenvectors
+    modes = (psi0.conj() @ v).conj()
+    times = np.concatenate([[0.0, -0.0], rng.uniform(-5.0, 5.0, size=30), [1e-300]])
+    theta = np.multiply.outer(times, spec.eigenvalues)
+    half = np.sin(0.5 * theta)
+    shift = -2.0 * half * half - 1j * np.sin(theta)
+    expected = psi0 + (shift * modes) @ v.T
+    assert propagate(spec, psi0, modes, times).tobytes() == expected.tobytes()
 
 
 def test_reduced_spectra_agree_for_random_pure_states():
