@@ -122,12 +122,13 @@ def _residual_estimate(sym: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndar
     """
     n = w.shape[-1]
     if n <= PROBE_COLUMNS:
-        e = (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2) - sym
-        return np.linalg.norm(e, axis=(-2, -1))
-    x = np.random.default_rng(PROBE_SEED).standard_normal((n, PROBE_COLUMNS))
+        x, scale = np.eye(n), 1.0
+    else:
+        x = np.random.default_rng(PROBE_SEED).standard_normal((n, PROBE_COLUMNS))
+        scale = math.sqrt(PROBE_COLUMNS)
     vx = (v.swapaxes(-1, -2) @ x).conj()  # V^dag X, as X is real
     e = sym @ x - v @ (w[..., :, None] * vx)
-    return np.linalg.norm(e, axis=(-2, -1)) / math.sqrt(PROBE_COLUMNS)
+    return np.linalg.norm(e, axis=(-2, -1)) / scale
 
 
 def propagate(spectrum: HermitianSpectrum, psi0: np.ndarray, modes: np.ndarray,
