@@ -80,15 +80,12 @@ def eig_hermitian(m) -> HermitianSpectrum:
 
     The input is symmetrized as S = (M + M^dag)/2 before the solve; callers
     are expected to pass matrices that are already Hermitian to working
-    precision. A stack goes through one LAPACK call and one batched probe,
-    and each of its matrices gets exactly the spectrum it would get alone.
-    The residual E = S - V W V^dag is probed, never formed: its Frobenius
-    norm is estimated from E X with ``PROBE_COLUMNS`` fixed Gaussian
-    columns X (or exactly, with X the identity, when n is at most that), in
-    O(n^2) work per column; ``tolerances.RECON_TOL`` states the detection
-    bound. Raises :class:`NumericalError` when LAPACK fails to converge or
-    the estimate of any matrix exceeds ``RECON_TOL`` relative to
-    max(1, ||S||_F).
+    precision. A stack takes one LAPACK call, and each of its matrices gets
+    exactly the spectrum it would get alone. Raises :class:`NumericalError`
+    when LAPACK fails to converge or when, for any matrix, the probe of
+    ||S - V W V^dag||_F (:func:`_residual_estimate`, O(n^2) per probe
+    column) exceeds ``RECON_TOL`` max(1, ||S||_F); the detection bound is
+    derived next to ``RECON_TOL``.
     """
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
