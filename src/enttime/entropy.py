@@ -405,7 +405,7 @@ def verify_growth(
     if renyi_orders:
         width = report.t_ent / _VERIFY_STENCIL_DIVISOR
         detail = f"5-point stencil, width t_ent/{_VERIFY_STENCIL_DIVISOR:g}"
-        levels = np.concatenate([block.spectrum.eigenvalues for block in propagator.blocks])
+        levels = np.concatenate([block.eigenvalues for block in propagator.blocks])
         omega = float(levels.max() - levels.min())
         if omega * width > _VERIFY_STENCIL_PHASE:
             width = _VERIFY_STENCIL_PHASE / omega

@@ -14,11 +14,27 @@ component is one block like any other: every block comes from
 :func:`~enttime.hamiltonian.block_matrix`.
 
 The Hermiticity of the whole H is checked once, including entries outside
-the blocks. Blocks of equal size are diagonalized together, in one stacked
-call of :func:`~enttime.linalg.eig_hermitian`, and each keeps its own
-residual check. A block's V^dag psi0 is formed once for every time grid,
-and the block that covers the whole space (any dense model) is propagated
-straight into the amplitudes, with no scatter.
+the blocks. Each block keeps its symmetrized matrix S and its eigenvalues,
+from one checked :func:`~enttime.linalg.eigvals_hermitian` per block size
+(equal-size blocks stacked). A time grid then takes one of two routes per
+block, chosen from x = R max|t|, with R the half-width of the block's
+spectrum interval:
+
+* the Chebyshev series, when it needs K <= n terms for a block of n states
+  (:func:`~enttime.linalg.chebyshev_terms`): K matrix-vector products with
+  S, then one coefficient product per time chunk. K <= n is the flop-count
+  crossover: K products of n^2 against the O(n^3) eigenvector work, and
+  the series rows never hold more than n^2 entries;
+* otherwise the eigenbasis: eigenvectors from
+  :func:`~enttime.linalg.eig_hermitian`, formed once on first need (equal
+  sizes stacked), V^dag psi0 with them, and :func:`~enttime.linalg.propagate`.
+
+The series interval is [w_min - m, w_max + m], with m the tolerance
+``RECON_TOL`` max(1, ||S||_F) the eigenvalue check holds the backward error
+to; the series raises :class:`NumericalError` if its rows grow, which is
+what a spectrum outside the interval does. The block that covers the whole
+space (any dense model) is propagated straight into the amplitudes, with
+no scatter.
 """
 
 from __future__ import annotations
@@ -37,7 +53,16 @@ from .hamiltonian import (
     product_state_vector,
     require_dense_dim,
 )
-from .linalg import HermitianSpectrum, eig_hermitian, propagate
+from .linalg import (
+    HermitianSpectrum,
+    chebyshev_propagate,
+    chebyshev_terms,
+    chebyshev_vectors,
+    eig_hermitian,
+    eigvals_hermitian,
+    hermitian_part,
+    propagate,
+)
 from .tolerances import NORM_TOL
 
 __all__ = ["Propagator", "invariant_blocks"]
@@ -92,50 +117,86 @@ def invariant_blocks(h: ProductHamiltonian, support) -> list[np.ndarray]:
     return blocks
 
 
-def _spectra(h: ProductHamiltonian, blocks: list[np.ndarray]) -> list[HermitianSpectrum]:
-    """The checked spectrum of each block, equal-size blocks in one stacked call."""
-    by_size: dict[int, list[int]] = {}
-    for k, indices in enumerate(blocks):
-        by_size.setdefault(indices.size, []).append(k)
-    spectra: list = [None] * len(blocks)
-    for members in by_size.values():
-        mats = [block_matrix(h, blocks[k], blocks[k]) for k in members]
-        # a lone block goes in as it is: no copy into a stack of one, and the
-        # perfbench trace, which reads the first axis as the dimension, holds
-        if len(mats) == 1:
-            spectra[members[0]] = eig_hermitian(mats[0])
-            continue
-        stacked = eig_hermitian(np.stack(mats))
-        for k, w, v in zip(members, stacked.eigenvalues, stacked.eigenvectors):
-            spectra[k] = HermitianSpectrum(eigenvalues=w, eigenvectors=v)
-    return spectra
+def _by_size(blocks) -> list[list[int]]:
+    """Positions in ``blocks`` grouped by block size, in order of first appearance."""
+    groups: dict[int, list[int]] = {}
+    for k, block in enumerate(blocks):
+        groups.setdefault(len(block), []).append(k)
+    return list(groups.values())
 
 
-@dataclass(frozen=True, eq=False)
+def _stack(mats: list[np.ndarray]) -> np.ndarray:
+    """Equal-size matrices as one (b, n, n) stack for one solver call.
+
+    A lone matrix goes in as it is: no copy into a stack of one, and the
+    perfbench trace, which reads the first axis as the dimension, holds.
+    """
+    return mats[0] if len(mats) == 1 else np.stack(mats)
+
+
+def _per_matrix(spectra: HermitianSpectrum, count: int) -> list[HermitianSpectrum]:
+    """The spectrum of each of ``count`` matrices that went in through :func:`_stack`."""
+    return [spectra] if count == 1 else [spectra[k] for k in range(count)]
+
+
+@dataclass(eq=False)
 class _Block:
+    """One reached block and what has been formed from it so far.
+
+    ``matrix`` is S = (M + M^dag)/2 of the block and ``levels`` its checked
+    eigenvalues. ``spectrum`` (with eigenvectors) and ``modes`` = V^dag psi0
+    are formed on the first grid that takes the eigenbasis route;
+    ``vectors`` holds the Chebyshev rows u_0 .. u_K formed so far, and
+    grows when a grid needs more. ``terms`` is the K of the latest grid, or
+    None when that grid took the eigenbasis, and ``growth`` is
+    max_k ||u_k|| / ||psi0|| over all rows formed.
+    """
+
     indices: np.ndarray
-    spectrum: HermitianSpectrum
+    matrix: np.ndarray
+    levels: HermitianSpectrum
     psi0: np.ndarray
+    spectrum: HermitianSpectrum | None = None
+    modes: np.ndarray | None = None
+    vectors: np.ndarray | None = None
+    terms: int | None = None
+    growth: float = 0.0
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self.levels.eigenvalues
 
     @cached_property
-    def modes(self) -> np.ndarray:
-        """V^dag psi0, formed once for every time chunk."""
-        return (self.psi0.conj() @ self.spectrum.eigenvectors).conj()
+    def interval(self) -> tuple[float, float]:
+        """Center and half-width of the series interval, which encloses the spectrum."""
+        w = self.levels.eigenvalues
+        return 0.5 * (w[0] + w[-1]), 0.5 * (w[-1] - w[0]) + float(self.levels.tolerance)
+
+    def amplitudes(self, times) -> np.ndarray:
+        """exp(-i S t) psi0 on this block, by the route ``terms`` records."""
+        if self.terms is None:
+            return propagate(self.spectrum, self.psi0, self.modes, times)
+        return chebyshev_propagate(self.psi0, self.vectors[: self.terms + 1], *self.interval,
+                                   times)
 
 
 class Propagator:
     """Schmidt spectra of one product start evolving under ``h``, for any times.
 
     Construction checks the whole Hamiltonian for Hermiticity, finds the
-    invariant blocks the start reaches and diagonalizes each block once,
-    equal-size blocks in one stacked call. :meth:`probabilities` then
-    serves any number of time grids.
+    invariant blocks the start reaches, and forms and checks the
+    eigenvalues of each block, equal-size blocks in one stacked call.
+    :meth:`probabilities` then serves any number of time grids, each block
+    by the Chebyshev series or by its eigenbasis (see the module docstring).
 
     Raises :class:`DimensionError` when the state does not fit ``h`` or the
     composite dimension exceeds ``MAX_DIM``, :class:`ModelError` when H is
     not Hermitian, and :class:`NumericalError` when LAPACK does not converge
-    on a block or a block's eigendecomposition fails its residual probe (see
-    :func:`~enttime.linalg.eig_hermitian`).
+    on a block or a block's eigenvalues fail their moment check
+    (:func:`~enttime.linalg.eigvals_hermitian`); :meth:`probabilities`
+    raises it too when an eigendecomposition fails its residual probe
+    (:func:`~enttime.linalg.eig_hermitian`) or the series vectors grow past
+    the start's norm (:func:`~enttime.linalg.chebyshev_vectors`).
     """
 
     def __init__(self, h: ProductHamiltonian, state: ProductState):
@@ -150,15 +211,39 @@ class Propagator:
         psi0 = product_state_vector(state)
         self.norm = float(np.linalg.norm(psi0))
         found = invariant_blocks(h, np.flatnonzero(psi0))
-        self.blocks = tuple(
-            _Block(indices, spectrum, psi0[indices])
-            for indices, spectrum in zip(found, _spectra(h, found))
-        )
+        blocks: list = [None] * len(found)
+        for members in _by_size(found):
+            sym = hermitian_part(_stack([block_matrix(h, found[k], found[k]) for k in members]))
+            sym.setflags(write=False)
+            mats = [sym] if len(members) == 1 else list(sym)
+            levels = _per_matrix(eigvals_hermitian(sym), len(members))
+            for k, mat, level in zip(members, mats, levels):
+                blocks[k] = _Block(found[k], mat, level, psi0[found[k]])
+        self.blocks = tuple(blocks)
 
     @property
     def block_sizes(self) -> list[int]:
-        """Dimensions of the diagonalized blocks, in the order of ``blocks``."""
+        """Dimensions of the reached blocks, in the order of ``blocks``."""
         return [block.indices.size for block in self.blocks]
+
+    def _prepare(self, reach: float) -> None:
+        """Choose each block's route for times up to |t| = ``reach`` and form what it needs."""
+        bare = []
+        for block in self.blocks:
+            block.terms = chebyshev_terms(block.interval[1] * reach, block.indices.size)
+            if block.terms is None:
+                if block.spectrum is None:
+                    bare.append(block)
+            elif block.vectors is None or block.vectors.shape[0] <= block.terms:
+                block.vectors, growth = chebyshev_vectors(
+                    block.matrix, *block.interval, block.psi0, block.terms, block.vectors)
+                block.growth = max(block.growth, growth)
+        for members in _by_size([block.indices for block in bare]):
+            group = [bare[k] for k in members]
+            spectra = eig_hermitian(_stack([block.matrix for block in group]))
+            for block, spectrum in zip(group, _per_matrix(spectra, len(group))):
+                block.spectrum = spectrum
+                block.modes = (block.psi0.conj() @ spectrum.eigenvectors).conj()
 
     def probabilities(self, times) -> np.ndarray:
         """Squared Schmidt coefficients, descending, one row per time.
@@ -170,6 +255,7 @@ class Propagator:
         t = np.asarray(times, dtype=np.float64).reshape(-1)
         if not np.all(np.isfinite(t)):
             raise ValueError("times must be finite")
+        self._prepare(float(np.max(np.abs(t), initial=0.0)))
         out = np.empty((t.size, min(self.dim_a, self.dim_b)))
         step = max(1, _CHUNK_ENTRIES // self.dim)
         # a block of all d indices is range(d) in order: its rows are the amplitudes
@@ -177,12 +263,11 @@ class Propagator:
         for start in range(0, t.size, step):
             chunk = t[start : start + step]
             if whole is not None:
-                amps = propagate(whole.spectrum, whole.psi0, whole.modes, chunk)
+                amps = whole.amplitudes(chunk)
             else:
                 amps = np.zeros((chunk.size, self.dim), dtype=np.complex128)
                 for block in self.blocks:
-                    amps[:, block.indices] = propagate(block.spectrum, block.psi0,
-                                                       block.modes, chunk)
+                    amps[:, block.indices] = block.amplitudes(chunk)
             drift = np.abs(np.linalg.norm(amps, axis=1) - self.norm)
             worst = int(np.argmax(drift))
             if not drift[worst] <= NORM_TOL:

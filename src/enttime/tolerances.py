@@ -37,6 +37,22 @@ RECON_TOL = 1e-10
 PROBE_COLUMNS = 8
 PROBE_SEED = 1977
 
+# Truncation allowed in a Chebyshev series of exp(-i S t) psi0, relative to
+# ||psi0||. With S's spectrum inside [a - R, a + R] and x = R max|t|,
+#   exp(-i S t) psi0 = sum_k (2 - delta_k0) (-i)^k J_k(R t) e^(-i a t) T_k(H) psi0,
+# H = (S - a) / R (Tal-Ezer and Kosloff 1984). |T_k| <= 1 on [-1, 1], so
+# term k has norm at most 2 |J_k(R t)| ||psi0||, and |J_k(y)| <=
+# (|y|/2)^k / k! for every real y. Dropping every term past K therefore
+# changes the amplitudes by at most ||psi0|| times
+#   2 sum_(k > K) (x/2)^k / k!
+#     <= 2 (x/2)^(K+1) / (K+1)! sum_(j >= 0) (x / (2 (K + 2)))^j
+#      = 2 (x/2)^(K+1) / (K+1)! / (1 - x / (2 (K + 2))),   x < 2 (K + 2),
+# since each later term is at most x / (2 (K + 2)) times the one before.
+# The series takes the smallest K with this bound at most CHEB_TAIL_TOL;
+# at 1e-16, below the unit roundoff 2^-53 = 1.1e-16, the dropped tail is
+# smaller than one rounding of psi0. At x = 323.4 that is K = 472.
+CHEB_TAIL_TOL = 1e-16
+
 # Reduced-density eigenvalues may undershoot zero by this much before the
 # spectrum is considered broken (relative to the unit trace).
 PSD_TOL = -1e-12

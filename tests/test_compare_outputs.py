@@ -24,9 +24,9 @@ def test_every_model_of_the_fixed_set_reads():
         if name == "non_hermitian":
             with pytest.raises(ModelError):
                 check_hermitian(model.hamiltonian)
-    assert [cmd[0] for cmd in compare_outputs.commands(compare_outputs.DENSE)] == [
-        "timescale", "evolve"
-    ]
+    dense = compare_outputs.commands(compare_outputs.DENSE)
+    assert [cmd[0] for cmd in dense] == ["timescale", "evolve", "evolve"]
+    assert dense[2][-2:] == ["--t-max", "8"] and "--t-max" not in dense[1]
 
 
 def canned(monkeypatch, repo, differ):
@@ -56,15 +56,16 @@ def test_canned_runs_compare_both_archive_copies(tmp_path, monkeypatch, capsys, 
     roots = {side: root for root, side, _, _ in seen}
     assert set(roots) == {"parent", "change"}
     assert roots["parent"].parent == roots["change"].parent != repo
-    # three commands on the small model, two on the dense one, each on both sides
+    # three commands on each model, each on both sides
     assert [(cmd, model) for _, side, cmd, model in seen if side == "change"] == [
-        ("timescale", "x"), ("verify", "x"), ("evolve", "x"), ("timescale", "y"), ("evolve", "y")
+        ("timescale", "x"), ("verify", "x"), ("evolve", "x"),
+        ("timescale", "y"), ("evolve", "y"), ("evolve", "y"),
     ]
     out = capsys.readouterr().out
     if differ:
-        assert out.count("differs in stderr") == 2 and "2 of the runs differ" in out
+        assert out.count("differs in stderr") == 3 and "3 of the runs differ" in out
     else:
-        assert out.count("  identical") == 5 and "every run is identical" in out
+        assert out.count("  identical") == 6 and "every run is identical" in out
 
 
 def test_uncommitted_changes_are_refused(tmp_path, monkeypatch, capsys):

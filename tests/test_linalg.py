@@ -2,11 +2,21 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 
 import enttime.linalg as linalg_module
 from enttime.errors import DimensionError, NumericalError, StateError
-from enttime.linalg import as_complex_matrix, eig_hermitian, propagate
-from enttime.tolerances import PROBE_COLUMNS, RECON_TOL
+from enttime.linalg import (
+    as_complex_matrix,
+    bessel_j,
+    chebyshev_propagate,
+    chebyshev_terms,
+    chebyshev_vectors,
+    eig_hermitian,
+    eigvals_hermitian,
+    propagate,
+)
+from enttime.tolerances import CHEB_TAIL_TOL, NORM_TOL, PROBE_COLUMNS, RECON_TOL
 
 import oracles
 
@@ -257,3 +267,166 @@ def test_reduced_spectra_agree_for_random_pure_states():
         padded_a[: dim_a] = spec_a
         padded_b[: dim_b] = spec_b
         assert np.max(np.abs(np.sort(padded_a) - np.sort(padded_b))) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# checked eigenvalues alone, and the residual each spectrum keeps
+
+
+def test_eigvals_hermitian_matches_eigh_and_keeps_its_residual():
+    rng = np.random.default_rng(71)
+    for n in (1, 2, 7, 40):
+        stack = np.stack([oracles.random_hermitian(rng, n) for _ in range(3)])
+        levels = eigvals_hermitian(stack)
+        assert levels.eigenvectors is None
+        assert levels.residual.shape == levels.tolerance.shape == (3,)
+        assert np.all(levels.residual <= 1e-3 * levels.tolerance)
+        for k in range(3):
+            alone = eigvals_hermitian(stack[k])
+            assert np.array_equal(alone.eigenvalues, levels.eigenvalues[k])
+            assert alone.residual == levels.residual[k]
+            assert np.max(np.abs(alone.eigenvalues - np.linalg.eigh(stack[k])[0])) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [5, 200])
+def test_forced_residuals_show_on_the_spectrum(monkeypatch, n):
+    """An eigenvalue moved by delta below the tolerance is accepted, and the
+    spectrum of that matrix of the stack, and only that one, reports it."""
+    rng = np.random.default_rng(73)
+    stack = np.stack([oracles.random_hermitian(rng, n) for _ in range(3)])
+    delta = 0.1 * RECON_TOL * np.linalg.norm(stack[1])
+    eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+
+    def moved(w):
+        w = w.copy()
+        w[1, n // 2] += delta
+        return w
+
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (moved(eigh(a)[0]), eigh(a)[1]))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: moved(eigvalsh(a)))
+    full = eig_hermitian(stack)
+    assert full.residual[1] == pytest.approx(delta, rel=0.5)
+    assert max(full.residual[0], full.residual[2]) <= 1e-2 * delta
+    assert full[1].residual == full.residual[1]
+    levels = eigvals_hermitian(stack)
+    assert delta / math.sqrt(n) <= levels.residual[1] * (1 + 1e-3) <= delta * (1 + 2e-3)
+    assert max(levels.residual[0], levels.residual[2]) <= 1e-2 * delta
+
+
+def test_eigenvalue_moment_check_rejects_a_moved_eigenvalue(monkeypatch):
+    rng = np.random.default_rng(79)
+    m = oracles.random_hermitian(rng, 50)
+    eigvalsh = np.linalg.eigvalsh
+
+    def moved(a):
+        w = eigvalsh(a).copy()
+        w[-1] += 1e-6 * np.max(np.abs(w))
+        return w
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", moved)
+    with pytest.raises(NumericalError, match="moment residual"):
+        eigvals_hermitian(m)
+
+
+# ---------------------------------------------------------------------------
+# the Chebyshev series
+
+
+@pytest.mark.parametrize("k_max", [0, 1, 6, 60, 500])
+def test_bessel_j_matches_scipy(k_max):
+    """scipy's jv is itself off by up to about 3e-14 at x = 2000 and 1.5e-14
+    relative at x = 1e-9 (against mpmath), hence the tolerances. Orders from
+    the series length at x on, where the recurrence starts, are held to the
+    absolute tolerance only: the series never needs them more exactly."""
+    xs = np.array([0.0, 1e-12, -1e-12, 1e-9, 0.02, 1.0, 323.0, 2000.0, -0.02, -323.0])
+    orders = np.arange(k_max + 1)
+    together = bessel_j(k_max, xs)
+    assert together.shape == (xs.size, k_max + 1)
+    reference = scipy.special.jv(orders[None, :], xs[:, None])
+    assert np.max(np.abs(together - reference)) <= 1e-13
+    for k, x in enumerate(xs):
+        alone = bessel_j(k_max, [x])[0]
+        assert np.max(np.abs(alone - reference[k])) <= 1e-13
+        assert np.array_equal(bessel_j(k_max, [-x])[0], alone * (-1.0) ** orders)
+        if abs(x) <= 1.0:
+            kept = orders < chebyshev_terms(x, 10**4)
+            assert np.all(np.abs(alone - reference[k])[kept]
+                          <= 5e-14 * np.abs(reference[k])[kept])
+    assert np.array_equal(bessel_j(k_max, [0.0])[0], np.eye(1, k_max + 1)[0])
+
+
+def test_series_length_meets_its_bound_and_stops_at_the_limit():
+    def bound(x, k):
+        log = (k + 1) * math.log(x / 2.0) - math.lgamma(k + 2)
+        return 2.0 * math.exp(log) / (1.0 - x / (2.0 * (k + 2)))
+
+    for x in (1e-12, 1e-4, 0.5, 7.0, 100.0, 323.4):
+        k = chebyshev_terms(x, 10**4)
+        assert bound(x, k) <= CHEB_TAIL_TOL
+        assert k == 0 or not (x < 2.0 * (k + 1) and bound(x, k - 1) <= CHEB_TAIL_TOL)
+        # the tail it drops, by the recurrence itself
+        tail = 2.0 * np.sum(np.abs(bessel_j(k + 60, [x])[0, k + 1:]))
+        assert tail <= CHEB_TAIL_TOL
+        assert chebyshev_terms(-x, 10**4) == k
+        assert chebyshev_terms(x, k) == k and chebyshev_terms(x, k - 1) is None
+    assert chebyshev_terms(0.0, 0) == 0
+    assert chebyshev_terms(323.4, 1024) == 472
+
+
+@pytest.mark.parametrize("x", [math.inf, 1e300, 2.0 * (1024 + 2)])
+def test_series_length_search_is_bounded(monkeypatch, x):
+    """A huge or infinite x is refused before any term of the search."""
+    monkeypatch.setattr(linalg_module.math, "lgamma", None)  # any step would call it
+    assert chebyshev_terms(x, 1024) is None
+
+
+def _series(h, psi0, times):
+    levels = eigvals_hermitian(h)
+    w = levels.eigenvalues
+    center, radius = 0.5 * (w[0] + w[-1]), 0.5 * (w[-1] - w[0]) + float(levels.tolerance)
+    k = chebyshev_terms(radius * np.max(np.abs(times)), 10**4)
+    vectors, growth = chebyshev_vectors(h, center, radius, psi0, k)
+    return chebyshev_propagate(psi0, vectors, center, radius, times), vectors, growth
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_series_matches_expm_at_negative_and_unsorted_times(n):
+    rng = np.random.default_rng(89 + n)
+    h = oracles.random_hermitian(rng, n)
+    h[np.diag_indices(n)] += 2.0  # an off-center spectrum
+    psi0 = oracles.random_unit_vector(rng, n)
+    times = rng.uniform(-1.5, 1.5, size=9)
+    out, vectors, growth = _series(h, psi0, times)
+    expected = np.array([oracles.expm_propagate(h, psi0, t) for t in times])
+    assert np.max(np.abs(out - expected)) <= 1e-12
+    assert 0.0 < growth <= 1.0 + NORM_TOL
+    assert np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0)) <= 1e-13
+
+
+def test_series_returns_the_start_at_time_zero():
+    rng = np.random.default_rng(97)
+    h = oracles.random_hermitian(rng, 12)
+    psi0 = oracles.random_unit_vector(rng, 12)
+    out, _, _ = _series(h, psi0, [0.0, -0.0, 0.0])
+    for row in out:
+        assert row.tobytes() == psi0.tobytes()
+    # and t = 0 in a grid that needs many terms
+    out, vectors, _ = _series(h, psi0, [2.0, 0.0, -1.0])
+    assert vectors.shape[0] > 10 and out[1].tobytes() == psi0.tobytes()
+
+
+def test_series_refuses_a_spectrum_outside_its_interval():
+    rng = np.random.default_rng(101)
+    h = oracles.random_hermitian(rng, 32)
+    psi0 = oracles.random_unit_vector(rng, 32)
+    w = np.linalg.eigvalsh(h)
+    center, radius = 0.5 * (w[0] + w[-1]), 0.5 * (w[-1] - w[0])
+    _, growth = chebyshev_vectors(h, center, radius * (1 + 1e-9), psi0, 60)
+    assert growth <= 1.0 + NORM_TOL
+    with pytest.raises(NumericalError, match="leaves"):
+        chebyshev_vectors(h, center, 0.9 * radius, psi0, 60)
+    # rows formed earlier are continued, and the check covers the new ones
+    rows, _ = chebyshev_vectors(h, center, radius * (1 + 1e-9), psi0, 5)
+    more, _ = chebyshev_vectors(h, center, radius * (1 + 1e-9), psi0, 60, rows)
+    full, _ = chebyshev_vectors(h, center, radius * (1 + 1e-9), psi0, 60)
+    assert np.array_equal(more, full)

@@ -30,7 +30,9 @@ from enttime.models import (
     sigma_minus,
     sigma_plus,
 )
+from enttime.linalg import chebyshev_terms
 from enttime.propagator import Propagator
+from enttime.tolerances import NORM_TOL
 
 import oracles
 
@@ -177,28 +179,46 @@ def test_ladder_pair_keeps_asymmetric_patterns_apart():
 
 
 def test_equal_size_blocks_share_one_stacked_eigh(monkeypatch):
-    """Blocks of one size go through one eig_hermitian call, each with exactly
-    the spectrum it gets alone; a forced residual in one of them is refused."""
+    """Blocks of one size go through one eigvals_hermitian call at construction
+    and one eig_hermitian call on the first grid that needs eigenvectors, each
+    with exactly the spectrum it gets alone; a forced residual in one of them
+    is refused."""
     cases = [
         build_jcm(JcmSpec(lam=1.0, n_max=40, field=CoherentField(3.0), c_e=0.0, c_g=1.0)),
         (build_bose_hubbard_boundary(
             BoseHubbardBoundarySpec(j_rate=1.0, u_rate=0.7, n_per_site_max=2))[0],
          ProductState(psi_a=np.ones(3) / np.sqrt(3.0), psi_b=np.ones(3) / np.sqrt(3.0))),
     ]
-    calls = []
-    eig = propagator_module.eig_hermitian
-    monkeypatch.setattr(propagator_module, "eig_hermitian",
-                        lambda m: calls.append(np.shape(m)) or eig(m))
+    calls = {"eig_hermitian": [], "eigvals_hermitian": []}
+    solvers = {name: getattr(propagator_module, name) for name in calls}
+    for name, solve in solvers.items():
+        monkeypatch.setattr(propagator_module, name,
+                            lambda m, name=name, solve=solve:
+                            calls[name].append(np.shape(m)) or solve(m))
+    times = np.linspace(0.0, 2.0, 5)
     for h, state in cases:
-        calls.clear()
+        for made in calls.values():
+            made.clear()
         propagator = Propagator(h, state)
         sizes = propagator.block_sizes
-        assert sorted(calls) == sorted(
-            (sizes.count(n), n, n) if sizes.count(n) > 1 else (n, n) for n in set(sizes))
+        stacks = sorted((sizes.count(n), n, n) if sizes.count(n) > 1 else (n, n)
+                        for n in set(sizes))
+        assert sorted(calls["eigvals_hermitian"]) == stacks
+        assert calls["eig_hermitian"] == []
+        propagator.probabilities(times)
+        propagator.probabilities(times)
+        eigen = [b.indices.size for b in propagator.blocks if b.terms is None]
+        assert sorted(calls["eig_hermitian"]) == sorted(
+            (eigen.count(n), n, n) if eigen.count(n) > 1 else (n, n) for n in set(eigen))
         for block in propagator.blocks:
-            alone = eig(hamiltonian_module.block_matrix(h, block.indices, block.indices))
-            assert np.array_equal(block.spectrum.eigenvalues, alone.eigenvalues)
-            assert np.array_equal(block.spectrum.eigenvectors, alone.eigenvectors)
+            matrix = hamiltonian_module.block_matrix(h, block.indices, block.indices)
+            matrix = 0.5 * (matrix + matrix.conj().T)
+            assert np.array_equal(block.eigenvalues,
+                                  solvers["eigvals_hermitian"](matrix).eigenvalues)
+            if block.terms is None:
+                alone = solvers["eig_hermitian"](matrix)
+                assert np.array_equal(block.spectrum.eigenvalues, alone.eigenvalues)
+                assert np.array_equal(block.spectrum.eigenvectors, alone.eigenvectors)
 
     h, state = cases[0]
     eigh = np.linalg.eigh
@@ -211,8 +231,9 @@ def test_equal_size_blocks_share_one_stacked_eigh(monkeypatch):
         return w, v
 
     monkeypatch.setattr(np.linalg, "eigh", one_bad_doublet)
+    propagator = Propagator(h, state)
     with pytest.raises(NumericalError, match="residual"):
-        Propagator(h, state)
+        propagator.probabilities(times)
 
 
 def test_hermiticity_defect_outside_the_reached_block_is_caught():
@@ -330,3 +351,113 @@ def test_propagator_guards():
         Propagator(h, other)
     with pytest.raises(ValueError, match="finite"):
         Propagator(h, state).probabilities([0.0, np.nan])
+
+
+def oracle_probabilities(h, state, times):
+    dense = dense_oracle(h)
+    psi0 = np.kron(state.psi_a, state.psi_b)
+    out = []
+    for t in times:
+        psi = oracles.expm_propagate(dense, psi0, t)
+        singular = np.linalg.svd(psi.reshape(h.dim_a, h.dim_b), compute_uv=False)
+        out.append(singular * singular)
+    return np.array(out)
+
+
+def largest_series_reach(block):
+    """The largest x = R max|t| at which the block still takes the series, by bisection."""
+    n = block.indices.size
+    low, high = 0.0, 2.0 * (n + 2)
+    for _ in range(60):
+        mid = 0.5 * (low + high)
+        low, high = (mid, high) if chebyshev_terms(mid, n) is not None else (low, mid)
+    return low
+
+
+@pytest.mark.parametrize("dims", [(4, 4), (8, 8), (16, 16)])
+def test_series_and_eigenbasis_routes_match_expm_on_both_sides_of_k_equal_n(dims):
+    rng = np.random.default_rng(103 + dims[0])
+    h, state = dense_model(rng, *dims)
+    n = dims[0] * dims[1]
+    propagator = Propagator(h, state)
+    (block,) = propagator.blocks
+    radius = block.interval[1]
+    edge = largest_series_reach(block) / radius
+    for reach, series in ((edge * (1 - 1e-3), True), (edge * (1 + 1e-2), False)):
+        times = reach * np.concatenate([[1.0, -0.3, 0.0, -1.0], rng.uniform(-1.0, 1.0, 5)])
+        probs = propagator.probabilities(times)
+        assert (block.terms is not None) == series
+        if series:
+            assert block.terms == chebyshev_terms(radius * reach, n) <= n
+            assert block.vectors.shape[0] >= block.terms + 1
+            assert 0.0 < block.growth <= 1.0 + NORM_TOL
+        else:
+            assert block.spectrum is not None
+        assert np.max(np.abs(probs - oracle_probabilities(h, state, times))) <= 1e-12
+
+
+def test_series_rows_are_kept_and_extended_across_grids():
+    h, state = dense_model(np.random.default_rng(107), 6, 6)
+    propagator = Propagator(h, state)
+    times = np.linspace(-0.5, 1.0, 7) * 8.0 / propagator.blocks[0].interval[1]  # x <= 8
+    fresh = Propagator(h, state).probabilities(times)
+    propagator.probabilities(0.1 * times)
+    short = propagator.blocks[0].vectors.shape[0]
+    assert np.array_equal(propagator.probabilities(times), fresh)
+    assert propagator.blocks[0].vectors.shape[0] > short
+    assert propagator.blocks[0].spectrum is None  # no eigenvectors were needed
+
+
+def test_start_bytes_at_time_zero_on_the_series_route():
+    h, state = dense_model(np.random.default_rng(109), 5, 5)
+    propagator = Propagator(h, state)
+    propagator.probabilities([0.0, -0.0])
+    (block,) = propagator.blocks
+    assert block.terms == 0
+    for row in block.amplitudes([0.0, -0.0]):
+        assert row.tobytes() == block.psi0.tobytes()
+
+
+def test_huge_times_go_to_the_eigenbasis_without_a_series(monkeypatch):
+    def no_series(*args):
+        raise AssertionError("Chebyshev vectors were formed")
+
+    monkeypatch.setattr(propagator_module, "chebyshev_vectors", no_series)
+    h, state = dense_model(np.random.default_rng(113), 4, 4)
+    propagator = Propagator(h, state)
+    probs = propagator.probabilities([0.0, 1e300, -1e300])
+    assert propagator.blocks[0].terms is None and propagator.blocks[0].vectors is None
+    assert np.max(np.abs(probs.sum(axis=1) - 1.0)) <= 1e-12
+
+
+def test_a_shrunk_series_interval_is_refused(monkeypatch):
+    h, state = dense_model(np.random.default_rng(127), 6, 6)
+    vectors = propagator_module.chebyshev_vectors
+    monkeypatch.setattr(propagator_module, "chebyshev_vectors",
+                        lambda m, center, radius, *rest: vectors(m, center, 0.9 * radius, *rest))
+    propagator = Propagator(h, state)
+    reach = 8.0 / propagator.blocks[0].interval[1]  # 30 terms for 36 states: the series
+    with pytest.raises(NumericalError, match="leaves"):
+        propagator.probabilities(np.linspace(0.0, reach, 5))
+
+
+def test_block_spectra_keep_a_forced_residual(monkeypatch):
+    """A residual forced below the tolerance passes and shows on the block's spectra."""
+    h, state = build_jcm(JcmSpec(lam=1.0, n_max=12, field=FockField(3)))
+    delta = 1e-12
+    eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+
+    def moved(w):
+        w = w.copy()
+        w[..., 0] += delta
+        return w
+
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (moved(eigh(a)[0]), eigh(a)[1]))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: moved(eigvalsh(a)))
+    propagator = Propagator(h, state)
+    (block,) = propagator.blocks
+    assert delta / np.sqrt(2.0) <= block.levels.residual * (1 + 1e-3) <= delta * (1 + 1e-3)
+    assert block.levels.residual <= block.levels.tolerance
+    propagator.probabilities(np.linspace(0.0, 3.0, 7))
+    assert block.terms is None
+    assert block.spectrum.residual == pytest.approx(delta, rel=1e-3)
