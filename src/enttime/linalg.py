@@ -226,23 +226,30 @@ def propagate(spectrum: HermitianSpectrum, psi0: np.ndarray, modes: np.ndarray,
 def chebyshev_terms(x: float, limit: int) -> int | None:
     """Smallest K <= ``limit`` whose series tail bound at ``x`` is at most ``CHEB_TAIL_TOL``.
 
-    The bound, derived next to ``CHEB_TAIL_TOL``, is
-    2 (x/2)^(K+1) / (K+1)! / (1 - x / (2 (K+2))) for x < 2 (K + 2). It is
-    at least 2 whenever K + 1 <= x/2, so the search starts there, and
-    |x| >= 2 (limit + 2), an infinite x included, returns None with no
-    search at all. None means no K up to ``limit`` will do.
+    The bound is the smaller of the two derived next to ``CHEB_TAIL_TOL``:
+    2 (x/2)^(K+1) / (K+1)! / (1 - x / (2 (K+2))) for x < 2 (K + 2), and
+    Kapteyn's 2 e^(-k eta) / (1 - y + sqrt(y^2 - 1)) at k = K + 1 > x,
+    y = k / x, k eta = k arccosh(y) - sqrt(k^2 - x^2). Both exceed 1 for
+    K + 1 <= x/2, so the search starts there, and |x| >= 2 (limit + 2), an
+    infinite x included, returns None with no search at all. None means no
+    K up to ``limit`` will do.
     """
     x = abs(x)
     if not x < 2.0 * (limit + 2):
         return None
     if x == 0.0:
         return 0
-    log_half, log_tol = math.log(0.5 * x), math.log(CHEB_TAIL_TOL)
+    log_half, log_tol = math.log(0.5 * x), math.log(CHEB_TAIL_TOL) - math.log(2.0)
     for k in range(max(0, int(0.5 * x) - 1), limit + 1):
         ratio = x / (2.0 * (k + 2))
-        if ratio < 1.0 and (math.log(2.0) + (k + 1) * log_half - math.lgamma(k + 2)
+        if ratio < 1.0 and ((k + 1) * log_half - math.lgamma(k + 2)
                             - math.log1p(-ratio)) <= log_tol:
             return k
+        y = (k + 1) / x
+        if y > 1.0:
+            root = math.sqrt(y * y - 1.0)
+            if (x * root - (k + 1) * math.acosh(y) - math.log1p(root - y)) <= log_tol:
+                return k
     return None
 
 
@@ -263,6 +270,7 @@ def bessel_j(k_max: int, x) -> np.ndarray:
     top = float(ax.max(initial=0.0))
     if not math.isfinite(top):
         raise ValueError("Bessel arguments must be finite")
+    # Kapteyn's bound needs K - x of order x^(1/3), far inside this limit
     n = max(k_max, chebyshev_terms(top, 2 * math.ceil(top) + 64)) + 1
     ratios = np.empty((n, ax.size))  # row k - 1 holds r_k, k = 1 .. n
     r = np.zeros(ax.size)
@@ -282,15 +290,17 @@ def bessel_j(k_max: int, x) -> np.ndarray:
 
 def chebyshev_vectors(matrix: np.ndarray, center: float, radius: float, psi0: np.ndarray,
                       count: int, start: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """Rows u_k = T_k(H) psi0, k = 0 .. ``count``, with H = (``matrix`` - center) / radius.
+    """Rows v_k = (-i)^k T_k(H) psi0, k = 0 .. ``count``, with H = (``matrix`` - center) / radius.
 
     ``start`` holds rows already formed for this matrix and start, which
     are copied and continued. Each new row costs one matrix-vector product:
-    u_1 = H u_0 and u_{k+1} = 2 H u_k - u_{k-1}. The series rests on the
-    spectrum of H lying in [-1, 1], where |T_k| <= 1, so ||u_k|| <= ||psi0||;
-    a spectrum that leaves the interval makes the rows grow, and a row
-    beyond (1 + ``NORM_TOL``) ||psi0|| raises :class:`NumericalError`.
-    Returns the rows and max_k ||u_k|| / ||psi0|| over the new ones.
+    v_1 = -i H v_0 and v_{k+1} = -2i H v_k + v_{k-1}, the Chebyshev
+    recurrence with the factor (-i)^k of the series folded in. The series
+    rests on the spectrum of H lying in [-1, 1], where |T_k| <= 1, so
+    ||v_k|| <= ||psi0||; a spectrum that leaves the interval makes the rows
+    grow, and a row beyond (1 + ``NORM_TOL``) ||psi0|| raises
+    :class:`NumericalError`. Returns the rows and max_k ||v_k|| / ||psi0||
+    over the new ones.
     """
     rows = np.empty((count + 1, psi0.size), dtype=np.complex128)
     if start is None:
@@ -303,10 +313,10 @@ def chebyshev_vectors(matrix: np.ndarray, center: float, radius: float, psi0: np
         np.matmul(matrix, rows[k - 1], out=rows[k])
         rows[k] -= center * rows[k - 1]
         if k == 1:
-            rows[k] *= 1.0 / radius
+            rows[k] *= -1j / radius
         else:
-            rows[k] *= 2.0 / radius
-            rows[k] -= rows[k - 2]
+            rows[k] *= -2j / radius
+            rows[k] += rows[k - 2]
     norm = np.linalg.norm(psi0)
     growth = float(np.max(np.linalg.norm(rows[first:], axis=1), initial=0.0)) / norm
     if not growth <= 1.0 + NORM_TOL:
@@ -321,29 +331,31 @@ def chebyshev_propagate(psi0: np.ndarray, vectors: np.ndarray, center: float, ra
                         times) -> np.ndarray:
     """Amplitudes exp(-i S t) psi0 for each time, one row per time, from Chebyshev vectors.
 
-    ``vectors`` are the rows u_0 .. u_K of :func:`chebyshev_vectors` for S
+    ``vectors`` are the rows v_0 .. v_K of :func:`chebyshev_vectors` for S
     with spectrum in [center - radius, center + radius]. Then
-    exp(-i S t) psi0 = sum_k c_k u_k with
-    c_k = (2 - delta_k0) (-i)^k J_k(radius t) exp(-i center t), and the
-    terms past K change the amplitudes by at most the tail bound of
-    :func:`chebyshev_terms` at radius max|t|, times ||psi0||. The result is
-    psi0 + sum_k (c_k - delta_k0) u_k, with
-    c_0 - 1 = J_0 (exp(-i center t) - 1) - 2 sum_(m >= 1) J_2m and the phase
-    shift written through sines as in :func:`propagate`, so t = 0 returns
-    psi0 exactly. The rows for all times come out of one
-    (T x (K+1)) by ((K+1) x dim) product, into a new array.
+    exp(-i S t) psi0 = p sum_k (2 - delta_k0) J_k(radius t) v_k with
+    p = exp(-i center t), and the terms past K change the amplitudes by at
+    most the tail bound of :func:`chebyshev_terms` at radius max|t|, times
+    ||psi0||. The result is psi0 + q psi0 + p sum_(k >= 1) 2 J_k v_k with
+    q = J_0 (p - 1) - 2 sum_(m >= 1) J_2m = J_0 p - 1 and the phase shift
+    p - 1 written through sines as in :func:`propagate`, so t = 0 returns
+    psi0 exactly and a small change keeps its relative accuracy. Only the
+    first K' + 1 rows enter, K' the series length for these times' own
+    max|t|, which the same bound allows. The sum is one real (T x K') by
+    (K' x 2 dim) product, since its coefficients are real.
     """
     t = np.asarray(times, dtype=np.float64)
-    bessel = bessel_j(vectors.shape[0] - 1, radius * t)
+    terms = chebyshev_terms(radius * float(np.max(np.abs(t), initial=0.0)),
+                            vectors.shape[0] - 1)
+    vectors = vectors[: terms + 1]
+    bessel = bessel_j(terms, radius * t)
     theta = center * t
     half = np.sin(0.5 * theta)
     sine = np.sin(theta)
-    shift = -2.0 * half * half - 1j * sine  # exp(-i center t) - 1
-    turns = np.array([1.0, -1j, -1.0, 1j])[np.arange(1, vectors.shape[0]) % 4]  # (-i)^k
-    coef = np.empty(bessel.shape, dtype=np.complex128)
-    coef[:, 0] = bessel[:, 0] * shift - 2.0 * bessel[:, 2::2].sum(axis=1)
-    np.multiply(np.multiply.outer(np.cos(theta) - 1j * sine, turns), 2.0 * bessel[:, 1:],
-                out=coef[:, 1:])
-    out = coef @ vectors
+    q = bessel[:, 0] * (-2.0 * half * half - 1j * sine) - 2.0 * bessel[:, 2::2].sum(axis=1)
+    bessel[:, 1:] *= 2.0
+    out = (bessel[:, 1:] @ vectors[1:].view(np.float64)).view(np.complex128)
+    out *= (np.cos(theta) - 1j * sine)[:, None]
+    out += np.multiply.outer(q, psi0)
     out += psi0
     return out

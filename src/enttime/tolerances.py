@@ -40,17 +40,25 @@ PROBE_SEED = 1977
 # Truncation allowed in a Chebyshev series of exp(-i S t) psi0, relative to
 # ||psi0||. With S's spectrum inside [a - R, a + R] and x = R max|t|,
 #   exp(-i S t) psi0 = sum_k (2 - delta_k0) (-i)^k J_k(R t) e^(-i a t) T_k(H) psi0,
-# H = (S - a) / R (Tal-Ezer and Kosloff 1984). |T_k| <= 1 on [-1, 1], so
-# term k has norm at most 2 |J_k(R t)| ||psi0||, and |J_k(y)| <=
-# (|y|/2)^k / k! for every real y. Dropping every term past K therefore
-# changes the amplitudes by at most ||psi0|| times
-#   2 sum_(k > K) (x/2)^k / k!
-#     <= 2 (x/2)^(K+1) / (K+1)! sum_(j >= 0) (x / (2 (K + 2)))^j
-#      = 2 (x/2)^(K+1) / (K+1)! / (1 - x / (2 (K + 2))),   x < 2 (K + 2),
-# since each later term is at most x / (2 (K + 2)) times the one before.
-# The series takes the smallest K with this bound at most CHEB_TAIL_TOL;
-# at 1e-16, below the unit roundoff 2^-53 = 1.1e-16, the dropped tail is
-# smaller than one rounding of psi0. At x = 323.4 that is K = 472.
+# H = (S - a) / R (Tal-Ezer and Kosloff 1984). |T_k| <= 1 on [-1, 1] and
+# |J_k(-y)| = |J_k(y)|, so term k has norm at most 2 |J_k(R t)| ||psi0||,
+# and dropping every term past K changes the amplitudes by at most
+# ||psi0|| times 2 sum_(k > K) max_(0 <= y <= x) |J_k(y)|. Two bounds on that:
+# - |J_k(y)| <= (y/2)^k / k!, and each later term is at most x / (2 (K + 2))
+#   times the one before, so the tail is at most
+#     2 (x/2)^(K+1) / (K+1)! / (1 - x / (2 (K + 2))),   x < 2 (K + 2);
+# - Kapteyn's inequality (DLMF 10.14.8), |J_k(k z)| <= z^k e^(k w) / (1 + w)^k
+#   with w = sqrt(1 - z^2), 0 < z <= 1, which grows with z: at y <= x < k it
+#   gives |J_k(y)| <= e^(-E(k)), E(k) = k arccosh(k / x) - sqrt(k^2 - x^2).
+#   E'(k) = arccosh(k / x) grows with k, so past k = K + 1 each term is at
+#   most rho = e^(-arccosh(y)) = y - sqrt(y^2 - 1), y = (K + 1) / x, times
+#   the one before, and the tail is at most 2 e^(-E(K + 1)) / (1 - rho).
+# The first is the sharper for x below about 10, the second above: at
+# x = 323.4 they ask for K = 472 and K = 405, and the exact tail of
+# |J_k| reaches the tolerance at K = 399. The series takes the smallest K
+# for which either bound is at most CHEB_TAIL_TOL; at 1e-16, below the unit
+# roundoff 2^-53 = 1.1e-16, the dropped tail is smaller than one rounding
+# of psi0.
 CHEB_TAIL_TOL = 1e-16
 
 # Reduced-density eigenvalues may undershoot zero by this much before the

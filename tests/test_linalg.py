@@ -357,20 +357,28 @@ def test_bessel_j_matches_scipy(k_max):
 
 def test_series_length_meets_its_bound_and_stops_at_the_limit():
     def bound(x, k):
-        log = (k + 1) * math.log(x / 2.0) - math.lgamma(k + 2)
-        return 2.0 * math.exp(log) / (1.0 - x / (2.0 * (k + 2)))
+        """The smaller of the two tail bounds derived next to CHEB_TAIL_TOL."""
+        simple = kapteyn = math.inf
+        if x < 2.0 * (k + 2):
+            log = (k + 1) * math.log(x / 2.0) - math.lgamma(k + 2)
+            simple = 2.0 * math.exp(log) / (1.0 - x / (2.0 * (k + 2)))
+        y = (k + 1) / x
+        if y > 1.0:
+            root = math.sqrt(y * y - 1.0)
+            kapteyn = 2.0 * math.exp(x * root - (k + 1) * math.acosh(y)) / (1.0 - y + root)
+        return min(simple, kapteyn)
 
     for x in (1e-12, 1e-4, 0.5, 7.0, 100.0, 323.4):
         k = chebyshev_terms(x, 10**4)
         assert bound(x, k) <= CHEB_TAIL_TOL
-        assert k == 0 or not (x < 2.0 * (k + 1) and bound(x, k - 1) <= CHEB_TAIL_TOL)
+        assert k == 0 or not bound(x, k - 1) <= CHEB_TAIL_TOL
         # the tail it drops, by the recurrence itself
         tail = 2.0 * np.sum(np.abs(bessel_j(k + 60, [x])[0, k + 1:]))
         assert tail <= CHEB_TAIL_TOL
         assert chebyshev_terms(-x, 10**4) == k
         assert chebyshev_terms(x, k) == k and chebyshev_terms(x, k - 1) is None
     assert chebyshev_terms(0.0, 0) == 0
-    assert chebyshev_terms(323.4, 1024) == 472
+    assert chebyshev_terms(323.4, 1024) == 405  # the first bound alone takes 472
 
 
 @pytest.mark.parametrize("x", [math.inf, 1e300, 2.0 * (1024 + 2)])
