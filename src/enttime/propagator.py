@@ -176,8 +176,7 @@ class _Block:
         """exp(-i S t) psi0 on this block, by the route ``terms`` records."""
         if self.terms is None:
             return propagate(self.spectrum, self.psi0, self.modes, times)
-        return chebyshev_propagate(self.psi0, self.vectors[: self.terms + 1], *self.interval,
-                                   times)
+        return chebyshev_propagate(self.psi0, self.vectors, *self.interval, times)
 
 
 class Propagator:
