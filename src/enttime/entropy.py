@@ -64,7 +64,8 @@ _STENCIL_WEIGHTS = np.array([-1.0, 16.0, -30.0, 16.0, -1.0])
 _VERIFY_STENCIL_DIVISOR = 50.0
 
 # Cap on that width h in units of 1/Omega, Omega the spread of the
-# eigenvalues of the reached blocks, since scales absent from T_ent still
+# eigenvalues of the reached blocks (when one block is the whole space, of
+# its extreme Lanczos Ritz values), since scales absent from T_ent still
 # bend S_alpha. The truncation error over the curvature is
 # (h^4 / 90) |S^(6)| / |S''| <= K (h Omega)^4 / 90 with |S^(6)| <= K Omega^4 |S''|;
 # K = 14 for S_2 of one two-level oscillation, -ln((3 + cos(2 Omega t)) / 4),
@@ -329,7 +330,8 @@ def verify_growth(
     predicted curvature (2 alpha / (alpha - 1)) * t_ent_inv_sq against a
     5-point finite difference around t = 0 of width t_ent / 50, or
     0.0895 / Omega when that is narrower (Omega the spread of the
-    eigenvalues of the blocks the start reaches), PASS/FAIL at
+    eigenvalues of the blocks the start reaches, or of the Propagator's
+    Lanczos Ritz values when one block is the whole space), PASS/FAIL at
     ``tolerance_rel``. ``VON_NEUMANN_ALPHA`` (= 1) adds an informational
     row fitting the von Neumann curvature to a + b ln t. Degenerate systems
     instead fit the log-log onset slope of S_2, which the product start pins
@@ -405,8 +407,8 @@ def verify_growth(
     if renyi_orders:
         width = report.t_ent / _VERIFY_STENCIL_DIVISOR
         detail = f"5-point stencil, width t_ent/{_VERIFY_STENCIL_DIVISOR:g}"
-        levels = np.concatenate([block.eigenvalues for block in propagator.blocks])
-        omega = float(levels.max() - levels.min())
+        lows, highs = zip(*(block.extremes for block in propagator.blocks))
+        omega = float(max(highs) - min(lows))
         if omega * width > _VERIFY_STENCIL_PHASE:
             width = _VERIFY_STENCIL_PHASE / omega
             detail += (

@@ -3,12 +3,17 @@
 Input validation; the checked spectra of a Hermitian matrix or of a stack
 of equal-size ones, either eigenvalues alone (one ``eigvalsh``, checked by
 its trace moments) or the full eigendecomposition (checked by an O(k n^2)
-residual probe rather than an O(n^3) reconstruction); and the two ways to
-form exp(-i S t) psi0 from them: in the eigenbasis (:func:`propagate`), or
-as a Chebyshev series in S that needs only the two extreme eigenvalues
+residual probe rather than an O(n^3) reconstruction); the product form of
+S = (M + M^dag)/2 for M = sum_n A_n (x) B_n, applied from dense factor
+stacks without forming S (:func:`hermitian_product`), and the extreme
+Ritz values of a few Lanczos steps on any such operator
+(:func:`lanczos_interval`); and the two ways to form exp(-i S t) psi0: in
+the eigenbasis (:func:`propagate`), or as a Chebyshev series that needs
+only products with S and an interval holding its spectrum
 (:func:`chebyshev_vectors` and :func:`chebyshev_propagate`, after
-Tal-Ezer and Kosloff 1984). Nothing here knows about the bipartite split:
-the composite index i * dim_b + j is laid out by
+Tal-Ezer and Kosloff 1984), or an interval that the series' growth check
+guards in its place. Nothing here knows about the bipartite split beyond
+the factor shapes: the composite index i * dim_b + j is laid out by
 :func:`~enttime.hamiltonian.product_state_vector` and read back by
 :class:`~enttime.propagator.Propagator`.
 
@@ -19,12 +24,15 @@ the validation, the series and the error contract.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, NumericalError, StateError
 from .tolerances import CHEB_TAIL_TOL, NORM_TOL, PROBE_COLUMNS, PROBE_SEED, RECON_TOL
+
+_LOG_GROW = math.log1p(NORM_TOL)
 
 __all__ = [
     "as_complex_matrix",
@@ -33,6 +41,8 @@ __all__ = [
     "eig_hermitian",
     "eigvals_hermitian",
     "propagate",
+    "hermitian_product",
+    "lanczos_interval",
     "chebyshev_terms",
     "bessel_j",
     "chebyshev_vectors",
@@ -223,13 +233,117 @@ def propagate(spectrum: HermitianSpectrum, psi0: np.ndarray, modes: np.ndarray,
     return out
 
 
-def chebyshev_terms(x: float, limit: int) -> int | None:
-    """Smallest K <= ``limit`` whose series tail bound at ``x`` is at most ``CHEB_TAIL_TOL``.
+def hermitian_product(pairs) -> Callable[[np.ndarray], np.ndarray]:
+    """psi -> S psi for S = (M + M^dag)/2, M = sum_n A_n (x) B_n, without forming S.
 
-    The bound is the smaller of the two derived next to ``CHEB_TAIL_TOL``:
-    2 (x/2)^(K+1) / (K+1)! / (1 - x / (2 (K+2))) for x < 2 (K + 2), and
-    Kapteyn's 2 e^(-k eta) / (1 - y + sqrt(y^2 - 1)) at k = K + 1 > x,
-    y = k / x, k eta = k arccosh(y) - sqrt(k^2 - x^2). Both exceed 1 for
+    ``pairs`` holds each term's dense factors (A_n, B_n), of shapes
+    (dim_a, dim_a) and (dim_b, dim_b). With Psi = psi reshaped to
+    (dim_a, dim_b) (index i * dim_b + j), (A (x) B) psi is A Psi B^T (Van
+    Loan, "The ubiquitous Kronecker product", 2000), so
+    S psi = (1/2) sum_n (A_n Psi B_n^T + A_n^dag Psi conj(B_n)). The factors
+    are stacked once into [A_1 .. A_N A_1^dag .. A_N^dag] / 2 and
+    [B_1^T .. B_N^T conj(B_1) .. conj(B_N)], and each product is two GEMMs,
+    Psi times the second stack and the first stack times its blocks laid
+    end to end: 2N d (dim_a + dim_b) multiply-adds against d^2 for S psi.
+    """
+    dim_a, dim_b = pairs[0][0].shape[0], pairs[0][1].shape[0]
+    count = 2 * len(pairs)
+    left = 0.5 * np.concatenate([a for a, _ in pairs] + [a.conj().T for a, _ in pairs], axis=1)
+    right = np.concatenate([b.T for _, b in pairs] + [b.conj() for _, b in pairs], axis=1)
+
+    def apply(psi: np.ndarray) -> np.ndarray:
+        blocks = psi.reshape(dim_a, dim_b) @ right  # Psi B_k^T side by side
+        blocks = blocks.reshape(dim_a, count, dim_b).swapaxes(0, 1).reshape(-1, dim_b)
+        return (left @ blocks).reshape(-1)
+
+    return apply
+
+
+def _applier(operator) -> Callable[[np.ndarray], np.ndarray]:
+    """v -> S v for a callable, or for a matrix S."""
+    return operator if callable(operator) else operator.__matmul__
+
+
+def lanczos_interval(operator, start: np.ndarray, steps: int) -> tuple[float, float, float]:
+    """(theta_1, theta_s, m): the extreme Ritz values of ``steps`` Lanczos steps and their margin.
+
+    ``operator`` is a Hermitian matrix S or a callable v -> S v. Lanczos
+    runs from ``start`` for min(n, ``steps``) steps, each new vector
+    orthogonalized twice against all earlier ones (full
+    reorthogonalization), and stops early when the next off-diagonal beta
+    is 0 or below roundoff, n eps max ||S q_j||: the Krylov space is then
+    invariant, its Ritz values are eigenvalues, and nothing is divided by
+    a vanishing beta. The Ritz pairs come from ``eigh`` of the small real
+    tridiagonal, with residuals ||S y_i - theta_i y_i|| = beta_s |s_(s,i)|
+    (zero after a stop). The margin is
+    max(r_1, r_s) + ``RECON_TOL`` max(1, |theta_1|, |theta_s|), derived next
+    to ``LANCZOS_STEPS``; the interval [theta_1 - m, theta_s + m] need not
+    hold every eigenvalue, which is what the series' growth check is for.
+    Raises :class:`NumericalError` when ``eigh`` does not converge.
+    """
+    apply = _applier(operator)
+    n = start.size
+    basis = np.empty((min(n, steps), n), dtype=np.complex128)
+    alpha, beta = np.zeros(basis.shape[0]), np.zeros(basis.shape[0])
+    q = start.astype(np.complex128) / np.linalg.norm(start)
+    floor = 0.0
+    for j in range(basis.shape[0]):
+        basis[j] = q
+        w = apply(q)
+        floor = max(floor, n * np.finfo(np.float64).eps * float(np.linalg.norm(w)))
+        alpha[j] = np.vdot(q, w).real
+        kept = basis[: j + 1]
+        for _ in range(2):
+            w -= (kept @ w.conj()).conj() @ kept
+        beta[j] = np.linalg.norm(w)
+        if not beta[j] > floor:
+            beta[j] = 0.0
+            break
+        q = w / beta[j]
+    size = j + 1
+    tri = np.diag(alpha[:size]) + np.diag(beta[: size - 1], 1) + np.diag(beta[: size - 1], -1)
+    try:
+        ritz, vectors = np.linalg.eigh(tri)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"Lanczos tridiagonal eigensolver failed to converge: {exc}") from exc
+    residual = beta[size - 1] * np.abs(vectors[-1, [0, -1]])
+    low, high = float(ritz[0]), float(ritz[-1])
+    margin = float(residual.max()) + RECON_TOL * max(1.0, abs(low), abs(high))
+    return low, high, margin
+
+
+def _logaddexp(a: float, b: float) -> float:
+    """log(e^a + e^b)."""
+    top = max(a, b)
+    return top + math.log1p(math.exp(min(a, b) - top))
+
+
+def _with_outside(tail: float, k: int, log_top: float, log_next: float, log_lo: float,
+                  log_hi: float) -> float:
+    """log(e^tail + (1 + NORM_TOL) W / 2), W the bound on what components outside the interval add.
+
+    W = max(F(rho*), G(rho*)) as derived next to ``CHEB_TAIL_TOL``, for
+    K = ``k``, M_K = e^log_top, M_(K+1) = e^log_next and the steps s_lo =
+    e^log_lo, s_hi = e^log_hi; ``tail`` is the log of half the tail bound.
+    """
+    log_rho = 0.5 * (log_lo + log_hi)
+    r = math.exp(0.5 * (log_lo - log_hi))
+    half = max(log_next + log_rho - math.log1p(-r),
+               _logaddexp(-k * log_rho, log_top + math.log((1.0 + r) / (1.0 - r))))
+    return _logaddexp(tail, _LOG_GROW + half)
+
+
+def chebyshev_terms(x: float, limit: int, enclosed: bool = True) -> int | None:
+    """Smallest K <= ``limit`` whose series error bound at ``x`` is at most ``CHEB_TAIL_TOL``.
+
+    The bound is the smaller of the two tail bounds derived next to
+    ``CHEB_TAIL_TOL``: 2 (x/2)^(K+1) / (K+1)! / (1 - x / (2 (K+2))) for
+    x < 2 (K + 2), and Kapteyn's 2 e^(-k eta) / (1 - y + sqrt(y^2 - 1)) at
+    k = K + 1 > x, y = k / x, k eta = k arccosh(y) - sqrt(k^2 - x^2). With
+    ``enclosed`` False, the interval is not known to hold the spectrum, and
+    each tail bound also carries (1 + NORM_TOL) times the bound, by the
+    same pair of |J_k| bounds, on what components outside it add once the
+    growth check has passed (:func:`_with_outside`). Both exceed 1 for
     K + 1 <= x/2, so the search starts there, and |x| >= 2 (limit + 2), an
     infinite x included, returns None with no search at all. None means no
     K up to ``limit`` will do.
@@ -242,13 +356,26 @@ def chebyshev_terms(x: float, limit: int) -> int | None:
     log_half, log_tol = math.log(0.5 * x), math.log(CHEB_TAIL_TOL) - math.log(2.0)
     for k in range(max(0, int(0.5 * x) - 1), limit + 1):
         ratio = x / (2.0 * (k + 2))
-        if ratio < 1.0 and ((k + 1) * log_half - math.lgamma(k + 2)
-                            - math.log1p(-ratio)) <= log_tol:
-            return k
+        if ratio < 1.0:
+            log_next = (k + 1) * log_half - math.lgamma(k + 2)
+            bound = log_next - math.log1p(-ratio)
+            if not enclosed:
+                bound = math.inf if k == 0 else _with_outside(
+                    bound, k, log_next + math.log((k + 1) / (0.5 * x)), log_next,
+                    math.log(2.0 * k / x), math.log(2.0 * (k + 2) / x))
+            if bound <= log_tol:
+                return k
         y = (k + 1) / x
         if y > 1.0:
             root = math.sqrt(y * y - 1.0)
-            if (x * root - (k + 1) * math.acosh(y) - math.log1p(root - y)) <= log_tol:
+            log_next = x * root - (k + 1) * math.acosh(y)
+            bound = log_next - math.log1p(root - y)
+            if not enclosed:
+                z = k / x
+                bound = math.inf if z <= 1.0 else _with_outside(
+                    bound, k, x * math.sqrt(z * z - 1.0) - k * math.acosh(z), log_next,
+                    math.acosh(z), math.acosh(y))
+            if bound <= log_tol:
                 return k
     return None
 
@@ -288,12 +415,14 @@ def bessel_j(k_max: int, x) -> np.ndarray:
     return out
 
 
-def chebyshev_vectors(matrix: np.ndarray, center: float, radius: float, psi0: np.ndarray,
+def chebyshev_vectors(operator, center: float, radius: float, psi0: np.ndarray,
                       count: int, start: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """Rows v_k = (-i)^k T_k(H) psi0, k = 0 .. ``count``, with H = (``matrix`` - center) / radius.
+    """Rows v_k = (-i)^k T_k(H) psi0, k = 0 .. ``count``, with H = (S - center) / radius.
 
-    ``start`` holds rows already formed for this matrix and start, which
-    are copied and continued. Each new row costs one matrix-vector product:
+    ``operator`` is the Hermitian matrix S or a callable v -> S v (such as
+    :func:`hermitian_product`). ``start`` holds rows already formed for this
+    operator and start, which are copied and continued. Each new row costs
+    one product with S:
     v_1 = -i H v_0 and v_{k+1} = -2i H v_k + v_{k-1}, the Chebyshev
     recurrence with the factor (-i)^k of the series folded in. The series
     rests on the spectrum of H lying in [-1, 1], where |T_k| <= 1, so
@@ -302,6 +431,7 @@ def chebyshev_vectors(matrix: np.ndarray, center: float, radius: float, psi0: np
     :class:`NumericalError`. Returns the rows and max_k ||v_k|| / ||psi0||
     over the new ones.
     """
+    apply = _applier(operator)
     rows = np.empty((count + 1, psi0.size), dtype=np.complex128)
     if start is None:
         rows[0] = psi0
@@ -310,7 +440,7 @@ def chebyshev_vectors(matrix: np.ndarray, center: float, radius: float, psi0: np
         first = start.shape[0]
         rows[:first] = start
     for k in range(first, count + 1):
-        np.matmul(matrix, rows[k - 1], out=rows[k])
+        rows[k] = apply(rows[k - 1])
         rows[k] -= center * rows[k - 1]
         if k == 1:
             rows[k] *= -1j / radius
@@ -328,7 +458,7 @@ def chebyshev_vectors(matrix: np.ndarray, center: float, radius: float, psi0: np
 
 
 def chebyshev_propagate(psi0: np.ndarray, vectors: np.ndarray, center: float, radius: float,
-                        times) -> np.ndarray:
+                        times, enclosed: bool = True) -> np.ndarray:
     """Amplitudes exp(-i S t) psi0 for each time, one row per time, from Chebyshev vectors.
 
     ``vectors`` are the rows v_0 .. v_K of :func:`chebyshev_vectors` for S
@@ -341,12 +471,13 @@ def chebyshev_propagate(psi0: np.ndarray, vectors: np.ndarray, center: float, ra
     p - 1 written through sines as in :func:`propagate`, so t = 0 returns
     psi0 exactly and a small change keeps its relative accuracy. Only the
     first K' + 1 rows enter, K' the series length for these times' own
-    max|t|, which the same bound allows. The sum is one real (T x K') by
+    max|t|, which the same bound allows (:func:`chebyshev_terms`, with
+    ``enclosed`` as for the rows). The sum is one real (T x K') by
     (K' x 2 dim) product, since its coefficients are real.
     """
     t = np.asarray(times, dtype=np.float64)
     terms = chebyshev_terms(radius * float(np.max(np.abs(t), initial=0.0)),
-                            vectors.shape[0] - 1)
+                            vectors.shape[0] - 1, enclosed)
     vectors = vectors[: terms + 1]
     bessel = bessel_j(terms, radius * t)
     theta = center * t

@@ -9,36 +9,45 @@ nothing outside them is ever touched. This is exact: the pattern is the
 stored entries of each :class:`~enttime.hamiltonian.Factor`, where zero
 means an exact zero of a factor, never a small one, and the CSR rows of a
 factor and of its adjoint are the adjacency lists of the search. When one
-component covers the whole space the search stops there, and that
-component is one block like any other: every block comes from
-:func:`~enttime.hamiltonian.block_matrix`.
+component covers the whole space the search stops there.
 
 The Hermiticity of the whole H is checked once, including entries outside
-the blocks. Each block keeps its symmetrized matrix S and its eigenvalues,
-from one checked :func:`~enttime.linalg.eigvals_hermitian` per block size
-(equal-size blocks stacked). A time grid then takes one of two routes per
-block, chosen from x = R max|t|, with R the half-width of the block's
-spectrum interval:
+the blocks. A block smaller than the space keeps its symmetrized matrix S
+(from :func:`~enttime.hamiltonian.block_matrix`) and its eigenvalues, from
+one checked :func:`~enttime.linalg.eigvals_hermitian` per block size
+(equal-size blocks stacked); its series interval is [w_min - m, w_max + m],
+with m the tolerance ``RECON_TOL`` max(1, ||S||_F) the eigenvalue check
+holds the backward error to, and it encloses the spectrum. The block that
+covers the whole space (any dense model) forms neither S nor its
+eigenvalues: it applies S in product form straight from the factors
+(:func:`~enttime.linalg.hermitian_product`; S itself only on lopsided
+splits, where that is cheaper), takes its interval from
+``LANCZOS_STEPS`` Lanczos steps from a seeded random start
+(:func:`~enttime.linalg.lanczos_interval`), and is propagated straight
+into the amplitudes, with no scatter. A time grid then takes one of two
+routes per block, chosen from x = R max|t|, with R the half-width of the
+block's interval:
 
 * the Chebyshev series, when it needs K <= n terms for a block of n states
-  (:func:`~enttime.linalg.chebyshev_terms`): K matrix-vector products with
-  S, then one coefficient product per time chunk. K <= n is the flop-count
-  crossover: K products of n^2 against the O(n^3) eigenvector work, and
-  the series rows never hold more than n^2 entries;
-* otherwise the eigenbasis: eigenvectors from
-  :func:`~enttime.linalg.eig_hermitian`, formed once on first need (equal
-  sizes stacked), V^dag psi0 with them, and :func:`~enttime.linalg.propagate`.
+  (:func:`~enttime.linalg.chebyshev_terms`): K products with S, then one
+  coefficient product per time chunk. K <= n is the flop-count crossover:
+  K products of at most n^2 against the O(n^3) eigenvector work, and the
+  series rows never hold more than n^2 entries;
+* otherwise the eigenbasis: S is formed if it was not, eigenvectors come
+  from :func:`~enttime.linalg.eig_hermitian`, formed once on first need
+  (equal sizes stacked), V^dag psi0 with them, and
+  :func:`~enttime.linalg.propagate`.
 
-The series interval is [w_min - m, w_max + m], with m the tolerance
-``RECON_TOL`` max(1, ||S||_F) the eigenvalue check holds the backward error
-to; the series raises :class:`NumericalError` if its rows grow, which is
-what a spectrum outside the interval does. The block that covers the whole
-space (any dense model) is propagated straight into the amplitudes, with
-no scatter.
+The series raises :class:`NumericalError` if its rows grow, which is what a
+spectrum outside the interval does. The Lanczos interval need not hold
+every eigenvalue; the growth check then bounds what the levels outside it
+can add, and the whole block takes the few more terms that bound asks for
+(derived next to ``CHEB_TAIL_TOL``).
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -61,9 +70,11 @@ from .linalg import (
     eig_hermitian,
     eigvals_hermitian,
     hermitian_part,
+    hermitian_product,
+    lanczos_interval,
     propagate,
 )
-from .tolerances import NORM_TOL
+from .tolerances import LANCZOS_STEPS, NORM_TOL, PROBE_SEED
 
 __all__ = ["Propagator", "invariant_blocks"]
 
@@ -143,19 +154,30 @@ def _per_matrix(spectra: HermitianSpectrum, count: int) -> list[HermitianSpectru
 class _Block:
     """One reached block and what has been formed from it so far.
 
-    ``matrix`` is S = (M + M^dag)/2 of the block and ``levels`` its checked
-    eigenvalues. ``spectrum`` (with eigenvectors) and ``modes`` = V^dag psi0
-    are formed on the first grid that takes the eigenbasis route;
-    ``vectors`` holds the Chebyshev rows u_0 .. u_K formed so far, and
-    grows when a grid needs more. ``terms`` is the K of the latest grid, or
-    None when that grid took the eigenbasis, and ``growth`` is
-    max_k ||u_k|| / ||psi0|| over all rows formed.
+    ``operator`` is what the series applies: S = (M + M^dag)/2 of the
+    block, or for the whole space, when that is cheaper, its product form
+    (:func:`~enttime.linalg.hermitian_product`). ``matrix`` is S when it
+    has been formed (always for a smaller block, on first need of
+    eigenvectors for the product form). ``extremes`` are the lowest and
+    highest level and ``margin`` widens them into the series interval:
+    for a smaller block, its checked eigenvalues ``levels`` and their
+    tolerance, which enclose the spectrum (``enclosed``); for the whole
+    space, the Lanczos Ritz values and margin, which the growth check of
+    the series guards instead (``levels`` is None). ``spectrum`` (with
+    eigenvectors) and ``modes`` = V^dag psi0 are formed on the first grid
+    that takes the eigenbasis route; ``vectors`` holds the Chebyshev rows
+    u_0 .. u_K formed so far, and grows when a grid needs more. ``terms`` is
+    the K of the latest grid, or None when that grid took the eigenbasis,
+    and ``growth`` is max_k ||u_k|| / ||psi0|| over all rows formed.
     """
 
     indices: np.ndarray
-    matrix: np.ndarray
-    levels: HermitianSpectrum
     psi0: np.ndarray
+    operator: np.ndarray | Callable[[np.ndarray], np.ndarray]
+    extremes: tuple[float, float]
+    margin: float
+    matrix: np.ndarray | None = None
+    levels: HermitianSpectrum | None = None
     spectrum: HermitianSpectrum | None = None
     modes: np.ndarray | None = None
     vectors: np.ndarray | None = None
@@ -163,20 +185,20 @@ class _Block:
     growth: float = 0.0
 
     @property
-    def eigenvalues(self) -> np.ndarray:
-        return self.levels.eigenvalues
+    def enclosed(self) -> bool:
+        return self.levels is not None
 
     @cached_property
     def interval(self) -> tuple[float, float]:
-        """Center and half-width of the series interval, which encloses the spectrum."""
-        w = self.levels.eigenvalues
-        return 0.5 * (w[0] + w[-1]), 0.5 * (w[-1] - w[0]) + float(self.levels.tolerance)
+        """Center and half-width of the series interval."""
+        low, high = self.extremes
+        return 0.5 * (low + high), 0.5 * (high - low) + self.margin
 
     def amplitudes(self, times) -> np.ndarray:
         """exp(-i S t) psi0 on this block, by the route ``terms`` records."""
         if self.terms is None:
             return propagate(self.spectrum, self.psi0, self.modes, times)
-        return chebyshev_propagate(self.psi0, self.vectors, *self.interval, times)
+        return chebyshev_propagate(self.psi0, self.vectors, *self.interval, times, self.enclosed)
 
 
 class Propagator:
@@ -184,7 +206,8 @@ class Propagator:
 
     Construction checks the whole Hamiltonian for Hermiticity, finds the
     invariant blocks the start reaches, and forms and checks the
-    eigenvalues of each block, equal-size blocks in one stacked call.
+    eigenvalues of each block, equal-size blocks in one stacked call, or,
+    for a block that is the whole space, its Lanczos interval.
     :meth:`probabilities` then serves any number of time grids, each block
     by the Chebyshev series or by its eigenbasis (see the module docstring).
 
@@ -209,7 +232,11 @@ class Propagator:
         check_hermitian(h)
         psi0 = product_state_vector(state)
         self.norm = float(np.linalg.norm(psi0))
+        self._h = h
         found = invariant_blocks(h, np.flatnonzero(psi0))
+        if found[0].size == self.dim:
+            self.blocks = (self._whole_space(psi0),)
+            return
         blocks: list = [None] * len(found)
         for members in _by_size(found):
             sym = hermitian_part(_stack([block_matrix(h, found[k], found[k]) for k in members]))
@@ -217,8 +244,32 @@ class Propagator:
             mats = [sym] if len(members) == 1 else list(sym)
             levels = _per_matrix(eigvals_hermitian(sym), len(members))
             for k, mat, level in zip(members, mats, levels):
-                blocks[k] = _Block(found[k], mat, level, psi0[found[k]])
+                w = level.eigenvalues
+                blocks[k] = _Block(found[k], psi0[found[k]], mat, (w[0], w[-1]),
+                                   float(level.tolerance), matrix=mat, levels=level)
         self.blocks = tuple(blocks)
+
+    def _matrix(self, indices: np.ndarray) -> np.ndarray:
+        """S = (M + M^dag)/2 of the block on ``indices``, read-only."""
+        sym = hermitian_part(block_matrix(self._h, indices, indices))
+        sym.setflags(write=False)
+        return sym
+
+    def _whole_space(self, psi0: np.ndarray) -> _Block:
+        """The block that covers the whole space, with its interval from Lanczos, not eigvalsh.
+
+        Its operator is the product form of S when that takes no more
+        multiply-adds than S psi, 2N (dim_a + dim_b) <= d for N terms, and S
+        otherwise (lopsided splits, where the factor stacks outweigh S).
+        """
+        h, matrix = self._h, None
+        if 2 * h.n_terms * (h.dim_a + h.dim_b) <= self.dim:
+            operator = hermitian_product([(a.toarray(), b.toarray()) for a, b in h.terms])
+        else:
+            operator = matrix = self._matrix(np.arange(self.dim))
+        start = np.random.default_rng(PROBE_SEED).standard_normal(self.dim)
+        low, high, margin = lanczos_interval(operator, start, LANCZOS_STEPS)
+        return _Block(np.arange(self.dim), psi0, operator, (low, high), margin, matrix=matrix)
 
     @property
     def block_sizes(self) -> list[int]:
@@ -229,13 +280,16 @@ class Propagator:
         """Choose each block's route for times up to |t| = ``reach`` and form what it needs."""
         bare = []
         for block in self.blocks:
-            block.terms = chebyshev_terms(block.interval[1] * reach, block.indices.size)
+            block.terms = chebyshev_terms(block.interval[1] * reach, block.indices.size,
+                                          block.enclosed)
             if block.terms is None:
                 if block.spectrum is None:
                     bare.append(block)
+                    if block.matrix is None:
+                        block.matrix = self._matrix(block.indices)
             elif block.vectors is None or block.vectors.shape[0] <= block.terms:
                 block.vectors, growth = chebyshev_vectors(
-                    block.matrix, *block.interval, block.psi0, block.terms, block.vectors)
+                    block.operator, *block.interval, block.psi0, block.terms, block.vectors)
                 block.growth = max(block.growth, growth)
         for members in _by_size([block.indices for block in bare]):
             group = [bare[k] for k in members]

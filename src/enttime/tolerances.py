@@ -61,6 +61,47 @@ PROBE_SEED = 1977
 # of psi0.
 CHEB_TAIL_TOL = 1e-16
 
+# An interval that is not known to enclose the spectrum (the Lanczos one
+# below) rests on the growth check of the series instead: every row v_k,
+# k <= K, stays within C = (1 + NORM_TOL) ||psi0||. An eigencomponent c at
+# H-coordinate |y| = cosh(phi) > 1, rho = e^phi, shows in v_k as
+# |c| T_k(|y|), so sum |c|^2 T_K(|y|)^2 <= C^2 over all such components.
+# The expansion of e^(-ixy) holds for every y, so each one's error is
+# |c| times both sum_(k > K) 2 |J_k(x)| T_k(|y|) and
+# 1 + sum_(k <= K) 2 |J_k(x)| T_k(|y|), and all of them together miss by at
+# most C sup_(rho > 1) min(F(rho), G(rho)), with, by T_k / T_K <= rho^(k-K)
+# for k > K and <= 2 rho^(k-K) for k < K, and 1 / T_K <= 2 rho^(-K),
+#   F(rho) = sum_(k > K) 2 M_k rho^(k-K),
+#   G(rho) = 2 rho^(-K) + 2 M_K + 4 sum_(k < K) M_k rho^(k-K).
+# M_k bounds |J_k| at every argument up to x. Both bounds above step
+# geometrically: M_(K+1+j) <= M_(K+1) s_hi^(-j) and M_(K-j) <= M_K s_lo^j, with
+# s_lo = 2K / x, s_hi = 2 (K + 2) / x for (x/2)^k / k!, and s_lo = e^E'(K),
+# s_hi = e^E'(K+1) for Kapteyn's (K > x; for k <= x it uses |J_k| <= 1,
+# which is below M_K s_lo^(K-k) since arccosh(z) <= sqrt(z^2 - 1)). F
+# grows with rho and G falls, so their smaller one peaks at most at the
+# larger of the two at rho* = sqrt(s_lo s_hi), r = sqrt(s_lo / s_hi):
+#   F(rho*) <= 2 M_(K+1) rho* / (1 - r),
+#   G(rho*) <= 2 rho*^(-K) + 2 M_K (1 + r) / (1 - r).
+# The series then takes the smallest K for which the tail bound plus
+# (1 + NORM_TOL) times this one is at most CHEB_TAIL_TOL, by either pair of
+# bounds. G keeps M_K, the top term, so it asks for about one term more than
+# the tail, and 1 / (1 - r) a few more: at x = 323.4, 414 against 405.
+#
+# That interval comes from LANCZOS_STEPS Lanczos steps with full
+# reorthogonalization from a standard normal start drawn from PROBE_SEED,
+# not from psi0: roundoff seeds every eigendirection, so the interval has
+# to cover the whole spectrum, not just the part psi0 populates. It is
+# [theta_1 - m, theta_s + m], theta the Ritz values, with the margin
+# m = max(r_1, r_s) + RECON_TOL max(1, |theta_1|, |theta_s|): r_i, the
+# residual ||S y_i - theta_i y_i|| of the extreme Ritz pairs, puts an
+# eigenvalue within r_i of theta_i (Kahan), and the RECON_TOL term is the
+# backward error the eigenvalue check allows, which keeps the interval
+# open when Lanczos stops on an invariant subspace. On five dense models of
+# d = 1024 with 4 to 8 terms, 80 steps (26-39 ms) bring both extremes within
+# 5e-12 of eigvalsh with residuals up to 1.1e-6; 40 steps left gaps of up
+# to 1.1e-2 and residuals up to 0.87, which widen the interval.
+LANCZOS_STEPS = 80
+
 # Reduced-density eigenvalues may undershoot zero by this much before the
 # spectrum is considered broken (relative to the unit trace).
 PSD_TOL = -1e-12

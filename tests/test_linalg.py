@@ -14,9 +14,13 @@ from enttime.linalg import (
     chebyshev_vectors,
     eig_hermitian,
     eigvals_hermitian,
+    hermitian_part,
+    hermitian_product,
+    lanczos_interval,
     propagate,
 )
-from enttime.tolerances import CHEB_TAIL_TOL, NORM_TOL, PROBE_COLUMNS, RECON_TOL
+from enttime.hamiltonian import ProductHamiltonian, block_matrix
+from enttime.tolerances import CHEB_TAIL_TOL, LANCZOS_STEPS, NORM_TOL, PROBE_COLUMNS, RECON_TOL
 
 import oracles
 
@@ -438,3 +442,90 @@ def test_series_refuses_a_spectrum_outside_its_interval():
     more, _ = chebyshev_vectors(h, center, radius * (1 + 1e-9), psi0, 60, rows)
     full, _ = chebyshev_vectors(h, center, radius * (1 + 1e-9), psi0, 60)
     assert np.array_equal(more, full)
+
+
+def _whole_matrix(h):
+    every = np.arange(h.dim)
+    return hermitian_part(block_matrix(h, every, every))
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (2, 7), (5, 3), (6, 6)])
+def test_product_form_matches_the_hermitian_part(dims):
+    """S psi from the factors matches (M + M^dag)/2 psi, also where M is not Hermitian."""
+    rng = np.random.default_rng(131 + dims[0])
+    terms = oracles.random_term_list(rng, *dims, 4)
+    terms.append((oracles.random_matrix(rng, dims[0]), oracles.random_matrix(rng, dims[1])))
+    h = ProductHamiltonian(*dims, tuple(terms))
+    apply = hermitian_product(oracles.dense_terms(h))
+    sym = _whole_matrix(h)
+    for _ in range(3):
+        psi = oracles.random_unit_vector(rng, h.dim)
+        assert np.linalg.norm(apply(psi) - sym @ psi) <= 1e-13 * np.linalg.norm(sym @ psi)
+
+
+def test_lanczos_interval_holds_the_extreme_eigenvalues_within_its_margin():
+    rng = np.random.default_rng(137)
+    for case in range(24):
+        dims = (int(rng.integers(2, 13)), int(rng.integers(2, 13)))
+        h = ProductHamiltonian(*dims, tuple(oracles.random_term_list(rng, *dims, 3)))
+        sym = _whole_matrix(h)
+        w = np.linalg.eigvalsh(sym)
+        start = rng.standard_normal(h.dim)
+        operator = hermitian_product(oracles.dense_terms(h)) if case % 2 else sym
+        low, high, margin = lanczos_interval(operator, start, LANCZOS_STEPS)
+        assert RECON_TOL <= margin <= 1e-6 * (w[-1] - w[0])
+        assert abs(low - w[0]) <= margin and abs(high - w[-1]) <= margin
+
+
+def test_lanczos_stops_on_an_invariant_subspace(monkeypatch):
+    """A beta of zero or roundoff ends Lanczos with exact Ritz values and no division by it."""
+    rng = np.random.default_rng(139)
+    sym = _whole_matrix(ProductHamiltonian(4, 4, tuple(oracles.random_term_list(rng, 4, 4, 3))))
+    w, v = np.linalg.eigh(sym)
+    scaled_identity = ProductHamiltonian(3, 5, ((2.5 * np.eye(3), np.eye(5)),
+                                                (np.eye(3), -0.5 * np.eye(5))))
+    cases = [
+        (np.array([[-3.0 + 0j]]), np.array([0.7]), -3.0),  # a 1 x 1 model
+        (hermitian_product(oracles.dense_terms(scaled_identity)), rng.standard_normal(15), 2.0),
+        (sym, v[:, -1], w[-1]),  # a start that is an eigenvector
+    ]
+    steps = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda t: steps.append(t.shape[0]) or eigh(t))
+    with np.errstate(all="raise"):
+        for operator, start, level in cases:
+            low, high, margin = lanczos_interval(operator, start, LANCZOS_STEPS)
+            assert low == pytest.approx(level, abs=1e-13) and high == pytest.approx(level, abs=1e-13)
+            assert margin == RECON_TOL * max(1.0, abs(low), abs(high))
+    assert steps == [1, 1, 1]
+
+
+def _tail_bound_exact(x, k, phi):
+    """The dropped tail and sup over rho = e^phi of min(F, G), from J_k itself.
+
+    |J_k| is maximized over a grid of arguments up to x, and T_k(y) / T_K(y),
+    y = cosh(phi), is formed as e^((k-K) phi) (1 + e^(-2k phi)) / (1 + e^(-2K phi)),
+    which does not overflow.
+    """
+    args = np.linspace(0.0, x, 41)
+    orders = np.arange(0, k + 200)
+    j = np.abs(scipy.special.jv(orders[:, None], args[None, :])).max(axis=1)
+    ratio = (np.exp(np.outer(orders - k, phi)) * (1.0 + np.exp(-2.0 * np.outer(orders, phi)))
+             / (1.0 + np.exp(-2.0 * k * phi)))
+    f = (2.0 * j[k + 1:, None] * ratio[k + 1:]).sum(axis=0)
+    g = 2.0 * np.exp(-k * phi) / (1.0 + np.exp(-2.0 * k * phi))
+    g = g + (2.0 * j[: k + 1, None] * ratio[: k + 1]).sum(axis=0)
+    return 2.0 * j[k + 1:].sum(), float(np.minimum(f, g).max())
+
+
+@pytest.mark.parametrize("x", [0.5, 3.0, 8.0, 40.0, 120.0])
+def test_series_length_without_an_enclosing_interval(x):
+    """With the interval guarded only by the growth check, the series takes a few more
+    terms, and the dropped tail plus what components outside the interval add stays
+    within CHEB_TAIL_TOL, measured from J_k over a grid of rho."""
+    k = chebyshev_terms(x, 10**4, enclosed=False)
+    assert chebyshev_terms(x, 10**4) < k <= chebyshev_terms(x, 10**4) + 16
+    assert chebyshev_terms(x, k, enclosed=False) == k
+    assert chebyshev_terms(x, k - 1, enclosed=False) is None
+    tail, outside = _tail_bound_exact(x, k, np.linspace(1e-4, 3.0, 400))
+    assert tail + (1.0 + NORM_TOL) * outside <= CHEB_TAIL_TOL

@@ -30,7 +30,8 @@ from enttime.models import (
     sigma_minus,
     sigma_plus,
 )
-from enttime.linalg import chebyshev_terms
+import enttime.timescale as timescale_module
+from enttime.linalg import chebyshev_terms, hermitian_part
 from enttime.propagator import Propagator
 from enttime.tolerances import NORM_TOL
 
@@ -181,13 +182,15 @@ def test_ladder_pair_keeps_asymmetric_patterns_apart():
 def test_equal_size_blocks_share_one_stacked_eigh(monkeypatch):
     """Blocks of one size go through one eigvals_hermitian call at construction
     and one eig_hermitian call on the first grid that needs eigenvectors, each
-    with exactly the spectrum it gets alone; a forced residual in one of them
-    is refused."""
+    with exactly the spectrum it gets alone; a block that is the whole space
+    takes no eigvals_hermitian call, and its extremes enclose its eigenvalues
+    within its margin. A forced residual in one of them is refused."""
     cases = [
         build_jcm(JcmSpec(lam=1.0, n_max=40, field=CoherentField(3.0), c_e=0.0, c_g=1.0)),
         (build_bose_hubbard_boundary(
             BoseHubbardBoundarySpec(j_rate=1.0, u_rate=0.7, n_per_site_max=2))[0],
          ProductState(psi_a=np.ones(3) / np.sqrt(3.0), psi_b=np.ones(3) / np.sqrt(3.0))),
+        dense_model(np.random.default_rng(88), 4, 4),
     ]
     calls = {"eig_hermitian": [], "eigvals_hermitian": []}
     solvers = {name: getattr(propagator_module, name) for name in calls}
@@ -196,11 +199,13 @@ def test_equal_size_blocks_share_one_stacked_eigh(monkeypatch):
                             lambda m, name=name, solve=solve:
                             calls[name].append(np.shape(m)) or solve(m))
     times = np.linspace(0.0, 2.0, 5)
+    wholes = 0
     for h, state in cases:
         for made in calls.values():
             made.clear()
         propagator = Propagator(h, state)
-        sizes = propagator.block_sizes
+        sizes = [n for n in propagator.block_sizes if n < h.dim]
+        wholes += len(sizes) < len(propagator.blocks)
         stacks = sorted((sizes.count(n), n, n) if sizes.count(n) > 1 else (n, n)
                         for n in set(sizes))
         assert sorted(calls["eigvals_hermitian"]) == stacks
@@ -213,12 +218,18 @@ def test_equal_size_blocks_share_one_stacked_eigh(monkeypatch):
         for block in propagator.blocks:
             matrix = hamiltonian_module.block_matrix(h, block.indices, block.indices)
             matrix = 0.5 * (matrix + matrix.conj().T)
-            assert np.array_equal(block.eigenvalues,
-                                  solvers["eigvals_hermitian"](matrix).eigenvalues)
+            levels = solvers["eigvals_hermitian"](matrix).eigenvalues
+            if block.enclosed:
+                assert np.array_equal(block.levels.eigenvalues, levels)
+                assert block.extremes == (levels[0], levels[-1])
+            else:
+                assert block.indices.size == h.dim and block.levels is None
+                assert np.max(np.abs(np.subtract(block.extremes, levels[[0, -1]]))) <= block.margin
             if block.terms is None:
                 alone = solvers["eig_hermitian"](matrix)
                 assert np.array_equal(block.spectrum.eigenvalues, alone.eigenvalues)
                 assert np.array_equal(block.spectrum.eigenvectors, alone.eigenvectors)
+    assert wholes == 1
 
     h, state = cases[0]
     eigh = np.linalg.eigh
@@ -370,7 +381,8 @@ def largest_series_reach(block):
     low, high = 0.0, 2.0 * (n + 2)
     for _ in range(60):
         mid = 0.5 * (low + high)
-        low, high = (mid, high) if chebyshev_terms(mid, n) is not None else (low, mid)
+        fits = chebyshev_terms(mid, n, block.enclosed) is not None
+        low, high = (mid, high) if fits else (low, mid)
     return low
 
 
@@ -388,7 +400,7 @@ def test_series_and_eigenbasis_routes_match_expm_on_both_sides_of_k_equal_n(dims
         probs = propagator.probabilities(times)
         assert (block.terms is not None) == series
         if series:
-            assert block.terms == chebyshev_terms(radius * reach, n) <= n
+            assert block.terms == chebyshev_terms(radius * reach, n, False) <= n
             assert block.vectors.shape[0] >= block.terms + 1
             assert 0.0 < block.growth <= 1.0 + NORM_TOL
         else:
@@ -461,3 +473,79 @@ def test_block_spectra_keep_a_forced_residual(monkeypatch):
     propagator.probabilities(np.linspace(0.0, 3.0, 7))
     assert block.terms is None
     assert block.spectrum.residual == pytest.approx(delta, rel=1e-3)
+
+
+def product_form_model(rng, dim_a, dim_b):
+    """A dense model with one (g, g^dag) pair of terms: the product form is the cheaper one."""
+    ga, gb = oracles.random_matrix(rng, dim_a), oracles.random_matrix(rng, dim_b)
+    state = ProductState(
+        psi_a=oracles.random_unit_vector(rng, dim_a), psi_b=oracles.random_unit_vector(rng, dim_b)
+    )
+    return ProductHamiltonian(dim_a, dim_b, ((ga, gb), (ga.conj().T, gb.conj().T))), state
+
+
+def test_the_whole_space_takes_the_series_from_the_factors_alone(monkeypatch):
+    """No dense S, no eigvals_hermitian, and nothing the covariance sum uses."""
+    h, state = product_form_model(np.random.default_rng(149), 12, 10)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called")
+
+    for module, name in [(propagator_module, "eigvals_hermitian"),
+                         (propagator_module, "block_matrix"),
+                         (hamiltonian_module, "block_matrix"),
+                         (hamiltonian_module.Factor, "matvec"),
+                         (hamiltonian_module.Factor, "vecmat")]:
+        monkeypatch.setattr(module, name, forbidden)
+    for name, value in vars(timescale_module).items():
+        if callable(value) and getattr(value, "__module__", None) == timescale_module.__name__:
+            monkeypatch.setattr(timescale_module, name, forbidden)
+    propagator = Propagator(h, state)
+    (block,) = propagator.blocks
+    times = np.linspace(-0.5, 1.0, 9) * 60.0 / block.interval[1]
+    probs = propagator.probabilities(times)
+    assert block.terms is not None and block.matrix is None and not block.enclosed
+    assert np.max(np.abs(probs - oracle_probabilities(h, state, times))) <= 1e-12
+
+
+def test_a_swap_symmetric_start_takes_the_whole_spectrum():
+    """psi_a = psi_b under a swap-symmetric H populates only the symmetric levels. The
+    antisymmetric one at the bottom of the spectrum is seeded by roundoff alone, and
+    the interval, from a random start, covers it: no growth, and expm's spectra."""
+    rng = np.random.default_rng(151)
+    n = 10
+    x, y, z = (oracles.random_hermitian(rng, n) for _ in range(3))
+    one, units = np.eye(n), np.eye(n * n).reshape(n * n, n, n)
+    swap_terms = tuple((5.0 * units[i * n + j], units[j * n + i])
+                       for i in range(n) for j in range(n))  # 5 SWAP: antisymmetric levels low
+    h = ProductHamiltonian(n, n, ((x, y), (y, x), (z, one), (one, z)) + swap_terms)
+    phi = oracles.random_unit_vector(rng, n)
+    state = ProductState(psi_a=phi, psi_b=phi)
+    sym = hermitian_part(dense_oracle(h))
+    w, v = np.linalg.eigh(sym)
+    swap = np.arange(n * n).reshape(n, n).T.reshape(-1)
+    parity = np.einsum("ik,ik->k", v[swap].conj(), v).real
+    assert parity[0] < -0.5  # the lowest level is antisymmetric
+    weights = np.abs(v.conj().T @ np.kron(phi, phi)) ** 2
+    assert np.max(weights[parity < 0.0]) <= 1e-24  # and psi0 holds none of it
+
+    propagator = Propagator(h, state)
+    (block,) = propagator.blocks
+    times = np.linspace(0.0, 0.9, 7) * 40.0 / block.interval[1]
+    probs = propagator.probabilities(times)
+    assert block.terms is not None and block.growth <= 1.0 + NORM_TOL
+    assert np.max(np.abs(probs - oracle_probabilities(h, state, times))) <= 1e-12
+
+
+def test_a_short_lanczos_interval_is_refused(monkeypatch):
+    """Ritz values of 3 steps without their margin miss both edges; the growth check refuses."""
+    h, state = product_form_model(np.random.default_rng(157), 12, 12)
+    lanczos = propagator_module.lanczos_interval
+    monkeypatch.setattr(propagator_module, "lanczos_interval",
+                        lambda operator, start, steps: (*lanczos(operator, start, 3)[:2], 0.0))
+    propagator = Propagator(h, state)
+    (block,) = propagator.blocks
+    w = np.linalg.eigvalsh(hermitian_part(dense_oracle(h)))
+    assert block.extremes[0] > w[0] and block.extremes[1] < w[-1]
+    with pytest.raises(NumericalError, match="leaves"):
+        propagator.probabilities(np.linspace(0.0, 40.0 / block.interval[1], 5))
