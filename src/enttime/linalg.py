@@ -32,8 +32,6 @@ import numpy as np
 from .errors import DimensionError, NumericalError, StateError
 from .tolerances import CHEB_TAIL_TOL, NORM_TOL, PROBE_COLUMNS, PROBE_SEED, RECON_TOL
 
-_LOG_GROW = math.log1p(NORM_TOL)
-
 __all__ = [
     "as_complex_matrix",
     "HermitianSpectrum",
@@ -286,11 +284,11 @@ def lanczos_interval(operator, start: np.ndarray, steps: int) -> tuple[float, fl
     basis = np.empty((min(n, steps), n), dtype=np.complex128)
     alpha, beta = np.zeros(basis.shape[0]), np.zeros(basis.shape[0])
     q = start.astype(np.complex128) / np.linalg.norm(start)
-    floor = 0.0
+    roundoff, floor = n * np.finfo(np.float64).eps, 0.0
     for j in range(basis.shape[0]):
         basis[j] = q
         w = apply(q)
-        floor = max(floor, n * np.finfo(np.float64).eps * float(np.linalg.norm(w)))
+        floor = max(floor, roundoff * float(np.linalg.norm(w)))
         alpha[j] = np.vdot(q, w).real
         kept = basis[: j + 1]
         for _ in range(2):
@@ -330,7 +328,7 @@ def _with_outside(tail: float, k: int, log_top: float, log_next: float, log_lo: 
     r = math.exp(0.5 * (log_lo - log_hi))
     half = max(log_next + log_rho - math.log1p(-r),
                _logaddexp(-k * log_rho, log_top + math.log((1.0 + r) / (1.0 - r))))
-    return _logaddexp(tail, _LOG_GROW + half)
+    return _logaddexp(tail, math.log1p(NORM_TOL) + half)
 
 
 def chebyshev_terms(x: float, limit: int, enclosed: bool = True) -> int | None:
@@ -343,18 +341,24 @@ def chebyshev_terms(x: float, limit: int, enclosed: bool = True) -> int | None:
     ``enclosed`` False, the interval is not known to hold the spectrum, and
     each tail bound also carries (1 + NORM_TOL) times the bound, by the
     same pair of |J_k| bounds, on what components outside it add once the
-    growth check has passed (:func:`_with_outside`). Both exceed 1 for
-    K + 1 <= x/2, so the search starts there, and |x| >= 2 (limit + 2), an
-    infinite x included, returns None with no search at all. None means no
-    K up to ``limit`` will do.
+    growth check has passed (:func:`_with_outside`); that search starts at
+    the K of the tail alone. Both tail bounds exceed 1 for K + 1 <= x/2, so
+    the search starts there, and |x| >= 2 (limit + 2), an infinite x
+    included, returns None with no search at all. None means no K up to
+    ``limit`` will do.
     """
     x = abs(x)
     if not x < 2.0 * (limit + 2):
         return None
     if x == 0.0:
         return 0
+    first = max(0, int(0.5 * x) - 1)
+    if not enclosed:  # the outside bound only adds to the tail: start at its K
+        first = chebyshev_terms(x, limit)
+        if first is None:
+            return None
     log_half, log_tol = math.log(0.5 * x), math.log(CHEB_TAIL_TOL) - math.log(2.0)
-    for k in range(max(0, int(0.5 * x) - 1), limit + 1):
+    for k in range(first, limit + 1):
         ratio = x / (2.0 * (k + 2))
         if ratio < 1.0:
             log_next = (k + 1) * log_half - math.lgamma(k + 2)
