@@ -63,9 +63,9 @@ _STENCIL_WEIGHTS = np.array([-1.0, 16.0, -30.0, 16.0, -1.0])
 # wide enough to stay clear of roundoff.
 _VERIFY_STENCIL_DIVISOR = 50.0
 
-# Cap on that width h in units of 1/Omega, Omega the spread of the
-# eigenvalues of the reached blocks (when one block is the whole space, of
-# its extreme Lanczos Ritz values), since scales absent from T_ent still
+# Cap on that width h in units of 1/Omega, Omega the spread of the levels
+# of the reached blocks (eigh eigenvalues up to LANCZOS_STEPS states, the
+# extreme Lanczos Ritz values above), since scales absent from T_ent still
 # bend S_alpha. The truncation error over the curvature is
 # (h^4 / 90) |S^(6)| / |S''| <= K (h Omega)^4 / 90 with |S^(6)| <= K Omega^4 |S''|;
 # K = 14 for S_2 of one two-level oscillation, -ln((3 + cos(2 Omega t)) / 4),
@@ -329,9 +329,10 @@ def verify_growth(
     Non-degenerate systems get one row per Renyi order in ``alphas``:
     predicted curvature (2 alpha / (alpha - 1)) * t_ent_inv_sq against a
     5-point finite difference around t = 0 of width t_ent / 50, or
-    0.0895 / Omega when that is narrower (Omega the spread of the
-    eigenvalues of the blocks the start reaches, or of the Propagator's
-    Lanczos Ritz values when one block is the whole space), PASS/FAIL at
+    0.0895 / Omega when that is narrower (Omega the spread of the extreme
+    levels of the blocks the start reaches: the eigenvalues of a block of
+    at most ``LANCZOS_STEPS`` states, the Lanczos Ritz values of a larger
+    one), PASS/FAIL at
     ``tolerance_rel``. ``VON_NEUMANN_ALPHA`` (= 1) adds an informational
     row fitting the von Neumann curvature to a + b ln t. Degenerate systems
     instead fit the log-log onset slope of S_2, which the product start pins

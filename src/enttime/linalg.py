@@ -1,18 +1,16 @@
 """Dense complex linear algebra kernel shared by all higher modules.
 
-Input validation; the checked spectra of a Hermitian matrix or of a stack
-of equal-size ones, either eigenvalues alone (one ``eigvalsh``, checked by
-its trace moments) or the full eigendecomposition (checked by an O(k n^2)
-residual probe rather than an O(n^3) reconstruction); the product form of
+Input validation; the checked eigendecomposition of a Hermitian matrix or
+of a stack of equal-size ones (checked by an O(k n^2) residual probe
+rather than an O(n^3) reconstruction); the product form of
 S = (M + M^dag)/2 for M = sum_n A_n (x) B_n, applied from dense factor
 stacks without forming S (:func:`hermitian_product`), and the extreme
 Ritz values of a few Lanczos steps on any such operator
 (:func:`lanczos_interval`); and the two ways to form exp(-i S t) psi0: in
 the eigenbasis (:func:`propagate`), or as a Chebyshev series that needs
-only products with S and an interval holding its spectrum
+only products with S and an interval, guarded by the series' growth check
 (:func:`chebyshev_vectors` and :func:`chebyshev_propagate`, after
-Tal-Ezer and Kosloff 1984), or an interval that the series' growth check
-guards in its place. Nothing here knows about the bipartite split beyond
+Tal-Ezer and Kosloff 1984). Nothing here knows about the bipartite split beyond
 the factor shapes: the composite index i * dim_b + j is laid out by
 :func:`~enttime.hamiltonian.product_state_vector` and read back by
 :class:`~enttime.propagator.Propagator`.
@@ -37,7 +35,6 @@ __all__ = [
     "HermitianSpectrum",
     "hermitian_part",
     "eig_hermitian",
-    "eigvals_hermitian",
     "propagate",
     "hermitian_product",
     "lanczos_interval",
@@ -80,29 +77,24 @@ class HermitianSpectrum:
     ``eigenvalues`` are real and ascending. ``eigenvectors`` holds the
     orthonormal eigenvectors as columns, so
     ``(eigenvectors * eigenvalues) @ eigenvectors.conj().T`` reconstructs the
-    matrix, or is None for a spectrum of eigenvalues alone
-    (:func:`eigvals_hermitian`). ``residual`` is the measured error of the
-    decomposition and ``tolerance`` the bound it was accepted under, one
-    value per matrix: the probe estimate of ||S - V W V^dag||_F for
-    :func:`eig_hermitian`, the trace-moment lower bound on the backward
-    error for :func:`eigvals_hermitian`. A stack carries its leading axis on
-    every field. The arrays are kept read-only.
+    matrix. ``residual`` is the probe estimate of ||S - V W V^dag||_F and
+    ``tolerance`` the bound it was accepted under, one value per matrix
+    (:func:`eig_hermitian`). A stack carries its leading axis on every
+    field. The arrays are kept read-only.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None
+    eigenvectors: np.ndarray
     residual: np.ndarray
     tolerance: np.ndarray
 
     def __post_init__(self) -> None:
         for field in (self.eigenvalues, self.eigenvectors, self.residual, self.tolerance):
-            if field is not None:
-                field.setflags(write=False)
+            field.setflags(write=False)
 
     def __getitem__(self, k: int) -> "HermitianSpectrum":
         """The spectrum of matrix ``k`` of a stack."""
-        vectors = None if self.eigenvectors is None else self.eigenvectors[k]
-        return HermitianSpectrum(self.eigenvalues[k], vectors, self.residual[k],
+        return HermitianSpectrum(self.eigenvalues[k], self.eigenvectors[k], self.residual[k],
                                  self.tolerance[k])
 
 
@@ -130,13 +122,6 @@ def hermitian_part(m) -> np.ndarray:
     return sym
 
 
-def _accept(what: str, residual: np.ndarray, tol: np.ndarray) -> None:
-    bad = np.flatnonzero(~(residual <= tol))
-    if bad.size:
-        k = bad[0]
-        raise NumericalError(f"{what} {residual.flat[k]:.3e} exceeds {tol.flat[k]:.3e}")
-
-
 def eig_hermitian(m) -> HermitianSpectrum:
     """Eigendecomposition of a Hermitian matrix, or of an (b, n, n) stack, with a residual probe.
 
@@ -156,35 +141,12 @@ def eig_hermitian(m) -> HermitianSpectrum:
         raise NumericalError(f"Hermitian eigensolver failed to converge: {exc}") from exc
     residual = _residual_estimate(sym, w, v)
     tol = RECON_TOL * np.maximum(1.0, np.linalg.norm(sym, axis=(-2, -1)))
-    _accept("eigendecomposition residual", residual, tol)
+    bad = np.flatnonzero(~(residual <= tol))
+    if bad.size:
+        k = bad[0]
+        raise NumericalError(f"eigendecomposition residual {residual.flat[k]:.3e} exceeds "
+                             f"{tol.flat[k]:.3e}")
     return HermitianSpectrum(eigenvalues=w, eigenvectors=v, residual=residual, tolerance=tol)
-
-
-def eigvals_hermitian(m) -> HermitianSpectrum:
-    """Eigenvalues alone of a Hermitian matrix, or of an (b, n, n) stack, checked by trace moments.
-
-    One ``eigvalsh`` call, which reads the lower triangle; ``m`` must be
-    Hermitian as for :func:`eig_hermitian`. A backward-stable solver returns
-    the exact eigenvalues w of S + E for some Hermitian E, so
-    |sum w - tr S| = |tr E| <= sqrt(n) ||E||_F and
-    | ||w||_2 - ||S||_F | <= ||E||_F. The larger of the two left-hand sides
-    (the first over sqrt(n)) is a lower bound on ||E||_F, computed in
-    O(n^2); it must not exceed ``RECON_TOL`` max(1, ||S||_F), the bound the
-    full decomposition is held to. Raises :class:`NumericalError` when it
-    does or when LAPACK fails to converge.
-    """
-    sym = _square(m)
-    try:
-        w = np.linalg.eigvalsh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Hermitian eigenvalue solver failed to converge: {exc}") from exc
-    fro = np.linalg.norm(sym, axis=(-2, -1))
-    trace = np.trace(sym, axis1=-2, axis2=-1).real
-    residual = np.maximum(np.abs(w.sum(axis=-1) - trace) / math.sqrt(w.shape[-1]),
-                          np.abs(np.linalg.norm(w, axis=-1) - fro))
-    tol = RECON_TOL * np.maximum(1.0, fro)
-    _accept("eigenvalue moment residual", residual, tol)
-    return HermitianSpectrum(eigenvalues=w, eigenvectors=None, residual=residual, tolerance=tol)
 
 
 def _residual_estimate(sym: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -462,26 +424,27 @@ def chebyshev_vectors(operator, center: float, radius: float, psi0: np.ndarray,
 
 
 def chebyshev_propagate(psi0: np.ndarray, vectors: np.ndarray, center: float, radius: float,
-                        times, enclosed: bool = True) -> np.ndarray:
+                        times) -> np.ndarray:
     """Amplitudes exp(-i S t) psi0 for each time, one row per time, from Chebyshev vectors.
 
     ``vectors`` are the rows v_0 .. v_K of :func:`chebyshev_vectors` for S
-    with spectrum in [center - radius, center + radius]. Then
+    and the interval [center - radius, center + radius], which they passed
+    the growth check on. Then
     exp(-i S t) psi0 = p sum_k (2 - delta_k0) J_k(radius t) v_k with
-    p = exp(-i center t), and the terms past K change the amplitudes by at
-    most the tail bound of :func:`chebyshev_terms` at radius max|t|, times
+    p = exp(-i center t), and the terms past K, with what components
+    outside the interval add, change the amplitudes by at most the bound of
+    :func:`chebyshev_terms` (``enclosed`` False) at radius max|t|, times
     ||psi0||. The result is psi0 + q psi0 + p sum_(k >= 1) 2 J_k v_k with
     q = J_0 (p - 1) - 2 sum_(m >= 1) J_2m = J_0 p - 1 and the phase shift
     p - 1 written through sines as in :func:`propagate`, so t = 0 returns
     psi0 exactly and a small change keeps its relative accuracy. Only the
     first K' + 1 rows enter, K' the series length for these times' own
-    max|t|, which the same bound allows (:func:`chebyshev_terms`, with
-    ``enclosed`` as for the rows). The sum is one real (T x K') by
+    max|t|, which the same bound allows. The sum is one real (T x K') by
     (K' x 2 dim) product, since its coefficients are real.
     """
     t = np.asarray(times, dtype=np.float64)
     terms = chebyshev_terms(radius * float(np.max(np.abs(t), initial=0.0)),
-                            vectors.shape[0] - 1, enclosed)
+                            vectors.shape[0] - 1, False)
     vectors = vectors[: terms + 1]
     bessel = bessel_j(terms, radius * t)
     theta = center * t

@@ -12,37 +12,41 @@ factor and of its adjoint are the adjacency lists of the search. When one
 component covers the whole space the search stops there.
 
 The Hermiticity of the whole H is checked once, including entries outside
-the blocks. A block smaller than the space keeps its symmetrized matrix S
-(from :func:`~enttime.hamiltonian.block_matrix`) and its eigenvalues, from
-one checked :func:`~enttime.linalg.eigvals_hermitian` per block size
-(equal-size blocks stacked); its series interval is [w_min - m, w_max + m],
-with m the tolerance ``RECON_TOL`` max(1, ||S||_F) the eigenvalue check
-holds the backward error to, and it encloses the spectrum. The block that
-covers the whole space (any dense model) forms neither S nor its
-eigenvalues: it applies S in product form straight from the factors
-(:func:`~enttime.linalg.hermitian_product`; S itself only on lopsided
-splits, where that is cheaper), takes its interval from
-``LANCZOS_STEPS`` Lanczos steps from a seeded random start
-(:func:`~enttime.linalg.lanczos_interval`), and is propagated straight
-into the amplitudes, with no scatter. A time grid then takes one of two
-routes per block, chosen from x = R max|t|, with R the half-width of the
-block's interval:
+the blocks. Each reached block of n states then takes one of two routes, by
+its size:
 
-* the Chebyshev series, when it needs K <= n terms for a block of n states
-  (:func:`~enttime.linalg.chebyshev_terms`): K products with S, then one
-  coefficient product per time chunk. K <= n is the flop-count crossover:
-  K products of at most n^2 against the O(n^3) eigenvector work, and the
-  series rows never hold more than n^2 entries;
-* otherwise the eigenbasis: S is formed if it was not, eigenvectors come
-  from :func:`~enttime.linalg.eig_hermitian`, formed once on first need
-  (equal sizes stacked), V^dag psi0 with them, and
-  :func:`~enttime.linalg.propagate`.
+* a small block, n <= ``LANCZOS_STEPS``, is diagonalized at construction:
+  its symmetrized matrix S = (M + M^dag)/2 (from
+  :func:`~enttime.hamiltonian.block_matrix`) goes through one checked
+  :func:`~enttime.linalg.eig_hermitian` per block size (equal-size blocks
+  stacked), and every time grid is propagated in that eigenbasis
+  (:func:`~enttime.linalg.propagate`). At this size Lanczos would be a full
+  tridiagonalization, and the series, which needs K <= n terms, would reach
+  only x up to about n/2;
+* a large block takes its interval from ``LANCZOS_STEPS`` Lanczos steps
+  from a seeded random start (:func:`~enttime.linalg.lanczos_interval`) on
+  S, or, when the block is the whole space (any dense model) and that is
+  cheaper, on S in product form straight from the factors
+  (:func:`~enttime.linalg.hermitian_product`). A time grid then takes one
+  of two routes, chosen from x = R max|t|, with R the half-width of that
+  interval:
+
+  - the Chebyshev series, when it needs K <= n terms
+    (:func:`~enttime.linalg.chebyshev_terms`): K products with S, then one
+    coefficient product per time chunk. K <= n is the flop-count
+    crossover: K products of at most n^2 against the O(n^3) eigenvector
+    work, and the series rows never hold more than n^2 entries;
+  - otherwise the eigenbasis: S is formed if the block holds its product
+    form, its eigenvectors come from one
+    :func:`~enttime.linalg.eig_hermitian`, formed once on first need, and
+    the grid goes through :func:`~enttime.linalg.propagate`.
 
 The series raises :class:`NumericalError` if its rows grow, which is what a
 spectrum outside the interval does. The Lanczos interval need not hold
 every eigenvalue; the growth check then bounds what the levels outside it
-can add, and the whole block takes the few more terms that bound asks for
-(derived next to ``CHEB_TAIL_TOL``).
+can add, and the block takes the few more terms that bound asks for
+(derived next to ``CHEB_TAIL_TOL``). A block that covers the whole space is
+propagated straight into the amplitudes, with no scatter.
 """
 
 from __future__ import annotations
@@ -68,7 +72,6 @@ from .linalg import (
     chebyshev_terms,
     chebyshev_vectors,
     eig_hermitian,
-    eigvals_hermitian,
     hermitian_part,
     hermitian_product,
     lanczos_interval,
@@ -154,18 +157,14 @@ def _per_matrix(spectra: HermitianSpectrum, count: int) -> list[HermitianSpectru
 class _Block:
     """One reached block and what has been formed from it so far.
 
-    ``operator`` is what the series applies: S = (M + M^dag)/2 of the
-    block, or for the whole space, when that is cheaper, its product form
-    (:func:`~enttime.linalg.hermitian_product`). ``matrix`` is S when it
-    has been formed (always for a smaller block, on first need of
-    eigenvectors for the product form). ``extremes`` are the lowest and
-    highest level and ``margin`` widens them into the series interval:
-    for a smaller block, its checked eigenvalues ``levels`` and their
-    tolerance, which enclose the spectrum (``enclosed``); for the whole
-    space, the Lanczos Ritz values and margin, which the growth check of
-    the series guards instead (``levels`` is None). ``spectrum`` (with
-    eigenvectors) and ``modes`` = V^dag psi0 are formed on the first grid
-    that takes the eigenbasis route; ``vectors`` holds the Chebyshev rows
+    ``extremes`` are its lowest and highest level: the eigenvalues of a
+    small block, or the Lanczos Ritz values of a large one, which
+    ``margin`` widens into the series interval. ``operator`` is what the
+    series applies to a large block, S = (M + M^dag)/2 or its product form
+    (:func:`~enttime.linalg.hermitian_product`), and None for a small block,
+    which never takes the series. ``spectrum`` (with eigenvectors) is formed
+    at construction for a small block, and on the first grid that takes the
+    eigenbasis for a large one; ``vectors`` holds the Chebyshev rows
     u_0 .. u_K formed so far, and grows when a grid needs more. ``terms`` is
     the K of the latest grid, or None when that grid took the eigenbasis,
     and ``growth`` is max_k ||u_k|| / ||psi0|| over all rows formed.
@@ -173,20 +172,13 @@ class _Block:
 
     indices: np.ndarray
     psi0: np.ndarray
-    operator: np.ndarray | Callable[[np.ndarray], np.ndarray]
     extremes: tuple[float, float]
-    margin: float
-    matrix: np.ndarray | None = None
-    levels: HermitianSpectrum | None = None
+    margin: float = 0.0
+    operator: np.ndarray | Callable[[np.ndarray], np.ndarray] | None = None
     spectrum: HermitianSpectrum | None = None
-    modes: np.ndarray | None = None
     vectors: np.ndarray | None = None
     terms: int | None = None
     growth: float = 0.0
-
-    @property
-    def enclosed(self) -> bool:
-        return self.levels is not None
 
     @cached_property
     def interval(self) -> tuple[float, float]:
@@ -194,31 +186,36 @@ class _Block:
         low, high = self.extremes
         return 0.5 * (low + high), 0.5 * (high - low) + self.margin
 
+    @cached_property
+    def modes(self) -> np.ndarray:
+        """V^dag psi0, formed once for every grid that takes the eigenbasis."""
+        return (self.psi0.conj() @ self.spectrum.eigenvectors).conj()
+
     def amplitudes(self, times) -> np.ndarray:
         """exp(-i S t) psi0 on this block, by the route ``terms`` records."""
         if self.terms is None:
             return propagate(self.spectrum, self.psi0, self.modes, times)
-        return chebyshev_propagate(self.psi0, self.vectors, *self.interval, times, self.enclosed)
+        return chebyshev_propagate(self.psi0, self.vectors, *self.interval, times)
 
 
 class Propagator:
     """Schmidt spectra of one product start evolving under ``h``, for any times.
 
     Construction checks the whole Hamiltonian for Hermiticity, finds the
-    invariant blocks the start reaches, and forms and checks the
-    eigenvalues of each block, equal-size blocks in one stacked call, or,
-    for a block that is the whole space, its Lanczos interval.
-    :meth:`probabilities` then serves any number of time grids, each block
-    by the Chebyshev series or by its eigenbasis (see the module docstring).
+    invariant blocks the start reaches, diagonalizes each small block,
+    equal-size blocks in one stacked call, and takes the Lanczos interval
+    of each large one. :meth:`probabilities` then serves any number of
+    time grids, each large block by the Chebyshev series or by its
+    eigenbasis (see the module docstring).
 
     Raises :class:`DimensionError` when the state does not fit ``h`` or the
     composite dimension exceeds ``MAX_DIM``, :class:`ModelError` when H is
     not Hermitian, and :class:`NumericalError` when LAPACK does not converge
-    on a block or a block's eigenvalues fail their moment check
-    (:func:`~enttime.linalg.eigvals_hermitian`); :meth:`probabilities`
-    raises it too when an eigendecomposition fails its residual probe
-    (:func:`~enttime.linalg.eig_hermitian`) or the series vectors grow past
-    the start's norm (:func:`~enttime.linalg.chebyshev_vectors`).
+    on a block or a small block's eigendecomposition fails its residual
+    probe (:func:`~enttime.linalg.eig_hermitian`); :meth:`probabilities`
+    raises it too when a large block's eigendecomposition fails that probe
+    or its series vectors grow past the start's norm
+    (:func:`~enttime.linalg.chebyshev_vectors`).
     """
 
     def __init__(self, h: ProductHamiltonian, state: ProductState):
@@ -234,19 +231,17 @@ class Propagator:
         self.norm = float(np.linalg.norm(psi0))
         self._h = h
         found = invariant_blocks(h, np.flatnonzero(psi0))
-        if found[0].size == self.dim:
-            self.blocks = (self._whole_space(psi0),)
-            return
         blocks: list = [None] * len(found)
         for members in _by_size(found):
+            if found[members[0]].size > LANCZOS_STEPS:
+                for k in members:
+                    blocks[k] = self._large(found[k], psi0[found[k]])
+                continue
             sym = hermitian_part(_stack([block_matrix(h, found[k], found[k]) for k in members]))
-            sym.setflags(write=False)
-            mats = [sym] if len(members) == 1 else list(sym)
-            levels = _per_matrix(eigvals_hermitian(sym), len(members))
-            for k, mat, level in zip(members, mats, levels):
-                w = level.eigenvalues
-                blocks[k] = _Block(found[k], psi0[found[k]], mat, (w[0], w[-1]),
-                                   float(level.tolerance), matrix=mat, levels=level)
+            spectra = _per_matrix(eig_hermitian(sym), len(members))
+            for k, spectrum in zip(members, spectra):
+                w = spectrum.eigenvalues
+                blocks[k] = _Block(found[k], psi0[found[k]], (w[0], w[-1]), spectrum=spectrum)
         self.blocks = tuple(blocks)
 
     def _matrix(self, indices: np.ndarray) -> np.ndarray:
@@ -255,21 +250,22 @@ class Propagator:
         sym.setflags(write=False)
         return sym
 
-    def _whole_space(self, psi0: np.ndarray) -> _Block:
-        """The block that covers the whole space, with its interval from Lanczos, not eigvalsh.
+    def _large(self, indices: np.ndarray, psi0: np.ndarray) -> _Block:
+        """A block of more than ``LANCZOS_STEPS`` states, with its interval from Lanczos.
 
-        Its operator is the product form of S when that takes no more
-        multiply-adds than S psi, 2N (dim_a + dim_b) <= d for N terms, and S
-        otherwise (lopsided splits, where the factor stacks outweigh S).
+        Its operator is the product form of S when the block is the whole
+        space and that takes no more multiply-adds than S psi,
+        2N (dim_a + dim_b) <= d for N terms, and S otherwise (a partial
+        block, or a lopsided split, where the factor stacks outweigh S).
         """
-        h, matrix = self._h, None
-        if 2 * h.n_terms * (h.dim_a + h.dim_b) <= self.dim:
+        h = self._h
+        if indices.size == self.dim and 2 * h.n_terms * (h.dim_a + h.dim_b) <= self.dim:
             operator = hermitian_product([(a.toarray(), b.toarray()) for a, b in h.terms])
         else:
-            operator = matrix = self._matrix(np.arange(self.dim))
-        start = np.random.default_rng(PROBE_SEED).standard_normal(self.dim)
+            operator = self._matrix(indices)
+        start = np.random.default_rng(PROBE_SEED).standard_normal(indices.size)
         low, high, margin = lanczos_interval(operator, start, LANCZOS_STEPS)
-        return _Block(np.arange(self.dim), psi0, operator, (low, high), margin, matrix=matrix)
+        return _Block(indices, psi0, (low, high), margin, operator)
 
     @property
     def block_sizes(self) -> list[int]:
@@ -277,26 +273,20 @@ class Propagator:
         return [block.indices.size for block in self.blocks]
 
     def _prepare(self, reach: float) -> None:
-        """Choose each block's route for times up to |t| = ``reach`` and form what it needs."""
-        bare = []
+        """Choose each large block's route for times up to |t| = ``reach`` and form what it needs."""
         for block in self.blocks:
-            block.terms = chebyshev_terms(block.interval[1] * reach, block.indices.size,
-                                          block.enclosed)
+            if block.operator is None:  # a small block: in its eigenbasis from the start
+                continue
+            block.terms = chebyshev_terms(block.interval[1] * reach, block.indices.size, False)
             if block.terms is None:
                 if block.spectrum is None:
-                    bare.append(block)
-                    if block.matrix is None:
-                        block.matrix = self._matrix(block.indices)
+                    sym = block.operator
+                    block.spectrum = eig_hermitian(
+                        self._matrix(block.indices) if callable(sym) else sym)
             elif block.vectors is None or block.vectors.shape[0] <= block.terms:
                 block.vectors, growth = chebyshev_vectors(
                     block.operator, *block.interval, block.psi0, block.terms, block.vectors)
                 block.growth = max(block.growth, growth)
-        for members in _by_size([block.indices for block in bare]):
-            group = [bare[k] for k in members]
-            spectra = eig_hermitian(_stack([block.matrix for block in group]))
-            for block, spectrum in zip(group, _per_matrix(spectra, len(group))):
-                block.spectrum = spectrum
-                block.modes = (block.psi0.conj() @ spectrum.eigenvectors).conj()
 
     def probabilities(self, times) -> np.ndarray:
         """Squared Schmidt coefficients, descending, one row per time.

@@ -95,11 +95,17 @@ CHEB_TAIL_TOL = 1e-16
 # m = max(r_1, r_s) + RECON_TOL max(1, |theta_1|, |theta_s|): r_i, the
 # residual ||S y_i - theta_i y_i|| of the extreme Ritz pairs, puts an
 # eigenvalue within r_i of theta_i (Kahan), and the RECON_TOL term is the
-# backward error the eigenvalue check allows, which keeps the interval
-# open when Lanczos stops on an invariant subspace. On five dense models of
-# d = 1024 with 4 to 8 terms, 80 steps (26-39 ms) bring both extremes within
-# 5e-12 of eigvalsh with residuals up to 1.1e-6; 40 steps left gaps of up
-# to 1.1e-2 and residuals up to 0.87, which widen the interval.
+# backward error the eigendecomposition check allows, which keeps the
+# interval open when Lanczos stops on an invariant subspace. On five dense
+# models of d = 1024 with 4 to 8 terms, 80 steps (26-39 ms) bring both
+# extremes within 5e-12 of eigvalsh with residuals up to 1.1e-6; 40 steps
+# left gaps of up to 1.1e-2 and residuals up to 0.87, which widen the
+# interval.
+#
+# The same number is the block size up to which a block is diagonalized
+# outright instead (one eigh per block size, equal sizes stacked): on n <=
+# LANCZOS_STEPS states Lanczos would be a full tridiagonalization, and the
+# series, which needs K <= n terms, would serve only x up to about n/2.
 LANCZOS_STEPS = 80
 
 # Reduced-density eigenvalues may undershoot zero by this much before the

@@ -18,7 +18,7 @@ _SPEC.loader.exec_module(compare_outputs)
 
 def test_every_model_of_the_fixed_set_reads():
     docs = compare_outputs.model_documents()
-    assert len(docs) == 12
+    assert len(docs) == 13
     for name, doc in docs.items():
         model = resolve_model_document(json.loads(json.dumps(doc)))
         if name == "non_hermitian":
@@ -27,6 +27,9 @@ def test_every_model_of_the_fixed_set_reads():
     dense = compare_outputs.commands(compare_outputs.DENSE)
     assert [cmd[0] for cmd in dense] == ["timescale", "evolve", "evolve"]
     assert dense[2][-2:] == ["--t-max", "8"] and "--t-max" not in dense[1]
+    partial = compare_outputs.commands(compare_outputs.PARTIAL)
+    assert [cmd[0] for cmd in partial] == ["timescale", "verify", "evolve", "evolve"]
+    assert partial[3] == [*partial[2], "--t-max", "8"]
 
 
 def canned(monkeypatch, repo, differ):

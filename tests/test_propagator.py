@@ -33,7 +33,7 @@ from enttime.models import (
 import enttime.timescale as timescale_module
 from enttime.linalg import chebyshev_terms, hermitian_part
 from enttime.propagator import Propagator
-from enttime.tolerances import NORM_TOL
+from enttime.tolerances import LANCZOS_STEPS, NORM_TOL
 
 import oracles
 
@@ -180,56 +180,49 @@ def test_ladder_pair_keeps_asymmetric_patterns_apart():
 
 
 def test_equal_size_blocks_share_one_stacked_eigh(monkeypatch):
-    """Blocks of one size go through one eigvals_hermitian call at construction
-    and one eig_hermitian call on the first grid that needs eigenvectors, each
-    with exactly the spectrum it gets alone; a block that is the whole space
-    takes no eigvals_hermitian call, and its extremes enclose its eigenvalues
-    within its margin. A forced residual in one of them is refused."""
+    """Blocks of at most LANCZOS_STEPS states go through one eig_hermitian call per
+    size at construction, each with exactly the spectrum it gets alone, and no later
+    grid calls a solver for them. A larger block takes one unstacked call on the first
+    grid that needs its eigenbasis, and its Lanczos extremes hold its eigenvalues
+    within its margin. A forced residual in one stacked block is refused at once."""
     cases = [
         build_jcm(JcmSpec(lam=1.0, n_max=40, field=CoherentField(3.0), c_e=0.0, c_g=1.0)),
         (build_bose_hubbard_boundary(
             BoseHubbardBoundarySpec(j_rate=1.0, u_rate=0.7, n_per_site_max=2))[0],
          ProductState(psi_a=np.ones(3) / np.sqrt(3.0), psi_b=np.ones(3) / np.sqrt(3.0))),
         dense_model(np.random.default_rng(88), 4, 4),
+        dense_model(np.random.default_rng(89), 9, 10),
     ]
-    calls = {"eig_hermitian": [], "eigvals_hermitian": []}
-    solvers = {name: getattr(propagator_module, name) for name in calls}
-    for name, solve in solvers.items():
-        monkeypatch.setattr(propagator_module, name,
-                            lambda m, name=name, solve=solve:
-                            calls[name].append(np.shape(m)) or solve(m))
-    times = np.linspace(0.0, 2.0, 5)
-    wholes = 0
+    calls = []
+    solve = propagator_module.eig_hermitian
+    monkeypatch.setattr(propagator_module, "eig_hermitian",
+                        lambda m: calls.append(np.shape(m)) or solve(m))
+    times = np.linspace(0.0, 0.1, 5)
+    larges = 0
     for h, state in cases:
-        for made in calls.values():
-            made.clear()
+        calls.clear()
         propagator = Propagator(h, state)
-        sizes = [n for n in propagator.block_sizes if n < h.dim]
-        wholes += len(sizes) < len(propagator.blocks)
-        stacks = sorted((sizes.count(n), n, n) if sizes.count(n) > 1 else (n, n)
-                        for n in set(sizes))
-        assert sorted(calls["eigvals_hermitian"]) == stacks
-        assert calls["eig_hermitian"] == []
-        propagator.probabilities(times)
-        propagator.probabilities(times)
-        eigen = [b.indices.size for b in propagator.blocks if b.terms is None]
-        assert sorted(calls["eig_hermitian"]) == sorted(
-            (eigen.count(n), n, n) if eigen.count(n) > 1 else (n, n) for n in set(eigen))
+        sizes = [n for n in propagator.block_sizes if n <= LANCZOS_STEPS]
+        assert sorted(calls) == sorted(
+            (sizes.count(n), n, n) if sizes.count(n) > 1 else (n, n) for n in set(sizes))
+        calls.clear()
+        for grid in (times, 1e3 * times, times):  # series, eigenbasis, series again
+            propagator.probabilities(grid)
+        large = [n for n in propagator.block_sizes if n > LANCZOS_STEPS]
+        larges += len(large)
+        assert calls == [(n, n) for n in large]
         for block in propagator.blocks:
             matrix = hamiltonian_module.block_matrix(h, block.indices, block.indices)
-            matrix = 0.5 * (matrix + matrix.conj().T)
-            levels = solvers["eigvals_hermitian"](matrix).eigenvalues
-            if block.enclosed:
-                assert np.array_equal(block.levels.eigenvalues, levels)
-                assert block.extremes == (levels[0], levels[-1])
+            alone = solve(0.5 * (matrix + matrix.conj().T))
+            w = alone.eigenvalues
+            assert np.array_equal(block.spectrum.eigenvalues, w)
+            assert np.array_equal(block.spectrum.eigenvectors, alone.eigenvectors)
+            if block.indices.size <= LANCZOS_STEPS:
+                assert block.operator is None and block.extremes == (w[0], w[-1])
             else:
-                assert block.indices.size == h.dim and block.levels is None
-                assert np.max(np.abs(np.subtract(block.extremes, levels[[0, -1]]))) <= block.margin
-            if block.terms is None:
-                alone = solvers["eig_hermitian"](matrix)
-                assert np.array_equal(block.spectrum.eigenvalues, alone.eigenvalues)
-                assert np.array_equal(block.spectrum.eigenvectors, alone.eigenvectors)
-    assert wholes == 1
+                assert block.terms is not None
+                assert np.max(np.abs(np.subtract(block.extremes, w[[0, -1]]))) <= block.margin
+    assert larges == 1
 
     h, state = cases[0]
     eigh = np.linalg.eigh
@@ -242,9 +235,8 @@ def test_equal_size_blocks_share_one_stacked_eigh(monkeypatch):
         return w, v
 
     monkeypatch.setattr(np.linalg, "eigh", one_bad_doublet)
-    propagator = Propagator(h, state)
     with pytest.raises(NumericalError, match="residual"):
-        propagator.probabilities(times)
+        Propagator(h, state)
 
 
 def test_hermiticity_defect_outside_the_reached_block_is_caught():
@@ -381,12 +373,12 @@ def largest_series_reach(block):
     low, high = 0.0, 2.0 * (n + 2)
     for _ in range(60):
         mid = 0.5 * (low + high)
-        fits = chebyshev_terms(mid, n, block.enclosed) is not None
+        fits = chebyshev_terms(mid, n, False) is not None
         low, high = (mid, high) if fits else (low, mid)
     return low
 
 
-@pytest.mark.parametrize("dims", [(4, 4), (8, 8), (16, 16)])
+@pytest.mark.parametrize("dims", [(9, 10), (12, 12), (16, 16)])
 def test_series_and_eigenbasis_routes_match_expm_on_both_sides_of_k_equal_n(dims):
     rng = np.random.default_rng(103 + dims[0])
     h, state = dense_model(rng, *dims)
@@ -409,7 +401,7 @@ def test_series_and_eigenbasis_routes_match_expm_on_both_sides_of_k_equal_n(dims
 
 
 def test_series_rows_are_kept_and_extended_across_grids():
-    h, state = dense_model(np.random.default_rng(107), 6, 6)
+    h, state = dense_model(np.random.default_rng(107), 9, 10)
     propagator = Propagator(h, state)
     times = np.linspace(-0.5, 1.0, 7) * 8.0 / propagator.blocks[0].interval[1]  # x <= 8
     fresh = Propagator(h, state).probabilities(times)
@@ -421,7 +413,7 @@ def test_series_rows_are_kept_and_extended_across_grids():
 
 
 def test_start_bytes_at_time_zero_on_the_series_route():
-    h, state = dense_model(np.random.default_rng(109), 5, 5)
+    h, state = dense_model(np.random.default_rng(109), 9, 10)
     propagator = Propagator(h, state)
     propagator.probabilities([0.0, -0.0])
     (block,) = propagator.blocks
@@ -443,21 +435,21 @@ def test_huge_times_go_to_the_eigenbasis_without_a_series(monkeypatch):
 
 
 def test_a_shrunk_series_interval_is_refused(monkeypatch):
-    h, state = dense_model(np.random.default_rng(127), 6, 6)
+    h, state = dense_model(np.random.default_rng(127), 9, 10)
     vectors = propagator_module.chebyshev_vectors
     monkeypatch.setattr(propagator_module, "chebyshev_vectors",
                         lambda m, center, radius, *rest: vectors(m, center, 0.9 * radius, *rest))
     propagator = Propagator(h, state)
-    reach = 8.0 / propagator.blocks[0].interval[1]  # 30 terms for 36 states: the series
+    reach = 8.0 / propagator.blocks[0].interval[1]  # 35 terms for 90 states: the series
     with pytest.raises(NumericalError, match="leaves"):
         propagator.probabilities(np.linspace(0.0, reach, 5))
 
 
 def test_block_spectra_keep_a_forced_residual(monkeypatch):
-    """A residual forced below the tolerance passes and shows on the block's spectra."""
+    """A residual forced below the tolerance passes and shows on the block's spectrum."""
     h, state = build_jcm(JcmSpec(lam=1.0, n_max=12, field=FockField(3)))
     delta = 1e-12
-    eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+    eigh = np.linalg.eigh
 
     def moved(w):
         w = w.copy()
@@ -465,14 +457,48 @@ def test_block_spectra_keep_a_forced_residual(monkeypatch):
         return w
 
     monkeypatch.setattr(np.linalg, "eigh", lambda a: (moved(eigh(a)[0]), eigh(a)[1]))
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: moved(eigvalsh(a)))
     propagator = Propagator(h, state)
     (block,) = propagator.blocks
-    assert delta / np.sqrt(2.0) <= block.levels.residual * (1 + 1e-3) <= delta * (1 + 1e-3)
-    assert block.levels.residual <= block.levels.tolerance
+    assert block.spectrum.residual == pytest.approx(delta, rel=1e-3)
+    assert block.spectrum.residual <= block.spectrum.tolerance
     propagator.probabilities(np.linspace(0.0, 3.0, 7))
     assert block.terms is None
-    assert block.spectrum.residual == pytest.approx(delta, rel=1e-3)
+
+
+def partial_block_model(rng, n=12, kept=10):
+    """Dense terms within two sectors per side, of kept and n - kept states, and a start
+    inside the first ones: it reaches one block of kept^2 states, not the whole space."""
+    second = np.arange(n) >= kept
+    mask = second[:, None] == second[None, :]
+    terms = tuple((a * mask, b * mask) for a, b in oracles.random_term_list(rng, n, n, 3))
+    psi_a, psi_b = (np.where(second, 0.0, oracles.random_unit_vector(rng, n)) for _ in "ab")
+    state = ProductState(psi_a=psi_a / np.linalg.norm(psi_a), psi_b=psi_b / np.linalg.norm(psi_b))
+    return ProductHamiltonian(n, n, terms), state
+
+
+def test_a_large_partial_block_takes_its_interval_from_lanczos(monkeypatch):
+    """100 of 144 states: no eigvalsh, an interval from Lanczos on S, and expm's spectra
+    on the series route and on the eigenbasis route."""
+    h, state = partial_block_model(np.random.default_rng(163))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eigvalsh was called")
+
+    starts = []
+    lanczos = propagator_module.lanczos_interval
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    monkeypatch.setattr(propagator_module, "lanczos_interval",
+                        lambda operator, start, steps:
+                        starts.append(start.size) or lanczos(operator, start, steps))
+    propagator = Propagator(h, state)
+    (block,) = propagator.blocks
+    assert block.indices.size == 100 < h.dim and starts == [100]
+    assert not callable(block.operator)  # S of the block, not the whole space's product form
+    for reach, series in ((20.0, True), (200.0, False)):
+        times = reach / block.interval[1] * np.concatenate([[1.0, 0.0, -0.4], np.linspace(-1, 1, 4)])
+        probs = propagator.probabilities(times)
+        assert (block.terms is not None) == series
+        assert np.max(np.abs(probs - oracle_probabilities(h, state, times))) <= 1e-12
 
 
 def product_form_model(rng, dim_a, dim_b):
@@ -485,13 +511,13 @@ def product_form_model(rng, dim_a, dim_b):
 
 
 def test_the_whole_space_takes_the_series_from_the_factors_alone(monkeypatch):
-    """No dense S, no eigvals_hermitian, and nothing the covariance sum uses."""
+    """No dense S, no eigendecomposition, and nothing the covariance sum uses."""
     h, state = product_form_model(np.random.default_rng(149), 12, 10)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("called")
 
-    for module, name in [(propagator_module, "eigvals_hermitian"),
+    for module, name in [(propagator_module, "eig_hermitian"),
                          (propagator_module, "block_matrix"),
                          (hamiltonian_module, "block_matrix"),
                          (hamiltonian_module.Factor, "matvec"),
@@ -504,7 +530,7 @@ def test_the_whole_space_takes_the_series_from_the_factors_alone(monkeypatch):
     (block,) = propagator.blocks
     times = np.linspace(-0.5, 1.0, 9) * 60.0 / block.interval[1]
     probs = propagator.probabilities(times)
-    assert block.terms is not None and block.matrix is None and not block.enclosed
+    assert block.terms is not None and callable(block.operator)
     assert np.max(np.abs(probs - oracle_probabilities(h, state, times))) <= 1e-12
 
 

@@ -13,7 +13,8 @@ with one BLAS thread, the script runs ``timescale --no-timing``,
 ``verify --alphas 1,2,3`` (not on the d = 1024 model, to keep the run
 short) and
 ``evolve --alphas 1,2,3 --points 201``, plus the same ``evolve`` with
-``--t-max 8`` on the d = 1024 model, each with ``--out``. It prints one
+``--t-max 8`` on the d = 1024 model and on the model whose start reaches a
+100-state block, each with ``--out``. It prints one
 line per run and exits with status 1 if any run differs between the sides
 in exit code, stdout, stderr or the ``--out`` file, else 0.
 """
@@ -48,6 +49,8 @@ bench_pairs = _load("tools/bench_pairs.py")
 
 # the model whose verify run is left out
 DENSE = "dense_evolve"
+# a model whose start reaches a block of more than LANCZOS_STEPS states, not the whole space
+PARTIAL = "partial_block_100"
 
 
 def _custom(dim_a: int, dim_b: int, terms: list, psi_a: list, psi_b: list) -> dict:
@@ -59,6 +62,24 @@ def _custom(dim_a: int, dim_b: int, terms: list, psi_a: list, psi_b: list) -> di
     return {"model": "custom", "dim_a": dim_a, "dim_b": dim_b,
             "terms": [{"a": parts(a), "b": parts(b)} for a, b in terms],
             "state": {"psi_a": parts(psi_a), "psi_b": parts(psi_b)}}
+
+
+def _partial_block(seed: int) -> dict:
+    """12 x 12 Hermitian terms within sectors of 10 and 2 states on each side, from a
+    start inside the first ones: one reached block of 100 of the 144 states."""
+    rng = np.random.default_rng(seed)
+    second = np.arange(12) >= 10
+    mask = second[:, None] == second[None, :]
+
+    def hermitian():
+        g = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+        return 0.5 * (g + g.conj().T) * mask
+
+    def start():
+        v = np.where(second, 0.0, rng.standard_normal(12) + 1j * rng.standard_normal(12))
+        return v / np.linalg.norm(v)
+
+    return _custom(12, 12, [(hermitian(), hermitian()) for _ in range(3)], start(), start())
 
 
 def model_documents() -> dict[str, dict]:
@@ -92,6 +113,7 @@ def model_documents() -> dict[str, dict]:
         "t4_onset": _custom(2, 2, [(sigma_x, one), (sigma_z, sigma_x)], [1, 0], [1, 0]),
         DENSE: _load("perfbench/workloads.py").dense_document(12345, 32),
         "non_hermitian": _custom(2, 2, [(sigma_p, sigma_x)], [1, 0], [1, 0]),
+        PARTIAL: _partial_block(1801),
     }
 
 
@@ -99,11 +121,13 @@ def commands(model: str) -> list[list[str]]:
     """The command lines run on ``model``, without ``--spec`` and ``--out``."""
     runs = [["timescale", "--no-timing"], ["verify", "--alphas", "1,2,3"],
             ["evolve", "--alphas", "1,2,3", "--points", "201"]]
-    if model != DENSE:
-        return runs
-    # the longer span needs more series terms than the block has states, so it
-    # takes the eigenbasis route, where the default span takes the series
-    return [runs[0], runs[2], [*runs[2], "--t-max", "8"]]
+    if model == DENSE:
+        del runs[1]
+    if model in (DENSE, PARTIAL):
+        # the longer span needs more series terms than the block has states, so it
+        # takes the eigenbasis route, where the default span takes the series
+        runs.append([*runs[-1], "--t-max", "8"])
+    return runs
 
 
 def run_side(root: Path, argv: list[str], workdir: Path) -> dict:
