@@ -12,34 +12,28 @@ factor and of its adjoint are the adjacency lists of the search. When one
 component covers the whole space the search stops there.
 
 The Hermiticity of the whole H is checked once, including entries outside
-the blocks. Each reached block of n states then takes one of two routes, by
-its size:
+the blocks. A block of n <= ``LANCZOS_STEPS`` states is diagonalized at
+construction (the size cut is argued next to that constant): its
+symmetrized matrix S = (M + M^dag)/2, from
+:func:`~enttime.hamiltonian.block_matrix`, goes through one checked
+:func:`~enttime.linalg.eig_hermitian` per block size, equal sizes stacked,
+and every time grid is propagated in that eigenbasis
+(:func:`~enttime.linalg.propagate`). A larger block takes its series
+interval from ``LANCZOS_STEPS`` Lanczos steps from a seeded random start
+(:func:`~enttime.linalg.lanczos_interval`) on S, or, for the whole space
+(any dense model) when that is cheaper, on S in product form straight from
+the factors (:func:`~enttime.linalg.hermitian_product`). Each time grid
+then takes one of two routes for it, chosen from x = R max|t|, with R the
+half-width of the interval:
 
-* a small block, n <= ``LANCZOS_STEPS``, is diagonalized at construction:
-  its symmetrized matrix S = (M + M^dag)/2 (from
-  :func:`~enttime.hamiltonian.block_matrix`) goes through one checked
-  :func:`~enttime.linalg.eig_hermitian` per block size (equal-size blocks
-  stacked), and every time grid is propagated in that eigenbasis
-  (:func:`~enttime.linalg.propagate`). At this size Lanczos would be a full
-  tridiagonalization, and the series, which needs K <= n terms, would reach
-  only x up to about n/2;
-* a large block takes its interval from ``LANCZOS_STEPS`` Lanczos steps
-  from a seeded random start (:func:`~enttime.linalg.lanczos_interval`) on
-  S, or, when the block is the whole space (any dense model) and that is
-  cheaper, on S in product form straight from the factors
-  (:func:`~enttime.linalg.hermitian_product`). A time grid then takes one
-  of two routes, chosen from x = R max|t|, with R the half-width of that
-  interval:
-
-  - the Chebyshev series, when it needs K <= n terms
-    (:func:`~enttime.linalg.chebyshev_terms`): K products with S, then one
-    coefficient product per time chunk. K <= n is the flop-count
-    crossover: K products of at most n^2 against the O(n^3) eigenvector
-    work, and the series rows never hold more than n^2 entries;
-  - otherwise the eigenbasis: S is formed if the block holds its product
-    form, its eigenvectors come from one
-    :func:`~enttime.linalg.eig_hermitian`, formed once on first need, and
-    the grid goes through :func:`~enttime.linalg.propagate`.
+* the Chebyshev series, when it needs K <= n terms
+  (:func:`~enttime.linalg.chebyshev_terms`): K products with S, then one
+  coefficient product per time chunk. K <= n is the flop-count crossover:
+  K products of at most n^2 against the O(n^3) eigenvector work, and the
+  series rows never hold more than n^2 entries;
+* otherwise the eigenbasis: S is formed if it was not, and its
+  eigenvectors come from one :func:`~enttime.linalg.eig_hermitian`, formed
+  once on first need.
 
 The series raises :class:`NumericalError` if its rows grow, which is what a
 spectrum outside the interval does. The Lanczos interval need not hold
@@ -280,9 +274,9 @@ class Propagator:
             block.terms = chebyshev_terms(block.interval[1] * reach, block.indices.size, False)
             if block.terms is None:
                 if block.spectrum is None:
-                    sym = block.operator
+                    op = block.operator
                     block.spectrum = eig_hermitian(
-                        self._matrix(block.indices) if callable(sym) else sym)
+                        self._matrix(block.indices) if callable(op) else op)
             elif block.vectors is None or block.vectors.shape[0] <= block.terms:
                 block.vectors, growth = chebyshev_vectors(
                     block.operator, *block.interval, block.psi0, block.terms, block.vectors)
