@@ -87,9 +87,19 @@ class Factor:
         return Factor(self.n, self.indptr, self.indices, c * self.values)
 
     def adjoint(self) -> Factor:
+        """F^dag. It is valid CSR with no zero value when F is, so it skips the checks."""
         order = np.argsort(self.indices, kind="stable")
-        indptr = np.searchsorted(self.indices[order], np.arange(self.n + 1))
-        return Factor(self.n, indptr, self._rows()[order], self.values[order].conj())
+        arrays = (
+            np.searchsorted(self.indices[order], np.arange(self.n + 1)).astype(np.int64),
+            self._rows()[order].astype(np.int32),
+            self.values[order].conj(),
+        )
+        adjoint = object.__new__(Factor)
+        object.__setattr__(adjoint, "n", self.n)
+        for name, array in zip(("indptr", "indices", "values"), arrays):
+            array.setflags(write=False)
+            object.__setattr__(adjoint, name, array)
+        return adjoint
 
     def toarray(self) -> np.ndarray:
         return self.rows(np.arange(self.n))

@@ -41,6 +41,13 @@ every eigenvalue; the growth check then bounds what the levels outside it
 can add, and the block takes the few more terms that bound asks for
 (derived next to ``CHEB_TAIL_TOL``). A block that covers the whole space is
 propagated straight into the amplitudes, with no scatter.
+
+Schmidt spectra are taken over the reached support only: the r rows of A
+and c columns of B that some reached block touches. Every other amplitude
+is an exact zero, and zero rows and columns add no singular value, so the
+SVD of the r x c amplitude matrix, padded with zeros to min(dim_a, dim_b),
+is the spectrum of the whole state. A 2-state block of d = 4096 thus fills
+and reduces 2 x 2 amplitudes per time, not 2 x 2048.
 """
 
 from __future__ import annotations
@@ -76,7 +83,7 @@ from .tolerances import LANCZOS_STEPS, NORM_TOL, PROBE_SEED
 __all__ = ["Propagator", "invariant_blocks"]
 
 # Complex amplitudes held at once while spectra are taken (2 MB); the time
-# grid is cut into chunks of this many entries.
+# grid is cut into chunks of this many entries of the r x c support grid.
 _CHUNK_ENTRIES = 1 << 17
 
 
@@ -200,7 +207,9 @@ class Propagator:
     equal-size blocks in one stacked call, and takes the Lanczos interval
     of each large one. :meth:`probabilities` then serves any number of
     time grids, each large block by the Chebyshev series or by its
-    eigenbasis (see the module docstring).
+    eigenbasis (see the module docstring). ``support`` is (r, c), the
+    number of rows of A and columns of B the reached blocks touch, the
+    grid the amplitudes and Schmidt SVD are taken on.
 
     Raises :class:`DimensionError` when the state does not fit ``h`` or the
     composite dimension exceeds ``MAX_DIM``, :class:`ModelError` when H is
@@ -237,6 +246,17 @@ class Propagator:
                 w = spectrum.eigenvalues
                 blocks[k] = _Block(found[k], psi0[found[k]], (w[0], w[-1]), spectrum=spectrum)
         self.blocks = tuple(blocks)
+        # the rows of A and columns of B the blocks touch, in ascending order, and each
+        # block's flat positions on that r x c grid, all from one pass over every index
+        rows, cols = np.divmod(np.concatenate(found), self.dim_b)
+        touched_a = np.zeros(self.dim_a, dtype=bool)
+        touched_b = np.zeros(self.dim_b, dtype=bool)
+        touched_a[rows] = True
+        touched_b[cols] = True
+        r, c = int(np.count_nonzero(touched_a)), int(np.count_nonzero(touched_b))
+        self.support = (r, c)
+        local = (np.cumsum(touched_a)[rows] - 1) * c + np.cumsum(touched_b)[cols] - 1
+        self._local = np.split(local, np.cumsum([b.size for b in found[:-1]]))
 
     def _matrix(self, indices: np.ndarray) -> np.ndarray:
         """S = (M + M^dag)/2 of the block on ``indices``, read-only."""
@@ -287,14 +307,20 @@ class Propagator:
 
         ``times`` may be any finite values in any order; the result has
         shape (len(times), min(dim_a, dim_b)). Each evolved state's norm is
-        checked against the start's norm ``norm`` within ``NORM_TOL``.
+        checked against the start's norm ``norm`` within ``NORM_TOL``. The
+        amplitudes and their SVD span only the ``support`` grid, the r rows
+        of A and c columns of B that the reached blocks touch; the other
+        rows and columns are exact zeros and add no singular value, so the
+        last min(dim_a, dim_b) - min(r, c) entries of each row are exact
+        zeros.
         """
         t = np.asarray(times, dtype=np.float64).reshape(-1)
         if not np.all(np.isfinite(t)):
             raise ValueError("times must be finite")
         self._prepare(float(np.max(np.abs(t), initial=0.0)))
-        out = np.empty((t.size, min(self.dim_a, self.dim_b)))
-        step = max(1, _CHUNK_ENTRIES // self.dim)
+        r, c = self.support
+        out = np.zeros((t.size, min(self.dim_a, self.dim_b)))
+        step = max(1, _CHUNK_ENTRIES // (r * c))
         # a block of all d indices is range(d) in order: its rows are the amplitudes
         whole = self.blocks[0] if self.blocks[0].indices.size == self.dim else None
         for start in range(0, t.size, step):
@@ -302,9 +328,9 @@ class Propagator:
             if whole is not None:
                 amps = whole.amplitudes(chunk)
             else:
-                amps = np.zeros((chunk.size, self.dim), dtype=np.complex128)
-                for block in self.blocks:
-                    amps[:, block.indices] = block.amplitudes(chunk)
+                amps = np.zeros((chunk.size, r * c), dtype=np.complex128)
+                for block, local in zip(self.blocks, self._local):
+                    amps[:, local] = block.amplitudes(chunk)
             drift = np.abs(np.linalg.norm(amps, axis=1) - self.norm)
             worst = int(np.argmax(drift))
             if not drift[worst] <= NORM_TOL:
@@ -313,10 +339,8 @@ class Propagator:
                     f"{drift[worst]!r}, more than {NORM_TOL}"
                 )
             try:
-                singular = np.linalg.svd(
-                    amps.reshape(chunk.size, self.dim_a, self.dim_b), compute_uv=False
-                )
+                singular = np.linalg.svd(amps.reshape(chunk.size, r, c), compute_uv=False)
             except np.linalg.LinAlgError as exc:
                 raise NumericalError(f"Schmidt SVD failed to converge: {exc}") from exc
-            out[start : start + chunk.size] = singular * singular
+            out[start : start + chunk.size, : min(r, c)] = singular * singular
         return out

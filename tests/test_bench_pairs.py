@@ -83,6 +83,19 @@ def test_summary_counts_pairs_the_change_wins():
     assert summary["traced"]["change"]["speedup"] == 1.0
 
 
+def test_import_summary_gives_each_side_its_median_and_quartiles():
+    samples = {"parent": [0.12, 0.10, 0.14, 0.11, 0.13], "change": [0.20, 0.10, 0.15, 0.05]}
+    summary = bench_pairs.summarize_imports(samples)
+    assert summary["parent"] == {"median": pytest.approx(0.12), "q1": pytest.approx(0.11),
+                                 "q3": pytest.approx(0.13), "n": 5,
+                                 "samples": [0.12, 0.10, 0.14, 0.11, 0.13]}
+    # positions 0.75, 1.5 and 2.25 of the sorted samples 0.05, 0.10, 0.15, 0.20
+    assert summary["change"]["median"] == pytest.approx(0.125)
+    assert summary["change"]["q1"] == pytest.approx(0.0875)
+    assert summary["change"]["q3"] == pytest.approx(0.1625)
+    assert summary["median_ratio_change_over_parent"] == pytest.approx(0.125 / 0.12)
+
+
 @pytest.mark.parametrize("missing", ["--seed", "--trace-seed"])
 def test_seeds_have_no_default(missing, capsys):
     argv = ["--parent", "HEAD", "--label", "x", "--what", "y", "--seed", "1", "--trace-seed", "2"]
@@ -161,8 +174,14 @@ def test_both_sides_run_from_archive_copies_made_the_same_way(tmp_path, monkeypa
         return bench_pairs.parse_run_output(run_output(1.0 if root.name == "parent" else 0.5,
                                                        1.0))
 
+    def fake_import(root):
+        imported.append((root.name, (root / "side.txt").read_text()))
+        return 0.1 if root.name == "parent" else 0.09
+
+    imported = []
     monkeypatch.setattr(bench_pairs, "ROOT", repo)
     monkeypatch.setattr(bench_pairs, "run_side", fake_run)
+    monkeypatch.setattr(bench_pairs, "import_seconds", fake_import)
     argv = ["--parent", "HEAD~1", "--label", "t", "--what", "y",
             "--seed", "1", "--trace-seed", "50"]
     assert bench_pairs.main(argv) == 0
@@ -176,6 +195,13 @@ def test_both_sides_run_from_archive_copies_made_the_same_way(tmp_path, monkeypa
     assert document["how"]["parent"] == f"commit {parent} (HEAD~1), from a git archive copy"
     assert document["how"]["change"] == f"commit {head} (HEAD), from a git archive copy"
     assert document["summary"]["w"]["wall_s"]["change_better_pairs"] == bench_pairs.PAIRS
+    # one untimed import per side, then the timed ones alternating which side goes first
+    assert all(side == text for side, text in imported)
+    order = [side for side, _ in imported]
+    assert order[:6] == ["parent", "change", "parent", "change", "change", "parent"]
+    assert len(order) == 2 * (bench_pairs.IMPORTS + 1)
+    assert document["imports"]["parent"]["samples"] == [0.1] * bench_pairs.IMPORTS
+    assert document["imports"]["change"]["median"] == 0.09
 
 
 def test_uncommitted_changes_are_refused(tmp_path, monkeypatch, capsys):

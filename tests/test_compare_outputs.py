@@ -18,7 +18,7 @@ _SPEC.loader.exec_module(compare_outputs)
 
 def test_every_model_of_the_fixed_set_reads():
     docs = compare_outputs.model_documents()
-    assert len(docs) == 13
+    assert len(docs) == 14
     for name, doc in docs.items():
         model = resolve_model_document(json.loads(json.dumps(doc)))
         if name == "non_hermitian":

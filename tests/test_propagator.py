@@ -575,3 +575,63 @@ def test_a_short_lanczos_interval_is_refused(monkeypatch):
     assert block.extremes[0] > w[0] and block.extremes[1] < w[-1]
     with pytest.raises(NumericalError, match="leaves"):
         propagator.probabilities(np.linspace(0.0, 40.0 / block.interval[1], 5))
+
+
+def sector_start_model(rng, dim_a, dim_b):
+    """Dense terms within 3 sectors of A and 2 of B, and a start on the first two sectors
+    of A and the first of B: its blocks touch a strict subset of the rows and columns."""
+    labels_a, mask_a = sector_mask(rng, dim_a, 3)
+    labels_b, mask_b = sector_mask(rng, dim_b, 2)
+    terms = tuple((a * mask_a, b * mask_b)
+                  for a, b in oracles.random_term_list(rng, dim_a, dim_b, 3))
+    psi_a = np.where(labels_a < 2, oracles.random_unit_vector(rng, dim_a), 0.0)
+    psi_b = np.where(labels_b == 0, oracles.random_unit_vector(rng, dim_b), 0.0)
+    state = ProductState(psi_a=psi_a / np.linalg.norm(psi_a), psi_b=psi_b / np.linalg.norm(psi_b))
+    support = (int(np.sum(labels_a < 2)), int(np.sum(labels_b == 0)))
+    return ProductHamiltonian(dim_a, dim_b, terms), state, support
+
+
+@pytest.mark.parametrize("dims", [(5, 7), (7, 5)])
+def test_spectra_over_the_support_match_the_full_svd_and_pad_with_zeros(dims):
+    h, state, support = sector_start_model(np.random.default_rng(131 + dims[0]), *dims)
+    propagator = Propagator(h, state)
+    assert propagator.support == support
+    assert support[0] < dims[0] and support[1] < dims[1] and min(support) < min(dims)
+    times = np.array([0.0, 0.7, -1.3, 2.0, 0.25, 5.0])
+    probs = propagator.probabilities(times)
+    assert probs.shape == (times.size, min(dims))
+    assert np.all(np.diff(probs, axis=1) <= 0.0)
+    assert np.all(probs[:, min(support):] == 0.0)
+    assert np.max(np.abs(probs - oracle_probabilities(h, state, times))) <= 1e-13
+
+
+@pytest.mark.parametrize("model", ["bose_hubbard_u100", "coherent_ground_40"])
+def test_model_spectra_over_the_support_match_the_full_svd(model):
+    if model == "bose_hubbard_u100":
+        h, state = build_bose_hubbard_boundary(
+            BoseHubbardBoundarySpec(j_rate=1.0, u_rate=100.0, n_per_site_max=4))
+        assert Propagator(h, state).support == (3, 3)  # |0,2>, |1,1>, |2,0> of 5 x 5
+    else:
+        h, state = build_jcm(
+            JcmSpec(lam=1.0, n_max=40, field=CoherentField(3.0), c_e=0.0, c_g=1.0))
+    times = np.linspace(-1.0, 3.0, 9)
+    probs = Propagator(h, state).probabilities(times)
+    assert probs.shape == (times.size, min(h.dim_a, h.dim_b))
+    assert np.max(np.abs(probs - oracle_probabilities(h, state, times))) <= 1e-13
+
+
+def test_a_small_block_of_a_large_space_holds_nothing_of_length_d():
+    h, state = build_jcm(JcmSpec(lam=1.0, n_max=2047, field=FockField(3)))
+    propagator = Propagator(h, state)
+    assert h.dim == 4096 and propagator.support == (2, 2)
+    times = np.linspace(0.0, 3.0, 25)
+    propagator.probabilities(times[:1])
+    tracemalloc.start()
+    try:
+        probs = propagator.probabilities(times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert probs.shape == (25, 2)
+    # the amplitudes of 25 times over all 4096 states would take 1.6 MB
+    assert peak < 64 * 1024

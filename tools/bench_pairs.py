@@ -14,20 +14,25 @@ workload named in ``BENCHMARK.json`` it then runs 10 pairs of
 ``BENCHMARK.json`` sets, each side with its own copy of the harness from
 its own root, on seeds ``--seed`` onwards, the side that runs first
 alternating from pair to pair; then one ``--trace 1`` run per side at
-``--trace-seed``. Both seeds have no default, so that every comparison
+``--trace-seed``. After the pairs it times ``IMPORTS`` fresh ``import
+enttime.cli`` runs per side from the same two copies, alternating, each in
+its own process with one BLAS thread, since ``setup_s`` over the pairs
+alone does not resolve a difference of 10%. Both seeds have no default, so that every comparison
 picks seeds not used before on purpose, and a seed that any ``BENCH_*.json``
 at the root of the repository already records is refused (exit status 2,
 naming the file). It writes ``BENCH_<label>.json`` at the root of the
 repository: how the runs were made, every run's result line, and per
 workload and end-to-end metric each side's median and quartiles, the number
 of pairs the change won and the ratio of the medians, with the failed and
-attempted runs and each side's traced per-layer metrics.
+attempted runs and each side's traced per-layer metrics, and under
+``imports`` each side's import times with their median and quartiles.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -37,6 +42,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 PAIRS = 10
+IMPORTS = 20
+# what a fresh process runs to time the import, printing the seconds
+IMPORT_CODE = ("import time; start = time.perf_counter(); import enttime.cli; "
+               "print(time.perf_counter() - start)")
 
 
 def parse_run_output(stdout: str) -> tuple[dict, dict]:
@@ -94,6 +103,38 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
         }
         summary[workload] = entry
     return summary
+
+
+def summarize_imports(samples: dict[str, list[float]]) -> dict:
+    """Median and quartiles of each side's import times, the samples and the ratio of medians."""
+    entry: dict = {side: {**quartiles(samples[side]), "samples": samples[side]} for side in SIDES}
+    entry["median_ratio_change_over_parent"] = (entry["change"]["median"]
+                                                / entry["parent"]["median"])
+    return entry
+
+
+def import_seconds(root: Path) -> float:
+    """Seconds to ``import enttime.cli`` from ``root/src`` in a fresh process, one BLAS thread."""
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "ENTTIME_THREADS")}
+    env.update(PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", IMPORT_CODE], cwd=root, env=env,
+                          capture_output=True, text=True, check=True)
+    return float(proc.stdout)
+
+
+def time_imports(roots: dict[str, Path]) -> dict:
+    """``IMPORTS`` import times per side, the side that goes first alternating, summarized.
+
+    One untimed import per side first writes the bytecode, as ``perfbench/run.py`` does.
+    """
+    samples: dict[str, list[float]] = {side: [] for side in SIDES}
+    for side in SIDES:
+        import_seconds(roots[side])
+    for k in range(IMPORTS):
+        for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+            samples[side].append(import_seconds(roots[side]))
+    return summarize_imports(samples)
 
 
 def used_seeds(root: Path, seeds) -> list[tuple[str, int]]:
@@ -168,6 +209,8 @@ def main(argv=None) -> int:
                 env, result = run_side(roots[side], workload, seed, seconds, trace)
                 runs.append({"side": side, "workload": workload, "seed": seed,
                              "trace": trace, "result": result})
+        print(f"{IMPORTS} imports per side", file=sys.stderr, flush=True)
+        imports = time_imports(roots)
 
     last, first = seeds[-1], seeds[0]
     document = {
@@ -184,8 +227,12 @@ def main(argv=None) -> int:
             "machine": f"{env.get('nproc')} CPUs ({env.get('cpu')}), Python {env.get('python')}, "
                        f"numpy {env.get('numpy')} with {env.get('blas')}, one BLAS/OpenMP thread "
                        "in each child (set by run.py)",
+            "imports": f"{IMPORTS} fresh processes per side after the pairs, each timing "
+                       "import enttime.cli with one BLAS thread, the side that runs first "
+                       "alternating",
         },
         "summary": summarize(runs, bench["end_to_end"]),
+        "imports": imports,
         "runs": runs,
     }
     out = ROOT / f"BENCH_{args.label}.json"

@@ -97,6 +97,8 @@ def model_documents() -> dict[str, dict]:
     b_adj = [[0, 0, 0], [0, 0, 0], [-1j, 0, 0]]
     diag = [[0.5, 0, 0], [0, 0, 0], [0, 0, -0.25]]
     return {
+        # d = 4096, the cap: a 2-state block of the largest space the dynamics takes
+        "jcm_fock_2047": jcm(n_max=2047, field={"type": "fock", "n": 3}),
         "jcm_fock_767": jcm(n_max=767, field={"type": "fock", "n": 3}),
         "jcm_fock_7": jcm(n_max=7, field={"type": "fock", "n": 3}),
         "coherent_excited": jcm(field=coherent([1.5, -0.5])),
