@@ -256,7 +256,8 @@ class Propagator:
         r, c = int(np.count_nonzero(touched_a)), int(np.count_nonzero(touched_b))
         self.support = (r, c)
         local = (np.cumsum(touched_a)[rows] - 1) * c + np.cumsum(touched_b)[cols] - 1
-        self._local = np.split(local, np.cumsum([b.size for b in found[:-1]]))
+        ends = np.cumsum([b.size for b in found]).tolist()
+        self._local = [local[lo:hi] for lo, hi in zip([0, *ends], ends)]
 
     def _matrix(self, indices: np.ndarray) -> np.ndarray:
         """S = (M + M^dag)/2 of the block on ``indices``, read-only."""
