@@ -70,12 +70,14 @@ class Factor:
         if not np.all(np.isfinite(values)):
             raise StateError("factor contains non-finite entries")
         kept = values != 0
+        self._set_arrays(n, np.concatenate(([0], np.cumsum(kept)))[indptr],
+                         indices[kept].astype(np.int32), values[kept])
+
+    def _set_arrays(self, n: int, indptr: np.ndarray, indices: np.ndarray,
+                    values: np.ndarray) -> None:
+        """Store n and the three CSR arrays, made read-only, as they are given."""
         object.__setattr__(self, "n", n)
-        for name, array in zip(("indptr", "indices", "values"), (
-            np.concatenate(([0], np.cumsum(kept)))[indptr],
-            indices[kept].astype(np.int32),
-            values[kept],
-        )):
+        for name, array in zip(("indptr", "indices", "values"), (indptr, indices, values)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
 
@@ -89,16 +91,9 @@ class Factor:
     def adjoint(self) -> Factor:
         """F^dag. It is valid CSR with no zero value when F is, so it skips the checks."""
         order = np.argsort(self.indices, kind="stable")
-        arrays = (
-            np.searchsorted(self.indices[order], np.arange(self.n + 1)).astype(np.int64),
-            self._rows()[order].astype(np.int32),
-            self.values[order].conj(),
-        )
         adjoint = object.__new__(Factor)
-        object.__setattr__(adjoint, "n", self.n)
-        for name, array in zip(("indptr", "indices", "values"), arrays):
-            array.setflags(write=False)
-            object.__setattr__(adjoint, name, array)
+        adjoint._set_arrays(self.n, np.searchsorted(self.indices[order], np.arange(self.n + 1)),
+                            self._rows()[order].astype(np.int32), self.values[order].conj())
         return adjoint
 
     def toarray(self) -> np.ndarray:

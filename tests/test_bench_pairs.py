@@ -174,14 +174,14 @@ def test_both_sides_run_from_archive_copies_made_the_same_way(tmp_path, monkeypa
         return bench_pairs.parse_run_output(run_output(1.0 if root.name == "parent" else 0.5,
                                                        1.0))
 
-    def fake_import(root):
+    def fake_setup(root):
         imported.append((root.name, (root / "side.txt").read_text()))
         return 0.1 if root.name == "parent" else 0.09
 
     imported = []
     monkeypatch.setattr(bench_pairs, "ROOT", repo)
     monkeypatch.setattr(bench_pairs, "run_side", fake_run)
-    monkeypatch.setattr(bench_pairs, "import_seconds", fake_import)
+    monkeypatch.setattr(bench_pairs, "setup_seconds", fake_setup)
     argv = ["--parent", "HEAD~1", "--label", "t", "--what", "y",
             "--seed", "1", "--trace-seed", "50"]
     assert bench_pairs.main(argv) == 0

@@ -89,6 +89,13 @@ def test_factor_reads_match_the_dense_matrix(route):
         assert np.array_equal(oracles.dense_factor(f), m)
         assert np.array_equal(f.toarray(), m)
         assert np.array_equal(oracles.dense_factor(f.adjoint()), m.conj().T)
+        # the unchecked adjoint holds what the checked constructor makes of it
+        adj = f.adjoint()
+        checked = Factor(adj.n, adj.indptr, adj.indices, adj.values)
+        for name in ("indptr", "indices", "values"):
+            got, want = getattr(adj, name), getattr(checked, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert not got.flags.writeable
         rows = rng.integers(dim, size=7)  # in any order, repeats included
         assert np.array_equal(f.rows(rows), m[rows])
         assert f.rows(rows[:0]).shape == (0, dim)

@@ -14,18 +14,19 @@ workload named in ``BENCHMARK.json`` it then runs 10 pairs of
 ``BENCHMARK.json`` sets, each side with its own copy of the harness from
 its own root, on seeds ``--seed`` onwards, the side that runs first
 alternating from pair to pair; then one ``--trace 1`` run per side at
-``--trace-seed``. After the pairs it times ``IMPORTS`` fresh ``import
-enttime.cli`` runs per side from the same two copies, alternating, each in
-its own process with one BLAS thread, since ``setup_s`` over the pairs
-alone does not resolve a difference of 10%. Both seeds have no default, so that every comparison
-picks seeds not used before on purpose, and a seed that any ``BENCH_*.json``
-at the root of the repository already records is refused (exit status 2,
-naming the file). It writes ``BENCH_<label>.json`` at the root of the
-repository: how the runs were made, every run's result line, and per
-workload and end-to-end metric each side's median and quartiles, the number
-of pairs the change won and the ratio of the medians, with the failed and
-attempted runs and each side's traced per-layer metrics, and under
-``imports`` each side's import times with their median and quartiles.
+``--trace-seed``. After the pairs it runs each side's
+``perfbench/child.py --import-only`` ``IMPORTS`` times from the same two
+copies, alternating, with one BLAS thread, since ``setup_s`` over the pairs
+alone does not resolve a difference of 10%. Both seeds have no default, so
+that every comparison picks seeds not used before on purpose, and a seed
+that any ``BENCH_*.json`` at the root of the repository already records is
+refused (exit status 2, naming the file). It writes ``BENCH_<label>.json``
+at the root of the repository: how the runs were made, every run's result
+line, and per workload and end-to-end metric each side's median and
+quartiles, the number of pairs the change won and the ratio of the medians,
+with the failed and attempted runs and each side's traced per-layer
+metrics, and under ``imports`` each side's ``setup_s`` samples with their
+median and quartiles.
 """
 
 from __future__ import annotations
@@ -43,9 +44,6 @@ ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 PAIRS = 10
 IMPORTS = 20
-# what a fresh process runs to time the import, printing the seconds
-IMPORT_CODE = ("import time; start = time.perf_counter(); import enttime.cli; "
-               "print(time.perf_counter() - start)")
 
 
 def parse_run_output(stdout: str) -> tuple[dict, dict]:
@@ -113,14 +111,19 @@ def summarize_imports(samples: dict[str, list[float]]) -> dict:
     return entry
 
 
-def import_seconds(root: Path) -> float:
-    """Seconds to ``import enttime.cli`` from ``root/src`` in a fresh process, one BLAS thread."""
+def setup_seconds(root: Path) -> float:
+    """``setup_s`` of one ``perfbench/child.py --import-only`` run from ``root``, one BLAS thread."""
     env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "ENTTIME_THREADS")}
     env.update(PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", IMPORT_CODE], cwd=root, env=env,
-                          capture_output=True, text=True, check=True)
-    return float(proc.stdout)
+    with tempfile.TemporaryDirectory(prefix="import_") as tmp:
+        result_path = Path(tmp) / "result.json"
+        subprocess.run([sys.executable, "perfbench/child.py", str(result_path), "--import-only",
+                        "--"], cwd=root, env=env, capture_output=True, check=True)
+        result = json.loads(result_path.read_text(encoding="utf-8"))
+    if not Path(result["module"]).resolve().is_relative_to(root.resolve()):
+        raise RuntimeError(f"imported enttime from {result['module']}, not {root}")
+    return result["setup_s"]
 
 
 def time_imports(roots: dict[str, Path]) -> dict:
@@ -130,10 +133,10 @@ def time_imports(roots: dict[str, Path]) -> dict:
     """
     samples: dict[str, list[float]] = {side: [] for side in SIDES}
     for side in SIDES:
-        import_seconds(roots[side])
+        setup_seconds(roots[side])
     for k in range(IMPORTS):
         for side in SIDES if k % 2 == 0 else SIDES[::-1]:
-            samples[side].append(import_seconds(roots[side]))
+            samples[side].append(setup_seconds(roots[side]))
     return summarize_imports(samples)
 
 
@@ -227,9 +230,9 @@ def main(argv=None) -> int:
             "machine": f"{env.get('nproc')} CPUs ({env.get('cpu')}), Python {env.get('python')}, "
                        f"numpy {env.get('numpy')} with {env.get('blas')}, one BLAS/OpenMP thread "
                        "in each child (set by run.py)",
-            "imports": f"{IMPORTS} fresh processes per side after the pairs, each timing "
-                       "import enttime.cli with one BLAS thread, the side that runs first "
-                       "alternating",
+            "imports": f"setup_s of {IMPORTS} runs per side of perfbench/child.py "
+                       "--import-only after the pairs, one BLAS thread, the side that runs "
+                       "first alternating",
         },
         "summary": summarize(runs, bench["end_to_end"]),
         "imports": imports,
