@@ -28,7 +28,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -347,10 +347,7 @@ def cmd_timescale(
             "cov_a": _matrix_doc(report.cov_a),
             "cov_b": _matrix_doc(report.cov_b),
         },
-        "predictions": [
-            {"alpha": pred.alpha, "coefficient": pred.coefficient, "curvature": pred.curvature}
-            for pred in (predicted_curvature(report, a) for a in alphas)
-        ],
+        "predictions": [asdict(predicted_curvature(report, a)) for a in alphas],
     }
     if include_timing:
         doc["wall_time_s"] = time.perf_counter() - started
@@ -428,17 +425,7 @@ def cmd_verify(
         "spec": model.resolved,
         "degenerate": report.degenerate,
         "t_ent_inv_sq": report.t_ent_inv_sq,
-        "rows": [
-            {
-                "label": row.label,
-                "predicted": row.predicted,
-                "measured": row.measured,
-                "rel_error": row.rel_error,
-                "status": row.status,
-                "detail": row.detail,
-            }
-            for row in rows
-        ],
+        "rows": [asdict(row) for row in rows],
     }
     if output_path is not None:
         _write_text(output_path, json.dumps(doc, indent=2) + "\n")

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ModelError, StateError
-from .linalg import as_complex_matrix
 from .tolerances import HERM_TOL, MAX_DIM, NORM_TOL
 
 __all__ = [
@@ -177,9 +176,11 @@ def _factor(m, dim: int, name: str) -> Factor:
         if m.n != dim:
             raise DimensionError(f"{name} has shape {(m.n, m.n)!r}, expected ({dim}, {dim})")
         return m
-    m = as_complex_matrix(m, name=name)
+    m = np.asarray(m, dtype=np.complex128)
     if m.shape != (dim, dim):
         raise DimensionError(f"{name} has shape {m.shape!r}, expected ({dim}, {dim})")
+    if not np.all(np.isfinite(m)):
+        raise StateError(f"{name} contains non-finite entries")
     flat = np.flatnonzero(m)
     return Factor(dim, np.searchsorted(flat, np.arange(dim + 1) * dim), flat % dim, m.flat[flat])
 

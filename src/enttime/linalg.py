@@ -31,7 +31,6 @@ from .errors import DimensionError, NumericalError, StateError
 from .tolerances import CHEB_TAIL_TOL, NORM_TOL, PROBE_COLUMNS, PROBE_SEED, RECON_TOL
 
 __all__ = [
-    "as_complex_matrix",
     "HermitianSpectrum",
     "hermitian_part",
     "eig_hermitian",
@@ -43,31 +42,6 @@ __all__ = [
     "chebyshev_vectors",
     "chebyshev_propagate",
 ]
-
-
-def as_complex_matrix(m, *, name: str = "matrix") -> np.ndarray:
-    """Coerce ``m`` to a finite 2-D complex128 array.
-
-    Parameters
-    ----------
-    m : array_like
-        Anything numpy can turn into a matrix.
-    name : str
-        Label used in error messages.
-
-    Returns
-    -------
-    numpy.ndarray
-        2-D complex128 view or copy of the input.
-    """
-    out = np.asarray(m, dtype=np.complex128)
-    if out.ndim != 2 or out.shape[0] < 1 or out.shape[1] < 1:
-        raise DimensionError(
-            f"{name} must be a 2-D array with positive dimensions, got shape {out.shape!r}"
-        )
-    if not np.all(np.isfinite(out)):
-        raise StateError(f"{name} contains non-finite entries")
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,11 +65,6 @@ class HermitianSpectrum:
     def __post_init__(self) -> None:
         for field in (self.eigenvalues, self.eigenvectors, self.residual, self.tolerance):
             field.setflags(write=False)
-
-    def __getitem__(self, k: int) -> "HermitianSpectrum":
-        """The spectrum of matrix ``k`` of a stack."""
-        return HermitianSpectrum(self.eigenvalues[k], self.eigenvectors[k], self.residual[k],
-                                 self.tolerance[k])
 
 
 def _square(m) -> np.ndarray:
@@ -169,14 +138,16 @@ def _residual_estimate(sym: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndar
 
 def propagate(spectrum: HermitianSpectrum, psi0: np.ndarray, modes: np.ndarray,
               times) -> np.ndarray:
-    """Amplitudes exp(-i M t) psi0 for each time, one row per time.
+    """Amplitudes exp(-i M t) psi0 for each time, one row per time, for a matrix or a stack.
 
     Evaluated as psi0 + V diag(exp(-i w t) - 1) V^dag psi0 with the phase
     shift written through sines, so t = 0 returns psi0 exactly and the
     change of a nearly unmoved state keeps its relative accuracy. ``modes``
-    is V^dag psi0, formed once by the caller for all its time grids as
-    ``(psi0.conj() @ V).conj()``. The rows for all times come out of one
-    (T x dim) by (dim x dim) product, into a new array.
+    is V^dag psi0, formed once by the caller for all its time grids. A
+    stack of b matrices of size n takes psi0 and ``modes`` as (b, n) and
+    returns (T, b, n). The rows for all times come out of one (T x n) by
+    (n x n) product per matrix, one batched call for a stack, into a new
+    array; each matrix of a stack gets bit for bit the rows it gets alone.
     """
     theta = np.multiply.outer(np.asarray(times, dtype=np.float64), spectrum.eigenvalues)
     half = 0.5 * theta
@@ -188,7 +159,8 @@ def propagate(spectrum: HermitianSpectrum, psi0: np.ndarray, modes: np.ndarray,
     theta *= half
     np.subtract(theta, shift, out=shift)
     shift *= modes
-    out = shift @ spectrum.eigenvectors.T
+    # the time axis moves next to each matrix's columns for the product, and back
+    out = (shift.swapaxes(0, -2) @ spectrum.eigenvectors.swapaxes(-1, -2)).swapaxes(0, -2)
     out += psi0
     return out
 

@@ -13,18 +13,19 @@ component covers the whole space the search stops there.
 
 The Hermiticity of the whole H is checked once, including entries outside
 the blocks. A block of n <= ``LANCZOS_STEPS`` states is diagonalized at
-construction (the size cut is argued next to that constant): its
-symmetrized matrix S = (M + M^dag)/2, from
-:func:`~enttime.hamiltonian.block_matrix`, goes through one checked
-:func:`~enttime.linalg.eig_hermitian` per block size, equal sizes stacked,
-and every time grid is propagated in that eigenbasis
-(:func:`~enttime.linalg.propagate`). A larger block takes its series
-interval from ``LANCZOS_STEPS`` Lanczos steps from a seeded random start
-(:func:`~enttime.linalg.lanczos_interval`) on S, or, for the whole space
-(any dense model) when that is cheaper, on S in product form straight from
-the factors (:func:`~enttime.linalg.hermitian_product`). Each time grid
-then takes one of two routes for it, chosen from x = R max|t|, with R the
-half-width of the interval:
+construction (the size cut is argued next to that constant): the
+symmetrized matrices S = (M + M^dag)/2 of all such blocks of one size, from
+:func:`~enttime.hamiltonian.block_matrix`, go as one stack through one
+checked :func:`~enttime.linalg.eig_hermitian`, and the stack stays whole:
+each time chunk propagates it in its eigenbasis by one batched product
+(:func:`~enttime.linalg.propagate`) and scatters it once. A larger block
+takes its series interval from ``LANCZOS_STEPS`` Lanczos steps from a
+seeded random start (:func:`~enttime.linalg.lanczos_interval`) on S, or,
+for the whole space (any dense model) when that is cheaper, on S in
+product form straight from the factors
+(:func:`~enttime.linalg.hermitian_product`). Each time grid then takes one
+of two routes for it, chosen from x = R max|t|, with R the half-width of
+the interval:
 
 * the Chebyshev series, when it needs K <= n terms
   (:func:`~enttime.linalg.chebyshev_terms`): K products with S, then one
@@ -132,40 +133,39 @@ def invariant_blocks(h: ProductHamiltonian, support) -> list[np.ndarray]:
     return blocks
 
 
-def _by_size(blocks) -> list[list[int]]:
-    """Positions in ``blocks`` grouped by block size, in order of first appearance."""
-    groups: dict[int, list[int]] = {}
-    for k, block in enumerate(blocks):
-        groups.setdefault(len(block), []).append(k)
+def _by_size(blocks) -> list[list[np.ndarray]]:
+    """``blocks`` grouped by size, in order of first appearance."""
+    groups: dict[int, list[np.ndarray]] = {}
+    for block in blocks:
+        groups.setdefault(block.size, []).append(block)
     return list(groups.values())
 
 
-def _stack(mats: list[np.ndarray]) -> np.ndarray:
-    """Equal-size matrices as one (b, n, n) stack for one solver call.
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """Equal-shape arrays as one stack with a leading axis, for one batched call.
 
-    A lone matrix goes in as it is: no copy into a stack of one, and the
-    perfbench trace, which reads the first axis as the dimension, holds.
+    A lone array stays as it is: no copy into a stack of one, and the
+    perfbench trace, which reads the first axis of a matrix as its
+    dimension, holds.
     """
-    return mats[0] if len(mats) == 1 else np.stack(mats)
-
-
-def _per_matrix(spectra: HermitianSpectrum, count: int) -> list[HermitianSpectrum]:
-    """The spectrum of each of ``count`` matrices that went in through :func:`_stack`."""
-    return [spectra] if count == 1 else [spectra[k] for k in range(count)]
+    return arrays[0] if len(arrays) == 1 else np.stack(arrays)
 
 
 @dataclass(eq=False)
 class _Block:
-    """One reached block and what has been formed from it so far.
+    """One large block, or every small block of one size, and what has been formed from it.
 
-    ``extremes`` are its lowest and highest level: the eigenvalues of a
-    small block, or the Lanczos Ritz values of a large one, which
-    ``margin`` widens into the series interval. ``operator`` is what the
-    series applies to a large block, S = (M + M^dag)/2 or its product form
-    (:func:`~enttime.linalg.hermitian_product`), and None for a small block,
-    which never takes the series. ``spectrum`` (with eigenvectors) is formed
-    at construction for a small block, and on the first grid that takes the
-    eigenbasis for a large one; ``vectors`` holds the Chebyshev rows
+    ``indices`` and ``psi0`` are (n,) arrays for a lone block, and (b, n)
+    for the b small blocks of n states that share a size, which stay one
+    stack from ``eigh`` to the scatter of their amplitudes. ``extremes``
+    are the lowest and highest level: of the eigenvalues of small blocks,
+    or the Lanczos Ritz values of a large one, which ``margin`` widens into
+    the series interval. ``operator`` is what the series applies to a large
+    block, S = (M + M^dag)/2 or its product form
+    (:func:`~enttime.linalg.hermitian_product`), and None for small blocks,
+    which never take the series. ``spectrum`` (with eigenvectors, stacked
+    like ``indices``) is formed at construction for small blocks, and on
+    the first grid that takes the eigenbasis for a large one; ``vectors`` holds the Chebyshev rows
     u_0 .. u_K formed so far, and grows when a grid needs more. ``terms`` is
     the K of the latest grid, or None when that grid took the eigenbasis,
     and ``growth`` is max_k ||u_k|| / ||psi0|| over all rows formed.
@@ -189,11 +189,11 @@ class _Block:
 
     @cached_property
     def modes(self) -> np.ndarray:
-        """V^dag psi0, formed once for every grid that takes the eigenbasis."""
-        return (self.psi0.conj() @ self.spectrum.eigenvectors).conj()
+        """V^dag psi0, per block, formed once for every grid that takes the eigenbasis."""
+        return (self.psi0.conj()[..., None, :] @ self.spectrum.eigenvectors)[..., 0, :].conj()
 
     def amplitudes(self, times) -> np.ndarray:
-        """exp(-i S t) psi0 on this block, by the route ``terms`` records."""
+        """exp(-i S t) psi0, (T,) + ``indices.shape``, by the route ``terms`` records."""
         if self.terms is None:
             return propagate(self.spectrum, self.psi0, self.modes, times)
         return chebyshev_propagate(self.psi0, self.vectors, *self.interval, times)
@@ -203,13 +203,15 @@ class Propagator:
     """Schmidt spectra of one product start evolving under ``h``, for any times.
 
     Construction checks the whole Hamiltonian for Hermiticity, finds the
-    invariant blocks the start reaches, diagonalizes each small block,
-    equal-size blocks in one stacked call, and takes the Lanczos interval
-    of each large one. :meth:`probabilities` then serves any number of
-    time grids, each large block by the Chebyshev series or by its
-    eigenbasis (see the module docstring). ``support`` is (r, c), the
-    number of rows of A and columns of B the reached blocks touch, the
-    grid the amplitudes and Schmidt SVD are taken on.
+    invariant blocks the start reaches (``block_sizes``, in the order
+    :func:`invariant_blocks` finds them), diagonalizes the small blocks of
+    each size as one stack, and takes the Lanczos interval of each large
+    one. ``blocks`` holds one entry per small size and per large block.
+    :meth:`probabilities` then serves any number of time grids, each large
+    block by the Chebyshev series or by its eigenbasis (see the module
+    docstring). ``support`` is (r, c), the number of rows of A and columns
+    of B the reached blocks touch, the grid the amplitudes and Schmidt SVD
+    are taken on.
 
     Raises :class:`DimensionError` when the state does not fit ``h`` or the
     composite dimension exceeds ``MAX_DIM``, :class:`ModelError` when H is
@@ -234,20 +236,21 @@ class Propagator:
         self.norm = float(np.linalg.norm(psi0))
         self._h = h
         found = invariant_blocks(h, np.flatnonzero(psi0))
-        blocks: list = [None] * len(found)
-        for members in _by_size(found):
-            if found[members[0]].size > LANCZOS_STEPS:
-                for k in members:
-                    blocks[k] = self._large(found[k], psi0[found[k]])
+        self.block_sizes = [members.size for members in found]
+        blocks: list[_Block] = []
+        for group in _by_size(found):
+            if group[0].size > LANCZOS_STEPS:
+                blocks.extend(self._large(indices, psi0[indices]) for indices in group)
                 continue
-            sym = hermitian_part(_stack([block_matrix(h, found[k], found[k]) for k in members]))
-            spectra = _per_matrix(eig_hermitian(sym), len(members))
-            for k, spectrum in zip(members, spectra):
-                w = spectrum.eigenvalues
-                blocks[k] = _Block(found[k], psi0[found[k]], (w[0], w[-1]), spectrum=spectrum)
+            indices = _stack(group)
+            matrices = _stack([block_matrix(h, members, members) for members in group])
+            spectrum = eig_hermitian(hermitian_part(matrices))
+            w = spectrum.eigenvalues
+            blocks.append(_Block(indices, psi0[indices], (w[..., 0].min(), w[..., -1].max()),
+                                 spectrum=spectrum))
         self.blocks = tuple(blocks)
         # the rows of A and columns of B the blocks touch, in ascending order, and each
-        # block's flat positions on that r x c grid, all from one pass over every index
+        # block's flat positions on that r x c grid, in the shape of its indices
         rows, cols = np.divmod(np.concatenate(found), self.dim_b)
         touched_a = np.zeros(self.dim_a, dtype=bool)
         touched_b = np.zeros(self.dim_b, dtype=bool)
@@ -255,9 +258,9 @@ class Propagator:
         touched_b[cols] = True
         r, c = int(np.count_nonzero(touched_a)), int(np.count_nonzero(touched_b))
         self.support = (r, c)
-        local = (np.cumsum(touched_a)[rows] - 1) * c + np.cumsum(touched_b)[cols] - 1
-        ends = np.cumsum([b.size for b in found]).tolist()
-        self._local = [local[lo:hi] for lo, hi in zip([0, *ends], ends)]
+        rank_a, rank_b = np.cumsum(touched_a) - 1, np.cumsum(touched_b) - 1
+        self._local = [rank_a[i] * c + rank_b[j]
+                       for i, j in (np.divmod(block.indices, self.dim_b) for block in self.blocks)]
 
     def _matrix(self, indices: np.ndarray) -> np.ndarray:
         """S = (M + M^dag)/2 of the block on ``indices``, read-only."""
@@ -281,11 +284,6 @@ class Propagator:
         start = np.random.default_rng(PROBE_SEED).standard_normal(indices.size)
         low, high, margin = lanczos_interval(operator, start, LANCZOS_STEPS)
         return _Block(indices, psi0, (low, high), margin, operator)
-
-    @property
-    def block_sizes(self) -> list[int]:
-        """Dimensions of the reached blocks, in the order of ``blocks``."""
-        return [block.indices.size for block in self.blocks]
 
     def _prepare(self, reach: float) -> None:
         """Choose each large block's route for times up to |t| = ``reach`` and form what it needs."""
@@ -323,7 +321,7 @@ class Propagator:
         out = np.zeros((t.size, min(self.dim_a, self.dim_b)))
         step = max(1, _CHUNK_ENTRIES // (r * c))
         # a block of all d indices is range(d) in order: its rows are the amplitudes
-        whole = self.blocks[0] if self.blocks[0].indices.size == self.dim else None
+        whole = self.blocks[0] if self.blocks[0].indices.shape == (self.dim,) else None
         for start in range(0, t.size, step):
             chunk = t[start : start + step]
             if whole is not None:

@@ -33,7 +33,11 @@ def test_every_model_of_the_fixed_set_reads():
 
 
 def canned(monkeypatch, repo, differ):
-    """Replace the model set and the runs; each run reports which copy it ran from."""
+    """Replace the model set and the runs; each run reports which copy it ran from.
+
+    ``differ`` names the stream in which the sides' ``evolve`` runs differ:
+    stderr by its text, stdout by one of its numbers, or none.
+    """
     monkeypatch.setattr(compare_outputs.bench_pairs, "ROOT", repo)
     monkeypatch.setattr(compare_outputs, "model_documents",
                         lambda: {"small": {"model": "x"}, compare_outputs.DENSE: {"model": "y"}})
@@ -42,20 +46,24 @@ def canned(monkeypatch, repo, differ):
     def fake_run(root, argv, workdir):
         side = (root / "side.txt").read_text()
         seen.append((root, side, argv[0], json.loads(Path(argv[-1]).read_text())["model"]))
-        stderr = side.encode() if differ and argv[0] == "evolve" else b""
-        return {"exit code": 0, "stdout": b"table", "stderr": stderr, "--out": b"{}"}
+        evolve = argv[0] == "evolve"
+        stderr = side.encode() if differ == "stderr" and evolve else b""
+        value = b"0.75" if differ == "stdout" and evolve and side == "change" else b"0.5"
+        stdout = b"S_2 = " + value + b" at t = 1e-3"
+        return {"exit code": 0, "stdout": stdout, "stderr": stderr, "--out": b"{}"}
 
     monkeypatch.setattr(compare_outputs, "run_side", fake_run)
     return seen
 
 
-@pytest.mark.parametrize("differ", [False, True], ids=["identical", "stderr-differs"])
+@pytest.mark.parametrize("differ", [None, "stderr", "stdout"],
+                         ids=["identical", "stderr-differs", "numbers-differ"])
 def test_canned_runs_compare_both_archive_copies(tmp_path, monkeypatch, capsys, differ):
     repo = tmp_path / "repo"
     repo.mkdir()
     git_repo(repo, {"side.txt": "parent"}, {"side.txt": "change"})
     seen = canned(monkeypatch, repo, differ)
-    assert compare_outputs.main(["--parent", "HEAD~1"]) == (1 if differ else 0)
+    assert compare_outputs.main(["--parent", "HEAD~1"]) == (0 if differ is None else 1)
     roots = {side: root for root, side, _, _ in seen}
     assert set(roots) == {"parent", "change"}
     assert roots["parent"].parent == roots["change"].parent != repo
@@ -65,8 +73,12 @@ def test_canned_runs_compare_both_archive_copies(tmp_path, monkeypatch, capsys, 
         ("timescale", "y"), ("evolve", "y"), ("evolve", "y"),
     ]
     out = capsys.readouterr().out
-    if differ:
-        assert out.count("differs in stderr") == 3 and "3 of the runs differ" in out
+    if differ == "stderr":  # the text differs, the numbers in it do not
+        assert out.count("differs in stderr (same numbers)") == 3
+        assert "3 of the runs differ" in out
+    elif differ == "stdout":  # 0.5 against 0.75; the 1e-3 beside it is the same
+        assert out.count("differs in stdout (max abs 2.500e-01, max rel 3.333e-01)") == 3
+        assert "3 of the runs differ" in out
     else:
         assert out.count("  identical") == 6 and "every run is identical" in out
 
@@ -74,9 +86,19 @@ def test_canned_runs_compare_both_archive_copies(tmp_path, monkeypatch, capsys, 
 def test_uncommitted_changes_are_refused(tmp_path, monkeypatch, capsys):
     git_repo(tmp_path, {"side.txt": "parent"}, {"side.txt": "change"})
     (tmp_path / "side.txt").write_text("edited")
-    seen = canned(monkeypatch, tmp_path, False)
+    seen = canned(monkeypatch, tmp_path, None)
     with pytest.raises(SystemExit) as exit_info:
         compare_outputs.main(["--parent", "HEAD~1"])
     assert exit_info.value.code == 2
     assert "uncommitted changes" in capsys.readouterr().err
     assert seen == []
+
+
+def test_number_gap_pairs_the_numbers_of_two_streams():
+    gap = compare_outputs.number_gap
+    differ = gap(b'{"b": -2.0, "t": [0.1, 3]}', b'{"b": -2.5, "t": [0.1, 3]}')
+    assert differ == "max abs 5.000e-01, max rel 2.000e-01"
+    assert gap(b"0 1e-300", b"0 2e-300") == "max abs 1.000e-300, max rel 5.000e-01"
+    assert gap(0, 1) == "max abs 1.000e+00, max rel 1.000e+00"
+    assert gap(None, b"1 2") == "0 against 2 numbers"
+    assert gap(b"PASS 1.5", b"FAIL 1.5") == "same numbers"

@@ -217,6 +217,10 @@ def test_product_hamiltonian_validation():
         ProductHamiltonian(2, 2, ((np.eye(3), np.eye(2)),))
     with pytest.raises(DimensionError):
         ProductHamiltonian(2, 2, ((np.eye(2), np.eye(3)),))
+    with pytest.raises(DimensionError):
+        ProductHamiltonian(2, 2, ((np.array([1.0, 2.0]), np.eye(2)),))
+    with pytest.raises(StateError, match="contains non-finite entries"):
+        ProductHamiltonian(2, 2, ((np.eye(2), np.array([[np.nan, 0.0], [0.0, 1.0]])),))
 
 
 def test_product_hamiltonian_copies_inputs():

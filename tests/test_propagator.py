@@ -175,7 +175,8 @@ def test_ladder_pair_keeps_asymmetric_patterns_apart():
     field[[1, 4]] = [0.6, 0.8]
     state = ProductState(psi_a=np.array([1.0, 0.0]), psi_b=field)
     propagator = Propagator(h, state)
-    assert [list(b.indices) for b in propagator.blocks] == [[1, dim + 2], [4, dim + 5]]
+    # two doublets of one size: one group, one (2, 2) stack of indices
+    assert [b.indices.tolist() for b in propagator.blocks] == [[[1, dim + 2], [4, dim + 5]]]
     assert_matches_oracle(h, state, np.linspace(0.0, 2.5, 9))
 
 
@@ -211,14 +212,19 @@ def test_equal_size_blocks_share_one_stacked_eigh(monkeypatch):
         large = [n for n in propagator.block_sizes if n > LANCZOS_STEPS]
         larges += len(large)
         assert calls == [(n, n) for n in large]
+        assert len(propagator.blocks) == len(set(sizes)) + len(large)  # one per small size
         for block in propagator.blocks:
-            matrix = hamiltonian_module.block_matrix(h, block.indices, block.indices)
-            alone = solve(0.5 * (matrix + matrix.conj().T))
-            w = alone.eigenvalues
-            assert np.array_equal(block.spectrum.eigenvalues, w)
-            assert np.array_equal(block.spectrum.eigenvectors, alone.eigenvectors)
-            if block.indices.size <= LANCZOS_STEPS:
-                assert block.operator is None and block.extremes == (w[0], w[-1])
+            n = block.indices.shape[-1]
+            w, v = block.spectrum.eigenvalues, block.spectrum.eigenvectors
+            for indices, w_k, v_k in zip(block.indices.reshape(-1, n), w.reshape(-1, n),
+                                         v.reshape(-1, n, n)):
+                matrix = hamiltonian_module.block_matrix(h, indices, indices)
+                alone = solve(0.5 * (matrix + matrix.conj().T))
+                assert np.array_equal(w_k, alone.eigenvalues)
+                assert np.array_equal(v_k, alone.eigenvectors)
+            if n <= LANCZOS_STEPS:
+                assert block.operator is None
+                assert block.extremes == (w[..., 0].min(), w[..., -1].max())
             else:
                 assert block.terms is not None
                 assert np.max(np.abs(np.subtract(block.extremes, w[[0, -1]]))) <= block.margin
@@ -237,6 +243,31 @@ def test_equal_size_blocks_share_one_stacked_eigh(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", one_bad_doublet)
     with pytest.raises(NumericalError, match="residual"):
         Propagator(h, state)
+
+
+def test_each_block_size_propagates_as_one_stack(monkeypatch):
+    """The coherent ground start reaches one 1-state block and 40 doublets: each size
+    is one stack, propagated by one batched product and scattered once per time
+    chunk, and the probabilities match expm on the dense H."""
+    h, state = build_jcm(JcmSpec(lam=1.0, n_max=40, field=CoherentField(3.0), c_e=0.0, c_g=1.0))
+    propagator = Propagator(h, state)
+    assert sorted(propagator.block_sizes) == [1] + [2] * 40
+    assert sorted(block.indices.shape for block in propagator.blocks) == [(1,), (40, 2)]
+    r, c = propagator.support
+    monkeypatch.setattr(propagator_module, "_CHUNK_ENTRIES", 4 * r * c)  # 4 times a chunk
+    calls = []
+    solve = propagator_module.propagate
+    monkeypatch.setattr(propagator_module, "propagate",
+                        lambda spectrum, psi0, *rest: calls.append(psi0.shape)
+                        or solve(spectrum, psi0, *rest))
+    times = np.linspace(0.0, 3.0, 10)
+    probs = propagator.probabilities(times)
+    assert sorted(calls) == sorted([(40, 2), (1,)] * 3)  # 3 chunks of at most 4 times
+    dense = dense_oracle(h)
+    psi0 = np.kron(state.psi_a, state.psi_b)
+    expected = [oracles.schmidt_probabilities_svd(oracles.expm_propagate(dense, psi0, t), 2, 41)
+                for t in times]
+    assert np.max(np.abs(probs - np.array(expected))) <= 1e-13
 
 
 def test_hermiticity_defect_outside_the_reached_block_is_caught():

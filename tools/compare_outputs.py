@@ -16,7 +16,10 @@ short) and
 ``--t-max 8`` on the d = 1024 model and on the model whose start reaches a
 100-state block, each with ``--out``. It prints one
 line per run and exits with status 1 if any run differs between the sides
-in exit code, stdout, stderr or the ``--out`` file, else 0.
+in exit code, stdout, stderr or the ``--out`` file, else 0. For each stream
+that differs, the line also gives the largest absolute and relative
+difference between the numbers the two sides wrote there
+(:func:`number_gap`).
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import argparse
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -132,6 +136,36 @@ def commands(model: str) -> list[list[str]]:
     return runs
 
 
+# decimal numbers as Python and the JSON module write finite floats and integers
+_NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _numbers(stream) -> np.ndarray:
+    """The numbers in an exit code, or in the bytes of an output (none if it is missing)."""
+    if isinstance(stream, int):
+        return np.array([float(stream)])
+    return np.array([float(x) for x in _NUMBER.findall(stream or b"")])
+
+
+def number_gap(parent, change) -> str:
+    """The largest absolute and relative difference between the numbers of two streams.
+
+    The numbers are paired in order of appearance; the relative difference
+    of a pair is taken against the larger magnitude of the two. Two streams
+    with different counts of numbers, or with equal numbers in different
+    text, say so instead.
+    """
+    a, b = _numbers(parent), _numbers(change)
+    if a.size != b.size:
+        return f"{a.size} against {b.size} numbers"
+    gap = np.abs(a - b)
+    if not gap.any():
+        return "same numbers"
+    scale = np.maximum(np.abs(a), np.abs(b))
+    rel = np.divide(gap, scale, out=np.zeros_like(gap), where=scale > 0.0)
+    return f"max abs {gap.max():.3e}, max rel {rel.max():.3e}"
+
+
 def run_side(root: Path, argv: list[str], workdir: Path) -> dict:
     """Run ``enttime`` from ``root/src`` in ``workdir`` with ``--out out``; what it left."""
     workdir.mkdir(parents=True)
@@ -173,7 +207,9 @@ def main(argv=None) -> int:
                        for side in SIDES}
                 diff = [key for key in got["parent"] if got["parent"][key] != got["change"][key]]
                 differing += bool(diff)
-                status = "differs in " + ", ".join(diff) if diff else "identical"
+                status = "differs in " + ", ".join(
+                    f"{key} ({number_gap(got['parent'][key], got['change'][key])})"
+                    for key in diff) if diff else "identical"
                 print(f"{model:<20} {' '.join(cmd):<40} exit {got['change']['exit code']}  "
                       f"{status}", flush=True)
     print(f"{differing} of the runs differ" if differing else "every run is identical")
