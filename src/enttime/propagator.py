@@ -165,10 +165,11 @@ class _Block:
     (:func:`~enttime.linalg.hermitian_product`), and None for small blocks,
     which never take the series. ``spectrum`` (with eigenvectors, stacked
     like ``indices``) is formed at construction for small blocks, and on
-    the first grid that takes the eigenbasis for a large one; ``vectors`` holds the Chebyshev rows
-    u_0 .. u_K formed so far, and grows when a grid needs more. ``terms`` is
-    the K of the latest grid, or None when that grid took the eigenbasis,
-    and ``growth`` is max_k ||u_k|| / ||psi0|| over all rows formed.
+    the first grid that takes the eigenbasis for a large one; ``vectors``
+    holds the Chebyshev rows u_0 .. u_K formed so far, and grows when a
+    grid needs more. ``terms`` is the K of the latest grid, or None when
+    that grid took the eigenbasis, and ``growth`` is max_k ||u_k|| /
+    ||psi0|| over all rows formed.
     """
 
     indices: np.ndarray
