@@ -63,8 +63,8 @@ _STENCIL_WEIGHTS = np.array([-1.0, 16.0, -30.0, 16.0, -1.0])
 # wide enough to stay clear of roundoff.
 _VERIFY_STENCIL_DIVISOR = 50.0
 
-# Cap on that width h in units of 1/Omega, Omega the spread of the levels
-# of the reached blocks (eigh eigenvalues up to LANCZOS_STEPS states, the
+# Cap on that width h in units of 1/Omega, Omega = Propagator.spread, the
+# spread of the levels of the reached blocks (eigh eigenvalues up to LANCZOS_STEPS states, the
 # extreme Lanczos Ritz values above), since scales absent from T_ent still
 # bend S_alpha. The truncation error over the curvature is
 # (h^4 / 90) |S^(6)| / |S''| <= K (h Omega)^4 / 90 with |S^(6)| <= K Omega^4 |S''|;
@@ -408,8 +408,7 @@ def verify_growth(
     if renyi_orders:
         width = report.t_ent / _VERIFY_STENCIL_DIVISOR
         detail = f"5-point stencil, width t_ent/{_VERIFY_STENCIL_DIVISOR:g}"
-        lows, highs = zip(*(block.extremes for block in propagator.blocks))
-        omega = float(max(highs) - min(lows))
+        omega = propagator.spread
         if omega * width > _VERIFY_STENCIL_PHASE:
             width = _VERIFY_STENCIL_PHASE / omega
             detail += (

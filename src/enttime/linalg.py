@@ -250,14 +250,20 @@ def _logaddexp(a: float, b: float) -> float:
     return top + math.log1p(math.exp(min(a, b) - top))
 
 
-def _with_outside(tail: float, k: int, log_top: float, log_next: float, log_lo: float,
-                  log_hi: float) -> float:
+def _with_outside(tail: float, k: int, x: float, log_next: float) -> float:
     """log(e^tail + (1 + NORM_TOL) W / 2), W the bound on what components outside the interval add.
 
     W = max(F(rho*), G(rho*)) as derived next to ``CHEB_TAIL_TOL``, for
-    K = ``k``, M_K = e^log_top, M_(K+1) = e^log_next and the steps s_lo =
-    e^log_lo, s_hi = e^log_hi; ``tail`` is the log of half the tail bound.
+    K = ``k`` at ``x``, from Kapteyn's bound: M_(K+1) = e^log_next, and
+    M_K = e^(-E(K)) and the steps s_lo = e^E'(K), s_hi = e^E'(K+1) derived
+    here; ``tail`` is the log of half the tail bound. It is infinite for
+    K <= x, where Kapteyn's bound gives no M_K.
     """
+    z = k / x
+    if z <= 1.0:
+        return math.inf
+    log_lo, log_hi = math.acosh(z), math.acosh((k + 1) / x)
+    log_top = x * math.sqrt(z * z - 1.0) - k * log_lo
     log_rho = 0.5 * (log_lo + log_hi)
     r = math.exp(0.5 * (log_lo - log_hi))
     half = max(log_next + log_rho - math.log1p(-r),
@@ -268,53 +274,37 @@ def _with_outside(tail: float, k: int, log_top: float, log_next: float, log_lo: 
 def chebyshev_terms(x: float, limit: int, enclosed: bool = True) -> int | None:
     """Smallest K <= ``limit`` whose series error bound at ``x`` is at most ``CHEB_TAIL_TOL``.
 
-    The bound is the smaller of the two tail bounds derived next to
-    ``CHEB_TAIL_TOL``: 2 (x/2)^(K+1) / (K+1)! / (1 - x / (2 (K+2))) for
-    x < 2 (K + 2), and Kapteyn's 2 e^(-k eta) / (1 - y + sqrt(y^2 - 1)) at
-    k = K + 1 > x, y = k / x, k eta = k arccosh(y) - sqrt(k^2 - x^2). With
-    ``enclosed`` False, the interval is not known to hold the spectrum, and
-    each tail bound also carries (1 + NORM_TOL) times the bound, by the
-    same pair of |J_k| bounds, on what components outside it add once the
-    growth check has passed (:func:`_with_outside`); that search starts at
-    the K of the tail alone. Both tail bounds exceed 1 for K + 1 <= x/2, so
-    the search starts there, and |x| >= 2 (limit + 2), an infinite x
-    included, returns None with no search at all. None means no K up to
-    ``limit`` will do.
+    The bound is Kapteyn's tail bound derived next to ``CHEB_TAIL_TOL``,
+    2 e^(-k eta) / (1 - y + sqrt(y^2 - 1)) at k = K + 1 > x, y = k / x,
+    k eta = k arccosh(y) - sqrt(k^2 - x^2). With ``enclosed`` False, the
+    interval is not known to hold the spectrum, and the tail bound also
+    carries (1 + NORM_TOL) times the bound, from the same |J_k| bound, on
+    what components outside it add once the growth check has passed
+    (:func:`_with_outside`); that search starts at the K of the tail alone.
+    The tail bound needs K + 1 > x, so the search starts at K = floor(x),
+    and |x| >= limit + 1, an infinite x included, returns None with no
+    search at all. None means no K up to ``limit`` will do.
     """
     x = abs(x)
-    if not x < 2.0 * (limit + 2):
+    if not x < limit + 1:
         return None
     if x == 0.0:
         return 0
-    first = max(0, int(0.5 * x) - 1)
+    first = int(x)
     if not enclosed:  # the outside bound only adds to the tail: start at its K
         first = chebyshev_terms(x, limit)
         if first is None:
             return None
-    log_half, log_tol = math.log(0.5 * x), math.log(CHEB_TAIL_TOL) - math.log(2.0)
+    log_tol = math.log(CHEB_TAIL_TOL) - math.log(2.0)
     for k in range(first, limit + 1):
-        ratio = x / (2.0 * (k + 2))
-        if ratio < 1.0:
-            log_next = (k + 1) * log_half - math.lgamma(k + 2)
-            bound = log_next - math.log1p(-ratio)
-            if not enclosed:
-                bound = math.inf if k == 0 else _with_outside(
-                    bound, k, log_next + math.log((k + 1) / (0.5 * x)), log_next,
-                    math.log(2.0 * k / x), math.log(2.0 * (k + 2) / x))
-            if bound <= log_tol:
-                return k
         y = (k + 1) / x
-        if y > 1.0:
-            root = math.sqrt(y * y - 1.0)
-            log_next = x * root - (k + 1) * math.acosh(y)
-            bound = log_next - math.log1p(root - y)
-            if not enclosed:
-                z = k / x
-                bound = math.inf if z <= 1.0 else _with_outside(
-                    bound, k, x * math.sqrt(z * z - 1.0) - k * math.acosh(z), log_next,
-                    math.acosh(z), math.acosh(y))
-            if bound <= log_tol:
-                return k
+        root = math.sqrt(y * y - 1.0)
+        log_next = x * root - (k + 1) * math.acosh(y)
+        bound = log_next - math.log1p(root - y)
+        if not enclosed:
+            bound = _with_outside(bound, k, x, log_next)
+        if bound <= log_tol:
+            return k
     return None
 
 
@@ -353,14 +343,14 @@ def bessel_j(k_max: int, x) -> np.ndarray:
     return out
 
 
-def chebyshev_vectors(operator, center: float, radius: float, psi0: np.ndarray,
-                      count: int, start: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+def chebyshev_vectors(operator, center: float, radius: float, start: np.ndarray,
+                      count: int) -> tuple[np.ndarray, float]:
     """Rows v_k = (-i)^k T_k(H) psi0, k = 0 .. ``count``, with H = (S - center) / radius.
 
     ``operator`` is the Hermitian matrix S or a callable v -> S v (such as
-    :func:`hermitian_product`). ``start`` holds rows already formed for this
-    operator and start, which are copied and continued. Each new row costs
-    one product with S:
+    :func:`hermitian_product`). ``start`` holds the rows v_0 = psi0 .. v_j
+    already formed for this operator, at least v_0, which are copied and
+    continued. Each new row costs one product with S:
     v_1 = -i H v_0 and v_{k+1} = -2i H v_k + v_{k-1}, the Chebyshev
     recurrence with the factor (-i)^k of the series folded in. The series
     rests on the spectrum of H lying in [-1, 1], where |T_k| <= 1, so
@@ -370,13 +360,9 @@ def chebyshev_vectors(operator, center: float, radius: float, psi0: np.ndarray,
     over the new ones.
     """
     apply = _applier(operator)
-    rows = np.empty((count + 1, psi0.size), dtype=np.complex128)
-    if start is None:
-        rows[0] = psi0
-        first = 1
-    else:
-        first = start.shape[0]
-        rows[:first] = start
+    first = start.shape[0]
+    rows = np.empty((count + 1, start.shape[1]), dtype=np.complex128)
+    rows[:first] = start
     for k in range(first, count + 1):
         rows[k] = apply(rows[k - 1])
         rows[k] -= center * rows[k - 1]
@@ -385,7 +371,7 @@ def chebyshev_vectors(operator, center: float, radius: float, psi0: np.ndarray,
         else:
             rows[k] *= -2j / radius
             rows[k] += rows[k - 2]
-    norm = np.linalg.norm(psi0)
+    norm = np.linalg.norm(start[0])
     growth = float(np.max(np.linalg.norm(rows[first:], axis=1), initial=0.0)) / norm
     if not growth <= 1.0 + NORM_TOL:
         raise NumericalError(

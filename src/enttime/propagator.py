@@ -166,8 +166,8 @@ class _Block:
     which never take the series. ``spectrum`` (with eigenvectors, stacked
     like ``indices``) is formed at construction for small blocks, and on
     the first grid that takes the eigenbasis for a large one; ``vectors``
-    holds the Chebyshev rows u_0 .. u_K formed so far, and grows when a
-    grid needs more. ``terms`` is the K of the latest grid, or None when
+    holds the Chebyshev rows u_0 .. u_K of a large block formed so far,
+    u_0 = psi0 alone at construction, and grows when a grid needs more. ``terms`` is the K of the latest grid, or None when
     that grid took the eigenbasis, and ``growth`` is max_k ||u_k|| /
     ||psi0|| over all rows formed.
     """
@@ -212,7 +212,8 @@ class Propagator:
     block by the Chebyshev series or by its eigenbasis (see the module
     docstring). ``support`` is (r, c), the number of rows of A and columns
     of B the reached blocks touch, the grid the amplitudes and Schmidt SVD
-    are taken on.
+    are taken on. ``spread`` is the spread of the levels of the reached
+    blocks: the highest of their ``extremes`` less the lowest.
 
     Raises :class:`DimensionError` when the state does not fit ``h`` or the
     composite dimension exceeds ``MAX_DIM``, :class:`ModelError` when H is
@@ -250,6 +251,8 @@ class Propagator:
             blocks.append(_Block(indices, psi0[indices], (w[..., 0].min(), w[..., -1].max()),
                                  spectrum=spectrum))
         self.blocks = tuple(blocks)
+        lows, highs = zip(*(block.extremes for block in self.blocks))
+        self.spread = float(max(highs) - min(lows))
         # the rows of A and columns of B the blocks touch, in ascending order, and each
         # block's flat positions on that r x c grid, in the shape of its indices
         rows, cols = np.divmod(np.concatenate(found), self.dim_b)
@@ -284,7 +287,7 @@ class Propagator:
             operator = self._matrix(indices)
         start = np.random.default_rng(PROBE_SEED).standard_normal(indices.size)
         low, high, margin = lanczos_interval(operator, start, LANCZOS_STEPS)
-        return _Block(indices, psi0, (low, high), margin, operator)
+        return _Block(indices, psi0, (low, high), margin, operator, vectors=psi0[None])
 
     def _prepare(self, reach: float) -> None:
         """Choose each large block's route for times up to |t| = ``reach`` and form what it needs."""
@@ -297,9 +300,9 @@ class Propagator:
                     op = block.operator
                     block.spectrum = eig_hermitian(
                         self._matrix(block.indices) if callable(op) else op)
-            elif block.vectors is None or block.vectors.shape[0] <= block.terms:
+            elif block.vectors.shape[0] <= block.terms:
                 block.vectors, growth = chebyshev_vectors(
-                    block.operator, *block.interval, block.psi0, block.terms, block.vectors)
+                    block.operator, *block.interval, block.vectors, block.terms)
                 block.growth = max(block.growth, growth)
 
     def probabilities(self, times) -> np.ndarray:

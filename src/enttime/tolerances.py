@@ -43,22 +43,19 @@ PROBE_SEED = 1977
 # H = (S - a) / R (Tal-Ezer and Kosloff 1984). |T_k| <= 1 on [-1, 1] and
 # |J_k(-y)| = |J_k(y)|, so term k has norm at most 2 |J_k(R t)| ||psi0||,
 # and dropping every term past K changes the amplitudes by at most
-# ||psi0|| times 2 sum_(k > K) max_(0 <= y <= x) |J_k(y)|. Two bounds on that:
-# - |J_k(y)| <= (y/2)^k / k!, and each later term is at most x / (2 (K + 2))
-#   times the one before, so the tail is at most
-#     2 (x/2)^(K+1) / (K+1)! / (1 - x / (2 (K + 2))),   x < 2 (K + 2);
-# - Kapteyn's inequality (DLMF 10.14.8), |J_k(k z)| <= z^k e^(k w) / (1 + w)^k
-#   with w = sqrt(1 - z^2), 0 < z <= 1, which grows with z: at y <= x < k it
-#   gives |J_k(y)| <= e^(-E(k)), E(k) = k arccosh(k / x) - sqrt(k^2 - x^2).
-#   E'(k) = arccosh(k / x) grows with k, so past k = K + 1 each term is at
-#   most rho = e^(-arccosh(y)) = y - sqrt(y^2 - 1), y = (K + 1) / x, times
-#   the one before, and the tail is at most 2 e^(-E(K + 1)) / (1 - rho).
-# The first is the sharper for x below about 10, the second above: at
-# x = 323.4 they ask for K = 472 and K = 405, and the exact tail of
-# |J_k| reaches the tolerance at K = 399. The series takes the smallest K
-# for which either bound is at most CHEB_TAIL_TOL; at 1e-16, below the unit
-# roundoff 2^-53 = 1.1e-16, the dropped tail is smaller than one rounding
-# of psi0.
+# ||psi0|| times 2 sum_(k > K) max_(0 <= y <= x) |J_k(y)|. Kapteyn's
+# inequality (DLMF 10.14.8), |J_k(k z)| <= z^k e^(k w) / (1 + w)^k with
+# w = sqrt(1 - z^2), 0 < z <= 1, grows with z, so at y <= x < k it gives
+# |J_k(y)| <= e^(-E(k)), E(k) = k arccosh(k / x) - sqrt(k^2 - x^2).
+# E'(k) = arccosh(k / x) grows with k, so past k = K + 1 each term is at
+# most rho = e^(-arccosh(y)) = y - sqrt(y^2 - 1), y = (K + 1) / x, times
+# the one before, and the tail is at most 2 e^(-E(K + 1)) / (1 - rho).
+# That needs K + 1 > x, and no smaller K could do: its tail would hold
+# |J_(K+1)(K+1)|, about 0.45 (K + 1)^(-1/3) (DLMF 10.19.8).
+# At x = 323.4 it asks for K = 405, and the exact tail of |J_k| reaches
+# the tolerance at K = 399. The series takes the smallest K for which the
+# bound is at most CHEB_TAIL_TOL; at 1e-16, below the unit roundoff
+# 2^-53 = 1.1e-16, the dropped tail is smaller than one rounding of psi0.
 CHEB_TAIL_TOL = 1e-16
 
 # An interval that is not known to enclose the spectrum (the Lanczos one
@@ -73,19 +70,19 @@ CHEB_TAIL_TOL = 1e-16
 # for k > K and <= 2 rho^(k-K) for k < K, and 1 / T_K <= 2 rho^(-K),
 #   F(rho) = sum_(k > K) 2 M_k rho^(k-K),
 #   G(rho) = 2 rho^(-K) + 2 M_K + 4 sum_(k < K) M_k rho^(k-K).
-# M_k bounds |J_k| at every argument up to x. Both bounds above step
-# geometrically: M_(K+1+j) <= M_(K+1) s_hi^(-j) and M_(K-j) <= M_K s_lo^j, with
-# s_lo = 2K / x, s_hi = 2 (K + 2) / x for (x/2)^k / k!, and s_lo = e^E'(K),
-# s_hi = e^E'(K+1) for Kapteyn's (K > x; for k <= x it uses |J_k| <= 1,
-# which is below M_K s_lo^(K-k) since arccosh(z) <= sqrt(z^2 - 1)). F
-# grows with rho and G falls, so their smaller one peaks at most at the
-# larger of the two at rho* = sqrt(s_lo s_hi), r = sqrt(s_lo / s_hi):
+# M_k bounds |J_k| at every argument up to x, here Kapteyn's e^(-E(k)),
+# which steps geometrically: M_(K+1+j) <= M_(K+1) s_hi^(-j) and
+# M_(K-j) <= M_K s_lo^j, with s_lo = e^E'(K) and s_hi = e^E'(K+1) (K > x;
+# for k <= x it uses |J_k| <= 1, which is below M_K s_lo^(K-k) since
+# arccosh(z) <= sqrt(z^2 - 1)). F grows with rho and G falls, so their
+# smaller one peaks at most at the larger of the two at
+# rho* = sqrt(s_lo s_hi), r = sqrt(s_lo / s_hi):
 #   F(rho*) <= 2 M_(K+1) rho* / (1 - r),
 #   G(rho*) <= 2 rho*^(-K) + 2 M_K (1 + r) / (1 - r).
 # The series then takes the smallest K for which the tail bound plus
-# (1 + NORM_TOL) times this one is at most CHEB_TAIL_TOL, by either pair of
-# bounds. G keeps M_K, the top term, so it asks for about one term more than
-# the tail, and 1 / (1 - r) a few more: at x = 323.4, 414 against 405.
+# (1 + NORM_TOL) times this one is at most CHEB_TAIL_TOL. G keeps M_K, the
+# top term, so it asks for about one term more than the tail, and
+# 1 / (1 - r) a few more: at x = 323.4, 414 against 405.
 #
 # That interval comes from LANCZOS_STEPS Lanczos steps with full
 # reorthogonalization from a standard normal start drawn from PROBE_SEED,

@@ -215,3 +215,30 @@ def test_uncommitted_changes_are_refused(tmp_path, monkeypatch, capsys):
     assert exit_info.value.code == 2
     assert "uncommitted changes" in capsys.readouterr().err
     assert not (tmp_path / "BENCH_t.json").exists()
+
+
+@pytest.mark.parametrize("bytecode", [None, "1"])
+def test_host_state_is_recorded_as_found(tmp_path, monkeypatch, bytecode):
+    """The bytecode setting as the environment has it, left as it was, and the load average
+    before the first pair and after the last."""
+    bench = {"run_seconds": 1, "end_to_end": END_TO_END, "workloads": [{"name": "w"}]}
+    git_repo(tmp_path, {"BENCHMARK.json": json.dumps(bench)}, {"side.txt": "change"})
+    if bytecode is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", bytecode)
+    loads = iter([(0.5, 0.25, 0.125), (2.0, 1.0, 0.5)])
+    runs = []
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs.os, "getloadavg", lambda: next(loads))
+    monkeypatch.setattr(bench_pairs, "run_side", lambda *args: runs.append(args)
+                        or bench_pairs.parse_run_output(run_output(1.0, 1.0)))
+    monkeypatch.setattr(bench_pairs, "setup_seconds", lambda root: 0.1)
+    argv = ["--parent", "HEAD~1", "--label", "t", "--what", "y",
+            "--seed", "1", "--trace-seed", "50"]
+    assert bench_pairs.main(argv) == 0
+    how = json.loads((tmp_path / "BENCH_t.json").read_text())["how"]
+    assert how["PYTHONDONTWRITEBYTECODE"] == bytecode
+    assert bench_pairs.os.environ.get("PYTHONDONTWRITEBYTECODE") == bytecode
+    assert how["loadavg"] == {"start": [0.5, 0.25, 0.125], "end": [2.0, 1.0, 0.5]}
+    assert len(runs) == 2 * (bench_pairs.PAIRS + 1)

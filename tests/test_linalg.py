@@ -329,16 +329,12 @@ def test_bessel_j_matches_scipy(k_max):
 
 def test_series_length_meets_its_bound_and_stops_at_the_limit():
     def bound(x, k):
-        """The smaller of the two tail bounds derived next to CHEB_TAIL_TOL."""
-        simple = kapteyn = math.inf
-        if x < 2.0 * (k + 2):
-            log = (k + 1) * math.log(x / 2.0) - math.lgamma(k + 2)
-            simple = 2.0 * math.exp(log) / (1.0 - x / (2.0 * (k + 2)))
+        """Kapteyn's tail bound derived next to CHEB_TAIL_TOL, infinite for K + 1 <= x."""
         y = (k + 1) / x
-        if y > 1.0:
-            root = math.sqrt(y * y - 1.0)
-            kapteyn = 2.0 * math.exp(x * root - (k + 1) * math.acosh(y)) / (1.0 - y + root)
-        return min(simple, kapteyn)
+        if not y > 1.0:
+            return math.inf
+        root = math.sqrt(y * y - 1.0)
+        return 2.0 * math.exp(x * root - (k + 1) * math.acosh(y)) / (1.0 - y + root)
 
     for x in (1e-12, 1e-4, 0.5, 7.0, 100.0, 323.4):
         k = chebyshev_terms(x, 10**4)
@@ -350,14 +346,24 @@ def test_series_length_meets_its_bound_and_stops_at_the_limit():
         assert chebyshev_terms(-x, 10**4) == k
         assert chebyshev_terms(x, k) == k and chebyshev_terms(x, k - 1) is None
     assert chebyshev_terms(0.0, 0) == 0
-    assert chebyshev_terms(323.4, 1024) == 405  # the first bound alone takes 472
+    assert chebyshev_terms(323.4, 1024) == 405
 
 
-@pytest.mark.parametrize("x", [math.inf, 1e300, 2.0 * (1024 + 2)])
+@pytest.mark.parametrize("x", [0.5, 3.0, 8.0, 20.5, 40.0, 120.0, 323.4, 1000.0])
+def test_series_lengths_stay_put(x):
+    """K with and without an enclosing interval. From x = 33 on these are the lengths the
+    tail bound (x/2)^(K+1) / (K+1)! gave beside Kapteyn's too; below that, at most two more."""
+    table = {0.5: (12, 14), 3.0: (22, 24), 8.0: (33, 36), 20.5: (54, 58), 40.0: (81, 86),
+             120.0: (178, 185), 323.4: (405, 414), 1000.0: (1119, 1133)}
+    assert (chebyshev_terms(x, 10**4), chebyshev_terms(x, 10**4, False)) == table[x]
+
+
+@pytest.mark.parametrize("x", [math.inf, 1e300, 2.0 * (1024 + 2), 1024.0 + 1.0])
 def test_series_length_search_is_bounded(monkeypatch, x):
-    """A huge or infinite x is refused before any term of the search."""
-    monkeypatch.setattr(linalg_module.math, "lgamma", None)  # any step would call it
+    """An x that K <= limit cannot serve (K + 1 > x) is refused before any term of the search."""
+    monkeypatch.setattr(linalg_module.math, "acosh", None)  # any step would call it
     assert chebyshev_terms(x, 1024) is None
+    assert chebyshev_terms(x, 1024, enclosed=False) is None
 
 
 def _series(h, psi0, times):
@@ -367,7 +373,7 @@ def _series(h, psi0, times):
     margin = RECON_TOL * max(1.0, np.linalg.norm(h))
     center, radius = 0.5 * (w[0] + w[-1]), 0.5 * (w[-1] - w[0]) + margin
     k = chebyshev_terms(radius * np.max(np.abs(times)), 10**4, enclosed=False)
-    vectors, growth = chebyshev_vectors(h, center, radius, psi0, k)
+    vectors, growth = chebyshev_vectors(h, center, radius, psi0[None], k)
     return chebyshev_propagate(psi0, vectors, center, radius, times), vectors, growth
 
 
@@ -403,15 +409,17 @@ def test_series_refuses_a_spectrum_outside_its_interval():
     psi0 = oracles.random_unit_vector(rng, 32)
     w = np.linalg.eigvalsh(h)
     center, radius = 0.5 * (w[0] + w[-1]), 0.5 * (w[-1] - w[0])
-    _, growth = chebyshev_vectors(h, center, radius * (1 + 1e-9), psi0, 60)
+    _, growth = chebyshev_vectors(h, center, radius * (1 + 1e-9), psi0[None], 60)
     assert growth <= 1.0 + NORM_TOL
     with pytest.raises(NumericalError, match="leaves"):
-        chebyshev_vectors(h, center, 0.9 * radius, psi0, 60)
+        chebyshev_vectors(h, center, 0.9 * radius, psi0[None], 60)
     # rows formed earlier are continued, and the check covers the new ones
-    rows, _ = chebyshev_vectors(h, center, radius * (1 + 1e-9), psi0, 5)
-    more, _ = chebyshev_vectors(h, center, radius * (1 + 1e-9), psi0, 60, rows)
-    full, _ = chebyshev_vectors(h, center, radius * (1 + 1e-9), psi0, 60)
+    rows, _ = chebyshev_vectors(h, center, radius * (1 + 1e-9), psi0[None], 5)
+    more, _ = chebyshev_vectors(h, center, radius * (1 + 1e-9), rows, 60)
+    full, _ = chebyshev_vectors(h, center, radius * (1 + 1e-9), psi0[None], 60)
     assert np.array_equal(more, full)
+    with pytest.raises(NumericalError, match="leaves"):
+        chebyshev_vectors(h, center, 0.9 * radius, rows, 60)
 
 
 def _whole_matrix(h):

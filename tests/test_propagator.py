@@ -125,6 +125,17 @@ def test_jcm_fock_excited_is_one_block_of_two():
     assert_matches_oracle(h, state, np.linspace(0.0, 3.0, 9))
 
 
+def test_spread_is_the_range_of_the_reached_levels():
+    h, state = build_jcm(JcmSpec(lam=1.0, n_max=12, field=FockField(3)))
+    assert Propagator(h, state).spread == pytest.approx(4.0, abs=1e-12)  # levels +-2
+    h, state = partial_block_model(np.random.default_rng(163))
+    propagator = Propagator(h, state)
+    (block,) = propagator.blocks
+    members = np.ix_(block.indices, block.indices)
+    w = np.linalg.eigvalsh(hermitian_part(dense_oracle(h)[members]))
+    assert abs(propagator.spread - (w[-1] - w[0])) <= 2.0 * block.margin
+
+
 def test_jcm_coherent_ground_splits_into_doublets():
     spec = JcmSpec(lam=1.0, n_max=30, field=CoherentField(1.5), c_e=0.0, c_g=1.0)
     h, state = build_jcm(spec)
@@ -398,9 +409,9 @@ def oracle_probabilities(h, state, times):
     return np.array(out)
 
 
-def largest_series_reach(block):
-    """The largest x = R max|t| at which the block still takes the series, by bisection."""
-    n = block.indices.size
+def largest_series_reach(n):
+    """The largest x = R max|t| at which a block of n states still takes the series, by
+    bisection."""
     low, high = 0.0, 2.0 * (n + 2)
     for _ in range(60):
         mid = 0.5 * (low + high)
@@ -417,7 +428,7 @@ def test_series_and_eigenbasis_routes_match_expm_on_both_sides_of_k_equal_n(dims
     propagator = Propagator(h, state)
     (block,) = propagator.blocks
     radius = block.interval[1]
-    edge = largest_series_reach(block) / radius
+    edge = largest_series_reach(n) / radius
     for reach, series in ((edge * (1 - 1e-3), True), (edge * (1 + 1e-2), False)):
         times = reach * np.concatenate([[1.0, -0.3, 0.0, -1.0], rng.uniform(-1.0, 1.0, 5)])
         probs = propagator.probabilities(times)
@@ -429,6 +440,14 @@ def test_series_and_eigenbasis_routes_match_expm_on_both_sides_of_k_equal_n(dims
         else:
             assert block.spectrum is not None
         assert np.max(np.abs(probs - oracle_probabilities(h, state, times))) <= 1e-12
+
+
+def test_the_series_reach_of_each_block_size_stays_put():
+    """The crossover from the series to the eigenbasis, to the last bit, as the search for K
+    found it when it also tried the tail bound (x/2)^(K+1) / (K+1)!: no block changes route."""
+    pins = {81: 36.87037906952152, 90: 43.46951704554473, 144: 85.89457500693968,
+            256: 181.511412111359, 1024: 896.2992524265162}
+    assert {n: largest_series_reach(n) for n in pins} == pins
 
 
 def test_series_rows_are_kept_and_extended_across_grids():

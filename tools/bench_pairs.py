@@ -26,7 +26,11 @@ line, and per workload and end-to-end metric each side's median and
 quartiles, the number of pairs the change won and the ratio of the medians,
 with the failed and attempted runs and each side's traced per-layer
 metrics, and under ``imports`` each side's ``setup_s`` samples with their
-median and quartiles.
+median and quartiles. So that drift of the host shows beside the runs,
+``how`` also records ``PYTHONDONTWRITEBYTECODE`` as found in the
+environment (null when unset; every child inherits it, and with it set
+each run compiles enttime's sources anew) and ``os.getloadavg()`` before
+the first pair and after the last traced run.
 """
 
 from __future__ import annotations
@@ -199,6 +203,7 @@ def main(argv=None) -> int:
                "change": git("rev-parse", "HEAD")}
     runs: list[dict] = []
     env: dict = {}
+    load = {"start": os.getloadavg()}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         roots = {side: Path(tmp) / side for side in SIDES}
         for side in SIDES:
@@ -212,6 +217,7 @@ def main(argv=None) -> int:
                 env, result = run_side(roots[side], workload, seed, seconds, trace)
                 runs.append({"side": side, "workload": workload, "seed": seed,
                              "trace": trace, "result": result})
+        load["end"] = os.getloadavg()
         print(f"{IMPORTS} imports per side", file=sys.stderr, flush=True)
         imports = time_imports(roots)
 
@@ -233,6 +239,8 @@ def main(argv=None) -> int:
             "imports": f"setup_s of {IMPORTS} runs per side of perfbench/child.py "
                        "--import-only after the pairs, one BLAS thread, the side that runs "
                        "first alternating",
+            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+            "loadavg": load,
         },
         "summary": summarize(runs, bench["end_to_end"]),
         "imports": imports,
