@@ -64,9 +64,9 @@ _STENCIL_WEIGHTS = np.array([-1.0, 16.0, -30.0, 16.0, -1.0])
 _VERIFY_STENCIL_DIVISOR = 50.0
 
 # Cap on that width h in units of 1/Omega, Omega = Propagator.spread, the
-# spread of the levels of the reached blocks (eigh eigenvalues up to LANCZOS_STEPS states, the
-# extreme Lanczos Ritz values above), since scales absent from T_ent still
-# bend S_alpha. The truncation error over the curvature is
+# spread of the levels of the reached blocks (eigh eigenvalues up to
+# LANCZOS_STEPS states, the extreme Lanczos Ritz values above), since
+# scales absent from T_ent still bend S_alpha. The truncation error over the curvature is
 # (h^4 / 90) |S^(6)| / |S''| <= K (h Omega)^4 / 90 with |S^(6)| <= K Omega^4 |S''|;
 # K = 14 for S_2 of one two-level oscillation, -ln((3 + cos(2 Omega t)) / 4),
 # the largest seen. Holding that to 1e-3 of the default tolerance_rel 0.01

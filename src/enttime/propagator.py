@@ -167,9 +167,10 @@ class _Block:
     like ``indices``) is formed at construction for small blocks, and on
     the first grid that takes the eigenbasis for a large one; ``vectors``
     holds the Chebyshev rows u_0 .. u_K of a large block formed so far,
-    u_0 = psi0 alone at construction, and grows when a grid needs more. ``terms`` is the K of the latest grid, or None when
-    that grid took the eigenbasis, and ``growth`` is max_k ||u_k|| /
-    ||psi0|| over all rows formed.
+    u_0 = psi0 alone at construction, and grows when a grid needs more.
+    ``terms`` is the K of the latest grid, or None when that grid took the
+    eigenbasis, and ``growth`` is max_k ||u_k|| / ||psi0|| over all rows
+    formed.
     """
 
     indices: np.ndarray

@@ -351,8 +351,8 @@ def test_series_length_meets_its_bound_and_stops_at_the_limit():
 
 @pytest.mark.parametrize("x", [0.5, 3.0, 8.0, 20.5, 40.0, 120.0, 323.4, 1000.0])
 def test_series_lengths_stay_put(x):
-    """K with and without an enclosing interval. From x = 33 on these are the lengths the
-    tail bound (x/2)^(K+1) / (K+1)! gave beside Kapteyn's too; below that, at most two more."""
+    """K with and without an enclosing interval, pinned so that any change to the search
+    shows."""
     table = {0.5: (12, 14), 3.0: (22, 24), 8.0: (33, 36), 20.5: (54, 58), 40.0: (81, 86),
              120.0: (178, 185), 323.4: (405, 414), 1000.0: (1119, 1133)}
     assert (chebyshev_terms(x, 10**4), chebyshev_terms(x, 10**4, False)) == table[x]

@@ -443,8 +443,8 @@ def test_series_and_eigenbasis_routes_match_expm_on_both_sides_of_k_equal_n(dims
 
 
 def test_the_series_reach_of_each_block_size_stays_put():
-    """The crossover from the series to the eigenbasis, to the last bit, as the search for K
-    found it when it also tried the tail bound (x/2)^(K+1) / (K+1)!: no block changes route."""
+    """The crossover from the series to the eigenbasis of each block size, pinned to the last
+    bit, so that no block changes route unnoticed."""
     pins = {81: 36.87037906952152, 90: 43.46951704554473, 144: 85.89457500693968,
             256: 181.511412111359, 1024: 896.2992524265162}
     assert {n: largest_series_reach(n) for n in pins} == pins
