@@ -13,6 +13,14 @@ The model file is read in one pass, before any model object is built.
 Every object rejects unknown keys, ``3.0`` counts as an integer, booleans
 are not numbers, and errors name the ``$`` path of the bad field.
 
+The command line is read from one option table, :data:`_OPTIONS`, the way
+argparse read it (``--name value`` or ``--name=value``, unique prefixes,
+the last of a repeated option, negative numbers as values), but without
+importing argparse, whose set-up and first message lookup (which imports
+``locale``) cost more than a small ``verify`` run. ``-h``/``--help``
+prints the usage block of the README; a usage error prints a ``usage:``
+line and ``enttime <command>: error: <message>`` and exits 2.
+
 Exit codes: 0 success, 1 verification ran but some row failed, 2 schema or
 usage violation, 3 model/state error, 4 numerical breakdown. Output files
 are written atomically (temp file + rename), and reports are deterministic
@@ -21,10 +29,10 @@ apart from the optional wall-time field (drop it with ``--no-timing``).
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 import time
@@ -452,9 +460,24 @@ def _table_text(doc: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# argument parsing: one option table, read the way argparse reads it
+
+_HELP = """\
+enttime timescale --spec model.json [--alphas 2,3,4] [--out report.json] [--no-timing]
+enttime evolve    --spec model.json [--alphas 2] [--t-max 1.0] [--points 201]
+                  [--ln2-units] [--spectrum] [--out series.csv]
+enttime verify    --spec model.json [--alphas 2,3,4] [--tolerance-rel 0.01] [--out table.json]
+enttime -h | --help
+enttime --version
+"""
+
+
+class _UsageError(Exception):
+    """A command line the option table rejects; :func:`_parse` exits 2 on it."""
+
 
 def _alpha_list(text: str) -> list[int]:
+    """The orders of a comma-separated list, each once, in first-seen order."""
     try:
         values = [
             check_alpha(int(part), VON_NEUMANN_ALPHA)
@@ -462,73 +485,192 @@ def _alpha_list(text: str) -> list[int]:
             if part.strip() != ""
         ]
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad alpha list {text!r}: {exc}") from exc
+        raise _UsageError(f"bad alpha list {text!r}: {exc}") from exc
     if not values:
-        raise argparse.ArgumentTypeError("alpha list is empty")
-    return values
+        raise _UsageError("alpha list is empty")
+    return list(dict.fromkeys(values))
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="enttime",
-        description="Entanglement timescales and entropy growth for bipartite systems.",
-    )
-    parser.add_argument("--version", action="version", version=f"enttime {__version__}")
-    commands = parser.add_subparsers(dest="command", required=True)
+_REQUIRED = object()  # the default of an option that must be given
+_HELP_FLAG = ("help", None, False)  # -h and --help, in every table
 
-    ts = commands.add_parser("timescale", help="covariance timescale and predictions")
-    ts.add_argument("--spec", required=True, help="model JSON file")
-    ts.add_argument("--alphas", type=_alpha_list, default=[2, 3, 4])
-    ts.add_argument("--out", default=None, help="output path (default stdout)")
-    ts.add_argument(
-        "--no-timing", action="store_true", help="omit wall_time_s for hashable output"
-    )
+# command -> option -> (destination, converter or None for a flag, default)
+_OPTIONS = {
+    "timescale": {
+        "--spec": ("spec", str, _REQUIRED),
+        "--alphas": ("alphas", _alpha_list, [2, 3, 4]),
+        "--out": ("out", str, None),
+        "--no-timing": ("no_timing", None, False),
+    },
+    "evolve": {
+        "--spec": ("spec", str, _REQUIRED),
+        "--alphas": ("alphas", _alpha_list, [2]),
+        "--t-max": ("t_max", float, 1.0),
+        "--points": ("points", int, 201),
+        "--ln2-units": ("ln2_units", None, False),
+        "--spectrum": ("spectrum", None, False),
+        "--out": ("out", str, None),
+    },
+    "verify": {
+        "--spec": ("spec", str, _REQUIRED),
+        "--alphas": ("alphas", _alpha_list, [2, 3, 4]),
+        "--tolerance-rel": ("tolerance_rel", float, 0.01),
+        "--out": ("out", str, None),
+    },
+}
 
-    ev = commands.add_parser("evolve", help="exact-evolution entropy series as CSV")
-    ev.add_argument("--spec", required=True, help="model JSON file")
-    ev.add_argument("--alphas", type=_alpha_list, default=[2])
-    ev.add_argument("--t-max", type=float, default=1.0, dest="t_max")
-    ev.add_argument("--points", type=int, default=201)
-    ev.add_argument("--ln2-units", action="store_true", dest="ln2_units")
-    ev.add_argument(
-        "--spectrum",
-        action="store_true",
-        help="append p1,p2 columns (two-level subsystem A only)",
-    )
-    ev.add_argument("--out", default=None, help="output path (default stdout)")
 
-    vf = commands.add_parser("verify", help="measured vs predicted initial curvature")
-    vf.add_argument("--spec", required=True, help="model JSON file")
-    vf.add_argument("--alphas", type=_alpha_list, default=[2, 3, 4])
-    vf.add_argument("--tolerance-rel", type=float, default=0.01, dest="tolerance_rel")
-    vf.add_argument("--out", default=None, help="also write the table as JSON")
+def _read_option(arg: str, names) -> tuple[str | None, str | None] | None:
+    """How argparse reads ``arg`` against the option strings ``names``.
 
-    return parser
+    None for a value; else (option, value after ``=``, or None), where the
+    option is None when no name matches. A unique prefix of a long option
+    names it; a prefix of several is a usage error. A negative number, or
+    a string with a space, is a value.
+    """
+    if not arg.startswith("-") or arg == "-":
+        return None
+    head, eq, value = arg.partition("=")
+    explicit = value if eq else None
+    if head in names:
+        return head, explicit
+    if arg.startswith("--"):
+        hits = [name for name in names if name.startswith(head)]
+    else:  # -hTEXT is -h given TEXT
+        hits, explicit = [name for name in names if name == arg[:2]], arg[2:]
+    if len(hits) > 1:
+        raise _UsageError(f"ambiguous option: {arg} could match {', '.join(hits)}")
+    if hits:
+        return hits[0], explicit
+    if re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg:
+        return None
+    return None, None
+
+
+def _read_options(args: list[str], options: dict) -> tuple[list, int]:
+    """:func:`_read_option` of each of ``args`` up to a ``--``, and that index.
+
+    Every argument from the ``--`` on is a value.
+    """
+    end = args.index("--") if "--" in args else len(args)
+    names = ("-h", "--help", *options)
+    return [_read_option(arg, names) if i < end else None for i, arg in enumerate(args)], end
+
+
+def _parse(argv: list[str]) -> tuple[str, dict]:
+    """The command in ``argv`` and its option values, by :data:`_OPTIONS`.
+
+    ``-h``/``--help`` prints :data:`_HELP` and ``--version`` the version,
+    each exiting 0. A usage error writes a ``usage:`` line and the error
+    to stderr and exits 2, and errors come in argparse's order: an
+    ambiguous prefix anywhere, then each option in turn (a missing value,
+    a value the converter rejects, a value given to a flag), then a
+    missing required option, then unrecognized arguments.
+    """
+    prog, options = "enttime", {"--version": ("version", None, False)}
+    try:
+        extras = []
+        reads, _ = _read_options(argv, options)
+        for k, read in enumerate(reads):
+            if read is None:
+                break
+            name, text = read
+            if name is None:
+                extras.append(argv[k])
+            else:
+                _set_flag(name, text, options.get(name, _HELP_FLAG)[0], {})
+        else:
+            raise _UsageError("the following arguments are required: command")
+        command, args = argv[k], argv[k + 1 :]
+        if command not in _OPTIONS:
+            choices = ", ".join(map(repr, _OPTIONS))
+            raise _UsageError(
+                f"argument command: invalid choice: {command!r} (choose from {choices})"
+            )
+        prog, options = f"enttime {command}", _OPTIONS[command]
+        reads, end = _read_options(args, options)
+        values = {dest: default for dest, _, default in options.values()}
+        i = 0
+        while i < len(args):
+            name, text = reads[i] or (None, None)
+            dest, convert, _ = options.get(name, _HELP_FLAG)
+            if name is None:
+                extras.append(args[i])
+            elif convert is None:
+                _set_flag(name, text, dest, values)
+            else:
+                if text is None:
+                    if i + 1 >= end or reads[i + 1] is not None:
+                        raise _UsageError(f"argument {name}: expected one argument")
+                    i += 1
+                    text = args[i]
+                try:
+                    values[dest] = convert(text)
+                except _UsageError as exc:
+                    raise _UsageError(f"argument {name}: {exc}") from None
+                except ValueError:
+                    raise _UsageError(
+                        f"argument {name}: invalid {convert.__name__} value: {text!r}"
+                    ) from None
+            i += 1
+        missing = [name for name, (dest, _, _) in options.items() if values[dest] is _REQUIRED]
+        if missing:
+            raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+        if extras:
+            raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    except _UsageError as exc:
+        sys.stderr.write(f"usage: {_usage(prog, options)}\n{prog}: error: {exc}\n")
+        raise SystemExit(2) from None
+    return command, values
+
+
+def _set_flag(name: str, text: str | None, dest: str, values: dict) -> None:
+    """Set a flag; ``-h``/``--help`` and ``--version`` print and exit 0."""
+    if name == "-h" and text:  # -hh is -h given twice
+        text = text.lstrip("h") or None
+    if text is not None:
+        label = "-h/--help" if dest == "help" else name
+        raise _UsageError(f"argument {label}: ignored explicit argument {text!r}")
+    if dest in ("help", "version"):
+        sys.stdout.write(_HELP if dest == "help" else f"enttime {__version__}\n")
+        raise SystemExit(0)
+    values[dest] = True
+
+
+def _usage(prog: str, options: dict) -> str:
+    """The one-line usage of ``prog``, spelled as argparse spells it."""
+    words = [prog, "[-h]"]
+    for name, (dest, convert, default) in options.items():
+        word = name if convert is None else f"{name} {dest.upper()}"
+        words.append(word if default is _REQUIRED else f"[{word}]")
+    if prog == "enttime":
+        words.append("{" + ",".join(_OPTIONS) + "} ...")
+    return " ".join(words)
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    command, args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
-        if args.command == "timescale":
+        if command == "timescale":
             cmd_timescale(
-                args.spec,
-                args.alphas,
-                args.out,
-                include_timing=not args.no_timing,
+                args["spec"],
+                args["alphas"],
+                args["out"],
+                include_timing=not args["no_timing"],
             )
             return 0
-        if args.command == "evolve":
+        if command == "evolve":
             cmd_evolve(
-                args.spec,
-                args.alphas,
-                args.t_max,
-                args.points,
-                units_ln2=args.ln2_units,
-                output_path=args.out,
-                spectrum_columns=args.spectrum,
+                args["spec"],
+                args["alphas"],
+                args["t_max"],
+                args["points"],
+                units_ln2=args["ln2_units"],
+                output_path=args["out"],
+                spectrum_columns=args["spectrum"],
             )
             return 0
-        doc = cmd_verify(args.spec, args.alphas, args.tolerance_rel, args.out)
+        doc = cmd_verify(args["spec"], args["alphas"], args["tolerance_rel"], args["out"])
         sys.stdout.write(_table_text(doc))
         return 1 if any(row["status"] == "FAIL" for row in doc["rows"]) else 0
     except (EnttimeError, ValueError) as exc:

@@ -7,12 +7,15 @@ sizes the tests use, and sharing no code path with the package.
 
 from __future__ import annotations
 
+import argparse
 import math
 
 import jsonschema
 import numpy as np
 import scipy.linalg
 
+from enttime import __version__
+from enttime.entropy import VON_NEUMANN_ALPHA
 from enttime.errors import ModelError
 from enttime.hamiltonian import ProductHamiltonian
 from enttime.models import (
@@ -22,6 +25,7 @@ from enttime.models import (
     field_amplitudes,
     jcm_timescale_closed_form,
 )
+from enttime.timescale import check_alpha
 
 
 def kron_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -363,3 +367,61 @@ def schema_accepts(doc) -> bool:
         return False
     schema = _SUBSCHEMAS.get(doc["model"])
     return schema is not None and jsonschema.Draft202012Validator(schema).is_valid(doc)
+
+
+# ---------------------------------------------------------------------------
+# The argparse command line that the option table of ``enttime.cli``
+# replaced, kept verbatim with its alpha-list converter (which still keeps
+# repeated orders).
+
+
+def _alpha_list(text: str) -> list[int]:
+    try:
+        values = [
+            check_alpha(int(part), VON_NEUMANN_ALPHA)
+            for part in text.split(",")
+            if part.strip() != ""
+        ]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad alpha list {text!r}: {exc}") from exc
+    if not values:
+        raise argparse.ArgumentTypeError("alpha list is empty")
+    return values
+
+
+def argparse_oracle() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="enttime",
+        description="Entanglement timescales and entropy growth for bipartite systems.",
+    )
+    parser.add_argument("--version", action="version", version=f"enttime {__version__}")
+    commands = parser.add_subparsers(dest="command", required=True)
+
+    ts = commands.add_parser("timescale", help="covariance timescale and predictions")
+    ts.add_argument("--spec", required=True, help="model JSON file")
+    ts.add_argument("--alphas", type=_alpha_list, default=[2, 3, 4])
+    ts.add_argument("--out", default=None, help="output path (default stdout)")
+    ts.add_argument(
+        "--no-timing", action="store_true", help="omit wall_time_s for hashable output"
+    )
+
+    ev = commands.add_parser("evolve", help="exact-evolution entropy series as CSV")
+    ev.add_argument("--spec", required=True, help="model JSON file")
+    ev.add_argument("--alphas", type=_alpha_list, default=[2])
+    ev.add_argument("--t-max", type=float, default=1.0, dest="t_max")
+    ev.add_argument("--points", type=int, default=201)
+    ev.add_argument("--ln2-units", action="store_true", dest="ln2_units")
+    ev.add_argument(
+        "--spectrum",
+        action="store_true",
+        help="append p1,p2 columns (two-level subsystem A only)",
+    )
+    ev.add_argument("--out", default=None, help="output path (default stdout)")
+
+    vf = commands.add_parser("verify", help="measured vs predicted initial curvature")
+    vf.add_argument("--spec", required=True, help="model JSON file")
+    vf.add_argument("--alphas", type=_alpha_list, default=[2, 3, 4])
+    vf.add_argument("--tolerance-rel", type=float, default=0.01, dest="tolerance_rel")
+    vf.add_argument("--out", default=None, help="also write the table as JSON")
+
+    return parser

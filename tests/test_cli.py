@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import enttime
+import enttime.cli as cli
 import oracles
 from enttime.cli import (
     cmd_timescale,
@@ -605,16 +606,17 @@ def test_cli_import_does_not_load_jsonschema(tmp_path):
     out = tmp_path / "out.json"
     commands = [["timescale", "--spec", spec, "--out", str(out)], ["verify", "--spec", spec]]
     probes = [
-        # importing the command line loads no schema library
-        "import sys, enttime.cli; print('jsonschema' in sys.modules)",
+        # importing the command line loads no schema library and no argparse
+        "import sys, enttime.cli; print('jsonschema' in sys.modules, 'argparse' in sys.modules)",
         # nor does running it; numpy.ma (numpy 2 imports it lazily, from
         # np.unique for one) is not loaded either, nor numpy.random (also
-        # lazy, about 15 ms): a 2 x 2 block is checked without random probes
+        # lazy, about 15 ms): a 2 x 2 block is checked without random probes;
+        # nor locale, which argparse's first message lookup imported (1.7 ms)
         "import contextlib, io, sys, enttime.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    codes = [enttime.cli.main(argv) for argv in {commands!r}]\n"
         "print(codes, 'jsonschema' in sys.modules, 'numpy.ma' in sys.modules,\n"
-        "      'numpy.random' in sys.modules)",
+        "      'numpy.random' in sys.modules, 'locale' in sys.modules)",
     ]
     outputs = []
     for probe in probes:
@@ -622,7 +624,166 @@ def test_cli_import_does_not_load_jsonschema(tmp_path):
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
         )
         outputs.append(run.stdout.strip())
-    assert outputs == ["False", "[0, 0] False False False"]
+    assert outputs == ["False False", "[0, 0] False False False False"]
+
+
+# ---------------------------------------------------------------------------
+# the option table against the argparse parser it replaced
+
+PARSED_ARGVS = [
+    # defaults
+    ["timescale", "--spec", "m.json"],
+    ["evolve", "--spec", "m.json"],
+    ["verify", "--spec", "m.json"],
+    # every option and every flag, spaced and with "="
+    ["timescale", "--spec", "m.json", "--alphas", "2,3", "--out", "r.json", "--no-timing"],
+    ["timescale", "--spec=m.json", "--alphas=4", "--out=r.json", "--no-timing"],
+    ["evolve", "--spec", "m.json", "--alphas", "1,2,3", "--t-max", "2.5", "--points", "11",
+     "--ln2-units", "--spectrum", "--out", "s.csv"],
+    ["evolve", "--out=s.csv", "--points=3", "--t-max=0.5", "--alphas=1", "--spec=m.json"],
+    ["verify", "--spec", "m.json", "--alphas", "1,2,3,4", "--tolerance-rel", "0.05", "--out", "t.json"],
+    ["verify", "--tolerance-rel=1e-3", "--spec=m.json", "--out=t.json"],
+    # unique prefixes
+    ["verify", "--sp", "m.json", "--tol", "0.1", "--o", "t.json", "--a", "2"],
+    ["evolve", "--spec", "m.json", "--t", "3", "--po", "5", "--l", "--spectr", "--al=3"],
+    ["timescale", "--spe=m.json", "--n", "--ou", "r.json"],
+    # repeats: the last one wins
+    ["verify", "--spec", "a.json", "--spec", "b.json", "--alphas", "2", "--alphas", "3,4"],
+    ["evolve", "--spec", "m.json", "--spectrum", "--spectrum", "--points", "3", "--points=4"],
+    ["timescale", "--spec", "m.json", "--no-timing", "--no-timing", "--out", "a", "--out", "b"],
+    # values that read as negative numbers
+    ["evolve", "--spec", "m.json", "--t-max", "-1.0"],
+    ["evolve", "--spec", "m.json", "--points", "-5", "--t-max", "-.5"],
+    ["verify", "--spec", "m.json", "--tolerance-rel", "-2"],
+    ["evolve", "--spec", "m.json", "--t-max=-1e3"],
+    # empty values, and values that start with "-" another way
+    ["timescale", "--spec", "", "--out", ""],
+    ["verify", "--spec=", "--out="],
+    ["timescale", "--spec", "-", "--out", "-a b"],
+    ["verify", "--spec=--x", "--out=a=b"],
+    # what int(), float() and the alpha list accept around the digits
+    ["evolve", "--spec", "m.json", "--t-max", "inf", "--points", " 7 "],
+    ["evolve", "--spec", "m.json", "--t-max", "1E-3", "--points", "+3"],
+    ["verify", "--spec", "m.json", "--alphas", "1,, 2,"],
+]
+
+# (argv, the message argparse gave after "error: ")
+REJECTED_ARGVS = [
+    ([], "the following arguments are required: command"),
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+    (["ver", "--spec", "m.json"], "argument command: invalid choice: 'ver'"),
+    (["verify"], "the following arguments are required: --spec"),
+    (["evolve", "--alphas", "2", "--points", "3"], "the following arguments are required: --spec"),
+    (["verify", "--spec", "m.json", "--bogus"], "unrecognized arguments: --bogus"),
+    (["verify", "--spec", "m.json", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    (["verify", "--spec", "m.json", "extra", "more"], "unrecognized arguments: extra more"),
+    (["verify", "--spec", "m.json", "--no-timing"], "unrecognized arguments: --no-timing"),
+    (["verify", "--spec", "m.json", "--version"], "unrecognized arguments: --version"),
+    (["verify", "-x", "--spec", "m.json"], "unrecognized arguments: -x"),
+    (["--bogus", "verify", "--spec", "m.json"], "unrecognized arguments: --bogus"),
+    (["verify", "--spec", "m.json", "--", "x"], "unrecognized arguments: -- x"),
+    (["evolve", "--spec", "m.json", "--s"], "ambiguous option: --s could match --spec, --spectrum"),
+    (["evolve", "--spec", "m.json", "--sp=x"], "ambiguous option: --sp=x could match --spec, --spectrum"),
+    (["evolve", "--alphas", "two", "--s"], "ambiguous option: --s could match"),
+    (["timescale", "--spec"], "argument --spec: expected one argument"),
+    (["timescale", "--spec", "--out", "r.json"], "argument --spec: expected one argument"),
+    (["evolve", "--spec", "m.json", "--t-max", "-1e3"], "argument --t-max: expected one argument"),
+    (["evolve", "--spec", "m.json", "--out", "-x"], "argument --out: expected one argument"),
+    (["verify", "--spec", "--", "m.json"], "argument --spec: expected one argument"),
+    (["timescale", "--spec", "m.json", "--no-timing=1"], "argument --no-timing: ignored explicit argument '1'"),
+    (["evolve", "--spec", "m.json", "--spectrum="], "argument --spectrum: ignored explicit argument ''"),
+    (["verify", "--spec", "m.json", "-h=1"], "argument -h/--help: ignored explicit argument '1'"),
+    (["--version=1"], "argument --version: ignored explicit argument '1'"),
+    (["verify", "--spec", "m.json", "--alphas", "two"], "argument --alphas: bad alpha list 'two'"),
+    (["verify", "--spec", "m.json", "--alphas", "0,2"], "argument --alphas: bad alpha list '0,2'"),
+    (["verify", "--spec", "m.json", "--alphas", "2.5"], "argument --alphas: bad alpha list '2.5'"),
+    (["verify", "--alphas", "two"], "bad alpha list"),
+    (["verify", "--spec", "m.json", "--alphas", ", ,"], "argument --alphas: alpha list is empty"),
+    (["timescale", "--spec", "m.json", "--alphas="], "argument --alphas: alpha list is empty"),
+    (["evolve", "--spec", "m.json", "--points", "2.5"], "argument --points: invalid int value: '2.5'"),
+    (["evolve", "--spec", "m.json", "--points="], "argument --points: invalid int value: ''"),
+    (["evolve", "--spec", "m.json", "--t-max", "fast"], "argument --t-max: invalid float value: 'fast'"),
+    (["verify", "--spec", "m.json", "--tolerance-rel="], "argument --tolerance-rel: invalid float value: ''"),
+]
+
+EXITING_ARGVS = [
+    ["-h"],
+    ["--help"],
+    ["--he"],
+    ["verify", "-h"],
+    ["evolve", "--spec", "m.json", "--help", "--bogus"],
+    ["timescale", "-hh"],
+    ["--version"],
+    ["--vers", "verify"],
+]
+
+
+def argparse_exit(argv, capsys) -> tuple[int, str, str]:
+    with pytest.raises(SystemExit) as exit_info:
+        oracles.argparse_oracle().parse_args(argv)
+    captured = capsys.readouterr()
+    return exit_info.value.code, captured.out, captured.err
+
+
+def table_exit(argv, capsys) -> tuple[int, str, str]:
+    with pytest.raises(SystemExit) as exit_info:
+        cli._parse(argv)
+    captured = capsys.readouterr()
+    return exit_info.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSED_ARGVS)
+def test_option_table_reads_what_argparse_read(argv):
+    expected = vars(oracles.argparse_oracle().parse_args(argv))
+    command = expected.pop("command")
+    assert cli._parse(argv) == (command, expected)
+
+
+@pytest.mark.parametrize("argv, message", REJECTED_ARGVS)
+def test_option_table_rejects_what_argparse_rejected(argv, message, capsys):
+    code, _, err = argparse_exit(argv, capsys)
+    assert code == 2 and message in err
+    phrase = err.split("error: ", 1)[1].strip()
+    code, out, err = table_exit(argv, capsys)
+    assert code == 2 and out == ""
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: enttime")
+    assert error.startswith(("enttime: error: ", "enttime ")) and phrase in error
+
+
+@pytest.mark.parametrize("argv", EXITING_ARGVS)
+def test_help_and_version_exit_zero_where_argparse_did(argv, capsys):
+    code, version, _ = argparse_exit(argv, capsys)
+    assert code == 0
+    assert table_exit(argv, capsys) == (0, version if "--v" in argv[0] else cli._HELP, "")
+
+
+def test_help_is_the_readme_block():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert f"```\n{cli._HELP}```\n" in readme
+
+
+@pytest.mark.parametrize(
+    "command, alphas, orders",
+    [("timescale", "2,3,2", [2, 3]), ("verify", "2,2", [2]), ("evolve", "3,2,3", [2, 3])],
+)
+def test_repeated_orders_give_one_row_each(tmp_path, capsys, command, alphas, orders):
+    spec = write_model(tmp_path, fock_doc())
+    out = tmp_path / "out"
+    argv = [command, "--spec", spec, "--alphas", alphas, "--out", str(out)]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    if command == "evolve":
+        got = [int(row[1]) for row in parse_csv(out.read_text())[1]]
+        assert got == [a for a in orders for _ in range(201)]
+        return
+    doc = json.loads(out.read_text())
+    if command == "timescale":
+        assert [p["alpha"] for p in doc["predictions"]] == orders
+    else:
+        labels = [f"curvature(alpha={a})" for a in orders]
+        assert [row["label"] for row in doc["rows"]] == labels
+        assert [printed.count(label) for label in labels] == [1] * len(orders)
 
 
 # ---------------------------------------------------------------------------
