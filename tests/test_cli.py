@@ -748,7 +748,9 @@ def test_option_table_rejects_what_argparse_rejected(argv, message, capsys):
     assert code == 2 and out == ""
     usage, error = err.splitlines()
     assert usage.startswith("usage: enttime")
-    assert error.startswith(("enttime: error: ", "enttime ")) and phrase in error
+    prog, message = error.split(": error: ", 1)
+    assert prog in ("enttime", *(f"enttime {command}" for command in cli._OPTIONS))
+    assert phrase in message
 
 
 @pytest.mark.parametrize("argv", EXITING_ARGVS)
