@@ -19,8 +19,6 @@ from .errors import (
 )
 from .entropy import (
     VON_NEUMANN_ALPHA,
-    EntropySeries,
-    VerificationRow,
     entropy_series,
     renyi_from_probabilities,
     verify_growth,
@@ -40,7 +38,6 @@ from .models import (
 )
 from .propagator import Propagator
 from .timescale import (
-    CurvaturePrediction,
     TimescaleReport,
     entanglement_timescale,
     predicted_curvature,
@@ -65,16 +62,13 @@ __all__ = [
     "product_state_vector",
     "Propagator",
     "TimescaleReport",
-    "CurvaturePrediction",
     "entanglement_timescale",
     "predicted_curvature",
     "VON_NEUMANN_ALPHA",
-    "EntropySeries",
     "renyi_from_probabilities",
     "von_neumann_from_probabilities",
     "entropy_series",
     "von_neumann_curvature_probe",
-    "VerificationRow",
     "verify_growth",
     "JcmSpec",
     "FockField",

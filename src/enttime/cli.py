@@ -9,7 +9,8 @@ Three commands share one JSON model-file format:
 * ``enttime verify`` measures initial curvatures by finite differences and
   checks them against the prediction, printing a PASS/FAIL table.
 
-The model file is read in one pass, before any model object is built.
+The model file is read in one pass, before any model object is built,
+into the triple ``(h, state, resolved)`` of :func:`load_model_file`.
 Every object rejects unknown keys, ``3.0`` counts as an integer, booleans
 are not numbers, and errors name the ``$`` path of the bad field.
 
@@ -36,7 +37,6 @@ import re
 import sys
 import tempfile
 import time
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -57,7 +57,6 @@ from .timescale import check_alpha, entanglement_timescale, predicted_curvature
 
 __all__ = [
     "SchemaViolation",
-    "ModelSpecFile",
     "load_model_file",
     "resolve_model_document",
     "cmd_timescale",
@@ -74,15 +73,6 @@ class SchemaViolation(EnttimeError):
 # ---------------------------------------------------------------------------
 # Model file reading: every field is checked as it is read, and read before
 # any model object is built, so a reading fault (exit 2) beats a model one.
-
-
-@dataclass(frozen=True)
-class ModelSpecFile:
-    """A parsed, validated and resolved model file."""
-
-    resolved: dict = field(repr=False)
-    hamiltonian: ProductHamiltonian = field(repr=False)
-    state: ProductState = field(repr=False)
 
 
 def _got(value) -> str:
@@ -263,9 +253,11 @@ _RESOLVERS = {
 }
 
 
-def resolve_model_document(doc) -> ModelSpecFile:
+def resolve_model_document(doc) -> tuple[ProductHamiltonian, ProductState, dict]:
     """Read a parsed model document in one pass and build the model it names.
 
+    Returns ``(h, state, resolved)``: the Hamiltonian, the product start and
+    the document with every default filled in, as the reports echo it.
     Raises :class:`SchemaViolation` naming the ``$`` path of a bad field,
     and the model's own errors only for a document that reads cleanly.
     """
@@ -276,12 +268,11 @@ def resolve_model_document(doc) -> ModelSpecFile:
         raise SchemaViolation(
             f"$.model: expected one of {sorted(_RESOLVERS)}, got {_got(model)}"
         )
-    h, state, echo = _RESOLVERS[model](doc)
-    return ModelSpecFile(resolved=echo, hamiltonian=h, state=state)
+    return _RESOLVERS[model](doc)
 
 
-def load_model_file(path: str) -> ModelSpecFile:
-    """Parse a JSON model file and build the model it names."""
+def load_model_file(path: str) -> tuple[ProductHamiltonian, ProductState, dict]:
+    """Parse a JSON model file; :func:`resolve_model_document` of its contents."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             document = json.load(fh)
@@ -333,19 +324,19 @@ def cmd_timescale(
 ) -> dict:
     """Evaluate the covariance timescale of a model file; write and return the JSON document.
 
+    One prediction per distinct order of ``alphas``, in first-seen order.
     The total H is checked for Hermiticity first, as the dynamics commands
     do; the covariance sum alone would not notice every non-Hermitian H.
     """
-    for alpha in alphas:
-        check_alpha(alpha, 2)
+    alphas = list(dict.fromkeys(check_alpha(alpha, 2) for alpha in alphas))
     started = time.perf_counter()
-    model = load_model_file(spec_path)
-    check_hermitian(model.hamiltonian)
-    report = entanglement_timescale(model.hamiltonian, model.state)
+    h, state, resolved = load_model_file(spec_path)
+    check_hermitian(h)
+    report = entanglement_timescale(h, state)
     doc = {
         "command": "timescale",
         "version": __version__,
-        "spec": model.resolved,
+        "spec": resolved,
         "degenerate": report.degenerate,
         "timescale": {
             "t_ent_inv_sq": report.t_ent_inv_sq,
@@ -355,7 +346,7 @@ def cmd_timescale(
             "cov_a": _matrix_doc(report.cov_a),
             "cov_b": _matrix_doc(report.cov_b),
         },
-        "predictions": [asdict(predicted_curvature(report, a)) for a in alphas],
+        "predictions": [predicted_curvature(report, a) for a in alphas],
     }
     if include_timing:
         doc["wall_time_s"] = time.perf_counter() - started
@@ -387,23 +378,22 @@ def cmd_evolve(
         raise SchemaViolation(f"--t-max must be positive, got {t_max!r}")
     if n_points < 2:
         raise SchemaViolation(f"--points must be at least 2, got {n_points}")
-    model = load_model_file(spec_path)
-    if spectrum_columns and model.hamiltonian.dim_a != 2:
+    h, state, _ = load_model_file(spec_path)
+    if spectrum_columns and h.dim_a != 2:
         raise ModelError(
-            f"spectrum columns (p1, p2) need a two-level subsystem A, "
-            f"got dim_a = {model.hamiltonian.dim_a}"
+            f"spectrum columns (p1, p2) need a two-level subsystem A, got dim_a = {h.dim_a}"
         )
     wanted = sorted(set(alphas))
     times = np.linspace(0.0, float(t_max), int(n_points))
-    series = entropy_series(model.hamiltonian, model.state, wanted, times)
+    spectra, series = entropy_series(h, state, wanted, times)
     unit = math.log(2.0) if units_ln2 else 1.0
     lines = ["t,alpha,entropy,p1,p2" if spectrum_columns else "t,alpha,entropy"]
-    for one in series:
-        for k, t in enumerate(one.times):
-            value = one.values[k] / unit
-            row = f"{float(t)!r},{one.alpha},{float(value)!r}"
+    for alpha, values in zip(wanted, series):
+        for k, t in enumerate(times):
+            value = values[k] / unit
+            row = f"{float(t)!r},{alpha},{float(value)!r}"
             if spectrum_columns:
-                p1, p2 = np.append(one.spectra[k], 0.0)[:2]  # p2 = 0 when dim_b = 1
+                p1, p2 = np.append(spectra[k], 0.0)[:2]  # p2 = 0 when dim_b = 1
                 row += f",{float(p1)!r},{float(p2)!r}"
             lines.append(row)
     text = "\n".join(lines) + "\n"
@@ -425,15 +415,15 @@ def cmd_verify(
     Returns the PASS/FAIL table as a JSON document and, with ``output_path``,
     writes it; :func:`_table_text` prints it.
     """
-    model = load_model_file(spec_path)
-    report, rows = verify_growth(model.hamiltonian, model.state, alphas, tolerance_rel)
+    h, state, resolved = load_model_file(spec_path)
+    report, rows = verify_growth(h, state, alphas, tolerance_rel)
     doc = {
         "command": "verify",
         "version": __version__,
-        "spec": model.resolved,
+        "spec": resolved,
         "degenerate": report.degenerate,
         "t_ent_inv_sq": report.t_ent_inv_sq,
-        "rows": [asdict(row) for row in rows],
+        "rows": rows,
     }
     if output_path is not None:
         _write_text(output_path, json.dumps(doc, indent=2) + "\n")

@@ -9,7 +9,9 @@ probability explicitly, which keeps entropies of nearly-product states
 accurate down to 1e-30; a naive log-of-sum loses them below ~1e-15. Time
 series, the 5-point stencil, the von Neumann curvature probe and
 :func:`verify_growth`, which holds the measured initial growth against the
-covariance-sum prediction, are all built on that one route.
+covariance-sum prediction, are all built on that one route. Results are
+plain data: :func:`entropy_series` gives arrays, and each row of
+:func:`verify_growth` is a dict in the key order of the ``verify`` table.
 
 Entropies are in nats. alpha = 1 marks the von Neumann branch in
 :func:`entropy_series` and :func:`verify_growth`; the Renyi-only entry points
@@ -19,7 +21,6 @@ reject it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,8 +37,6 @@ from .tolerances import PSD_TOL, TRACE_TOL
 
 __all__ = [
     "VON_NEUMANN_ALPHA",
-    "EntropySeries",
-    "VerificationRow",
     "renyi_from_probabilities",
     "von_neumann_from_probabilities",
     "entropy_series",
@@ -155,27 +154,6 @@ def _entropy(probs, alpha: int):
     return renyi_from_probabilities(probs, alpha)
 
 
-@dataclass(frozen=True, eq=False)
-class EntropySeries:
-    """Entropy values of one order along a time grid.
-
-    ``alpha`` is the Renyi order, with ``VON_NEUMANN_ALPHA`` (= 1) marking
-    the von Neumann branch. ``spectra`` carries the Schmidt probabilities
-    per time, shape (len(times), min(dim_a, dim_b)), descending within each
-    row; every series of one :func:`entropy_series` call shares it.
-    """
-
-    alpha: int
-    times: np.ndarray
-    values: np.ndarray
-    spectra: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.times.setflags(write=False)
-        self.values.setflags(write=False)
-        self.spectra.setflags(write=False)
-
-
 def _check_times(times) -> np.ndarray:
     t = np.asarray(times, dtype=np.float64).reshape(-1)
     if t.size == 0:
@@ -194,7 +172,7 @@ def entropy_series(
     state: ProductState,
     alphas,
     times,
-) -> list[EntropySeries]:
+) -> tuple[np.ndarray, list[np.ndarray]]:
     """Exact-evolution entropy curves for several orders at once.
 
     Parameters
@@ -209,7 +187,11 @@ def entropy_series(
 
     Returns
     -------
-    list of EntropySeries
+    spectra : ndarray
+        The Schmidt probabilities per time, shape
+        (len(times), min(dim_a, dim_b)), descending within each row.
+    values : list of ndarray
+        One entropy curve over ``times`` per entry of ``alphas``.
     """
     alphas = list(alphas)
     if len(alphas) == 0:
@@ -217,9 +199,7 @@ def entropy_series(
     checked = [check_alpha(a, VON_NEUMANN_ALPHA) for a in alphas]
     t = _check_times(times)
     spectra = Propagator(h, state).probabilities(t)
-    return [
-        EntropySeries(alpha, t.copy(), _entropy(spectra, alpha), spectra) for alpha in checked
-    ]
+    return spectra, [_entropy(spectra, alpha) for alpha in checked]
 
 
 def stencil_curvatures(propagator: Propagator, alphas, centers, widths) -> np.ndarray:
@@ -282,21 +262,17 @@ def von_neumann_curvature_probe(
     return [(float(ti), float(c)) for ti, c in zip(t, curvatures)]
 
 
-@dataclass
-class VerificationRow:
+def _row(label: str, predicted, measured, status, detail: str) -> dict:
     """One check of :func:`verify_growth`: a prediction against a measurement.
 
-    ``status`` is PASS or FAIL for a checked row, INFO for a fit reported
-    without a verdict, and SKIP for a check the start gives nothing to
-    measure.
+    ``rel_error`` is |measured - predicted| / |predicted|, None when nothing
+    was measured. ``status`` is PASS or FAIL for a checked row, INFO for a
+    fit reported without a verdict, and SKIP for a check the start gives
+    nothing to measure.
     """
-
-    label: str
-    predicted: float | None
-    measured: float | None
-    rel_error: float | None
-    status: str
-    detail: str = ""
+    rel = None if measured is None else abs(measured - predicted) / abs(predicted)
+    return {"label": label, "predicted": predicted, "measured": measured,
+            "rel_error": rel, "status": status, "detail": detail}
 
 
 def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -323,10 +299,13 @@ def verify_growth(
     state: ProductState,
     alphas,
     tolerance_rel: float = 0.01,
-) -> tuple[TimescaleReport, list[VerificationRow]]:
+) -> tuple[TimescaleReport, list[dict]]:
     """Measure the initial entropy growth and check the predicted universal form.
 
-    Non-degenerate systems get one row per Renyi order in ``alphas``:
+    Each row is a dict with the keys ``label``, ``predicted``, ``measured``,
+    ``rel_error``, ``status`` and ``detail``, in that order, one per
+    distinct order of ``alphas`` in first-seen order (a repeat adds no row).
+    Non-degenerate systems get one row per Renyi order:
     predicted curvature (2 alpha / (alpha - 1)) * t_ent_inv_sq against a
     5-point finite difference around t = 0 of width t_ent / 50, or
     0.0895 / Omega when that is narrower (Omega the spread of the extreme
@@ -335,8 +314,10 @@ def verify_growth(
     one), PASS/FAIL at
     ``tolerance_rel``. ``VON_NEUMANN_ALPHA`` (= 1) adds an informational
     row fitting the von Neumann curvature to a + b ln t. Degenerate systems
-    instead fit the log-log onset slope of S_2, which the product start pins
-    at 6.
+    instead fit the log-log onset slope of S_2 and hold it to 6, the t^6
+    onset of the coherent ground JCM start. That slope is not universal:
+    sigma_x (x) 1 + sigma_z (x) sigma_x from |0>|0> has a correct t^4 onset,
+    measures 3.998 and fails (ROADMAP item 1).
 
     One :class:`Propagator` and one :class:`TimescaleReport` serve every
     row; the report comes back with the rows. The propagator is built
@@ -347,14 +328,14 @@ def verify_growth(
     """
     if not math.isfinite(tolerance_rel) or tolerance_rel <= 0.0:
         raise ValueError(f"tolerance_rel must be positive, got {tolerance_rel!r}")
-    orders = [check_alpha(a, VON_NEUMANN_ALPHA) for a in alphas]
+    orders = list(dict.fromkeys(check_alpha(a, VON_NEUMANN_ALPHA) for a in alphas))
     if not orders:
         raise ValueError("alphas is empty")
     renyi_orders = [a for a in orders if a != VON_NEUMANN_ALPHA]
     wants_vn = VON_NEUMANN_ALPHA in orders
     propagator = Propagator(h, state)
     report = entanglement_timescale(h, state)
-    rows: list[VerificationRow] = []
+    rows: list[dict] = []
 
     if report.degenerate:
         if report.scale <= 0.0:
@@ -371,38 +352,13 @@ def verify_growth(
             )
         slope, _, r_squared = _linear_fit(np.log(times), np.log(values))
         status = "PASS" if abs(slope - _ONSET_SLOPE) <= _ONSET_SLOPE_BAND else "FAIL"
-        rows.append(
-            VerificationRow(
-                label="onset-slope(S_2)",
-                predicted=_ONSET_SLOPE,
-                measured=slope,
-                rel_error=abs(slope - _ONSET_SLOPE) / _ONSET_SLOPE,
-                status=status,
-                detail=f"log-log fit over {len(times)} points, R^2 = {r_squared:.6f}",
-            )
-        )
-        for alpha in renyi_orders:
-            rows.append(
-                VerificationRow(
-                    label=f"curvature(alpha={alpha})",
-                    predicted=0.0,
-                    measured=None,
-                    rel_error=None,
-                    status="SKIP",
-                    detail="degenerate timescale: quadratic coefficient is zero",
-                )
-            )
+        fit = f"log-log fit over {len(times)} points, R^2 = {r_squared:.6f}"
+        rows.append(_row("onset-slope(S_2)", _ONSET_SLOPE, slope, status, fit))
+        skip = "degenerate timescale: quadratic coefficient is zero"
+        rows += [_row(f"curvature(alpha={a})", 0.0, None, "SKIP", skip) for a in renyi_orders]
         if wants_vn:
-            rows.append(
-                VerificationRow(
-                    label="vn-divergence",
-                    predicted=None,
-                    measured=None,
-                    rel_error=None,
-                    status="SKIP",
-                    detail="degenerate timescale: no logarithmic divergence",
-                )
-            )
+            skip = "degenerate timescale: no logarithmic divergence"
+            rows.append(_row("vn-divergence", None, None, "SKIP", skip))
         return report, rows
 
     if renyi_orders:
@@ -415,38 +371,17 @@ def verify_growth(
                 f" capped at {_VERIFY_STENCIL_PHASE:.3g}/Omega = {width:.3e}, Omega = {omega:.6g}"
             )
         measured_all = stencil_curvatures(propagator, renyi_orders, [0.0], width)
-        for alpha, row in zip(renyi_orders, measured_all):
-            prediction = predicted_curvature(report, alpha)
-            measured = float(row[0])
-            rel = abs(measured - prediction.curvature) / abs(prediction.curvature)
-            rows.append(
-                VerificationRow(
-                    label=f"curvature(alpha={alpha})",
-                    predicted=prediction.curvature,
-                    measured=measured,
-                    rel_error=rel,
-                    status="PASS" if rel <= tolerance_rel else "FAIL",
-                    detail=detail,
-                )
-            )
+        for alpha, measured in zip(renyi_orders, measured_all):
+            curvature = predicted_curvature(report, alpha)["curvature"]
+            row = _row(f"curvature(alpha={alpha})", curvature, float(measured[0]), None, detail)
+            row["status"] = "PASS" if row["rel_error"] <= tolerance_rel else "FAIL"
+            rows.append(row)
     if wants_vn:
         pairs = von_neumann_curvature_probe(
             propagator, report, report.t_ent * np.array([1e-1, 1e-2, 1e-3, 1e-4])
         )
         ts, curvatures = np.array(pairs).T
         slope, intercept, r_squared = _linear_fit(np.log(ts), curvatures)
-        rows.append(
-            VerificationRow(
-                label="vn-divergence",
-                predicted=-4.0 * report.t_ent_inv_sq,
-                measured=slope,
-                rel_error=abs(slope + 4.0 * report.t_ent_inv_sq)
-                / (4.0 * report.t_ent_inv_sq),
-                status="INFO",
-                detail=(
-                    f"curvature ~ a + b ln t: a = {intercept!r}, b = {slope!r}, "
-                    f"R^2 = {r_squared:.6f}"
-                ),
-            )
-        )
+        fit = f"curvature ~ a + b ln t: a = {intercept!r}, b = {slope!r}, R^2 = {r_squared:.6f}"
+        rows.append(_row("vn-divergence", -4.0 * report.t_ent_inv_sq, slope, "INFO", fit))
     return report, rows

@@ -12,8 +12,9 @@ Renyi entropy of order alpha >= 2 then starts out as
     S_alpha(t) = (alpha / (alpha - 1)) * t_ent_inv_sq * t**2 + O(t**3),
 
 so the initial curvature is (2 alpha / (alpha - 1)) * t_ent_inv_sq, one
-number for the whole family. Nothing here evolves the state or forms the
-dense H.
+number for the whole family; :func:`predicted_curvature` gives it per order
+as the dict that ``enttime timescale`` writes. Nothing here evolves the
+state or forms the dense H.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .tolerances import DEGEN_TOL_REL, IMAG_TOL
 
 __all__ = [
     "TimescaleReport",
-    "CurvaturePrediction",
     "entanglement_timescale",
     "predicted_curvature",
     "check_alpha",
@@ -79,15 +79,6 @@ class TimescaleReport:
     def __post_init__(self) -> None:
         self.cov_a.setflags(write=False)
         self.cov_b.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class CurvaturePrediction:
-    """Predicted d^2 S_alpha / dt^2 at t = 0 and its order-dependent factor."""
-
-    alpha: int
-    coefficient: float
-    curvature: float
 
 
 def _covariance_matrix(factors: list[Factor], psi: np.ndarray) -> np.ndarray:
@@ -166,19 +157,18 @@ def entanglement_timescale(h: ProductHamiltonian, state: ProductState) -> Timesc
     )
 
 
-def predicted_curvature(report: TimescaleReport, alpha: int) -> CurvaturePrediction:
+def predicted_curvature(report: TimescaleReport, alpha: int) -> dict:
     """Initial entropy curvature (2 alpha / (alpha - 1)) * t_ent_inv_sq.
 
-    ``alpha`` must be an integer >= 2. The alpha -> 1 (von Neumann) limit
+    Returns ``{"alpha", "coefficient", "curvature"}``: the order, its
+    factor 2 alpha / (alpha - 1) and the predicted d^2 S_alpha / dt^2 at
+    t = 0. ``alpha`` must be an integer >= 2. The alpha -> 1 (von Neumann) limit
     has no finite curvature; use
     :func:`enttime.entropy.von_neumann_curvature_probe` for its
     logarithmic growth instead.
     """
     alpha = check_alpha(alpha, 2)
     coefficient = 2.0 * alpha / (alpha - 1.0)
-    return CurvaturePrediction(
-        alpha=alpha,
-        coefficient=coefficient,
-        curvature=coefficient * report.t_ent_inv_sq,
-    )
+    curvature = coefficient * report.t_ent_inv_sq
+    return {"alpha": alpha, "coefficient": coefficient, "curvature": curvature}
 

@@ -129,7 +129,7 @@ def test_criterion_2_curvature_universality():
             measured = sum(w * v for w, v in zip(weights, values)) / (
                 12.0 * width * width
             )
-            predicted = predicted_curvature(report, alpha).curvature
+            predicted = predicted_curvature(report, alpha)["curvature"]
             rel = abs(measured - predicted) / abs(predicted)
             worst = max(worst, rel)
             _check(
@@ -183,9 +183,9 @@ def test_criterion_4_degenerate_sixth_order_onset():
         f"t_ent_inv_sq = {report.t_ent_inv_sq!r} at scale {report.scale!r}",
     )
     times = np.geomspace(1e-3, 1e-1, 13) / spec.lam
-    (series,) = entropy_series(h, state, [2], times)
-    _check(failures, bool(np.all(series.values > 0.0)), "S_2 not resolvable on window")
-    slope, _ = np.polyfit(np.log(times), np.log(series.values), 1)
+    _, (values,) = entropy_series(h, state, [2], times)
+    _check(failures, bool(np.all(values > 0.0)), "S_2 not resolvable on window")
+    slope, _ = np.polyfit(np.log(times), np.log(values), 1)
     _check(failures, abs(slope - 6.0) <= 0.1, f"onset slope {slope!r}, want 6.0 +- 0.1")
     _report(
         4,

@@ -149,6 +149,7 @@ def git_repo(root, *commits):
     hashes = []
     for files in commits:
         for name, text in files.items():
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
             (root / name).write_text(text)
         git("add", "-A")
         git("commit", "-q", "-m", "c")
@@ -215,6 +216,30 @@ def test_uncommitted_changes_are_refused(tmp_path, monkeypatch, capsys):
     assert exit_info.value.code == 2
     assert "uncommitted changes" in capsys.readouterr().err
     assert not (tmp_path / "BENCH_t.json").exists()
+
+
+def test_line_counts_of_both_copies_and_their_delta(tmp_path, monkeypatch):
+    """Lines of the committed ``*.py`` files under src/, tests/ and tools/ on each side."""
+    bench = {"run_seconds": 1, "end_to_end": END_TO_END, "workloads": [{"name": "w"}]}
+    git_repo(
+        tmp_path,
+        {"BENCHMARK.json": json.dumps(bench), "src/pkg/a.py": "1\n2\n3\n",
+         "src/pkg/notes.txt": "not python\n", "tests/t.py": "1\n", "tools/x.py": "1\n2\n"},
+        {"src/pkg/a.py": "1\n", "tests/t.py": "1\n2\n3\n4\n"},
+    )
+    (tmp_path / "tools" / "untracked.py").write_text("1\n" * 50)  # in neither commit
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "run_side",
+                        lambda *args: bench_pairs.parse_run_output(run_output(1.0, 1.0)))
+    monkeypatch.setattr(bench_pairs, "setup_seconds", lambda root: 0.1)
+    argv = ["--parent", "HEAD~1", "--label", "t", "--what", "y",
+            "--seed", "1", "--trace-seed", "50"]
+    assert bench_pairs.main(argv) == 0
+    assert json.loads((tmp_path / "BENCH_t.json").read_text())["lines"] == {
+        "parent": {"src": 3, "tests": 1, "tools": 2},
+        "change": {"src": 1, "tests": 4, "tools": 2},
+        "delta": {"src": -2, "tests": 3, "tools": 0},
+    }
 
 
 @pytest.mark.parametrize("bytecode", [None, "1"])

@@ -21,8 +21,10 @@ from enttime.cli import (
     resolve_model_document,
     SchemaViolation,
 )
+from enttime.entropy import VON_NEUMANN_ALPHA, verify_growth
 from enttime.errors import EnttimeError
-from enttime.timescale import entanglement_timescale
+from enttime.hamiltonian import ProductHamiltonian, ProductState
+from enttime.timescale import entanglement_timescale, predicted_curvature
 
 
 def write_model(tmp_path, doc, name="model.json"):
@@ -57,7 +59,8 @@ def parse_csv(text):
 def test_timescale_report_document(tmp_path, omega, rows):
     # the JCM free terms are built only off zero detuning
     spec = write_model(tmp_path, fock_doc(omega=omega))
-    assert load_model_file(spec).hamiltonian.n_terms == rows
+    h, _, _ = load_model_file(spec)
+    assert h.n_terms == rows
     out = tmp_path / "report.json"
     cmd_timescale(spec, [2, 3], str(out))
     doc = json.loads(out.read_text())
@@ -92,6 +95,14 @@ def test_timescale_rejects_von_neumann_alpha(tmp_path, capsys):
     spec = write_model(tmp_path, fock_doc())
     assert main(["timescale", "--spec", spec, "--alphas", "1,2"]) == 2
     assert ">= 2" in capsys.readouterr().err
+
+
+def test_timescale_writes_one_prediction_per_distinct_order(tmp_path):
+    spec = write_model(tmp_path, fock_doc())
+    out = tmp_path / "report.json"
+    doc = cmd_timescale(spec, [2, 3, 2, np.int64(3)], str(out), include_timing=False)
+    assert [p["alpha"] for p in doc["predictions"]] == [2, 3]
+    assert json.loads(out.read_text())["predictions"] == doc["predictions"]
 
 
 def test_timescale_degenerate_note(tmp_path, capsys):
@@ -272,6 +283,41 @@ def test_verify_names_no_cap_where_it_does_not_bind(tmp_path, capsys):
     capsys.readouterr()
     rows = json.loads(out.read_text())["rows"]
     assert [row["detail"] for row in rows] == ["5-point stencil, width t_ent/50"] * 2
+
+
+ROW_KEYS = ["label", "predicted", "measured", "rel_error", "status", "detail"]
+
+
+def test_report_shapes_are_pinned(tmp_path):
+    """The model triple, the prediction dict and every kind of verify row, in key order;
+    each row's rel_error is the expression written out for its kind, bit for bit."""
+    h, state, resolved = load_model_file(write_model(tmp_path, fock_doc()))
+    assert isinstance(h, ProductHamiltonian) and isinstance(state, ProductState)
+    assert list(resolved) == ["model", "lambda", "omega", "n_max", "atom", "field"]
+    report, rows = verify_growth(h, state, [2, VON_NEUMANN_ALPHA])
+    prediction = predicted_curvature(report, 2)
+    assert list(prediction) == ["alpha", "coefficient", "curvature"]
+    assert [row["label"] for row in rows] == ["curvature(alpha=2)", "vn-divergence"]
+    assert [list(row) for row in rows] == [ROW_KEYS] * 2
+    curvature, vn = rows
+    assert curvature["predicted"] == prediction["curvature"]
+    expected = abs(curvature["measured"] - prediction["curvature"]) / abs(prediction["curvature"])
+    assert curvature["rel_error"] == expected
+    t2 = report.t_ent_inv_sq
+    assert vn["rel_error"] == abs(vn["measured"] + 4.0 * t2) / (4.0 * t2)
+
+    degenerate = fock_doc(atom={"c_e": 0.0, "c_g": 1.0}, field={"type": "coherent", "nu": 2.0},
+                          n_max=50)
+    h, state, _ = load_model_file(write_model(tmp_path, degenerate, name="degenerate.json"))
+    report, rows = verify_growth(h, state, [2, VON_NEUMANN_ALPHA])
+    assert report.degenerate
+    assert [row["label"] for row in rows] == ["onset-slope(S_2)", "curvature(alpha=2)",
+                                              "vn-divergence"]
+    assert [list(row) for row in rows] == [ROW_KEYS] * 3
+    slope, skip_curvature, skip_vn = rows
+    assert slope["rel_error"] == abs(slope["measured"] - 6.0) / 6.0
+    assert [skip_curvature[k] for k in ROW_KEYS[1:5]] == [0.0, None, None, "SKIP"]
+    assert [skip_vn[k] for k in ROW_KEYS[1:5]] == [None, None, None, "SKIP"]
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +521,8 @@ def test_custom_model_round_trip(tmp_path):
         },
     }
     spec = write_model(tmp_path, doc)
-    model = load_model_file(spec)
-    report = entanglement_timescale(model.hamiltonian, model.state)
+    h, state, _ = load_model_file(spec)
+    report = entanglement_timescale(h, state)
     # var(sigma_x) in |0> is 1, var(diag(0, 1)) in |+> is 1/4
     assert abs(report.t_ent_inv_sq - 0.25) <= 1e-12
     out = tmp_path / "report.json"
@@ -501,9 +547,9 @@ def test_custom_model_complex_parts_and_ragged_rejection(tmp_path):
         },
     }
     spec = write_model(tmp_path, doc)
-    model = load_model_file(spec)
+    h, state, _ = load_model_file(spec)
     # term a is sigma_y, psi_a is a sigma_y eigenstate: no variance on A
-    assert entanglement_timescale(model.hamiltonian, model.state).degenerate
+    assert entanglement_timescale(h, state).degenerate
 
     ragged = dict(doc)
     ragged["terms"] = [
@@ -530,17 +576,17 @@ def test_resolve_model_document_paths():
 def test_default_n_max_resolution(tmp_path):
     # fock default keeps one level above the occupation
     spec = write_model(tmp_path, {"model": "jcm", "lambda": 1.0, "field": {"type": "fock", "n": 3}})
-    model = load_model_file(spec)
-    assert model.resolved["n_max"] == 5
-    assert model.hamiltonian.dim_b == 6
+    h, _, resolved = load_model_file(spec)
+    assert resolved["n_max"] == 5
+    assert h.dim_b == 6
     # coherent default adopts the suggested cutoff
     spec2 = write_model(
         tmp_path,
         {"model": "jcm", "lambda": 1.0, "field": {"type": "coherent", "nu": 2.0}},
         name="coh.json",
     )
-    model2 = load_model_file(spec2)
-    assert model2.resolved["n_max"] == 44
+    _, _, resolved2 = load_model_file(spec2)
+    assert resolved2["n_max"] == 44
 
 
 def coherent_doc(nu, **overrides):

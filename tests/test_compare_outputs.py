@@ -20,10 +20,10 @@ def test_every_model_of_the_fixed_set_reads():
     docs = compare_outputs.model_documents()
     assert len(docs) == 14
     for name, doc in docs.items():
-        model = resolve_model_document(json.loads(json.dumps(doc)))
+        h, _, _ = resolve_model_document(json.loads(json.dumps(doc)))
         if name == "non_hermitian":
             with pytest.raises(ModelError):
-                check_hermitian(model.hamiltonian)
+                check_hermitian(h)
     dense = compare_outputs.commands(compare_outputs.DENSE)
     assert [cmd[0] for cmd in dense] == ["timescale", "evolve", "evolve"]
     assert dense[2][-2:] == ["--t-max", "8"] and "--t-max" not in dense[1]

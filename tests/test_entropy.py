@@ -165,8 +165,7 @@ def test_alpha_ordering_and_von_neumann_dominance():
     spec = JcmSpec(lam=1.0, n_max=8, field=FockField(1))
     h, s = build_jcm(spec)
     times = np.linspace(0.05, 2.0, 12)
-    series = entropy_series(h, s, [VON_NEUMANN_ALPHA, 2, 3, 4, 8], times)
-    vn, s2, s3, s4, s8 = (x.values for x in series)
+    _, (vn, s2, s3, s4, s8) = entropy_series(h, s, [VON_NEUMANN_ALPHA, 2, 3, 4, 8], times)
     assert np.all(vn >= s2 - 1e-10)
     assert np.all(s2 >= s3 - 1e-10)
     assert np.all(s3 >= s4 - 1e-10)
@@ -212,49 +211,50 @@ def test_series_matches_analytic_jcm():
     spec = JcmSpec(lam=0.7, n_max=30, field=CoherentField(1.5), omega=0.4)
     h, s = build_jcm(spec)
     times = np.linspace(0.0, 3.0 / spec.lam, 16)
-    (series,) = entropy_series(h, s, [2], times)
-    for t, value in zip(times, series.values):
+    _, (values,) = entropy_series(h, s, [2], times)
+    for t, value in zip(times, values):
         psi = oracles.jcm_analytic_state(spec, t)
         probs = oracles.schmidt_probabilities_svd(psi, 2, spec.dim_field)
         assert abs(value - renyi_from_probabilities(probs, 2)) <= 1e-9
-    assert series.values[0] <= 1e-10
+    assert values[0] <= 1e-10
 
 
 def test_series_orders_and_marker():
     spec = JcmSpec(lam=1.0, n_max=6, field=FockField(1))
     h, s = build_jcm(spec)
     times = np.array([0.0, 0.3, 0.7])
-    series = entropy_series(h, s, [2, VON_NEUMANN_ALPHA, 4], times)
-    assert [x.alpha for x in series] == [2, 1, 4]
-    assert series[0].values.shape == (3,)
+    spectra, series = entropy_series(h, s, [2, VON_NEUMANN_ALPHA, 4], times)
+    assert len(series) == 3
+    assert series[0].shape == (3,)
+    assert np.array_equal(series[0], renyi_from_probabilities(spectra, 2))
+    assert np.array_equal(series[2], renyi_from_probabilities(spectra, 4))
     # the alpha = 1 entry is the von Neumann branch
     psi = oracles.expm_propagate(assemble(h), product_state_vector(s), 0.7)
     probs = oracles.schmidt_probabilities_svd(psi, h.dim_a, h.dim_b)
     expected = von_neumann_from_probabilities(probs)
-    assert abs(series[1].values[2] - expected) <= 1e-12
+    assert abs(series[1][2] - expected) <= 1e-12
 
 
 def test_series_spectra_capture():
     spec = JcmSpec(lam=1.0, n_max=5, field=FockField(2))
     h, s = build_jcm(spec)
     times = np.linspace(0.0, 1.0, 7)
-    (series,) = entropy_series(h, s, [2], times)
-    assert series.spectra is not None
-    assert series.spectra.shape == (7, 2)  # min(2, n_max + 1) Schmidt values
-    assert np.all(np.diff(series.spectra, axis=1) <= 0.0)
+    spectra, _ = entropy_series(h, s, [2], times)
+    assert spectra.shape == (7, 2)  # min(2, n_max + 1) Schmidt values
+    assert np.all(np.diff(spectra, axis=1) <= 0.0)
     # the two qubit-side probabilities account for all the weight
-    assert np.max(np.abs(series.spectra.sum(axis=1) - 1.0)) <= 1e-12
+    assert np.max(np.abs(spectra.sum(axis=1) - 1.0)) <= 1e-12
 
 
 def test_series_batched_matches_single_time():
     spec = JcmSpec(lam=1.0, n_max=40, field=CoherentField(1.2), c_e=0.6, c_g=0.8)
     h, s = build_jcm(spec)
     times = np.linspace(0.0, 2.0, 9)
-    (batched,) = entropy_series(h, s, [3], times)
+    spectra, (values,) = entropy_series(h, s, [3], times)
     for k, t in enumerate(times):
-        (single,) = entropy_series(h, s, [3], [t])
-        assert abs(single.values[0] - batched.values[k]) <= 1e-14
-        assert np.max(np.abs(single.spectra[0] - batched.spectra[k])) <= 1e-14
+        one_spectrum, (one_value,) = entropy_series(h, s, [3], [t])
+        assert abs(one_value[0] - values[k]) <= 1e-14
+        assert np.max(np.abs(one_spectrum[0] - spectra[k])) <= 1e-14
 
 
 def test_series_validation():
@@ -365,15 +365,26 @@ def test_verify_growth_rows():
     h, s = build_jcm(spec)
     report, rows = verify_growth(h, s, [2, VON_NEUMANN_ALPHA, 3])
     assert report.t_ent_inv_sq == entanglement_timescale(h, s).t_ent_inv_sq
-    assert [r.label for r in rows] == [
+    assert [r["label"] for r in rows] == [
         "curvature(alpha=2)",
         "curvature(alpha=3)",
         "vn-divergence",
     ]
-    assert [r.status for r in rows] == ["PASS", "PASS", "INFO"]
-    assert abs(rows[0].predicted - 16.0) <= 1e-12
+    assert [r["status"] for r in rows] == ["PASS", "PASS", "INFO"]
+    assert abs(rows[0]["predicted"] - 16.0) <= 1e-12
     _, (vn,) = verify_growth(h, s, [VON_NEUMANN_ALPHA])
-    assert vn.measured == rows[2].measured
+    assert vn["measured"] == rows[2]["measured"]
+
+
+def test_verify_growth_measures_each_order_once():
+    spec = JcmSpec(lam=1.0, n_max=10, field=FockField(3))
+    h, s = build_jcm(spec)
+    _, rows = verify_growth(h, s, [3, 2, np.int64(3), VON_NEUMANN_ALPHA, 2, 1])
+    assert [r["label"] for r in rows] == [
+        "curvature(alpha=3)",
+        "curvature(alpha=2)",
+        "vn-divergence",
+    ]
 
 
 def test_verify_growth_validation():

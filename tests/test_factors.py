@@ -131,7 +131,8 @@ def test_custom_model_input_keeps_only_exact_nonzeros():
         ],
         "state": {"psi_a": {"re": [1.0, 0.0]}, "psi_b": {"re": [1.0, 0.0]}},
     }
-    (a, b), = resolve_model_document(doc).hamiltonian.terms
+    h, _, _ = resolve_model_document(doc)
+    (a, b), = h.terms
     assert np.array_equal(a.indices, [1, 0]) and np.array_equal(a.values, [1.0, 1.0])
     assert np.array_equal(b.indices, [1, 0]) and np.array_equal(b.values, [-1j, 1j])
 

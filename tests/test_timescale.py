@@ -184,10 +184,10 @@ def test_predicted_curvature_values_and_guards():
     h, s = build_jcm(spec)
     report = entanglement_timescale(h, s)
     p2 = predicted_curvature(report, 2)
-    assert p2.coefficient == 4.0
-    assert p2.curvature == 4.0 * report.t_ent_inv_sq
+    assert p2["coefficient"] == 4.0
+    assert p2["curvature"] == 4.0 * report.t_ent_inv_sq
     p3 = predicted_curvature(report, 3)
-    assert abs(p3.curvature - 3.0 * 4.0) <= 1e-12  # 3 lam^2 (N+1) at lam=1, N=3
+    assert abs(p3["curvature"] - 3.0 * 4.0) <= 1e-12  # 3 lam^2 (N+1) at lam=1, N=3
     for bad in (1, 0, -2):
         with pytest.raises(ValueError, match="von_neumann_curvature_probe|>= 2"):
             predicted_curvature(report, bad)
@@ -201,7 +201,7 @@ def test_coefficient_monotone_decreasing():
     spec = JcmSpec(lam=1.0, n_max=4, field=FockField(1))
     h, s = build_jcm(spec)
     report = entanglement_timescale(h, s)
-    coeffs = [predicted_curvature(report, a).coefficient for a in range(2, 65)]
+    coeffs = [predicted_curvature(report, a)["coefficient"] for a in range(2, 65)]
     assert all(c1 > c2 for c1, c2 in zip(coeffs, coeffs[1:]))
     assert coeffs[0] == 4.0
     assert coeffs[-1] > 2.0

@@ -26,7 +26,9 @@ line, and per workload and end-to-end metric each side's median and
 quartiles, the number of pairs the change won and the ratio of the medians,
 with the failed and attempted runs and each side's traced per-layer
 metrics, and under ``imports`` each side's ``setup_s`` samples with their
-median and quartiles. So that drift of the host shows beside the runs,
+median and quartiles. Under ``lines`` it records each side's line counts of
+the ``*.py`` files in ``LINE_DIRS``, read from the two copies, and the
+change's delta. So that drift of the host shows beside the runs,
 ``how`` also records ``PYTHONDONTWRITEBYTECODE`` as found in the
 environment (null when unset; every child inherits it, and with it set
 each run compiles enttime's sources anew) and ``os.getloadavg()`` before
@@ -48,6 +50,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 PAIRS = 10
 IMPORTS = 20
+LINE_DIRS = ("src", "tests", "tools")
 
 
 def parse_run_output(stdout: str) -> tuple[dict, dict]:
@@ -144,6 +147,12 @@ def time_imports(roots: dict[str, Path]) -> dict:
     return summarize_imports(samples)
 
 
+def line_counts(root: Path) -> dict[str, int]:
+    """Lines of the ``*.py`` files under each of ``LINE_DIRS`` in ``root``."""
+    return {name: sum(path.read_bytes().count(b"\n") for path in (root / name).rglob("*.py"))
+            for name in LINE_DIRS}
+
+
 def used_seeds(root: Path, seeds) -> list[tuple[str, int]]:
     """(file name, seed) for each of ``seeds`` that a ``BENCH_*.json`` in ``root`` already ran."""
     wanted = set(seeds)
@@ -208,6 +217,9 @@ def main(argv=None) -> int:
         roots = {side: Path(tmp) / side for side in SIDES}
         for side in SIDES:
             extract(commits[side], roots[side])
+        lines = {side: line_counts(roots[side]) for side in SIDES}
+        lines["delta"] = {name: lines["change"][name] - lines["parent"][name]
+                          for name in LINE_DIRS}
         for workload in (w["name"] for w in bench["workloads"]):
             schedule = [(seed, order, 0) for k, seed in enumerate(seeds)
                         for order in (SIDES if k % 2 == 0 else SIDES[::-1])]
@@ -244,6 +256,7 @@ def main(argv=None) -> int:
         },
         "summary": summarize(runs, bench["end_to_end"]),
         "imports": imports,
+        "lines": lines,
         "runs": runs,
     }
     out = ROOT / f"BENCH_{args.label}.json"
