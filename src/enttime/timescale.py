@@ -162,8 +162,8 @@ def predicted_curvature(report: TimescaleReport, alpha: int) -> dict:
 
     Returns ``{"alpha", "coefficient", "curvature"}``: the order, its
     factor 2 alpha / (alpha - 1) and the predicted d^2 S_alpha / dt^2 at
-    t = 0. ``alpha`` must be an integer >= 2. The alpha -> 1 (von Neumann) limit
-    has no finite curvature; use
+    t = 0. ``alpha`` must be an integer >= 2. The alpha -> 1 (von Neumann)
+    limit has no finite curvature; use
     :func:`enttime.entropy.von_neumann_curvature_probe` for its
     logarithmic growth instead.
     """

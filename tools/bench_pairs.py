@@ -1,4 +1,4 @@
-"""Paired benchmark runs of this working tree against a parent revision.
+"""Paired benchmark runs of HEAD against a parent revision.
 
 Usage, from the root of the repository::
 
