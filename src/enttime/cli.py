@@ -14,13 +14,14 @@ into the triple ``(h, state, resolved)`` of :func:`load_model_file`.
 Every object rejects unknown keys, ``3.0`` counts as an integer, booleans
 are not numbers, and errors name the ``$`` path of the bad field.
 
-The command line is read from one option table, :data:`_OPTIONS`, the way
-argparse read it (``--name value`` or ``--name=value``, unique prefixes,
-the last of a repeated option, negative numbers as values), but without
-importing argparse, whose set-up and first message lookup (which imports
-``locale``) cost more than a small ``verify`` run. ``-h``/``--help``
-prints the usage block of the README; a usage error prints a ``usage:``
-line and ``enttime <command>: error: <message>`` and exits 2.
+The command line is read in one pass, in argument order, against one
+option table, :data:`_OPTIONS`: ``--name=value``, or ``--name value`` when
+the value does not start with ``--``; unique prefixes; the last of a
+repeated option. It does not import argparse, whose set-up and first
+message lookup (which imports ``locale``) cost more than a small
+``verify`` run. ``-h``/``--help`` prints the usage block of the README; a
+usage error prints a ``usage:`` line and
+``enttime <command>: error: <message>`` and exits 2.
 
 Exit codes: 0 success, 1 verification ran but some row failed, 2 schema or
 usage violation, 3 model/state error, 4 numerical breakdown. Output files
@@ -33,7 +34,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
 import sys
 import tempfile
 import time
@@ -373,7 +373,11 @@ def cmd_evolve(
     *,
     spectrum_columns: bool = False,
 ) -> str:
-    """Exact-evolution entropy series as CSV; returns the CSV text."""
+    """Exact-evolution entropy series as CSV; returns the CSV text.
+
+    One block per distinct order of ``alphas``, in ascending order (not the
+    order given), each with times ascending.
+    """
     if not math.isfinite(t_max) or t_max <= 0.0:
         raise SchemaViolation(f"--t-max must be positive, got {t_max!r}")
     if n_points < 2:
@@ -450,7 +454,7 @@ def _table_text(doc: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing: one option table, read the way argparse reads it
+# argument parsing: one option table, read in one pass
 
 _HELP = """\
 enttime timescale --spec model.json [--alphas 2,3,4] [--out report.json] [--no-timing]
@@ -482,9 +486,9 @@ def _alpha_list(text: str) -> list[int]:
 
 
 _REQUIRED = object()  # the default of an option that must be given
-_HELP_FLAG = ("help", None, False)  # -h and --help, in every table
 
-# command -> option -> (destination, converter or None for a flag, default)
+# command -> option -> (destination, converter or None for a flag, default);
+# every command also takes the -h/--help flag
 _OPTIONS = {
     "timescale": {
         "--spec": ("spec", str, _REQUIRED),
@@ -510,99 +514,73 @@ _OPTIONS = {
 }
 
 
-def _read_option(arg: str, names) -> tuple[str | None, str | None] | None:
-    """How argparse reads ``arg`` against the option strings ``names``.
-
-    None for a value; else (option, value after ``=``, or None), where the
-    option is None when no name matches. A unique prefix of a long option
-    names it; a prefix of several is a usage error. A negative number, or
-    a string with a space, is a value.
-    """
-    if not arg.startswith("-") or arg == "-":
-        return None
-    head, eq, value = arg.partition("=")
-    explicit = value if eq else None
-    if head in names:
-        return head, explicit
-    if arg.startswith("--"):
-        hits = [name for name in names if name.startswith(head)]
-    else:  # -hTEXT is -h given TEXT
-        hits, explicit = [name for name in names if name == arg[:2]], arg[2:]
-    if len(hits) > 1:
-        raise _UsageError(f"ambiguous option: {arg} could match {', '.join(hits)}")
-    if hits:
-        return hits[0], explicit
-    if re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg:
-        return None
-    return None, None
-
-
-def _read_options(args: list[str], options: dict) -> tuple[list, int]:
-    """:func:`_read_option` of each of ``args`` up to a ``--``, and that index.
-
-    Every argument from the ``--`` on is a value.
-    """
-    end = args.index("--") if "--" in args else len(args)
-    names = ("-h", "--help", *options)
-    return [_read_option(arg, names) if i < end else None for i, arg in enumerate(args)], end
-
-
 def _parse(argv: list[str]) -> tuple[str, dict]:
     """The command in ``argv`` and its option values, by :data:`_OPTIONS`.
 
-    ``-h``/``--help`` prints :data:`_HELP` and ``--version`` the version,
-    each exiting 0. A usage error writes a ``usage:`` line and the error
-    to stderr and exits 2, and errors come in argparse's order: an
-    ambiguous prefix anywhere, then each option in turn (a missing value,
-    a value the converter rejects, a value given to a flag), then a
-    missing required option, then unrecognized arguments.
+    ``argv`` is read once, in order. An argument that starts with ``-`` is
+    an option, named in full or, when it starts with ``--``, by a unique
+    prefix; one that names no option is unrecognized. Any other argument,
+    and every argument from a ``--`` on, is the command if none came yet,
+    else unrecognized. An option other than a flag takes the text after
+    ``=``, else the next argument unless that starts with ``--``; the last
+    repeat wins. ``-h``/``--help`` prints :data:`_HELP` and ``--version``
+    the version, each exiting 0. A usage error writes a ``usage:`` line and
+    the error to stderr and exits 2. Errors come in argument order, then a
+    missing command or required option, then the unrecognized arguments.
     """
     prog, options = "enttime", {"--version": ("version", None, False)}
+    command, values, extras, ended = None, {}, [], False
+    args = iter(argv)
     try:
-        extras = []
-        reads, _ = _read_options(argv, options)
-        for k, read in enumerate(reads):
-            if read is None:
-                break
-            name, text = read
-            if name is None:
-                extras.append(argv[k])
-            else:
-                _set_flag(name, text, options.get(name, _HELP_FLAG)[0], {})
-        else:
-            raise _UsageError("the following arguments are required: command")
-        command, args = argv[k], argv[k + 1 :]
-        if command not in _OPTIONS:
-            choices = ", ".join(map(repr, _OPTIONS))
-            raise _UsageError(
-                f"argument command: invalid choice: {command!r} (choose from {choices})"
-            )
-        prog, options = f"enttime {command}", _OPTIONS[command]
-        reads, end = _read_options(args, options)
-        values = {dest: default for dest, _, default in options.values()}
-        i = 0
-        while i < len(args):
-            name, text = reads[i] or (None, None)
-            dest, convert, _ = options.get(name, _HELP_FLAG)
-            if name is None:
-                extras.append(args[i])
-            elif convert is None:
-                _set_flag(name, text, dest, values)
-            else:
-                if text is None:
-                    if i + 1 >= end or reads[i + 1] is not None:
-                        raise _UsageError(f"argument {name}: expected one argument")
-                    i += 1
-                    text = args[i]
-                try:
-                    values[dest] = convert(text)
-                except _UsageError as exc:
-                    raise _UsageError(f"argument {name}: {exc}") from None
-                except ValueError:
+        for arg in args:
+            ended = ended or arg == "--"
+            if ended or arg == "-" or not arg.startswith("-"):
+                if command is not None:
+                    extras.append(arg)
+                    continue
+                if arg not in _OPTIONS:
+                    choices = ", ".join(map(repr, _OPTIONS))
                     raise _UsageError(
-                        f"argument {name}: invalid {convert.__name__} value: {text!r}"
-                    ) from None
-            i += 1
+                        f"argument command: invalid choice: {arg!r} (choose from {choices})"
+                    )
+                command, prog, options = arg, f"enttime {arg}", _OPTIONS[arg]
+                values = {dest: default for dest, _, default in options.values()}
+                continue
+            head, eq, text = arg.partition("=")
+            names = ("-h", "--help", *options)
+            hits = [head] if head in names else [
+                name for name in names if arg.startswith("--") and name.startswith(head)
+            ]
+            if len(hits) > 1:
+                raise _UsageError(f"ambiguous option: {arg} could match {', '.join(hits)}")
+            if not hits:
+                extras.append(arg)
+                continue
+            name = hits[0]
+            dest, convert, _ = options.get(name, ("help", None, False))
+            if convert is None:
+                if eq:
+                    label = "-h/--help" if dest == "help" else name
+                    raise _UsageError(f"argument {label}: ignored explicit argument {text!r}")
+                if dest in ("help", "version"):
+                    sys.stdout.write(_HELP if dest == "help" else f"enttime {__version__}\n")
+                    raise SystemExit(0)
+                values[dest] = True
+                continue
+            if not eq:
+                text = next(args, "--")  # no next argument reads as one starting with --
+                if text.startswith("--"):
+                    raise _UsageError(f"argument {name}: expected one argument")
+            try:
+                values[dest] = convert(text)
+            except _UsageError as exc:
+                raise _UsageError(f"argument {name}: {exc}") from None
+            except ValueError:
+                raise _UsageError(
+                    f"argument {name}: invalid {convert.__name__} value: {text!r}"
+                ) from None
+        if command is None:
+            raise _UsageError("the following arguments are required: command")
         missing = [name for name, (dest, _, _) in options.items() if values[dest] is _REQUIRED]
         if missing:
             raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
@@ -612,19 +590,6 @@ def _parse(argv: list[str]) -> tuple[str, dict]:
         sys.stderr.write(f"usage: {_usage(prog, options)}\n{prog}: error: {exc}\n")
         raise SystemExit(2) from None
     return command, values
-
-
-def _set_flag(name: str, text: str | None, dest: str, values: dict) -> None:
-    """Set a flag; ``-h``/``--help`` and ``--version`` print and exit 0."""
-    if name == "-h" and text:  # -hh is -h given twice
-        text = text.lstrip("h") or None
-    if text is not None:
-        label = "-h/--help" if dest == "help" else name
-        raise _UsageError(f"argument {label}: ignored explicit argument {text!r}")
-    if dest in ("help", "version"):
-        sys.stdout.write(_HELP if dest == "help" else f"enttime {__version__}\n")
-        raise SystemExit(0)
-    values[dest] = True
 
 
 def _usage(prog: str, options: dict) -> str:

@@ -730,11 +730,11 @@ REJECTED_ARGVS = [
     (["verify", "--spec", "m.json", "--", "x"], "unrecognized arguments: -- x"),
     (["evolve", "--spec", "m.json", "--s"], "ambiguous option: --s could match --spec, --spectrum"),
     (["evolve", "--spec", "m.json", "--sp=x"], "ambiguous option: --sp=x could match --spec, --spectrum"),
-    (["evolve", "--alphas", "two", "--s"], "ambiguous option: --s could match"),
+    (["evolve", "--s", "m.json", "--alphas", "two"], "ambiguous option: --s could match"),
     (["timescale", "--spec"], "argument --spec: expected one argument"),
     (["timescale", "--spec", "--out", "r.json"], "argument --spec: expected one argument"),
-    (["evolve", "--spec", "m.json", "--t-max", "-1e3"], "argument --t-max: expected one argument"),
-    (["evolve", "--spec", "m.json", "--out", "-x"], "argument --out: expected one argument"),
+    (["evolve", "--spec", "m.json", "--t-max", "--points", "3"], "argument --t-max: expected one argument"),
+    (["evolve", "--spec", "m.json", "--out", "--spectrum"], "argument --out: expected one argument"),
     (["verify", "--spec", "--", "m.json"], "argument --spec: expected one argument"),
     (["timescale", "--spec", "m.json", "--no-timing=1"], "argument --no-timing: ignored explicit argument '1'"),
     (["evolve", "--spec", "m.json", "--spectrum="], "argument --spectrum: ignored explicit argument ''"),
@@ -758,7 +758,7 @@ EXITING_ARGVS = [
     ["--he"],
     ["verify", "-h"],
     ["evolve", "--spec", "m.json", "--help", "--bogus"],
-    ["timescale", "-hh"],
+    ["timescale", "--h"],
     ["--version"],
     ["--vers", "verify"],
 ]
@@ -804,6 +804,27 @@ def test_help_and_version_exit_zero_where_argparse_did(argv, capsys):
     code, version, _ = argparse_exit(argv, capsys)
     assert code == 0
     assert table_exit(argv, capsys) == (0, version if "--v" in argv[0] else cli._HELP, "")
+
+
+def test_reading_in_order_where_argparse_read_otherwise(capsys):
+    # a spaced value may start with one "-"
+    argv = ["evolve", "--spec", "m.json", "--t-max", "-1e3", "--out", "-x"]
+    assert cli._parse(argv)[1] == {
+        "spec": "m.json", "alphas": [2], "t_max": -1000.0, "points": 201,
+        "ln2_units": False, "spectrum": False, "out": "-x",
+    }
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: --t-max must be positive, got -1000.0\n"
+    for argv, message in [
+        # errors come in argument order
+        (["evolve", "--alphas", "two", "--s"], "argument --alphas: bad alpha list 'two'"),
+        # -hh is no bundle of -h, just an unrecognized argument
+        (["timescale", "-hh"], "the following arguments are required: --spec"),
+        (["timescale", "--spec", "m.json", "-hh"], "unrecognized arguments: -hh"),
+    ]:
+        code, out, err = table_exit(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[1].startswith(f"enttime {argv[0]}: error: {message}")
 
 
 def test_help_is_the_readme_block():

@@ -30,6 +30,9 @@ def test_every_model_of_the_fixed_set_reads():
     partial = compare_outputs.commands(compare_outputs.PARTIAL)
     assert [cmd[0] for cmd in partial] == ["timescale", "verify", "evolve", "evolve"]
     assert partial[3] == [*partial[2], "--t-max", "8"]
+    spelled = compare_outputs.commands("jcm_fock_7")[3:]
+    assert [cmd[0] for cmd in spelled] == ["verify", "evolve", "timescale", "verify"]
+    assert sum(len(compare_outputs.commands(name)) for name in docs) == 47
 
 
 def canned(monkeypatch, repo, differ):

@@ -14,7 +14,9 @@ with one BLAS thread, the script runs ``timescale --no-timing``,
 short) and
 ``evolve --alphas 1,2,3 --points 201``, plus the same ``evolve`` with
 ``--t-max 8`` on the d = 1024 model and on the model whose start reaches a
-100-state block, each with ``--out``. It prints one
+100-state block, each with ``--out``. On ``jcm_fock_7`` it also runs each
+command spelled with ``=`` and unique prefixes, and ``verify --alphas 0``,
+a usage error whose ``usage:`` line on stderr is compared too. It prints one
 line per run and exits with status 1 if any run differs between the sides
 in exit code, stdout, stderr or the ``--out`` file, else 0. For each stream
 that differs, the line also gives the largest absolute and relative
@@ -133,6 +135,10 @@ def commands(model: str) -> list[list[str]]:
         # the longer span needs more series terms than the block has states, so it
         # takes the eigenbasis route, where the default span takes the series
         runs.append([*runs[-1], "--t-max", "8"])
+    if model == "jcm_fock_7":
+        runs += [["verify", "--alp=1,2,3", "--tol", "0.01"],
+                 ["evolve", "--al", "2", "--po=11", "--ln2", "--spectrum"],
+                 ["timescale", "--no"], ["verify", "--alphas", "0"]]
     return runs
 
 
