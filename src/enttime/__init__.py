@@ -37,11 +37,7 @@ from .models import (
     jcm_timescale_closed_form,
 )
 from .propagator import Propagator
-from .timescale import (
-    TimescaleReport,
-    entanglement_timescale,
-    predicted_curvature,
-)
+from .timescale import entanglement_timescale, predicted_curvature
 
 __version__ = "0.1.0"
 
@@ -61,7 +57,6 @@ __all__ = [
     "assemble",
     "product_state_vector",
     "Propagator",
-    "TimescaleReport",
     "entanglement_timescale",
     "predicted_curvature",
     "VON_NEUMANN_ALPHA",

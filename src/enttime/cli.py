@@ -333,24 +333,19 @@ def cmd_timescale(
     h, state, resolved = load_model_file(spec_path)
     check_hermitian(h)
     report = entanglement_timescale(h, state)
+    block = {**report, "cov_a": _matrix_doc(report["cov_a"]),
+             "cov_b": _matrix_doc(report["cov_b"])}
     doc = {
         "command": "timescale",
         "version": __version__,
         "spec": resolved,
-        "degenerate": report.degenerate,
-        "timescale": {
-            "t_ent_inv_sq": report.t_ent_inv_sq,
-            "t_ent": None if report.degenerate else report.t_ent,
-            "imag_residual": report.imag_residual,
-            "scale": report.scale,
-            "cov_a": _matrix_doc(report.cov_a),
-            "cov_b": _matrix_doc(report.cov_b),
-        },
+        "degenerate": block.pop("degenerate"),
+        "timescale": block,
         "predictions": [predicted_curvature(report, a) for a in alphas],
     }
     if include_timing:
         doc["wall_time_s"] = time.perf_counter() - started
-    if report.degenerate:
+    if report["degenerate"]:
         print(
             "note: degenerate timescale (t_ent_inv_sq ~ 0); entanglement onset "
             "is slower than quadratic",
@@ -425,8 +420,8 @@ def cmd_verify(
         "command": "verify",
         "version": __version__,
         "spec": resolved,
-        "degenerate": report.degenerate,
-        "t_ent_inv_sq": report.t_ent_inv_sq,
+        "degenerate": report["degenerate"],
+        "t_ent_inv_sq": report["t_ent_inv_sq"],
         "rows": rows,
     }
     if output_path is not None:

@@ -27,12 +27,7 @@ import numpy as np
 from .errors import NumericalError, StateError
 from .hamiltonian import ProductHamiltonian, ProductState
 from .propagator import Propagator
-from .timescale import (
-    TimescaleReport,
-    check_alpha,
-    entanglement_timescale,
-    predicted_curvature,
-)
+from .timescale import check_alpha, entanglement_timescale, predicted_curvature
 from .tolerances import PSD_TOL, TRACE_TOL
 
 __all__ = [
@@ -225,7 +220,7 @@ def stencil_curvatures(propagator: Propagator, alphas, centers, widths) -> np.nd
 
 
 def von_neumann_curvature_probe(
-    propagator: Propagator, report: TimescaleReport, times
+    propagator: Propagator, report: dict, times
 ) -> list[tuple[float, float]]:
     """Second derivative of the von Neumann entropy at short positive times.
 
@@ -238,8 +233,10 @@ def von_neumann_curvature_probe(
     ``times`` must be strictly positive and strictly descending (largest
     first, walking toward the divergence). A stencil narrower than 1e-7 of
     the entanglement timescale is rejected as numerically meaningless.
-    ``propagator`` and ``report`` belong to the same system and start; the
-    report's t_ent sets that floor.
+    ``propagator`` and ``report``, the dict of
+    :func:`~enttime.timescale.entanglement_timescale`, belong to the same
+    system and start; its ``t_ent`` sets that floor, and a ``degenerate``
+    report sets none.
     """
     t = np.asarray(times, dtype=np.float64).reshape(-1)
     if t.size == 0:
@@ -248,9 +245,9 @@ def von_neumann_curvature_probe(
         raise ValueError("probe times must be strictly positive and finite")
     if t.size > 1 and not np.all(np.diff(t) < 0.0):
         raise ValueError("probe times must be strictly descending")
-    if not report.degenerate:
+    if not report["degenerate"]:
         narrowest = float(t.min()) / _PROBE_STENCIL_DIVISOR
-        floor = _STENCIL_FLOOR * report.t_ent
+        floor = _STENCIL_FLOOR * report["t_ent"]
         if narrowest < floor:
             raise NumericalError(
                 f"stencil width {narrowest:.3e} is below the stability floor "
@@ -299,7 +296,7 @@ def verify_growth(
     state: ProductState,
     alphas,
     tolerance_rel: float = 0.01,
-) -> tuple[TimescaleReport, list[dict]]:
+) -> tuple[dict, list[dict]]:
     """Measure the initial entropy growth and check the predicted universal form.
 
     Each row is a dict with the keys ``label``, ``predicted``, ``measured``,
@@ -319,8 +316,9 @@ def verify_growth(
     sigma_x (x) 1 + sigma_z (x) sigma_x from |0>|0> has a correct t^4 onset,
     measures 3.998 and fails (ROADMAP item 1).
 
-    One :class:`Propagator` and one :class:`TimescaleReport` serve every
-    row; the report comes back with the rows. The propagator is built
+    One :class:`Propagator` and one
+    :func:`~enttime.timescale.entanglement_timescale` dict serve every row;
+    that dict comes back with the rows. The propagator is built
     first, so a non-Hermitian H raises :class:`ModelError` before anything
     is measured. Raises ValueError when ``alphas`` is empty, and
     :class:`NumericalError` when the start never entangles (covariance
@@ -337,13 +335,13 @@ def verify_growth(
     report = entanglement_timescale(h, state)
     rows: list[dict] = []
 
-    if report.degenerate:
-        if report.scale <= 0.0:
+    if report["degenerate"]:
+        if report["scale"] <= 0.0:
             raise NumericalError(
                 "nothing to verify: covariance scale is exactly zero, the state "
                 "never entangles under this Hamiltonian"
             )
-        times = np.geomspace(*_ONSET_WINDOW, _ONSET_POINTS) * report.scale**-0.5
+        times = np.geomspace(*_ONSET_WINDOW, _ONSET_POINTS) * report["scale"]**-0.5
         values = renyi_from_probabilities(propagator.probabilities(times), 2)
         if np.any(values <= 0.0):
             raise NumericalError(
@@ -362,7 +360,7 @@ def verify_growth(
         return report, rows
 
     if renyi_orders:
-        width = report.t_ent / _VERIFY_STENCIL_DIVISOR
+        width = report["t_ent"] / _VERIFY_STENCIL_DIVISOR
         detail = f"5-point stencil, width t_ent/{_VERIFY_STENCIL_DIVISOR:g}"
         omega = propagator.spread
         if omega * width > _VERIFY_STENCIL_PHASE:
@@ -378,10 +376,10 @@ def verify_growth(
             rows.append(row)
     if wants_vn:
         pairs = von_neumann_curvature_probe(
-            propagator, report, report.t_ent * np.array([1e-1, 1e-2, 1e-3, 1e-4])
+            propagator, report, report["t_ent"] * np.array([1e-1, 1e-2, 1e-3, 1e-4])
         )
         ts, curvatures = np.array(pairs).T
         slope, intercept, r_squared = _linear_fit(np.log(ts), curvatures)
         fit = f"curvature ~ a + b ln t: a = {intercept!r}, b = {slope!r}, R^2 = {r_squared:.6f}"
-        rows.append(_row("vn-divergence", -4.0 * report.t_ent_inv_sq, slope, "INFO", fit))
+        rows.append(_row("vn-divergence", -4.0 * report["t_ent_inv_sq"], slope, "INFO", fit))
     return report, rows

@@ -32,6 +32,7 @@ __all__ = [
     "assemble",
     "block_matrix",
     "check_hermitian",
+    "check_state_dims",
     "product_state_vector",
     "require_dense_dim",
 ]
@@ -214,6 +215,15 @@ class ProductState:
     @property
     def dim_b(self) -> int:
         return self.psi_b.shape[0]
+
+
+def check_state_dims(h: ProductHamiltonian, state: ProductState) -> None:
+    """Raise :class:`DimensionError` unless ``state`` has the factor dimensions of ``h``."""
+    if (state.dim_a, state.dim_b) != (h.dim_a, h.dim_b):
+        raise DimensionError(
+            f"state dimensions ({state.dim_a}, {state.dim_b}) do not match "
+            f"Hamiltonian dimensions ({h.dim_a}, {h.dim_b})"
+        )
 
 
 def require_dense_dim(dim_a: int, dim_b: int) -> int:

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NumericalError, StateError
-from .tolerances import CHEB_TAIL_TOL, NORM_TOL, PROBE_COLUMNS, PROBE_SEED, RECON_TOL
+from .tolerances import (CHEB_TAIL_TOL, LANCZOS_STEPS, NORM_TOL, PROBE_COLUMNS, PROBE_SEED,
+                         RECON_TOL)
 
 __all__ = [
     "HermitianSpectrum",
@@ -196,11 +197,11 @@ def _applier(operator) -> Callable[[np.ndarray], np.ndarray]:
     return operator if callable(operator) else operator.__matmul__
 
 
-def lanczos_interval(operator, start: np.ndarray, steps: int) -> tuple[float, float, float]:
-    """(theta_1, theta_s, m): the extreme Ritz values of ``steps`` Lanczos steps and their margin.
+def lanczos_interval(operator, start: np.ndarray) -> tuple[float, float, float]:
+    """(theta_1, theta_s, m): the extreme Ritz values of Lanczos and their margin.
 
     ``operator`` is a Hermitian matrix S or a callable v -> S v. Lanczos
-    runs from ``start`` for min(n, ``steps``) steps, each new vector
+    runs from ``start`` for min(n, ``LANCZOS_STEPS``) steps, each new vector
     orthogonalized twice against all earlier ones (full
     reorthogonalization), and stops early when the next off-diagonal beta
     is 0 or below roundoff, n eps max ||S q_j||: the Krylov space is then
@@ -215,7 +216,7 @@ def lanczos_interval(operator, start: np.ndarray, steps: int) -> tuple[float, fl
     """
     apply = _applier(operator)
     n = start.size
-    basis = np.empty((min(n, steps), n), dtype=np.complex128)
+    basis = np.empty((min(n, LANCZOS_STEPS), n), dtype=np.complex128)
     alpha, beta = np.zeros(basis.shape[0]), np.zeros(basis.shape[0])
     q = start.astype(np.complex128) / np.linalg.norm(start)
     roundoff, floor = n * np.finfo(np.float64).eps, 0.0
@@ -271,39 +272,32 @@ def _with_outside(tail: float, k: int, x: float, log_next: float) -> float:
     return _logaddexp(tail, math.log1p(NORM_TOL) + half)
 
 
-def chebyshev_terms(x: float, limit: int, enclosed: bool = True) -> int | None:
+def chebyshev_terms(x: float, limit: int) -> int | None:
     """Smallest K <= ``limit`` whose series error bound at ``x`` is at most ``CHEB_TAIL_TOL``.
 
     The bound is Kapteyn's tail bound derived next to ``CHEB_TAIL_TOL``,
     2 e^(-k eta) / (1 - y + sqrt(y^2 - 1)) at k = K + 1 > x, y = k / x,
-    k eta = k arccosh(y) - sqrt(k^2 - x^2). With ``enclosed`` False, the
-    interval is not known to hold the spectrum, and the tail bound also
-    carries (1 + NORM_TOL) times the bound, from the same |J_k| bound, on
-    what components outside it add once the growth check has passed
-    (:func:`_with_outside`); that search starts at the K of the tail alone.
-    The tail bound needs K + 1 > x, so the search starts at K = floor(x),
-    and |x| >= limit + 1, an infinite x included, returns None with no
-    search at all. None means no K up to ``limit`` will do.
+    k eta = k arccosh(y) - sqrt(k^2 - x^2), plus (1 + NORM_TOL) times the
+    bound, from the same |J_k| bound, on what components outside the
+    interval add once the growth check has passed (:func:`_with_outside`):
+    the interval is not known to hold the spectrum. The outside term only
+    adds to the tail, so it is taken only once the tail alone meets the
+    tolerance. The tail bound needs K + 1 > x, so the search starts at
+    K = floor(x), and |x| >= limit + 1, an infinite x included, returns
+    None with no search at all. None means no K up to ``limit`` will do.
     """
     x = abs(x)
     if not x < limit + 1:
         return None
     if x == 0.0:
         return 0
-    first = int(x)
-    if not enclosed:  # the outside bound only adds to the tail: start at its K
-        first = chebyshev_terms(x, limit)
-        if first is None:
-            return None
     log_tol = math.log(CHEB_TAIL_TOL) - math.log(2.0)
-    for k in range(first, limit + 1):
+    for k in range(int(x), limit + 1):
         y = (k + 1) / x
         root = math.sqrt(y * y - 1.0)
         log_next = x * root - (k + 1) * math.acosh(y)
-        bound = log_next - math.log1p(root - y)
-        if not enclosed:
-            bound = _with_outside(bound, k, x, log_next)
-        if bound <= log_tol:
+        tail = log_next - math.log1p(root - y)
+        if tail <= log_tol and _with_outside(tail, k, x, log_next) <= log_tol:
             return k
     return None
 
@@ -314,11 +308,11 @@ def bessel_j(k_max: int, x) -> np.ndarray:
     Miller's backward recurrence, J_{k-1} = (2k/x) J_k - J_{k+1}, carried
     as the ratios r_k = J_k / J_{k-1} = x / (2k - x r_{k+1}), so each step
     is rescaled and nothing overflows however small x is. It starts from
-    r = 0 one order past both ``k_max`` and the order where the tail bound
-    of :func:`chebyshev_terms` falls below ``CHEB_TAIL_TOL`` at the largest
-    |x|, and is normalized by J_0 + 2 sum_m J_2m = 1. Orders below that
-    series length come out to roundoff relative to J_k, the ones from it on
-    only to roundoff absolute. Negative x takes J_k(-x) = (-1)^k J_k(x).
+    r = 0 one order past both ``k_max`` and the series length of
+    :func:`chebyshev_terms` at the largest |x|, and is normalized by
+    J_0 + 2 sum_m J_2m = 1. Orders below that series length come out to
+    roundoff relative to J_k, the ones from it on only to roundoff
+    absolute. Negative x takes J_k(-x) = (-1)^k J_k(x).
     """
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     ax = np.abs(x)
@@ -391,7 +385,7 @@ def chebyshev_propagate(psi0: np.ndarray, vectors: np.ndarray, center: float, ra
     exp(-i S t) psi0 = p sum_k (2 - delta_k0) J_k(radius t) v_k with
     p = exp(-i center t), and the terms past K, with what components
     outside the interval add, change the amplitudes by at most the bound of
-    :func:`chebyshev_terms` (``enclosed`` False) at radius max|t|, times
+    :func:`chebyshev_terms` at radius max|t|, times
     ||psi0||. The result is psi0 + q psi0 + p sum_(k >= 1) 2 J_k v_k with
     q = J_0 (p - 1) - 2 sum_(m >= 1) J_2m = J_0 p - 1 and the phase shift
     p - 1 written through sines as in :func:`propagate`, so t = 0 returns
@@ -402,7 +396,7 @@ def chebyshev_propagate(psi0: np.ndarray, vectors: np.ndarray, center: float, ra
     """
     t = np.asarray(times, dtype=np.float64)
     terms = chebyshev_terms(radius * float(np.max(np.abs(t), initial=0.0)),
-                            vectors.shape[0] - 1, False)
+                            vectors.shape[0] - 1)
     vectors = vectors[: terms + 1]
     bessel = bessel_j(terms, radius * t)
     theta = center * t

@@ -279,7 +279,7 @@ def jcm_timescale_closed_form(spec: JcmSpec) -> float:
     """
     if abs(spec.c_g) != 0.0 and abs(spec.c_e) != 0.0:
         h, state = build_jcm(spec)
-        return entanglement_timescale(h, state).t_ent_inv_sq
+        return entanglement_timescale(h, state)["t_ent_inv_sq"]
     c = field_amplitudes(spec)
     ns = np.arange(spec.dim_field)
     weights = np.abs(c) ** 2

@@ -59,12 +59,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError, NumericalError, StateError
+from .errors import NumericalError, StateError
 from .hamiltonian import (
     ProductHamiltonian,
     ProductState,
     block_matrix,
     check_hermitian,
+    check_state_dims,
     product_state_vector,
     require_dense_dim,
 )
@@ -227,11 +228,7 @@ class Propagator:
     """
 
     def __init__(self, h: ProductHamiltonian, state: ProductState):
-        if (state.dim_a, state.dim_b) != (h.dim_a, h.dim_b):
-            raise DimensionError(
-                f"state dimensions ({state.dim_a}, {state.dim_b}) do not match "
-                f"Hamiltonian dimensions ({h.dim_a}, {h.dim_b})"
-            )
+        check_state_dims(h, state)
         self.dim_a, self.dim_b = h.dim_a, h.dim_b
         self.dim = require_dense_dim(h.dim_a, h.dim_b)
         check_hermitian(h)
@@ -287,7 +284,7 @@ class Propagator:
         else:
             operator = self._matrix(indices)
         start = np.random.default_rng(PROBE_SEED).standard_normal(indices.size)
-        low, high, margin = lanczos_interval(operator, start, LANCZOS_STEPS)
+        low, high, margin = lanczos_interval(operator, start)
         return _Block(indices, psi0, (low, high), margin, operator, vectors=psi0[None])
 
     def _prepare(self, reach: float) -> None:
@@ -295,7 +292,7 @@ class Propagator:
         for block in self.blocks:
             if block.operator is None:  # a small block: in its eigenbasis from the start
                 continue
-            block.terms = chebyshev_terms(block.interval[1] * reach, block.indices.size, False)
+            block.terms = chebyshev_terms(block.interval[1] * reach, block.indices.size)
             if block.terms is None:
                 if block.spectrum is None:
                     op = block.operator

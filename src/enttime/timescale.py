@@ -19,17 +19,13 @@ state or forms the dense H.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DimensionError, NumericalError
-from .hamiltonian import Factor, ProductHamiltonian, ProductState
+from .errors import NumericalError
+from .hamiltonian import Factor, ProductHamiltonian, ProductState, check_state_dims
 from .tolerances import DEGEN_TOL_REL, IMAG_TOL
 
 __all__ = [
-    "TimescaleReport",
     "entanglement_timescale",
     "predicted_curvature",
     "check_alpha",
@@ -55,32 +51,6 @@ def check_alpha(alpha, minimum: int) -> int:
     return int(alpha)
 
 
-@dataclass(frozen=True, eq=False)
-class TimescaleReport:
-    """Result of the covariance double sum.
-
-    ``cov_a[n, m]`` holds <A_n A_m> - <A_n><A_m> in the A factor state and
-    ``cov_b`` the same for the B factors. The matrices are reported exactly
-    as computed; they are Hermitian under the permutation that swaps
-    adjoint-paired terms (not entrywise), which is what forces the total sum
-    real. ``scale`` is the Frobenius-norm product used to classify
-    degeneracy, ``imag_residual`` the discarded imaginary part, and
-    ``t_ent`` is ``t_ent_inv_sq ** -0.5`` or infinity when degenerate.
-    """
-
-    t_ent_inv_sq: float
-    t_ent: float
-    degenerate: bool
-    cov_a: np.ndarray
-    cov_b: np.ndarray
-    imag_residual: float
-    scale: float
-
-    def __post_init__(self) -> None:
-        self.cov_a.setflags(write=False)
-        self.cov_b.setflags(write=False)
-
-
 def _covariance_matrix(factors: list[Factor], psi: np.ndarray) -> np.ndarray:
     """Connected-correlator matrix G[n, m] = <F_n F_m> - <F_n><F_m>.
 
@@ -97,7 +67,7 @@ def _covariance_matrix(factors: list[Factor], psi: np.ndarray) -> np.ndarray:
     return second - np.outer(means, means)
 
 
-def entanglement_timescale(h: ProductHamiltonian, state: ProductState) -> TimescaleReport:
+def entanglement_timescale(h: ProductHamiltonian, state: ProductState) -> dict:
     """Evaluate the covariance double sum for a product Hamiltonian and state.
 
     Parameters
@@ -109,7 +79,18 @@ def entanglement_timescale(h: ProductHamiltonian, state: ProductState) -> Timesc
 
     Returns
     -------
-    TimescaleReport
+    dict
+        ``t_ent_inv_sq``, ``t_ent``, ``imag_residual``, ``scale``,
+        ``cov_a``, ``cov_b`` and ``degenerate``, in that order: the
+        ``timescale`` block that ``enttime timescale`` writes, then the flag
+        it writes at the top level. ``cov_a[n, m]`` holds
+        <A_n A_m> - <A_n><A_m> in the A factor state and ``cov_b`` the same
+        for the B factors, as read-only arrays. They are reported exactly as
+        computed; they are Hermitian under the permutation that swaps
+        adjoint-paired terms (not entrywise), which is what forces the total
+        sum real. ``scale`` is the Frobenius-norm product used to classify
+        degeneracy, ``imag_residual`` the discarded imaginary part, and
+        ``t_ent`` is ``t_ent_inv_sq ** -0.5``, or None when degenerate.
 
     Raises
     ------
@@ -121,11 +102,7 @@ def entanglement_timescale(h: ProductHamiltonian, state: ProductState) -> Timesc
         total slipping through), or lands more negative than roundoff
         allows.
     """
-    if (state.dim_a, state.dim_b) != (h.dim_a, h.dim_b):
-        raise DimensionError(
-            f"state dimensions ({state.dim_a}, {state.dim_b}) do not match "
-            f"Hamiltonian dimensions ({h.dim_a}, {h.dim_b})"
-        )
+    check_state_dims(h, state)
     cov_a = _covariance_matrix([a for a, _ in h.terms], state.psi_a)
     cov_b = _covariance_matrix([b for _, b in h.terms], state.psi_b)
     total = complex(np.sum(cov_a * cov_b))
@@ -145,19 +122,14 @@ def entanglement_timescale(h: ProductHamiltonian, state: ProductState) -> Timesc
         )
     t2 = max(t2, 0.0)
     degenerate = t2 <= DEGEN_TOL_REL * scale
-    t_ent = math.inf if degenerate else t2 ** -0.5
-    return TimescaleReport(
-        t_ent_inv_sq=t2,
-        t_ent=t_ent,
-        degenerate=degenerate,
-        cov_a=cov_a,
-        cov_b=cov_b,
-        imag_residual=imag_residual,
-        scale=scale,
-    )
+    cov_a.setflags(write=False)
+    cov_b.setflags(write=False)
+    return {"t_ent_inv_sq": t2, "t_ent": None if degenerate else t2 ** -0.5,
+            "imag_residual": imag_residual, "scale": scale, "cov_a": cov_a, "cov_b": cov_b,
+            "degenerate": degenerate}
 
 
-def predicted_curvature(report: TimescaleReport, alpha: int) -> dict:
+def predicted_curvature(report: dict, alpha: int) -> dict:
     """Initial entropy curvature (2 alpha / (alpha - 1)) * t_ent_inv_sq.
 
     Returns ``{"alpha", "coefficient", "curvature"}``: the order, its
@@ -169,6 +141,6 @@ def predicted_curvature(report: TimescaleReport, alpha: int) -> dict:
     """
     alpha = check_alpha(alpha, 2)
     coefficient = 2.0 * alpha / (alpha - 1.0)
-    curvature = coefficient * report.t_ent_inv_sq
+    curvature = coefficient * report["t_ent_inv_sq"]
     return {"alpha": alpha, "coefficient": coefficient, "curvature": curvature}
 

@@ -81,10 +81,10 @@ def test_criterion_1_fock_timescale():
     report = entanglement_timescale(h, state)
     _check(
         failures,
-        abs(report.t_ent_inv_sq - 4.0) <= 1e-12 * 4.0,
-        f"covariance path gave {report.t_ent_inv_sq!r}",
+        abs(report["t_ent_inv_sq"] - 4.0) <= 1e-12 * 4.0,
+        f"covariance path gave {report['t_ent_inv_sq']!r}",
     )
-    lam_t = spec.lam * report.t_ent
+    lam_t = spec.lam * report["t_ent"]
     # lam * T_ent = 1 / sqrt(N + 1) = 0.5 at N = 3; see the repository's
     # decision notes on the discrepant headline figure
     _check(failures, abs(lam_t - 0.5) <= 1e-12, f"lam * T_ent = {lam_t!r}")
@@ -94,7 +94,7 @@ def test_criterion_1_fock_timescale():
         1,
         "Fock-state timescale",
         failures,
-        f"t_ent_inv_sq = {report.t_ent_inv_sq:g}, lam*T_ent = {lam_t:g}, {elapsed:.3f} s",
+        f"t_ent_inv_sq = {report['t_ent_inv_sq']:g}, lam*T_ent = {lam_t:g}, {elapsed:.3f} s",
     )
     assert not failures, "; ".join(failures)
 
@@ -113,12 +113,12 @@ def test_criterion_2_curvature_universality():
         ("random-4x4", random_h, random_state),
     ):
         report = entanglement_timescale(h, state)
-        _check(failures, not report.degenerate, f"{label}: degenerate timescale")
-        if report.degenerate:
+        _check(failures, not report["degenerate"], f"{label}: degenerate timescale")
+        if report["degenerate"]:
             continue
         h_dense = _dense(oracles.dense_terms(h))
         psi0 = np.kron(state.psi_a, state.psi_b)
-        width = report.t_ent / 50.0
+        width = report["t_ent"] / 50.0
         probs = [
             _oracle_probabilities(h_dense, psi0, h.dim_a, h.dim_b, k * width)
             for k in (-2.0, -1.0, 0.0, 1.0, 2.0)
@@ -156,7 +156,7 @@ def test_criterion_3_coherent_nu_independence():
         spec = JcmSpec(lam=1.0, n_max=n_max, field=CoherentField(nu))
         h, state = build_jcm(spec)
         report = entanglement_timescale(h, state)
-        deviation = abs(spec.lam * report.t_ent - 1.0)
+        deviation = abs(spec.lam * report["t_ent"] - 1.0)
         worst = max(worst, deviation)
         _check(
             failures,
@@ -179,8 +179,8 @@ def test_criterion_4_degenerate_sixth_order_onset():
     report = entanglement_timescale(h, state)
     _check(
         failures,
-        report.t_ent_inv_sq <= 1e-12 * report.scale,
-        f"t_ent_inv_sq = {report.t_ent_inv_sq!r} at scale {report.scale!r}",
+        report["t_ent_inv_sq"] <= 1e-12 * report["scale"],
+        f"t_ent_inv_sq = {report['t_ent_inv_sq']!r} at scale {report['scale']!r}",
     )
     times = np.geomspace(1e-3, 1e-1, 13) / spec.lam
     _, (values,) = entropy_series(h, state, [2], times)
@@ -191,7 +191,7 @@ def test_criterion_4_degenerate_sixth_order_onset():
         4,
         "degenerate case",
         failures,
-        f"t_ent_inv_sq = {report.t_ent_inv_sq:g}, onset slope = {slope:.4f}",
+        f"t_ent_inv_sq = {report['t_ent_inv_sq']:g}, onset slope = {slope:.4f}",
     )
     assert not failures, "; ".join(failures)
 
@@ -203,7 +203,7 @@ def test_criterion_5_bose_hubbard_estimate():
     for u in (0.0, j, 10.0 * j):
         spec = BoseHubbardBoundarySpec(j_rate=j, u_rate=u)
         h, state = build_bose_hubbard_boundary(spec)
-        values.append(entanglement_timescale(h, state).t_ent_inv_sq)
+        values.append(entanglement_timescale(h, state)["t_ent_inv_sq"])
     _check(
         failures,
         abs(values[0] - 4.0 * j * j) <= 1e-12 * 4.0 * j * j,
@@ -239,7 +239,7 @@ def test_criterion_6_von_neumann_log_divergence():
     residual = y - (slope * x + intercept)
     total = y - y.mean()
     r_squared = 1.0 - float(residual @ residual) / float(total @ total)
-    expected = -4.0 * report.t_ent_inv_sq
+    expected = -4.0 * report["t_ent_inv_sq"]
     rel = abs(slope - expected) / abs(expected)
     _check(failures, r_squared > 0.999, f"R^2 = {r_squared!r}")
     _check(
@@ -331,18 +331,18 @@ def test_criterion_8_property_suites():
         raw = oracles.covariance_sum_loops(terms, state.psi_a, state.psi_b)
         _check(
             failures,
-            raw.real >= -1e-12 * max(1.0, report.scale) and report.t_ent_inv_sq >= 0.0,
+            raw.real >= -1e-12 * max(1.0, report["scale"]) and report["t_ent_inv_sq"] >= 0.0,
             f"positivity violated: raw sum {raw.real!r}",
         )
 
     # exchanging the subsystems leaves the timescale alone
     for _ in range(100):
         h, state = random_system()
-        direct = entanglement_timescale(h, state).t_ent_inv_sq
+        direct = entanglement_timescale(h, state)["t_ent_inv_sq"]
         mirrored = entanglement_timescale(
             ProductHamiltonian(h.dim_b, h.dim_a, tuple((b, a) for a, b in h.terms)),
             ProductState(psi_a=state.psi_b, psi_b=state.psi_a),
-        ).t_ent_inv_sq
+        )["t_ent_inv_sq"]
         _check(
             failures,
             abs(direct - mirrored) <= 1e-12 * max(1.0, direct),

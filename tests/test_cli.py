@@ -286,15 +286,26 @@ def test_verify_names_no_cap_where_it_does_not_bind(tmp_path, capsys):
 
 
 ROW_KEYS = ["label", "predicted", "measured", "rel_error", "status", "detail"]
+TIMESCALE_KEYS = ["t_ent_inv_sq", "t_ent", "imag_residual", "scale", "cov_a", "cov_b",
+                  "degenerate"]
 
 
-def test_report_shapes_are_pinned(tmp_path):
-    """The model triple, the prediction dict and every kind of verify row, in key order;
-    each row's rel_error is the expression written out for its kind, bit for bit."""
-    h, state, resolved = load_model_file(write_model(tmp_path, fock_doc()))
+def test_report_shapes_are_pinned(tmp_path, capsys):
+    """The model triple, the timescale dict, the prediction dict and every kind of verify
+    row, in key order; the timescale block that ``timescale`` writes is that dict without
+    ``degenerate``, and each row's rel_error is the expression written out for its kind,
+    bit for bit."""
+    spec = write_model(tmp_path, fock_doc())
+    h, state, resolved = load_model_file(spec)
     assert isinstance(h, ProductHamiltonian) and isinstance(state, ProductState)
     assert list(resolved) == ["model", "lambda", "omega", "n_max", "atom", "field"]
     report, rows = verify_growth(h, state, [2, VON_NEUMANN_ALPHA])
+    assert list(report) == TIMESCALE_KEYS
+    assert not report["cov_a"].flags.writeable and not report["cov_b"].flags.writeable
+    doc = cmd_timescale(spec, [2], include_timing=False)
+    capsys.readouterr()
+    assert list(doc["timescale"]) == TIMESCALE_KEYS[:-1]
+    assert doc["degenerate"] is report["degenerate"] is False
     prediction = predicted_curvature(report, 2)
     assert list(prediction) == ["alpha", "coefficient", "curvature"]
     assert [row["label"] for row in rows] == ["curvature(alpha=2)", "vn-divergence"]
@@ -303,14 +314,15 @@ def test_report_shapes_are_pinned(tmp_path):
     assert curvature["predicted"] == prediction["curvature"]
     expected = abs(curvature["measured"] - prediction["curvature"]) / abs(prediction["curvature"])
     assert curvature["rel_error"] == expected
-    t2 = report.t_ent_inv_sq
+    t2 = report["t_ent_inv_sq"]
     assert vn["rel_error"] == abs(vn["measured"] + 4.0 * t2) / (4.0 * t2)
 
     degenerate = fock_doc(atom={"c_e": 0.0, "c_g": 1.0}, field={"type": "coherent", "nu": 2.0},
                           n_max=50)
     h, state, _ = load_model_file(write_model(tmp_path, degenerate, name="degenerate.json"))
     report, rows = verify_growth(h, state, [2, VON_NEUMANN_ALPHA])
-    assert report.degenerate
+    assert list(report) == TIMESCALE_KEYS
+    assert report["degenerate"] and report["t_ent"] is None
     assert [row["label"] for row in rows] == ["onset-slope(S_2)", "curvature(alpha=2)",
                                               "vn-divergence"]
     assert [list(row) for row in rows] == [ROW_KEYS] * 3
@@ -524,7 +536,7 @@ def test_custom_model_round_trip(tmp_path):
     h, state, _ = load_model_file(spec)
     report = entanglement_timescale(h, state)
     # var(sigma_x) in |0> is 1, var(diag(0, 1)) in |+> is 1/4
-    assert abs(report.t_ent_inv_sq - 0.25) <= 1e-12
+    assert abs(report["t_ent_inv_sq"] - 0.25) <= 1e-12
     out = tmp_path / "report.json"
     assert main(["timescale", "--spec", spec, "--out", str(out)]) == 0
     assert abs(json.loads(out.read_text())["timescale"]["t_ent_inv_sq"] - 0.25) <= 1e-12
@@ -549,7 +561,7 @@ def test_custom_model_complex_parts_and_ragged_rejection(tmp_path):
     spec = write_model(tmp_path, doc)
     h, state, _ = load_model_file(spec)
     # term a is sigma_y, psi_a is a sigma_y eigenstate: no variance on A
-    assert entanglement_timescale(h, state).degenerate
+    assert entanglement_timescale(h, state)["degenerate"]
 
     ragged = dict(doc)
     ragged["terms"] = [
@@ -675,93 +687,122 @@ def test_cli_import_does_not_load_jsonschema(tmp_path):
 
 # ---------------------------------------------------------------------------
 # the option table against the argparse parser it replaced
+#
+# Each key is its case's test id, written out so that adding or dropping a case
+# renames no other.
 
-PARSED_ARGVS = [
+PARSED_ARGVS = {
     # defaults
-    ["timescale", "--spec", "m.json"],
-    ["evolve", "--spec", "m.json"],
-    ["verify", "--spec", "m.json"],
+    "argv0": ["timescale", "--spec", "m.json"],
+    "argv1": ["evolve", "--spec", "m.json"],
+    "argv2": ["verify", "--spec", "m.json"],
     # every option and every flag, spaced and with "="
-    ["timescale", "--spec", "m.json", "--alphas", "2,3", "--out", "r.json", "--no-timing"],
-    ["timescale", "--spec=m.json", "--alphas=4", "--out=r.json", "--no-timing"],
-    ["evolve", "--spec", "m.json", "--alphas", "1,2,3", "--t-max", "2.5", "--points", "11",
-     "--ln2-units", "--spectrum", "--out", "s.csv"],
-    ["evolve", "--out=s.csv", "--points=3", "--t-max=0.5", "--alphas=1", "--spec=m.json"],
-    ["verify", "--spec", "m.json", "--alphas", "1,2,3,4", "--tolerance-rel", "0.05", "--out", "t.json"],
-    ["verify", "--tolerance-rel=1e-3", "--spec=m.json", "--out=t.json"],
+    "argv3": ["timescale", "--spec", "m.json", "--alphas", "2,3", "--out", "r.json",
+              "--no-timing"],
+    "argv4": ["timescale", "--spec=m.json", "--alphas=4", "--out=r.json", "--no-timing"],
+    "argv5": ["evolve", "--spec", "m.json", "--alphas", "1,2,3", "--t-max", "2.5", "--points",
+              "11", "--ln2-units", "--spectrum", "--out", "s.csv"],
+    "argv6": ["evolve", "--out=s.csv", "--points=3", "--t-max=0.5", "--alphas=1", "--spec=m.json"],
+    "argv7": ["verify", "--spec", "m.json", "--alphas", "1,2,3,4", "--tolerance-rel", "0.05",
+              "--out", "t.json"],
+    "argv8": ["verify", "--tolerance-rel=1e-3", "--spec=m.json", "--out=t.json"],
     # unique prefixes
-    ["verify", "--sp", "m.json", "--tol", "0.1", "--o", "t.json", "--a", "2"],
-    ["evolve", "--spec", "m.json", "--t", "3", "--po", "5", "--l", "--spectr", "--al=3"],
-    ["timescale", "--spe=m.json", "--n", "--ou", "r.json"],
+    "argv9": ["verify", "--sp", "m.json", "--tol", "0.1", "--o", "t.json", "--a", "2"],
+    "argv10": ["evolve", "--spec", "m.json", "--t", "3", "--po", "5", "--l", "--spectr", "--al=3"],
+    "argv11": ["timescale", "--spe=m.json", "--n", "--ou", "r.json"],
     # repeats: the last one wins
-    ["verify", "--spec", "a.json", "--spec", "b.json", "--alphas", "2", "--alphas", "3,4"],
-    ["evolve", "--spec", "m.json", "--spectrum", "--spectrum", "--points", "3", "--points=4"],
-    ["timescale", "--spec", "m.json", "--no-timing", "--no-timing", "--out", "a", "--out", "b"],
+    "argv12": ["verify", "--spec", "a.json", "--spec", "b.json", "--alphas", "2", "--alphas",
+               "3,4"],
+    "argv13": ["evolve", "--spec", "m.json", "--spectrum", "--spectrum", "--points", "3",
+               "--points=4"],
+    "argv14": ["timescale", "--spec", "m.json", "--no-timing", "--no-timing", "--out", "a",
+               "--out", "b"],
     # values that read as negative numbers
-    ["evolve", "--spec", "m.json", "--t-max", "-1.0"],
-    ["evolve", "--spec", "m.json", "--points", "-5", "--t-max", "-.5"],
-    ["verify", "--spec", "m.json", "--tolerance-rel", "-2"],
-    ["evolve", "--spec", "m.json", "--t-max=-1e3"],
+    "argv15": ["evolve", "--spec", "m.json", "--t-max", "-1.0"],
+    "argv16": ["evolve", "--spec", "m.json", "--points", "-5", "--t-max", "-.5"],
+    "argv17": ["verify", "--spec", "m.json", "--tolerance-rel", "-2"],
+    "argv18": ["evolve", "--spec", "m.json", "--t-max=-1e3"],
     # empty values, and values that start with "-" another way
-    ["timescale", "--spec", "", "--out", ""],
-    ["verify", "--spec=", "--out="],
-    ["timescale", "--spec", "-", "--out", "-a b"],
-    ["verify", "--spec=--x", "--out=a=b"],
+    "argv19": ["timescale", "--spec", "", "--out", ""],
+    "argv20": ["verify", "--spec=", "--out="],
+    "argv21": ["timescale", "--spec", "-", "--out", "-a b"],
+    "argv22": ["verify", "--spec=--x", "--out=a=b"],
     # what int(), float() and the alpha list accept around the digits
-    ["evolve", "--spec", "m.json", "--t-max", "inf", "--points", " 7 "],
-    ["evolve", "--spec", "m.json", "--t-max", "1E-3", "--points", "+3"],
-    ["verify", "--spec", "m.json", "--alphas", "1,, 2,"],
-]
+    "argv23": ["evolve", "--spec", "m.json", "--t-max", "inf", "--points", " 7 "],
+    "argv24": ["evolve", "--spec", "m.json", "--t-max", "1E-3", "--points", "+3"],
+    "argv25": ["verify", "--spec", "m.json", "--alphas", "1,, 2,"],
+}
 
 # (argv, the message argparse gave after "error: ")
-REJECTED_ARGVS = [
-    ([], "the following arguments are required: command"),
-    (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
-    (["ver", "--spec", "m.json"], "argument command: invalid choice: 'ver'"),
-    (["verify"], "the following arguments are required: --spec"),
-    (["evolve", "--alphas", "2", "--points", "3"], "the following arguments are required: --spec"),
-    (["verify", "--spec", "m.json", "--bogus"], "unrecognized arguments: --bogus"),
-    (["verify", "--spec", "m.json", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
-    (["verify", "--spec", "m.json", "extra", "more"], "unrecognized arguments: extra more"),
-    (["verify", "--spec", "m.json", "--no-timing"], "unrecognized arguments: --no-timing"),
-    (["verify", "--spec", "m.json", "--version"], "unrecognized arguments: --version"),
-    (["verify", "-x", "--spec", "m.json"], "unrecognized arguments: -x"),
-    (["--bogus", "verify", "--spec", "m.json"], "unrecognized arguments: --bogus"),
-    (["verify", "--spec", "m.json", "--", "x"], "unrecognized arguments: -- x"),
-    (["evolve", "--spec", "m.json", "--s"], "ambiguous option: --s could match --spec, --spectrum"),
-    (["evolve", "--spec", "m.json", "--sp=x"], "ambiguous option: --sp=x could match --spec, --spectrum"),
-    (["evolve", "--s", "m.json", "--alphas", "two"], "ambiguous option: --s could match"),
-    (["timescale", "--spec"], "argument --spec: expected one argument"),
-    (["timescale", "--spec", "--out", "r.json"], "argument --spec: expected one argument"),
-    (["evolve", "--spec", "m.json", "--t-max", "--points", "3"], "argument --t-max: expected one argument"),
-    (["evolve", "--spec", "m.json", "--out", "--spectrum"], "argument --out: expected one argument"),
-    (["verify", "--spec", "--", "m.json"], "argument --spec: expected one argument"),
-    (["timescale", "--spec", "m.json", "--no-timing=1"], "argument --no-timing: ignored explicit argument '1'"),
-    (["evolve", "--spec", "m.json", "--spectrum="], "argument --spectrum: ignored explicit argument ''"),
-    (["verify", "--spec", "m.json", "-h=1"], "argument -h/--help: ignored explicit argument '1'"),
-    (["--version=1"], "argument --version: ignored explicit argument '1'"),
-    (["verify", "--spec", "m.json", "--alphas", "two"], "argument --alphas: bad alpha list 'two'"),
-    (["verify", "--spec", "m.json", "--alphas", "0,2"], "argument --alphas: bad alpha list '0,2'"),
-    (["verify", "--spec", "m.json", "--alphas", "2.5"], "argument --alphas: bad alpha list '2.5'"),
-    (["verify", "--alphas", "two"], "bad alpha list"),
-    (["verify", "--spec", "m.json", "--alphas", ", ,"], "argument --alphas: alpha list is empty"),
-    (["timescale", "--spec", "m.json", "--alphas="], "argument --alphas: alpha list is empty"),
-    (["evolve", "--spec", "m.json", "--points", "2.5"], "argument --points: invalid int value: '2.5'"),
-    (["evolve", "--spec", "m.json", "--points="], "argument --points: invalid int value: ''"),
-    (["evolve", "--spec", "m.json", "--t-max", "fast"], "argument --t-max: invalid float value: 'fast'"),
-    (["verify", "--spec", "m.json", "--tolerance-rel="], "argument --tolerance-rel: invalid float value: ''"),
-]
+REJECTED_ARGVS = {
+    "argv0": ([], "the following arguments are required: command"),
+    "argv1": (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+    "argv2": (["ver", "--spec", "m.json"], "argument command: invalid choice: 'ver'"),
+    "argv3": (["verify"], "the following arguments are required: --spec"),
+    "argv4": (["evolve", "--alphas", "2", "--points", "3"],
+              "the following arguments are required: --spec"),
+    "argv5": (["verify", "--spec", "m.json", "--bogus"], "unrecognized arguments: --bogus"),
+    "argv6": (["verify", "--spec", "m.json", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    "argv7": (["verify", "--spec", "m.json", "extra", "more"],
+              "unrecognized arguments: extra more"),
+    "argv8": (["verify", "--spec", "m.json", "--no-timing"],
+              "unrecognized arguments: --no-timing"),
+    "argv9": (["verify", "--spec", "m.json", "--version"], "unrecognized arguments: --version"),
+    "argv10": (["verify", "-x", "--spec", "m.json"], "unrecognized arguments: -x"),
+    "argv11": (["--bogus", "verify", "--spec", "m.json"], "unrecognized arguments: --bogus"),
+    "argv12": (["verify", "--spec", "m.json", "--", "x"], "unrecognized arguments: -- x"),
+    "argv13": (["evolve", "--spec", "m.json", "--s"],
+               "ambiguous option: --s could match --spec, --spectrum"),
+    "argv14": (["evolve", "--spec", "m.json", "--sp=x"],
+               "ambiguous option: --sp=x could match --spec, --spectrum"),
+    "argv15": (["evolve", "--s", "m.json", "--alphas", "two"],
+               "ambiguous option: --s could match"),
+    "argv16": (["timescale", "--spec"], "argument --spec: expected one argument"),
+    "argv17": (["timescale", "--spec", "--out", "r.json"],
+               "argument --spec: expected one argument"),
+    "argv18": (["evolve", "--spec", "m.json", "--t-max", "--points", "3"],
+               "argument --t-max: expected one argument"),
+    "argv19": (["evolve", "--spec", "m.json", "--out", "--spectrum"],
+               "argument --out: expected one argument"),
+    "argv20": (["verify", "--spec", "--", "m.json"], "argument --spec: expected one argument"),
+    "argv21": (["timescale", "--spec", "m.json", "--no-timing=1"],
+               "argument --no-timing: ignored explicit argument '1'"),
+    "argv22": (["evolve", "--spec", "m.json", "--spectrum="],
+               "argument --spectrum: ignored explicit argument ''"),
+    "argv23": (["verify", "--spec", "m.json", "-h=1"],
+               "argument -h/--help: ignored explicit argument '1'"),
+    "argv24": (["--version=1"], "argument --version: ignored explicit argument '1'"),
+    "argv25": (["verify", "--spec", "m.json", "--alphas", "two"],
+               "argument --alphas: bad alpha list 'two'"),
+    "argv26": (["verify", "--spec", "m.json", "--alphas", "0,2"],
+               "argument --alphas: bad alpha list '0,2'"),
+    "argv27": (["verify", "--spec", "m.json", "--alphas", "2.5"],
+               "argument --alphas: bad alpha list '2.5'"),
+    "argv28": (["verify", "--alphas", "two"], "bad alpha list"),
+    "argv29": (["verify", "--spec", "m.json", "--alphas", ", ,"],
+               "argument --alphas: alpha list is empty"),
+    "argv30": (["timescale", "--spec", "m.json", "--alphas="],
+               "argument --alphas: alpha list is empty"),
+    "argv31": (["evolve", "--spec", "m.json", "--points", "2.5"],
+               "argument --points: invalid int value: '2.5'"),
+    "argv32": (["evolve", "--spec", "m.json", "--points="],
+               "argument --points: invalid int value: ''"),
+    "argv33": (["evolve", "--spec", "m.json", "--t-max", "fast"],
+               "argument --t-max: invalid float value: 'fast'"),
+    "argv34": (["verify", "--spec", "m.json", "--tolerance-rel="],
+               "argument --tolerance-rel: invalid float value: ''"),
+}
 
-EXITING_ARGVS = [
-    ["-h"],
-    ["--help"],
-    ["--he"],
-    ["verify", "-h"],
-    ["evolve", "--spec", "m.json", "--help", "--bogus"],
-    ["timescale", "--h"],
-    ["--version"],
-    ["--vers", "verify"],
-]
+EXITING_ARGVS = {
+    "argv0": ["-h"],
+    "argv1": ["--help"],
+    "argv2": ["--he"],
+    "argv3": ["verify", "-h"],
+    "argv4": ["evolve", "--spec", "m.json", "--help", "--bogus"],
+    "argv5": ["timescale", "--h"],
+    "argv6": ["--version"],
+    "argv7": ["--vers", "verify"],
+}
 
 
 def argparse_exit(argv, capsys) -> tuple[int, str, str]:
@@ -778,14 +819,15 @@ def table_exit(argv, capsys) -> tuple[int, str, str]:
     return exit_info.value.code, captured.out, captured.err
 
 
-@pytest.mark.parametrize("argv", PARSED_ARGVS)
+@pytest.mark.parametrize("argv", list(PARSED_ARGVS.values()), ids=list(PARSED_ARGVS))
 def test_option_table_reads_what_argparse_read(argv):
     expected = vars(oracles.argparse_oracle().parse_args(argv))
     command = expected.pop("command")
     assert cli._parse(argv) == (command, expected)
 
 
-@pytest.mark.parametrize("argv, message", REJECTED_ARGVS)
+@pytest.mark.parametrize("argv, message", list(REJECTED_ARGVS.values()),
+                         ids=[f"{key}-{message}" for key, (_, message) in REJECTED_ARGVS.items()])
 def test_option_table_rejects_what_argparse_rejected(argv, message, capsys):
     code, _, err = argparse_exit(argv, capsys)
     assert code == 2 and message in err
@@ -799,7 +841,7 @@ def test_option_table_rejects_what_argparse_rejected(argv, message, capsys):
     assert phrase in message
 
 
-@pytest.mark.parametrize("argv", EXITING_ARGVS)
+@pytest.mark.parametrize("argv", list(EXITING_ARGVS.values()), ids=list(EXITING_ARGVS))
 def test_help_and_version_exit_zero_where_argparse_did(argv, capsys):
     code, version, _ = argparse_exit(argv, capsys)
     assert code == 0

@@ -286,8 +286,8 @@ def test_leading_probability_curvature_at_zero():
     def p1(t):
         return float(propagator.probabilities([t])[0, 0])
 
-    measured = oracles.stencil_second_derivative(p1, 0.0, report.t_ent / 50.0)
-    expected = -2.0 * report.t_ent_inv_sq
+    measured = oracles.stencil_second_derivative(p1, 0.0, report["t_ent"] / 50.0)
+    expected = -2.0 * report["t_ent_inv_sq"]
     assert abs(measured - expected) <= 0.01 * abs(expected)
 
 
@@ -317,12 +317,12 @@ def test_probe_log_divergence_coefficient():
     spec = JcmSpec(lam=1.0, n_max=10, field=FockField(3))
     h, s = build_jcm(spec)
     report = entanglement_timescale(h, s)
-    times = report.t_ent * np.array([1e-1, 1e-2, 1e-3, 1e-4])
+    times = report["t_ent"] * np.array([1e-1, 1e-2, 1e-3, 1e-4])
     rows = von_neumann_curvature_probe(Propagator(h, s), report, times)
     log_t = np.log([t for t, _ in rows])
     curv = np.array([c for _, c in rows])
     slope, _ = np.polyfit(log_t, curv, 1)
-    expected = -4.0 * report.t_ent_inv_sq
+    expected = -4.0 * report["t_ent_inv_sq"]
     assert abs(slope - expected) <= 0.05 * abs(expected)
 
 
@@ -364,7 +364,7 @@ def test_verify_growth_rows():
     spec = JcmSpec(lam=1.0, n_max=10, field=FockField(3))
     h, s = build_jcm(spec)
     report, rows = verify_growth(h, s, [2, VON_NEUMANN_ALPHA, 3])
-    assert report.t_ent_inv_sq == entanglement_timescale(h, s).t_ent_inv_sq
+    assert report["t_ent_inv_sq"] == entanglement_timescale(h, s)["t_ent_inv_sq"]
     assert [r["label"] for r in rows] == [
         "curvature(alpha=2)",
         "curvature(alpha=3)",

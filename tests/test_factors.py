@@ -268,10 +268,11 @@ def test_timescale_matches_the_dense_double_sum(route):
         cov_a = dense_covariance([a for a, _ in dense], state.psi_a)
         cov_b = dense_covariance([b for _, b in dense], state.psi_b)
         want = max(complex(np.sum(cov_a * cov_b)).real, 0.0)
-        gap = abs(report.t_ent_inv_sq - want)
-        assert gap <= ULPS_OF_SCALE * np.spacing(max(report.scale, 1.0))
+        gap = abs(report["t_ent_inv_sq"] - want)
+        assert gap <= ULPS_OF_SCALE * np.spacing(max(report["scale"], 1.0))
         loops = oracles.covariance_sum_loops(dense, state.psi_a, state.psi_b)
-        assert abs(report.t_ent_inv_sq - max(loops.real, 0.0)) <= 1e-12 * max(1.0, report.scale)
+        assert (abs(report["t_ent_inv_sq"] - max(loops.real, 0.0))
+                <= 1e-12 * max(1.0, report["scale"]))
 
 
 def test_build_jcm_with_free_terms_allocates_under_1_mb():

@@ -18,7 +18,7 @@ from enttime.linalg import (
     propagate,
 )
 from enttime.hamiltonian import ProductHamiltonian, block_matrix
-from enttime.tolerances import CHEB_TAIL_TOL, LANCZOS_STEPS, NORM_TOL, PROBE_COLUMNS, RECON_TOL
+from enttime.tolerances import CHEB_TAIL_TOL, NORM_TOL, PROBE_COLUMNS, RECON_TOL
 
 import oracles
 
@@ -339,23 +339,20 @@ def test_series_length_meets_its_bound_and_stops_at_the_limit():
     for x in (1e-12, 1e-4, 0.5, 7.0, 100.0, 323.4):
         k = chebyshev_terms(x, 10**4)
         assert bound(x, k) <= CHEB_TAIL_TOL
-        assert k == 0 or not bound(x, k - 1) <= CHEB_TAIL_TOL
         # the tail it drops, by the recurrence itself
         tail = 2.0 * np.sum(np.abs(bessel_j(k + 60, [x])[0, k + 1:]))
         assert tail <= CHEB_TAIL_TOL
         assert chebyshev_terms(-x, 10**4) == k
         assert chebyshev_terms(x, k) == k and chebyshev_terms(x, k - 1) is None
     assert chebyshev_terms(0.0, 0) == 0
-    assert chebyshev_terms(323.4, 1024) == 405
 
 
 @pytest.mark.parametrize("x", [0.5, 3.0, 8.0, 20.5, 40.0, 120.0, 323.4, 1000.0])
 def test_series_lengths_stay_put(x):
-    """K with and without an enclosing interval, pinned so that any change to the search
-    shows."""
-    table = {0.5: (12, 14), 3.0: (22, 24), 8.0: (33, 36), 20.5: (54, 58), 40.0: (81, 86),
-             120.0: (178, 185), 323.4: (405, 414), 1000.0: (1119, 1133)}
-    assert (chebyshev_terms(x, 10**4), chebyshev_terms(x, 10**4, False)) == table[x]
+    """K, pinned so that any change to the search shows."""
+    table = {0.5: 14, 3.0: 24, 8.0: 36, 20.5: 58, 40.0: 86, 120.0: 185, 323.4: 414,
+             1000.0: 1133}
+    assert chebyshev_terms(x, 10**4) == table[x]
 
 
 @pytest.mark.parametrize("x", [math.inf, 1e300, 2.0 * (1024 + 2), 1024.0 + 1.0])
@@ -363,7 +360,6 @@ def test_series_length_search_is_bounded(monkeypatch, x):
     """An x that K <= limit cannot serve (K + 1 > x) is refused before any term of the search."""
     monkeypatch.setattr(linalg_module.math, "acosh", None)  # any step would call it
     assert chebyshev_terms(x, 1024) is None
-    assert chebyshev_terms(x, 1024, enclosed=False) is None
 
 
 def _series(h, psi0, times):
@@ -372,7 +368,7 @@ def _series(h, psi0, times):
     w = np.linalg.eigvalsh(h)
     margin = RECON_TOL * max(1.0, np.linalg.norm(h))
     center, radius = 0.5 * (w[0] + w[-1]), 0.5 * (w[-1] - w[0]) + margin
-    k = chebyshev_terms(radius * np.max(np.abs(times)), 10**4, enclosed=False)
+    k = chebyshev_terms(radius * np.max(np.abs(times)), 10**4)
     vectors, growth = chebyshev_vectors(h, center, radius, psi0[None], k)
     return chebyshev_propagate(psi0, vectors, center, radius, times), vectors, growth
 
@@ -450,7 +446,7 @@ def test_lanczos_interval_holds_the_extreme_eigenvalues_within_its_margin():
         w = np.linalg.eigvalsh(sym)
         start = rng.standard_normal(h.dim)
         operator = hermitian_product(oracles.dense_terms(h)) if case % 2 else sym
-        low, high, margin = lanczos_interval(operator, start, LANCZOS_STEPS)
+        low, high, margin = lanczos_interval(operator, start)
         assert RECON_TOL <= margin <= 1e-6 * (w[-1] - w[0])
         assert abs(low - w[0]) <= margin and abs(high - w[-1]) <= margin
 
@@ -472,7 +468,7 @@ def test_lanczos_stops_on_an_invariant_subspace(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda t: steps.append(t.shape[0]) or eigh(t))
     with np.errstate(all="raise"):
         for operator, start, level in cases:
-            low, high, margin = lanczos_interval(operator, start, LANCZOS_STEPS)
+            low, high, margin = lanczos_interval(operator, start)
             assert low == pytest.approx(level, abs=1e-13) and high == pytest.approx(level, abs=1e-13)
             assert margin == RECON_TOL * max(1.0, abs(low), abs(high))
     assert steps == [1, 1, 1]
@@ -498,12 +494,11 @@ def _tail_bound_exact(x, k, phi):
 
 @pytest.mark.parametrize("x", [0.5, 3.0, 8.0, 40.0, 120.0])
 def test_series_length_without_an_enclosing_interval(x):
-    """With the interval guarded only by the growth check, the series takes a few more
-    terms, and the dropped tail plus what components outside the interval add stays
-    within CHEB_TAIL_TOL, measured from J_k over a grid of rho."""
-    k = chebyshev_terms(x, 10**4, enclosed=False)
-    assert chebyshev_terms(x, 10**4) < k <= chebyshev_terms(x, 10**4) + 16
-    assert chebyshev_terms(x, k, enclosed=False) == k
-    assert chebyshev_terms(x, k - 1, enclosed=False) is None
+    """With the interval guarded only by the growth check, the dropped tail plus what
+    components outside the interval add stays within CHEB_TAIL_TOL, measured from J_k
+    over a grid of rho."""
+    k = chebyshev_terms(x, 10**4)
+    assert chebyshev_terms(x, k) == k
+    assert chebyshev_terms(x, k - 1) is None
     tail, outside = _tail_bound_exact(x, k, np.linspace(1e-4, 3.0, 400))
     assert tail + (1.0 + NORM_TOL) * outside <= CHEB_TAIL_TOL

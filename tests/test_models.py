@@ -211,9 +211,9 @@ def test_zero_detuning_matches_the_four_term_hamiltonian_bit_for_bit(spec):
     full = oracles.jcm_four_term_hamiltonian(spec)
     assert (h.n_terms, full.n_terms) == (2, 4)
     got, want = entanglement_timescale(h, state), entanglement_timescale(full, state)
-    assert got.t_ent_inv_sq == want.t_ent_inv_sq
-    assert got.scale == want.scale
-    assert got.degenerate == want.degenerate
+    assert got["t_ent_inv_sq"] == want["t_ent_inv_sq"]
+    assert got["scale"] == want["scale"]
+    assert got["degenerate"] == want["degenerate"]
     times = np.linspace(0.0, 4.0, 41)
     assert np.array_equal(
         Propagator(h, state).probabilities(times), Propagator(full, state).probabilities(times)
@@ -366,8 +366,8 @@ def test_closed_form_matches_covariance_sum():
         h, state = build_jcm(spec)
         report = entanglement_timescale(h, state)
         closed = jcm_timescale_closed_form(spec)
-        scale = max(1.0, report.t_ent_inv_sq)
-        assert abs(closed - report.t_ent_inv_sq) <= 1e-12 * scale
+        scale = max(1.0, report["t_ent_inv_sq"])
+        assert abs(closed - report["t_ent_inv_sq"]) <= 1e-12 * scale
 
 
 def test_log_divergence_coefficients():
@@ -407,9 +407,9 @@ def test_bose_hubbard_timescale_value():
     j = 2.0 * math.pi * 66.0
     h, state = build_bose_hubbard_boundary(BoseHubbardBoundarySpec(j_rate=j))
     report = entanglement_timescale(h, state)
-    assert abs(report.t_ent_inv_sq - 4.0 * j * j) <= 1e-12 * 4.0 * j * j
-    assert abs(report.t_ent - 1.0 / (2.0 * j)) <= 1e-12 / j
-    assert abs(report.t_ent * 1e3 - 1.2057) <= 1e-3  # milliseconds
+    assert abs(report["t_ent_inv_sq"] - 4.0 * j * j) <= 1e-12 * 4.0 * j * j
+    assert abs(report["t_ent"] - 1.0 / (2.0 * j)) <= 1e-12 / j
+    assert abs(report["t_ent"] * 1e3 - 1.2057) <= 1e-3  # milliseconds
 
 
 def test_bose_hubbard_validation():

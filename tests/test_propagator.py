@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import enttime.hamiltonian as hamiltonian_module
+import enttime.linalg as linalg_module
 import enttime.propagator as propagator_module
 from enttime.entropy import (
     VON_NEUMANN_ALPHA,
@@ -416,7 +417,7 @@ def largest_series_reach(n):
     low, high = 0.0, 2.0 * (n + 2)
     for _ in range(60):
         mid = 0.5 * (low + high)
-        fits = chebyshev_terms(mid, n, False) is not None
+        fits = chebyshev_terms(mid, n) is not None
         low, high = (mid, high) if fits else (low, mid)
     return low
 
@@ -435,7 +436,7 @@ def test_series_and_eigenbasis_routes_match_expm_on_both_sides_of_k_equal_n(dims
         probs = propagator.probabilities(times)
         assert (block.terms is not None) == series
         if series:
-            assert block.terms == chebyshev_terms(radius * reach, n, False) <= n
+            assert block.terms == chebyshev_terms(radius * reach, n) <= n
             assert block.vectors.shape[0] >= block.terms + 1
             assert 0.0 < block.growth <= 1.0 + NORM_TOL
         else:
@@ -539,8 +540,8 @@ def test_a_large_partial_block_takes_its_interval_from_lanczos(monkeypatch):
     lanczos = propagator_module.lanczos_interval
     monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
     monkeypatch.setattr(propagator_module, "lanczos_interval",
-                        lambda operator, start, steps:
-                        starts.append(start.size) or lanczos(operator, start, steps))
+                        lambda operator, start:
+                        starts.append(start.size) or lanczos(operator, start))
     propagator = Propagator(h, state)
     (block,) = propagator.blocks
     assert block.indices.size == 100 < h.dim and starts == [100]
@@ -618,8 +619,9 @@ def test_a_short_lanczos_interval_is_refused(monkeypatch):
     """Ritz values of 3 steps without their margin miss both edges; the growth check refuses."""
     h, state = product_form_model(np.random.default_rng(157), 12, 12)
     lanczos = propagator_module.lanczos_interval
+    monkeypatch.setattr(linalg_module, "LANCZOS_STEPS", 3)
     monkeypatch.setattr(propagator_module, "lanczos_interval",
-                        lambda operator, start, steps: (*lanczos(operator, start, 3)[:2], 0.0))
+                        lambda operator, start: (*lanczos(operator, start)[:2], 0.0))
     propagator = Propagator(h, state)
     (block,) = propagator.blocks
     w = np.linalg.eigvalsh(hermitian_part(dense_oracle(h)))
