@@ -4,13 +4,17 @@ Input validation; the checked eigendecomposition of a Hermitian matrix or
 of a stack of equal-size ones (checked by an O(k n^2) residual probe
 rather than an O(n^3) reconstruction); the product form of
 S = (M + M^dag)/2 for M = sum_n A_n (x) B_n, applied from dense factor
-stacks without forming S (:func:`hermitian_product`), and the extreme
-Ritz values of a few Lanczos steps on any such operator
+stacks without forming S, with each term that the list pairs with its
+adjoint entered once (:func:`hermitian_product`), and the extreme Ritz
+values of a few Lanczos steps on any such operator
 (:func:`lanczos_interval`); and the two ways to form exp(-i S t) psi0: in
 the eigenbasis (:func:`propagate`), or as a Chebyshev series that needs
 only products with S and an interval, guarded by the series' growth check
 (:func:`chebyshev_vectors` and :func:`chebyshev_propagate`, after
-Tal-Ezer and Kosloff 1984). Nothing here knows about the bipartite split beyond
+Tal-Ezer and Kosloff 1984), sized in logs by :func:`chebyshev_terms` for
+every x. A series from any start state serves one time step; the caller
+chains steps by passing the state one series reaches as the next one's
+start. Nothing here knows about the bipartite split beyond
 the factor shapes: the composite index i * dim_b + j is laid out by
 :func:`~enttime.hamiltonian.product_state_vector` and read back by
 :class:`~enttime.propagator.Propagator`.
@@ -166,30 +170,45 @@ def propagate(spectrum: HermitianSpectrum, psi0: np.ndarray, modes: np.ndarray,
     return out
 
 
-def hermitian_product(pairs) -> Callable[[np.ndarray], np.ndarray]:
-    """psi -> S psi for S = (M + M^dag)/2, M = sum_n A_n (x) B_n, without forming S.
+def hermitian_product(pairs) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
+    """psi -> S psi for S = (M + M^dag)/2, M = sum_n A_n (x) B_n, without forming S; and its width.
 
     ``pairs`` holds each term's dense factors (A_n, B_n), of shapes
     (dim_a, dim_a) and (dim_b, dim_b). With Psi = psi reshaped to
     (dim_a, dim_b) (index i * dim_b + j), (A (x) B) psi is A Psi B^T (Van
-    Loan, "The ubiquitous Kronecker product", 2000), so
-    S psi = (1/2) sum_n (A_n Psi B_n^T + A_n^dag Psi conj(B_n)). The factors
-    are stacked once into [A_1 .. A_N A_1^dag .. A_N^dag] / 2 and
-    [B_1^T .. B_N^T conj(B_1) .. conj(B_N)], and each product is two GEMMs,
-    Psi times the second stack and the first stack times its blocks laid
-    end to end: 2N d (dim_a + dim_b) multiply-adds against d^2 for S psi.
+    Loan, "The ubiquitous Kronecker product", 2000). A term whose factors
+    equal their own adjoints entry for entry, or two terms whose factors
+    are each other's adjoints (matched one to one, in term order), add the
+    same to M^dag as to M, so they enter S once, with weight 1. Every
+    other term n keeps both halves, (1/2)(A_n Psi B_n^T + A_n^dag Psi
+    conj(B_n)). The left factors, times their weights, and the transposed
+    right ones are stacked once, and each product is two GEMMs, Psi times
+    the right stack and the left stack times its blocks laid end to end.
+    The width returned is the number w of blocks stacked, N for a list
+    closed under the adjoint and up to 2N otherwise: w d (dim_a + dim_b)
+    multiply-adds per product, against d^2 for S psi.
     """
     dim_a, dim_b = pairs[0][0].shape[0], pairs[0][1].shape[0]
-    count = 2 * len(pairs)
-    left = 0.5 * np.concatenate([a for a, _ in pairs] + [a.conj().T for a, _ in pairs], axis=1)
-    right = np.concatenate([b.T for _, b in pairs] + [b.conj() for _, b in pairs], axis=1)
+    adjoints = [(a.conj().T, b.conj().T) for a, b in pairs]
+    closed = [False] * len(pairs)
+    for m, (a, b) in enumerate(pairs):
+        for n in range(m, len(pairs)):
+            if (not closed[m] and not closed[n] and np.array_equal(a, adjoints[n][0])
+                    and np.array_equal(b, adjoints[n][1])):
+                closed[m] = closed[n] = True
+    whole = [pair for pair, c in zip(pairs, closed) if c]
+    halves = [pair for pair, c in zip(pairs, closed) if not c]
+    halves += [adjoint for adjoint, c in zip(adjoints, closed) if not c]
+    count = len(whole) + len(halves)
+    left = np.concatenate([a for a, _ in whole] + [0.5 * a for a, _ in halves], axis=1)
+    right = np.concatenate([b.T for _, b in whole + halves], axis=1)
 
     def apply(psi: np.ndarray) -> np.ndarray:
         blocks = psi.reshape(dim_a, dim_b) @ right  # Psi B_k^T side by side
         blocks = blocks.reshape(dim_a, count, dim_b).swapaxes(0, 1).reshape(-1, dim_b)
         return (left @ blocks).reshape(-1)
 
-    return apply
+    return apply, count
 
 
 def _applier(operator) -> Callable[[np.ndarray], np.ndarray]:
@@ -251,20 +270,33 @@ def _logaddexp(a: float, b: float) -> float:
     return top + math.log1p(math.exp(min(a, b) - top))
 
 
-def _with_outside(tail: float, k: int, x: float, log_next: float) -> float:
+def _kapteyn(k: int, x: float) -> tuple[float, float]:
+    """(-E(k), E'(k)): the log of Kapteyn's bound on |J_k| up to x, and its step, for k > x > 0.
+
+    E(k) = k arccosh(k / x) - sqrt(k^2 - x^2) and E'(k) = arccosh(k / x),
+    as derived next to ``CHEB_TAIL_TOL``. Both are taken in logs of
+    u = x / k and w = sqrt(1 - u^2), arccosh(k / x) = log1p(w) - log(u),
+    so that no finite x > 0, however small, overflows a square; log(u) is
+    taken as log(k) - log(x), since u underflows for subnormal x.
+    """
+    u = x / k
+    w = math.sqrt((1.0 - u) * (1.0 + u))
+    slope = math.log1p(w) + math.log(k) - math.log(x)
+    return k * (w - slope), slope
+
+
+def _with_outside(tail: float, k: int, x: float, log_next: float, log_hi: float) -> float:
     """log(e^tail + (1 + NORM_TOL) W / 2), W the bound on what components outside the interval add.
 
     W = max(F(rho*), G(rho*)) as derived next to ``CHEB_TAIL_TOL``, for
-    K = ``k`` at ``x``, from Kapteyn's bound: M_(K+1) = e^log_next, and
-    M_K = e^(-E(K)) and the steps s_lo = e^E'(K), s_hi = e^E'(K+1) derived
-    here; ``tail`` is the log of half the tail bound. It is infinite for
-    K <= x, where Kapteyn's bound gives no M_K.
+    K = ``k`` at ``x``, from Kapteyn's bound: M_(K+1) = e^log_next and
+    s_hi = e^log_hi from :func:`_kapteyn` at K + 1, and M_K and s_lo from
+    it at K; ``tail`` is the log of half the tail bound. It is infinite
+    for K <= x, where Kapteyn's bound gives no M_K.
     """
-    z = k / x
-    if z <= 1.0:
+    if k <= x:
         return math.inf
-    log_lo, log_hi = math.acosh(z), math.acosh((k + 1) / x)
-    log_top = x * math.sqrt(z * z - 1.0) - k * log_lo
+    log_top, log_lo = _kapteyn(k, x)
     log_rho = 0.5 * (log_lo + log_hi)
     r = math.exp(0.5 * (log_lo - log_hi))
     half = max(log_next + log_rho - math.log1p(-r),
@@ -276,15 +308,16 @@ def chebyshev_terms(x: float, limit: int) -> int | None:
     """Smallest K <= ``limit`` whose series error bound at ``x`` is at most ``CHEB_TAIL_TOL``.
 
     The bound is Kapteyn's tail bound derived next to ``CHEB_TAIL_TOL``,
-    2 e^(-k eta) / (1 - y + sqrt(y^2 - 1)) at k = K + 1 > x, y = k / x,
-    k eta = k arccosh(y) - sqrt(k^2 - x^2), plus (1 + NORM_TOL) times the
-    bound, from the same |J_k| bound, on what components outside the
-    interval add once the growth check has passed (:func:`_with_outside`):
-    the interval is not known to hold the spectrum. The outside term only
-    adds to the tail, so it is taken only once the tail alone meets the
-    tolerance. The tail bound needs K + 1 > x, so the search starts at
-    K = floor(x), and |x| >= limit + 1, an infinite x included, returns
-    None with no search at all. None means no K up to ``limit`` will do.
+    2 e^(-E(K+1)) / (1 - rho) with rho = e^(-E'(K+1)) (:func:`_kapteyn`),
+    plus (1 + NORM_TOL) times the bound, from the same |J_k| bound, on
+    what components outside the interval add once the growth check has
+    passed (:func:`_with_outside`): the interval is not known to hold the
+    spectrum. The outside term only adds to the tail, so it is taken only
+    once the tail alone meets the tolerance. The tail bound needs
+    K + 1 > x, so the search starts at K = floor(x), and |x| >= limit + 1,
+    an infinite x included, returns None with no search at all. No x
+    overflows the search: x = 0 takes K = 0, and any x > 0 below about
+    1e-17 takes K = 1. None means no K up to ``limit`` will do.
     """
     x = abs(x)
     if not x < limit + 1:
@@ -293,11 +326,9 @@ def chebyshev_terms(x: float, limit: int) -> int | None:
         return 0
     log_tol = math.log(CHEB_TAIL_TOL) - math.log(2.0)
     for k in range(int(x), limit + 1):
-        y = (k + 1) / x
-        root = math.sqrt(y * y - 1.0)
-        log_next = x * root - (k + 1) * math.acosh(y)
-        tail = log_next - math.log1p(root - y)
-        if tail <= log_tol and _with_outside(tail, k, x, log_next) <= log_tol:
+        log_next, slope = _kapteyn(k + 1, x)
+        tail = log_next - math.log1p(-math.exp(-slope))
+        if tail <= log_tol and _with_outside(tail, k, x, log_next, slope) <= log_tol:
             return k
     return None
 

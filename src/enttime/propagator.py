@@ -23,25 +23,31 @@ takes its series interval from ``LANCZOS_STEPS`` Lanczos steps from a
 seeded random start (:func:`~enttime.linalg.lanczos_interval`) on S, or,
 for the whole space (any dense model) when that is cheaper, on S in
 product form straight from the factors
-(:func:`~enttime.linalg.hermitian_product`). Each time grid then takes one
-of two routes for it, chosen from x = R max|t|, with R the half-width of
-the interval:
+(:func:`~enttime.linalg.hermitian_product`, where a term and its adjoint,
+or a self-adjoint term, enter once). Each time grid then takes one of two
+routes for it, whichever :func:`_series_plan` counts as less work:
 
-* the Chebyshev series, when it needs K <= n terms
-  (:func:`~enttime.linalg.chebyshev_terms`): K products with S, then one
-  coefficient product per time chunk. K <= n is the flop-count crossover:
-  K products of at most n^2 against the O(n^3) eigenvector work, and the
-  series rows never hold more than n^2 entries;
+* the Chebyshev series in m >= 1 equal steps of max|t| / m, after Tal-Ezer
+  and Kosloff (1984). Each step expands from the state the step before it
+  carried to its start, with K <= n terms
+  (:func:`~enttime.linalg.chebyshev_terms`) at x = R times the step, R the
+  half-width of the interval: m K products with S, then one coefficient
+  product per step and time chunk. Negative times step out from psi0 in
+  their own direction. m = 1 is one series over max|t|, and more steps
+  trade products for shorter coefficient rows. K <= n keeps one step's
+  rows within the n^2 entries of S;
 * otherwise the eigenbasis: S is formed if it was not, and its
   eigenvectors come from one :func:`~enttime.linalg.eig_hermitian`, formed
-  once on first need.
+  once on first need. Huge times go there with no series formed.
 
 The series raises :class:`NumericalError` if its rows grow, which is what a
 spectrum outside the interval does. The Lanczos interval need not hold
 every eigenvalue; the growth check then bounds what the levels outside it
 can add, and the block takes the few more terms that bound asks for
-(derived next to ``CHEB_TAIL_TOL``). A block that covers the whole space is
-propagated straight into the amplitudes, with no scatter.
+(derived next to ``CHEB_TAIL_TOL``). Every step keeps that bound and its
+growth check, so m steps miss by at most m times it. A block that covers
+the whole space is propagated straight into the amplitudes, with no
+scatter.
 
 Schmidt spectra are taken over the reached support only: the r rows of A
 and c columns of B that some reached block touches. Every other amplitude
@@ -54,7 +60,7 @@ and reduces 2 x 2 amplitudes per time, not 2 x 2048.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -87,6 +93,16 @@ __all__ = ["Propagator", "invariant_blocks"]
 # Complex amplitudes held at once while spectra are taken (2 MB); the time
 # grid is cut into chunks of this many entries of the r x c support grid.
 _CHUNK_ENTRIES = 1 << 17
+
+# The route rule counts work in complex multiply-adds at the rate of a
+# matrix product. With one OpenBLAS thread (Haswell kernels, 2 shared
+# vCPUs), a GEMM took 0.14-0.16 ns per multiply-add at n = 256-1024 and the
+# product form of S psi about 0.2 ns; S psi on a matrix took 0.7 ns per
+# entry of S at n = 512-1024, as it reads each entry once (weight 4); and
+# eigh with eigenvectors took 1.3 ns n^3 at n = 512-1024, 1.7 and 2.8 ns
+# n^3 at n = 256 and 100 (weight 8).
+_MATVEC_WORK = 4
+_EIGH_WORK = 8
 
 
 def invariant_blocks(h: ProductHamiltonian, support) -> list[np.ndarray]:
@@ -152,6 +168,58 @@ def _stack(arrays: list[np.ndarray]) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.stack(arrays)
 
 
+def _step_index(magnitudes: np.ndarray, span: float) -> np.ndarray:
+    """The step j >= 0 whose span, (j span, (j + 1) span], holds each |t| of ``magnitudes``.
+
+    The offset |t| - j span is then in [0, span], up to a few units of the
+    last place either way by rounding; t = 0 is in step 0.
+    """
+    return np.maximum(np.ceil(magnitudes / span) - 1.0, 0.0)
+
+
+def _series_plan(times: np.ndarray, radius: float, size: int,
+                 work: float) -> tuple[int, int] | None:
+    """(m, K): the least work of m equal steps of the series over ``times``, or None.
+
+    Step j >= 0 expands exp(-i S s) around the state at j max|t| / m (on the
+    side of zero of its times), formed by the step before it, so m steps
+    take m K products with S, of ``work`` multiply-adds each; T times then
+    take T K n / 2 more for their coefficients (a real (T x K) by (K x 2n)
+    product). K is the series length at R times the largest offset of a
+    time from its step's start, or the step itself, which carries the
+    state to the next one. The eigenbasis takes ``_EIGH_WORK`` n^3 for eigh
+    and T n^2 to propagate; None means every m costs more. K stays at most
+    n, so that one step's rows hold no more than S. m runs over the powers
+    of two while m products cost less than the eigenbasis, and stops at the
+    first that costs no less than the best before it: the work falls with m
+    while the coefficients dominate and rises once the products do. m = 1
+    is one series over max|t|.
+    """
+    reach = float(np.max(np.abs(times), initial=0.0))
+    eigenbasis = _EIGH_WORK * size**3 + times.size * size**2
+    coefficients = times.size * size / 2
+    best = None
+    steps = 1
+    while steps * work <= eigenbasis:
+        span = reach / steps
+        if steps == 1:
+            x = radius * reach
+        else:
+            ahead = np.abs(times)
+            ahead -= _step_index(ahead, span) * span
+            x = radius * max(span, float(ahead.max()))
+        per_term = steps * work + coefficients
+        terms = chebyshev_terms(x, min(size, int(eigenbasis // per_term)))
+        if terms is not None:
+            if best is not None and terms * per_term >= best[0]:
+                break
+            best = (terms * per_term, steps, terms)
+            if terms == 0:  # all times are zero
+                break
+        steps *= 2
+    return None if best is None else best[1:]
+
+
 @dataclass(eq=False)
 class _Block:
     """One large block, or every small block of one size, and what has been formed from it.
@@ -164,14 +232,18 @@ class _Block:
     the series interval. ``operator`` is what the series applies to a large
     block, S = (M + M^dag)/2 or its product form
     (:func:`~enttime.linalg.hermitian_product`), and None for small blocks,
-    which never take the series. ``spectrum`` (with eigenvectors, stacked
-    like ``indices``) is formed at construction for small blocks, and on
-    the first grid that takes the eigenbasis for a large one; ``vectors``
-    holds the Chebyshev rows u_0 .. u_K of a large block formed so far,
-    u_0 = psi0 alone at construction, and grows when a grid needs more.
-    ``terms`` is the K of the latest grid, or None when that grid took the
-    eigenbasis, and ``growth`` is max_k ||u_k|| / ||psi0|| over all rows
-    formed.
+    which never take the series; ``work`` is the multiply-adds of one
+    product with it, weighted as the route rule counts them. ``spectrum``
+    (with eigenvectors, stacked like ``indices``) is formed at construction
+    for small blocks, and on the first grid that takes the eigenbasis for a
+    large one; ``vectors`` holds the Chebyshev rows u_0 .. u_K of psi0, the
+    first step's, formed so far, u_0 = psi0 alone at construction, and
+    grows when a grid needs more. ``terms`` is the K of each step of the
+    latest grid, or None when that grid took the eigenbasis; ``steps`` is
+    its number of steps m, each ``span`` long, and ``latest`` holds, per
+    direction (+1 or -1), the index, start and rows of the last step past
+    the first that the grid formed there. ``growth`` is max_k ||u_k|| over
+    the start's norm, over all rows formed.
     """
 
     indices: np.ndarray
@@ -179,9 +251,13 @@ class _Block:
     extremes: tuple[float, float]
     margin: float = 0.0
     operator: np.ndarray | Callable[[np.ndarray], np.ndarray] | None = None
+    work: float = 0.0
     spectrum: HermitianSpectrum | None = None
     vectors: np.ndarray | None = None
     terms: int | None = None
+    steps: int = 1
+    span: float = 0.0
+    latest: dict = field(default_factory=dict)
     growth: float = 0.0
 
     @cached_property
@@ -196,10 +272,53 @@ class _Block:
         return (self.psi0.conj()[..., None, :] @ self.spectrum.eigenvectors)[..., 0, :].conj()
 
     def amplitudes(self, times) -> np.ndarray:
-        """exp(-i S t) psi0, (T,) + ``indices.shape``, by the route ``terms`` records."""
+        """exp(-i S t) psi0, (T,) + ``indices.shape``, by the route ``terms`` records.
+
+        On the series route each time is propagated from the start of its
+        step (:func:`_step_index`) by its offset from it; the times of step
+        0 keep their own value, so t = 0 returns psi0's bytes.
+        """
         if self.terms is None:
             return propagate(self.spectrum, self.psi0, self.modes, times)
-        return chebyshev_propagate(self.psi0, self.vectors, *self.interval, times)
+        t = np.asarray(times, dtype=np.float64)
+        if self.steps == 1:  # every time in step 0, which a grid of zeros spans too
+            return chebyshev_propagate(self.psi0, self.vectors, *self.interval, t)
+        magnitude = np.abs(t)
+        step = _step_index(magnitude, self.span)
+        back = np.signbit(t) & (step > 0)
+        out = np.empty((t.size, self.psi0.size), dtype=np.complex128)
+        for j, backward in sorted(set(zip(step.tolist(), back.tolist()))):
+            chosen = (step == j) & (back == backward)
+            sign = -1.0 if backward else 1.0
+            start, rows = self._step(int(j), sign)
+            offsets = t[chosen] if j == 0 else sign * (magnitude[chosen] - j * self.span)
+            out[chosen] = chebyshev_propagate(start, rows, *self.interval, offsets)
+        return out
+
+    def _rows(self, start: np.ndarray) -> np.ndarray:
+        """The series rows of a step from ``start``, with their growth checked and kept."""
+        rows, growth = chebyshev_vectors(self.operator, *self.interval, start[None], self.terms)
+        self.growth = max(self.growth, growth)
+        return rows
+
+    def _step(self, j: int, sign: float) -> tuple[np.ndarray, np.ndarray]:
+        """Start and rows of step j in the direction ``sign`` (+1 or -1).
+
+        Step j > 0 is carried on from the latest step formed in that
+        direction, or from psi0 when j lies before it, and becomes the
+        latest: times taken in order of |t| form each step's rows once.
+        """
+        if j == 0:
+            return self.psi0, self.vectors
+        i, start, rows = self.latest.get(sign, (0, self.psi0, self.vectors))
+        if i > j:
+            i, start, rows = 0, self.psi0, self.vectors
+        while i < j:
+            start = chebyshev_propagate(start, rows, *self.interval, [sign * self.span])[0]
+            rows = self._rows(start)
+            i += 1
+        self.latest[sign] = (j, start, rows)
+        return start, rows
 
 
 class Propagator:
@@ -275,30 +394,43 @@ class Propagator:
 
         Its operator is the product form of S when the block is the whole
         space and that takes no more multiply-adds than S psi,
-        2N (dim_a + dim_b) <= d for N terms, and S otherwise (a partial
-        block, or a lopsided split, where the factor stacks outweigh S).
+        w (dim_a + dim_b) <= d for the width w of the stacked factors (N
+        to 2N for N terms), and S otherwise (a partial block, or a lopsided
+        split, where the factor stacks outweigh S). The cut counts plain
+        multiply-adds, not the weighted work of the route rule: on a thin
+        split the first GEMM reads its stack once per product, as S psi
+        reads S.
         """
-        h = self._h
-        if indices.size == self.dim and 2 * h.n_terms * (h.dim_a + h.dim_b) <= self.dim:
-            operator = hermitian_product([(a.toarray(), b.toarray()) for a, b in h.terms])
-        else:
+        h, n = self._h, indices.size
+        operator, work = None, _MATVEC_WORK * n * n
+        if n == self.dim and h.n_terms * (h.dim_a + h.dim_b) <= n:
+            product, width = hermitian_product([(a.toarray(), b.toarray()) for a, b in h.terms])
+            if width * (h.dim_a + h.dim_b) <= n:
+                operator, work = product, width * n * (h.dim_a + h.dim_b)
+        if operator is None:
             operator = self._matrix(indices)
-        start = np.random.default_rng(PROBE_SEED).standard_normal(indices.size)
+        start = np.random.default_rng(PROBE_SEED).standard_normal(n)
         low, high, margin = lanczos_interval(operator, start)
-        return _Block(indices, psi0, (low, high), margin, operator, vectors=psi0[None])
+        return _Block(indices, psi0, (low, high), margin, operator, work, vectors=psi0[None])
 
-    def _prepare(self, reach: float) -> None:
-        """Choose each large block's route for times up to |t| = ``reach`` and form what it needs."""
+    def _prepare(self, t: np.ndarray) -> None:
+        """Choose each large block's route for the times ``t`` and form what it needs first."""
+        reach = float(np.max(np.abs(t), initial=0.0))
         for block in self.blocks:
             if block.operator is None:  # a small block: in its eigenbasis from the start
                 continue
-            block.terms = chebyshev_terms(block.interval[1] * reach, block.indices.size)
-            if block.terms is None:
+            plan = _series_plan(t, block.interval[1], block.indices.size, block.work)
+            block.latest = {}
+            if plan is None:
+                block.terms = None
                 if block.spectrum is None:
                     op = block.operator
                     block.spectrum = eig_hermitian(
                         self._matrix(block.indices) if callable(op) else op)
-            elif block.vectors.shape[0] <= block.terms:
+                continue
+            block.steps, block.terms = plan
+            block.span = reach / block.steps
+            if block.vectors.shape[0] <= block.terms:
                 block.vectors, growth = chebyshev_vectors(
                     block.operator, *block.interval, block.vectors, block.terms)
                 block.growth = max(block.growth, growth)
@@ -307,7 +439,9 @@ class Propagator:
         """Squared Schmidt coefficients, descending, one row per time.
 
         ``times`` may be any finite values in any order; the result has
-        shape (len(times), min(dim_a, dim_b)). Each evolved state's norm is
+        shape (len(times), min(dim_a, dim_b)). They are taken in chunks in
+        order of |t| (stable), so that a large block's series steps are each
+        formed once (:meth:`_Block._step`). Each evolved state's norm is
         checked against the start's norm ``norm`` within ``NORM_TOL``. The
         amplitudes and their SVD span only the ``support`` grid, the r rows
         of A and c columns of B that the reached blocks touch; the other
@@ -318,14 +452,17 @@ class Propagator:
         t = np.asarray(times, dtype=np.float64).reshape(-1)
         if not np.all(np.isfinite(t)):
             raise ValueError("times must be finite")
-        self._prepare(float(np.max(np.abs(t), initial=0.0)))
+        self._prepare(t)
         r, c = self.support
         out = np.zeros((t.size, min(self.dim_a, self.dim_b)))
         step = max(1, _CHUNK_ENTRIES // (r * c))
         # a block of all d indices is range(d) in order: its rows are the amplitudes
         whole = self.blocks[0] if self.blocks[0].indices.shape == (self.dim,) else None
+        # chunks in order of |t|, so that series steps are carried outward from t = 0 once
+        order = np.argsort(np.abs(t), kind="stable")
         for start in range(0, t.size, step):
-            chunk = t[start : start + step]
+            part = order[start : start + step]
+            chunk = t[part]
             if whole is not None:
                 amps = whole.amplitudes(chunk)
             else:
@@ -343,5 +480,5 @@ class Propagator:
                 singular = np.linalg.svd(amps.reshape(chunk.size, r, c), compute_uv=False)
             except np.linalg.LinAlgError as exc:
                 raise NumericalError(f"Schmidt SVD failed to converge: {exc}") from exc
-            out[start : start + chunk.size, : min(r, c)] = singular * singular
+            out[part, : min(r, c)] = singular * singular
         return out

@@ -56,6 +56,17 @@ PROBE_SEED = 1977
 # the tolerance at K = 399. The series takes the smallest K for which the
 # bound is at most CHEB_TAIL_TOL; at 1e-16, below the unit roundoff
 # 2^-53 = 1.1e-16, the dropped tail is smaller than one rounding of psi0.
+# The bound is taken in logs of z = x / k and w = sqrt(1 - z^2), with
+# E(k) = k (log1p(w) - log z - w), so no x > 0 overflows a square: every
+# finite x gets a K, and x below about 1e-17 gets K = 1.
+#
+# A series in m equal steps (the Propagator's) expands step j from the
+# state psi_j that step j - 1 reached, sized by the same bound at x = R
+# times the step, and so misses by at most b ||psi_j||, b the per-step
+# bound (with the outside term below). exp(-i S t) is unitary, so each
+# miss keeps its norm through the later steps, ||psi_j|| <= (1 + b)^j
+# ||psi0||, and the total is at most m b (1 + b)^m ||psi0||: m times the
+# per-step bound, to the precision b itself is stated in.
 CHEB_TAIL_TOL = 1e-16
 
 # An interval that is not known to enclose the spectrum (the Lanczos one
@@ -101,8 +112,9 @@ CHEB_TAIL_TOL = 1e-16
 #
 # The same number is the block size up to which a block is diagonalized
 # outright instead (one eigh per block size, equal sizes stacked): on n <=
-# LANCZOS_STEPS states Lanczos would be a full tridiagonalization, and the
-# series, which needs K <= n terms, would serve only x up to about n/2.
+# LANCZOS_STEPS states Lanczos would be a full tridiagonalization, and a
+# step of the series, which needs K <= n terms, would span only x up to
+# about n/2.
 LANCZOS_STEPS = 80
 
 # Reduced-density eigenvalues may undershoot zero by this much before the

@@ -358,8 +358,16 @@ def test_series_lengths_stay_put(x):
 @pytest.mark.parametrize("x", [math.inf, 1e300, 2.0 * (1024 + 2), 1024.0 + 1.0])
 def test_series_length_search_is_bounded(monkeypatch, x):
     """An x that K <= limit cannot serve (K + 1 > x) is refused before any term of the search."""
-    monkeypatch.setattr(linalg_module.math, "acosh", None)  # any step would call it
+    monkeypatch.setattr(linalg_module, "_kapteyn", None)  # any step would call it
     assert chebyshev_terms(x, 1024) is None
+
+
+@pytest.mark.parametrize("x", [5e-324, 1e-310, 1e-200, 1e-155, 1e-150, 1e-30, 1e-18])
+def test_every_tiny_x_gets_one_term(x):
+    """Sized in logs, no x > 0 overflows: below about 1e-17 one term meets the bound, which
+    grows with x, and K = 0 never does for x > 0 (it needs K > x)."""
+    assert chebyshev_terms(x, 100) == 1
+    assert chebyshev_terms(-x, 1) == 1 and chebyshev_terms(x, 0) is None
 
 
 def _series(h, psi0, times):
@@ -430,9 +438,37 @@ def test_product_form_matches_the_hermitian_part(dims):
     terms = oracles.random_term_list(rng, *dims, 4)
     terms.append((oracles.random_matrix(rng, dims[0]), oracles.random_matrix(rng, dims[1])))
     h = ProductHamiltonian(*dims, tuple(terms))
-    apply = hermitian_product(oracles.dense_terms(h))
+    apply, _ = hermitian_product(oracles.dense_terms(h))
     sym = _whole_matrix(h)
     for _ in range(3):
+        psi = oracles.random_unit_vector(rng, h.dim)
+        assert np.linalg.norm(apply(psi) - sym @ psi) <= 1e-13 * np.linalg.norm(sym @ psi)
+
+
+def _adjoint(term):
+    return tuple(f.conj().T for f in term)
+
+
+@pytest.mark.parametrize("dims", [(2, 7), (5, 3), (6, 6)])
+def test_adjoint_terms_enter_the_product_form_once(dims):
+    """A list closed under the adjoint stacks N blocks, each once; unpaired terms keep both
+    halves. Each gives the S psi of (M + M^dag)/2."""
+    rng = np.random.default_rng(149 + dims[0])
+    g = (oracles.random_matrix(rng, dims[0]), oracles.random_matrix(rng, dims[1]))
+    x = (oracles.random_hermitian(rng, dims[0]), oracles.random_hermitian(rng, dims[1]))
+    lone = (oracles.random_matrix(rng, dims[0]), oracles.random_matrix(rng, dims[1]))
+    cases = [
+        ([g, x, _adjoint(g)], 3),  # a pair apart, and a Hermitian term
+        ([x, x], 2),  # two self-adjoint terms
+        ([g, _adjoint(g), _adjoint(g)], 4),  # the second adjoint finds no partner
+        ([lone, x], 3),  # M is not Hermitian: lone keeps both halves
+        ([lone, _adjoint(lone), g], 4),
+    ]
+    for terms, width in cases:
+        h = ProductHamiltonian(*dims, tuple(terms))
+        apply, count = hermitian_product(oracles.dense_terms(h))
+        assert count == width
+        sym = _whole_matrix(h)
         psi = oracles.random_unit_vector(rng, h.dim)
         assert np.linalg.norm(apply(psi) - sym @ psi) <= 1e-13 * np.linalg.norm(sym @ psi)
 
@@ -445,7 +481,7 @@ def test_lanczos_interval_holds_the_extreme_eigenvalues_within_its_margin():
         sym = _whole_matrix(h)
         w = np.linalg.eigvalsh(sym)
         start = rng.standard_normal(h.dim)
-        operator = hermitian_product(oracles.dense_terms(h)) if case % 2 else sym
+        operator = hermitian_product(oracles.dense_terms(h))[0] if case % 2 else sym
         low, high, margin = lanczos_interval(operator, start)
         assert RECON_TOL <= margin <= 1e-6 * (w[-1] - w[0])
         assert abs(low - w[0]) <= margin and abs(high - w[-1]) <= margin
@@ -460,7 +496,7 @@ def test_lanczos_stops_on_an_invariant_subspace(monkeypatch):
                                                 (np.eye(3), -0.5 * np.eye(5))))
     cases = [
         (np.array([[-3.0 + 0j]]), np.array([0.7]), -3.0),  # a 1 x 1 model
-        (hermitian_product(oracles.dense_terms(scaled_identity)), rng.standard_normal(15), 2.0),
+        (hermitian_product(oracles.dense_terms(scaled_identity))[0], rng.standard_normal(15), 2.0),
         (sym, v[:, -1], w[-1]),  # a start that is an eigenvector
     ]
     steps = []

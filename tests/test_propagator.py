@@ -412,8 +412,7 @@ def oracle_probabilities(h, state, times):
 
 
 def largest_series_reach(n):
-    """The largest x = R max|t| at which a block of n states still takes the series, by
-    bisection."""
+    """The largest x = R max|t| at which one series of at most n terms serves, by bisection."""
     low, high = 0.0, 2.0 * (n + 2)
     for _ in range(60):
         mid = 0.5 * (low + high)
@@ -422,21 +421,40 @@ def largest_series_reach(n):
     return low
 
 
+def largest_series_scale(block, times):
+    """The largest s at which the series route serves the grid s * times, by bisection."""
+    def fits(scale):
+        return propagator_module._series_plan(
+            scale * times, block.interval[1], block.indices.size, block.work) is not None
+
+    high = 1.0
+    while fits(high):
+        high *= 2.0
+    low = 0.0
+    for _ in range(60):
+        mid = 0.5 * (low + high)
+        low, high = (mid, high) if fits(mid) else (low, mid)
+    return low
+
+
 @pytest.mark.parametrize("dims", [(9, 10), (12, 12), (16, 16)])
 def test_series_and_eigenbasis_routes_match_expm_on_both_sides_of_k_equal_n(dims):
+    """Where no step count keeps every step within K <= n terms at less work than the
+    eigenbasis, the grid takes the eigenbasis; just inside, the series in steps."""
     rng = np.random.default_rng(103 + dims[0])
     h, state = dense_model(rng, *dims)
     n = dims[0] * dims[1]
     propagator = Propagator(h, state)
     (block,) = propagator.blocks
-    radius = block.interval[1]
-    edge = largest_series_reach(n) / radius
-    for reach, series in ((edge * (1 - 1e-3), True), (edge * (1 + 1e-2), False)):
-        times = reach * np.concatenate([[1.0, -0.3, 0.0, -1.0], rng.uniform(-1.0, 1.0, 5)])
+    unit = np.concatenate([[1.0, -0.3, 0.0, -1.0], rng.uniform(-1.0, 1.0, 5)])
+    edge = largest_series_scale(block, unit)
+    assert edge * block.interval[1] > largest_series_reach(n)  # past one series of n terms
+    for scale, series in ((edge * (1 - 1e-3), True), (edge * (1 + 1e-2), False)):
+        times = scale * unit
         probs = propagator.probabilities(times)
         assert (block.terms is not None) == series
         if series:
-            assert block.terms == chebyshev_terms(radius * reach, n) <= n
+            assert block.steps > 1 and block.terms <= n
             assert block.vectors.shape[0] >= block.terms + 1
             assert 0.0 < block.growth <= 1.0 + NORM_TOL
         else:
@@ -445,10 +463,11 @@ def test_series_and_eigenbasis_routes_match_expm_on_both_sides_of_k_equal_n(dims
 
 
 def test_the_series_reach_of_each_block_size_stays_put():
-    """The crossover from the series to the eigenbasis of each block size, pinned to the last
-    bit, so that no block changes route unnoticed."""
-    pins = {81: 36.87037906952152, 90: 43.46951704554473, 144: 85.89457500693968,
-            256: 181.511412111359, 1024: 896.2992524265162}
+    """The largest x that one series of at most n terms serves, the most a step of a block
+    of n states may span, pinned to the last bit, so that no change to the sizing goes
+    unnoticed."""
+    pins = {81: 36.870379069521505, 90: 43.46951704554473, 144: 85.89457500693963,
+            256: 181.5114121113591, 1024: 896.299252426517}
     assert {n: largest_series_reach(n) for n in pins} == pins
 
 
@@ -472,6 +491,61 @@ def test_start_bytes_at_time_zero_on_the_series_route():
     assert block.terms == 0
     for row in block.amplitudes([0.0, -0.0]):
         assert row.tobytes() == block.psi0.tobytes()
+
+
+def stepped_grid(block, x, count, seed):
+    """``count`` unsorted times over [-1, 1] x / R, with 0 and -0 among them."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate([[0.0, -0.0], rng.uniform(-1.0, 1.0, count - 2)]) * x / block.interval[1]
+
+
+def test_stepped_series_matches_expm_at_negative_and_unsorted_times():
+    """Past one series of n terms, the whole space takes the series in steps, each from the
+    state the step before it carried there, out from psi0 on each side of zero."""
+    h, state = product_form_model(np.random.default_rng(149), 12, 10)
+    propagator = Propagator(h, state)
+    (block,) = propagator.blocks
+    assert chebyshev_terms(150.0, block.indices.size) is None
+    times = stepped_grid(block, 150.0, 60, 211)
+    probs = propagator.probabilities(times)
+    assert block.steps > 1 and block.terms is not None and block.spectrum is None
+    assert np.max(np.abs(probs - oracle_probabilities(h, state, times))) <= 1e-12
+    dense, psi0 = dense_oracle(h), np.kron(state.psi_a, state.psi_b)
+    expected = np.array([oracles.expm_propagate(dense, psi0, t) for t in times])
+    amplitudes = block.amplitudes(times)
+    assert np.max(np.abs(amplitudes - expected)) <= 1e-12
+    for row in amplitudes[:2]:  # t = 0 and -0 return the start's bytes
+        assert row.tobytes() == block.psi0.tobytes()
+
+
+def test_a_shrunk_series_interval_is_refused_on_a_later_step(monkeypatch):
+    """The growth check holds on every step: rows from a carried state, on an interval
+    shrunk below the spectrum, raise though the first step's rows passed."""
+    h, state = product_form_model(np.random.default_rng(149), 12, 10)
+    vectors = propagator_module.chebyshev_vectors
+    psi0 = np.kron(state.psi_a, state.psi_b)
+
+    def shrunk_after_the_first(m, center, radius, start, count):
+        if not np.array_equal(start[0], psi0):
+            radius *= 0.9
+        return vectors(m, center, radius, start, count)
+
+    monkeypatch.setattr(propagator_module, "chebyshev_vectors", shrunk_after_the_first)
+    propagator = Propagator(h, state)
+    (block,) = propagator.blocks
+    with pytest.raises(NumericalError, match="leaves"):
+        propagator.probabilities(stepped_grid(block, 150.0, 60, 223))
+    assert block.steps > 1
+
+
+def test_tiny_times_in_a_chunk_of_their_own_take_one_term():
+    """3000 times of 1e-200 fill a chunk of their own: each gets one series term, not an
+    error, and the start's spectrum."""
+    h, state = dense_model(np.random.default_rng(227), 9, 10)
+    times = np.r_[0.3, np.full(3000, 1e-200)]
+    probs = Propagator(h, state).probabilities(times)
+    assert np.max(np.abs(probs[:1] - oracle_probabilities(h, state, times[:1]))) <= 1e-12
+    assert np.max(np.abs(probs[1:] - oracle_probabilities(h, state, [0.0]))) <= 1e-15
 
 
 def test_huge_times_go_to_the_eigenbasis_without_a_series(monkeypatch):
