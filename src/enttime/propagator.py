@@ -85,6 +85,7 @@ from .linalg import (
     hermitian_product,
     lanczos_interval,
     propagate,
+    row_norms,
 )
 from .tolerances import LANCZOS_STEPS, NORM_TOL, PROBE_SEED
 
@@ -469,7 +470,7 @@ class Propagator:
                 amps = np.zeros((chunk.size, r * c), dtype=np.complex128)
                 for block, local in zip(self.blocks, self._local):
                     amps[:, local] = block.amplitudes(chunk)
-            drift = np.abs(np.linalg.norm(amps, axis=1) - self.norm)
+            drift = np.abs(row_norms(amps) - self.norm)
             worst = int(np.argmax(drift))
             if not drift[worst] <= NORM_TOL:
                 raise StateError(

@@ -16,6 +16,7 @@ from enttime.linalg import (
     hermitian_product,
     lanczos_interval,
     propagate,
+    row_norms,
 )
 from enttime.hamiltonian import ProductHamiltonian, block_matrix
 from enttime.tolerances import CHEB_TAIL_TOL, NORM_TOL, PROBE_COLUMNS, RECON_TOL
@@ -405,6 +406,41 @@ def test_series_returns_the_start_at_time_zero():
     # and t = 0 in a grid that needs many terms
     out, vectors, _ = _series(h, psi0, [2.0, 0.0, -1.0])
     assert vectors.shape[0] > 10 and out[1].tobytes() == psi0.tobytes()
+
+
+def test_series_keeps_the_bits_of_the_whole_array_expression():
+    """The last passes, taken over blocks of rows, give the bits of
+    (sum_k>=1 2 J_k v_k) p + q psi0 + psi0 taken over all times at once."""
+    rng = np.random.default_rng(103)
+    n = 100  # 81 rows a block: three blocks and a partial one
+    h = oracles.random_hermitian(rng, n)
+    h[np.diag_indices(n)] += 3.0  # a nonzero center, so p != 1
+    psi0 = oracles.random_unit_vector(rng, n)
+    times = np.concatenate([[0.0, -0.0], rng.uniform(-0.4, 0.4, size=300)])
+    out, vectors, _ = _series(h, psi0, times)
+    assert out.shape[0] > 3 * (linalg_module._BLOCK_ENTRIES // n)
+    w = np.linalg.eigvalsh(h)
+    margin = RECON_TOL * max(1.0, np.linalg.norm(h))
+    center, radius = 0.5 * (w[0] + w[-1]), 0.5 * (w[-1] - w[0]) + margin
+    k = chebyshev_terms(radius * np.max(np.abs(times)), vectors.shape[0] - 1)
+    bessel = bessel_j(k, radius * times)
+    theta = center * times
+    half, sine = np.sin(0.5 * theta), np.sin(theta)
+    q = bessel[:, 0] * (-2.0 * half * half - 1j * sine) - 2.0 * bessel[:, 2::2].sum(axis=1)
+    bessel[:, 1:] *= 2.0
+    expected = (bessel[:, 1:] @ vectors[1 : k + 1].view(np.float64)).view(np.complex128)
+    expected *= (np.cos(theta) - 1j * sine)[:, None]
+    expected += np.multiply.outer(q, psi0)
+    expected += psi0
+    assert out.tobytes() == expected.tobytes()
+
+
+def test_row_norms_match_the_two_norm_of_each_row():
+    rng = np.random.default_rng(107)
+    x = rng.standard_normal((7, 40)) + 1j * rng.standard_normal((7, 40))
+    for rows in (x, x[:, ::3], x[::2].T, x[:0]):  # contiguous, strided, transposed, empty
+        expected = np.linalg.norm(rows, axis=1)
+        assert np.allclose(row_norms(rows), expected, rtol=1e-14, atol=0.0)
 
 
 def test_series_refuses_a_spectrum_outside_its_interval():
