@@ -97,12 +97,18 @@ _CHUNK_ENTRIES = 1 << 17
 
 # The route rule counts work in complex multiply-adds at the rate of a
 # matrix product. With one OpenBLAS thread (Haswell kernels, 2 shared
-# vCPUs), a GEMM took 0.14-0.16 ns per multiply-add at n = 256-1024 and the
-# product form of S psi about 0.2 ns; S psi on a matrix took 0.7 ns per
-# entry of S at n = 512-1024, as it reads each entry once (weight 4); and
-# eigh with eigenvectors took 1.3 ns n^3 at n = 512-1024, 1.7 and 2.8 ns
-# n^3 at n = 256 and 100 (weight 8).
+# vCPUs), a GEMM took 0.14-0.16 ns per multiply-add at n = 256-1024; S psi
+# on a matrix took 0.7 ns per entry of S at n = 512-1024, as it reads each
+# entry once (weight 4); and eigh with eigenvectors took 1.3 ns n^3 at
+# n = 512-1024, 1.7 and 2.8 ns n^3 at n = 256 and 100 (weight 8). A series
+# row in product form took 0.25 ns per multiply-add at d = 1024, while the
+# coefficients of a time chunk cost less than T K n / 2, as each chunk takes
+# only the rows its own times need. Weight 2 picks m = 4 for 2001 times to
+# 2 on dense d = 1024 models, within 2% of the fastest m on each of seven
+# timed, and m = 8 for times to 8, the fastest on two; weight 1 picks m = 8
+# and 16, up to 7% slower.
 _MATVEC_WORK = 4
+_PRODUCT_WORK = 2
 _EIGH_WORK = 8
 
 
@@ -407,7 +413,7 @@ class Propagator:
         if n == self.dim and h.n_terms * (h.dim_a + h.dim_b) <= n:
             product, width = hermitian_product([(a.toarray(), b.toarray()) for a, b in h.terms])
             if width * (h.dim_a + h.dim_b) <= n:
-                operator, work = product, width * n * (h.dim_a + h.dim_b)
+                operator, work = product, _PRODUCT_WORK * width * n * (h.dim_a + h.dim_b)
         if operator is None:
             operator = self._matrix(indices)
         start = np.random.default_rng(PROBE_SEED).standard_normal(n)
