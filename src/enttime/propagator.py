@@ -35,10 +35,12 @@ routes for it, whichever :func:`_series_plan` counts as less work:
   product per step and time chunk. Negative times step out from psi0 in
   their own direction. m = 1 is one series over max|t|, and more steps
   trade products for shorter coefficient rows. K <= n keeps one step's
-  rows within the n^2 entries of S;
+  rows within the n^2 entries of S, and one step's rows at a time are
+  kept beside psi0's;
 * otherwise the eigenbasis: S is formed if it was not, and its
   eigenvectors come from one :func:`~enttime.linalg.eig_hermitian`, formed
-  once on first need. Huge times go there with no series formed.
+  once on first need, after which the rule counts only propagating in
+  them. Huge times go there with no series formed.
 
 The series raises :class:`NumericalError` if its rows grow, which is what a
 spectrum outside the interval does. The Lanczos interval need not hold
@@ -60,7 +62,7 @@ and reduces 2 x 2 amplitudes per time, not 2 x 2048.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -179,13 +181,16 @@ def _step_index(magnitudes: np.ndarray, span: float) -> np.ndarray:
     """The step j >= 0 whose span, (j span, (j + 1) span], holds each |t| of ``magnitudes``.
 
     The offset |t| - j span is then in [0, span], up to a few units of the
-    last place either way by rounding; t = 0 is in step 0.
+    last place either way by rounding; t = 0 is in step 0, and so is every
+    time when ``span`` is 0 (a grid of zeros).
     """
+    if span == 0.0:
+        return np.zeros_like(magnitudes)
     return np.maximum(np.ceil(magnitudes / span) - 1.0, 0.0)
 
 
-def _series_plan(times: np.ndarray, radius: float, size: int,
-                 work: float) -> tuple[int, int] | None:
+def _series_plan(times: np.ndarray, radius: float, size: int, work: float,
+                 eigenvectors: bool) -> tuple[int, int] | None:
     """(m, K): the least work of m equal steps of the series over ``times``, or None.
 
     Step j >= 0 expands exp(-i S s) around the state at j max|t| / m (on the
@@ -194,34 +199,33 @@ def _series_plan(times: np.ndarray, radius: float, size: int,
     take T K n / 2 more for their coefficients (a real (T x K) by (K x 2n)
     product). K is the series length at R times the largest offset of a
     time from its step's start, or the step itself, which carries the
-    state to the next one. The eigenbasis takes ``_EIGH_WORK`` n^3 for eigh
-    and T n^2 to propagate; None means every m costs more. K stays at most
-    n, so that one step's rows hold no more than S. m runs over the powers
-    of two while m products cost less than the eigenbasis, and stops at the
-    first that costs no less than the best before it: the work falls with m
-    while the coefficients dominate and rises once the products do. m = 1
-    is one series over max|t|.
+    state to the next one. The eigenbasis takes T n^2 to propagate, and
+    ``_EIGH_WORK`` n^3 more for eigh unless ``eigenvectors`` says they are
+    formed already; None means every m costs more. K stays at most n, so
+    that one step's rows hold no more than S. m runs over the powers of
+    two while m products cost less than the eigenbasis, and stops at the
+    first that costs no less than the best before it: the work falls with
+    m while the coefficients dominate and rises once the products do. It
+    stops at K <= 1 too, which no more steps undercut. m = 1 is one series
+    over max|t|.
     """
     reach = float(np.max(np.abs(times), initial=0.0))
-    eigenbasis = _EIGH_WORK * size**3 + times.size * size**2
+    eigenbasis = times.size * size**2 + (0 if eigenvectors else _EIGH_WORK * size**3)
     coefficients = times.size * size / 2
     best = None
     steps = 1
     while steps * work <= eigenbasis:
         span = reach / steps
-        if steps == 1:
-            x = radius * reach
-        else:
-            ahead = np.abs(times)
-            ahead -= _step_index(ahead, span) * span
-            x = radius * max(span, float(ahead.max()))
+        ahead = np.abs(times)
+        ahead -= _step_index(ahead, span) * span
+        x = radius * max(span, float(ahead.max(initial=0.0)))
         per_term = steps * work + coefficients
         terms = chebyshev_terms(x, min(size, int(eigenbasis // per_term)))
         if terms is not None:
             if best is not None and terms * per_term >= best[0]:
                 break
             best = (terms * per_term, steps, terms)
-            if terms == 0:  # all times are zero
+            if terms <= 1:  # 0 for a grid of zeros
                 break
         steps *= 2
     return None if best is None else best[1:]
@@ -247,10 +251,10 @@ class _Block:
     first step's, formed so far, u_0 = psi0 alone at construction, and
     grows when a grid needs more. ``terms`` is the K of each step of the
     latest grid, or None when that grid took the eigenbasis; ``steps`` is
-    its number of steps m, each ``span`` long, and ``latest`` holds, per
-    direction (+1 or -1), the index, start and rows of the last step past
-    the first that the grid formed there. ``growth`` is max_k ||u_k|| over
-    the start's norm, over all rows formed.
+    its number of steps m, each ``span`` long, and ``latest`` holds the
+    direction (+1 or -1), index, start and rows of the last step past the
+    first that the grid formed, the one such step kept. ``growth`` is
+    max_k ||u_k|| over the start's norm, over all rows formed.
     """
 
     indices: np.ndarray
@@ -264,7 +268,7 @@ class _Block:
     terms: int | None = None
     steps: int = 1
     span: float = 0.0
-    latest: dict = field(default_factory=dict)
+    latest: tuple | None = None
     growth: float = 0.0
 
     @cached_property
@@ -288,18 +292,16 @@ class _Block:
         if self.terms is None:
             return propagate(self.spectrum, self.psi0, self.modes, times)
         t = np.asarray(times, dtype=np.float64)
-        if self.steps == 1:  # every time in step 0, which a grid of zeros spans too
-            return chebyshev_propagate(self.psi0, self.vectors, *self.interval, t)
         magnitude = np.abs(t)
         step = _step_index(magnitude, self.span)
         back = np.signbit(t) & (step > 0)
         out = np.empty((t.size, self.psi0.size), dtype=np.complex128)
-        for j, backward in sorted(set(zip(step.tolist(), back.tolist()))):
-            chosen = (step == j) & (back == backward)
-            sign = -1.0 if backward else 1.0
-            start, rows = self._step(int(j), sign)
+        # backward steps first, each direction outward: the order of Propagator's chunks
+        for forward, j in sorted(set(zip((~back).tolist(), step.tolist()))):
+            chosen = (step == j) & (back != forward)
+            sign = 1.0 if forward else -1.0
             offsets = t[chosen] if j == 0 else sign * (magnitude[chosen] - j * self.span)
-            out[chosen] = chebyshev_propagate(start, rows, *self.interval, offsets)
+            out[chosen] = chebyshev_propagate(*self._step(int(j), sign), *self.interval, offsets)
         return out
 
     def _rows(self, start: np.ndarray) -> np.ndarray:
@@ -311,20 +313,24 @@ class _Block:
     def _step(self, j: int, sign: float) -> tuple[np.ndarray, np.ndarray]:
         """Start and rows of step j in the direction ``sign`` (+1 or -1).
 
-        Step j > 0 is carried on from the latest step formed in that
-        direction, or from psi0 when j lies before it, and becomes the
-        latest: times taken in order of |t| form each step's rows once.
+        Step j > 0 is carried on from ``latest`` when that lies in the same
+        direction and not past j, and from psi0 otherwise, and becomes the
+        latest. Each step's rows are dropped before the next one's are
+        formed, so at most one step's rows exist beside psi0's, and times
+        taken in order of sign, then |t|, form each step's rows once.
         """
         if j == 0:
             return self.psi0, self.vectors
-        i, start, rows = self.latest.get(sign, (0, self.psi0, self.vectors))
-        if i > j:
-            i, start, rows = 0, self.psi0, self.vectors
+        i, start, rows = 0, self.psi0, self.vectors
+        if self.latest is not None and self.latest[0] == sign and self.latest[1] <= j:
+            _, i, start, rows = self.latest
+        self.latest = None
         while i < j:
             start = chebyshev_propagate(start, rows, *self.interval, [sign * self.span])[0]
+            del rows
             rows = self._rows(start)
             i += 1
-        self.latest[sign] = (j, start, rows)
+        self.latest = (sign, j, start, rows)
         return start, rows
 
 
@@ -426,8 +432,9 @@ class Propagator:
         for block in self.blocks:
             if block.operator is None:  # a small block: in its eigenbasis from the start
                 continue
-            plan = _series_plan(t, block.interval[1], block.indices.size, block.work)
-            block.latest = {}
+            plan = _series_plan(t, block.interval[1], block.indices.size, block.work,
+                                block.spectrum is not None)
+            block.latest = None
             if plan is None:
                 block.terms = None
                 if block.spectrum is None:
@@ -446,9 +453,10 @@ class Propagator:
         """Squared Schmidt coefficients, descending, one row per time.
 
         ``times`` may be any finite values in any order; the result has
-        shape (len(times), min(dim_a, dim_b)). They are taken in chunks in
-        order of |t| (stable), so that a large block's series steps are each
-        formed once (:meth:`_Block._step`). Each evolved state's norm is
+        shape (len(times), min(dim_a, dim_b)). They are taken in chunks,
+        negative times first, each sign in order of |t|, so that a large
+        block's series steps are each formed once and one step's rows at a
+        time are kept (:meth:`_Block._step`). Each evolved state's norm is
         checked against the start's norm ``norm`` within ``NORM_TOL``. The
         amplitudes and their SVD span only the ``support`` grid, the r rows
         of A and c columns of B that the reached blocks touch; the other
@@ -465,8 +473,9 @@ class Propagator:
         step = max(1, _CHUNK_ENTRIES // (r * c))
         # a block of all d indices is range(d) in order: its rows are the amplitudes
         whole = self.blocks[0] if self.blocks[0].indices.shape == (self.dim,) else None
-        # chunks in order of |t|, so that series steps are carried outward from t = 0 once
-        order = np.argsort(np.abs(t), kind="stable")
+        # chunks in order of sign, then |t|, so that each direction's series steps are
+        # carried outward from t = 0 once
+        order = np.lexsort((np.abs(t), t >= 0.0))
         for start in range(0, t.size, step):
             part = order[start : start + step]
             chunk = t[part]

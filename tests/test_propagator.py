@@ -220,7 +220,9 @@ def test_equal_size_blocks_share_one_stacked_eigh(monkeypatch):
         assert sorted(calls) == sorted(
             (sizes.count(n), n, n) if sizes.count(n) > 1 else (n, n) for n in set(sizes))
         calls.clear()
-        for grid in (times, 1e3 * times, times):  # series, eigenbasis, series again
+        # series, eigenbasis, and the series again on a grid long enough that it costs
+        # less than propagating in the formed eigenbasis
+        for grid in (times, 1e3 * times, np.linspace(0.0, 0.1, 2001)):
             propagator.probabilities(grid)
         large = [n for n in propagator.block_sizes if n > LANCZOS_STEPS]
         larges += len(large)
@@ -425,7 +427,8 @@ def largest_series_scale(block, times):
     """The largest s at which the series route serves the grid s * times, by bisection."""
     def fits(scale):
         return propagator_module._series_plan(
-            scale * times, block.interval[1], block.indices.size, block.work) is not None
+            scale * times, block.interval[1], block.indices.size, block.work,
+            block.spectrum is not None) is not None
 
     high = 1.0
     while fits(high):
@@ -518,6 +521,26 @@ def test_stepped_series_matches_expm_at_negative_and_unsorted_times():
         assert row.tobytes() == block.psi0.tobytes()
 
 
+def test_each_step_is_formed_once_on_a_grid_of_both_signs(monkeypatch):
+    """Chunks go negative times first, each sign outward from zero, and a chunk takes its
+    backward steps first, so a grid of several chunks over both signs forms the rows of
+    each step past the first once, though only the latest step's rows are kept."""
+    h, state = product_form_model(np.random.default_rng(149), 12, 10)
+    vectors = propagator_module.chebyshev_vectors
+    calls = []
+    monkeypatch.setattr(propagator_module, "chebyshev_vectors",
+                        lambda *args: calls.append(args[3].shape[0]) or vectors(*args))
+    propagator = Propagator(h, state)
+    (block,) = propagator.blocks
+    times = stepped_grid(block, 150.0, 3000, 233)
+    assert 3000 > propagator_module._CHUNK_ENTRIES // 120  # more than one chunk
+    propagator.probabilities(times)
+    steps = propagator_module._step_index(np.abs(times), block.span)
+    carried = {(sign, j) for sign, j in zip(np.signbit(times).tolist(), steps.tolist()) if j}
+    assert len(carried) > 2 and calls[1:] == [1] * len(carried)  # after psi0's rows
+    assert block.latest[0] == 1.0
+
+
 def test_a_shrunk_series_interval_is_refused_on_a_later_step(monkeypatch):
     """The growth check holds on every step: rows from a carried state, on an interval
     shrunk below the spectrum, raise though the first step's rows passed."""
@@ -546,6 +569,9 @@ def test_tiny_times_in_a_chunk_of_their_own_take_one_term():
     probs = Propagator(h, state).probabilities(times)
     assert np.max(np.abs(probs[:1] - oracle_probabilities(h, state, times[:1]))) <= 1e-12
     assert np.max(np.abs(probs[1:] - oracle_probabilities(h, state, [0.0]))) <= 1e-15
+    # the smallest subnormal time: one step, whose half would round to zero
+    probs = Propagator(h, state).probabilities([5e-324, 0.0])
+    assert np.max(np.abs(probs - oracle_probabilities(h, state, [0.0, 0.0]))) <= 1e-15
 
 
 def test_huge_times_go_to_the_eigenbasis_without_a_series(monkeypatch):
@@ -558,6 +584,28 @@ def test_huge_times_go_to_the_eigenbasis_without_a_series(monkeypatch):
     probs = propagator.probabilities([0.0, 1e300, -1e300])
     assert propagator.blocks[0].terms is None and propagator.blocks[0].vectors is None
     assert np.max(np.abs(probs.sum(axis=1) - 1.0)) <= 1e-12
+
+
+def test_formed_eigenvectors_serve_a_later_short_grid(monkeypatch):
+    """Once a grid has formed a block's eigenvectors, the route rule counts only the T n^2
+    of propagating in them: a short grid that a fresh block takes by the series stays
+    in the eigenbasis."""
+    h, state = dense_model(np.random.default_rng(229), 9, 10)
+    times = np.linspace(0.0, 0.1, 5)
+    fresh = Propagator(h, state)
+    fresh.probabilities(times)
+    assert fresh.blocks[0].terms is not None
+    propagator = Propagator(h, state)
+    propagator.probabilities(1e3 * times)
+    assert propagator.blocks[0].terms is None
+
+    def no_series(*args):
+        raise AssertionError("Chebyshev vectors were formed")
+
+    monkeypatch.setattr(propagator_module, "chebyshev_vectors", no_series)
+    probs = propagator.probabilities(times)
+    assert propagator.blocks[0].terms is None
+    assert np.max(np.abs(probs - oracle_probabilities(h, state, times))) <= 1e-12
 
 
 def test_a_shrunk_series_interval_is_refused(monkeypatch):
