@@ -136,9 +136,11 @@ def _real_array(value, where: str, ndim: int) -> np.ndarray:
     rows = _nonempty_list(value, where) if ndim == 2 else [value]
     for i, row in enumerate(rows):
         path = f"{where}[{i}]" if ndim == 2 else where
-        for j, x in enumerate(_nonempty_list(row, path)):
-            if not _is_number(x):
-                raise SchemaViolation(f"{path}[{j}]: expected a number, got {_got(x)}")
+        # a row of plain ints and floats passes whole; any other finds its first bad entry
+        if not set(map(type, _nonempty_list(row, path))) <= {int, float}:
+            for j, x in enumerate(row):
+                if not _is_number(x):
+                    raise SchemaViolation(f"{path}[{j}]: expected a number, got {_got(x)}")
         if len(row) != len(rows[0]):
             raise SchemaViolation(f"{path}: length {len(row)} differs from row 0's")
     try:

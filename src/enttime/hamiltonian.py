@@ -6,19 +6,24 @@ dynamics builds the blocks of H its start reaches, each through
 :func:`block_matrix`, the one place where entries of H are formed. Each
 factor is a :class:`Factor`, its exact nonzeros in CSR form, which every
 reader reads directly; entries are read only as dense rows scattered from
-the CSR slices (:meth:`Factor.rows`). Individual factors need not be
-Hermitian (ladder operators pair up with their adjoints across terms);
-only the total must be. :func:`check_hermitian` first bounds
-||H - H^dag||_F from the factors alone (realignment: Van Loan and
-Pitsianis, "Approximation with Kronecker products", 1993) and accepts when
-that bound proves the entrywise test would pass; otherwise H and H^dag are
-compared entry by entry in row slabs, each from :func:`block_matrix`,
-never holding H, H^dag or their difference in full.
+the CSR slices (:meth:`Factor.rows`). A factor's adjoint is formed once,
+on first use, and kept. Individual factors need not be Hermitian (ladder
+operators pair up with their adjoints across terms); only the total must
+be. :attr:`ProductHamiltonian.paired` finds, once per Hamiltonian, the
+terms that are self-adjoint or matched one to one with an exact adjoint
+partner, and :func:`check_hermitian` accepts at once when every term is,
+as H - H^dag is then exactly 0. Otherwise it bounds ||H - H^dag||_F from
+the factors alone (realignment: Van Loan and Pitsianis, "Approximation
+with Kronecker products", 1993) and accepts when that bound proves the
+entrywise test would pass; failing that, H and H^dag are compared entry
+by entry in row slabs, each from :func:`block_matrix`, never holding H,
+H^dag or their difference in full.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,7 +55,8 @@ class Factor:
     read-only (int64, int32, complex128) and drops every value that is
     exactly zero, the only entries that count as zero, never small ones.
     With no zero entry, ``values`` is the dense matrix row by row (the full
-    pattern). A stored entry takes 20 bytes.
+    pattern). A stored entry takes 20 bytes, and 20 more once
+    :meth:`adjoint` has been called.
     """
 
     n: int
@@ -89,12 +95,14 @@ class Factor:
         return Factor(self.n, self.indptr, self.indices, c * self.values)
 
     def adjoint(self) -> Factor:
-        """F^dag. It is valid CSR with no zero value when F is, so it skips the checks."""
-        order = np.argsort(self.indices, kind="stable")
-        adjoint = object.__new__(Factor)
-        adjoint._set_arrays(self.n, np.searchsorted(self.indices[order], np.arange(self.n + 1)),
-                            self._rows()[order].astype(np.int32), self.values[order].conj())
-        return adjoint
+        """F^dag, formed on the first call and kept; valid CSR when F is, so unchecked."""
+        if "_adjoint" not in self.__dict__:
+            order = np.argsort(self.indices, kind="stable")
+            adjoint = object.__new__(Factor)
+            adjoint._set_arrays(self.n, np.searchsorted(self.indices[order], np.arange(self.n + 1)),
+                                self._rows()[order].astype(np.int32), self.values[order].conj())
+            object.__setattr__(self, "_adjoint", adjoint)
+        return self._adjoint
 
     def toarray(self) -> np.ndarray:
         return self.rows(np.arange(self.n))
@@ -122,6 +130,12 @@ class Factor:
         out = np.zeros(self.n, dtype=np.complex128)
         np.add.at(out, self.indices, x[self._rows()] * self.values)
         return out
+
+
+def _equal(f: Factor, g: Factor) -> bool:
+    """Whether f and g hold the same entries: their CSR arrays, which hold no zero, are equal."""
+    return (np.array_equal(f.indptr, g.indptr) and np.array_equal(f.indices, g.indices)
+            and np.array_equal(f.values, g.values))
 
 
 def _flat_keys(n: int, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -169,6 +183,30 @@ class ProductHamiltonian:
     @property
     def dim(self) -> int:
         return self.dim_a * self.dim_b
+
+    @cached_property
+    def paired(self) -> tuple[bool, ...]:
+        """Which terms add the same to H^dag as to H, found on first use and kept.
+
+        Term m is paired when A_m = A_m^dag and B_m = B_m^dag entry for
+        entry, or when it is matched one to one with a term n whose factors
+        are its adjoints, A_m = A_n^dag and B_m = B_n^dag: each term m in
+        order takes the first unpaired n >= m that fits. Factors are
+        compared on their CSR arrays, which hold no exact zero, so this is
+        the entrywise equality of the dense factors. When every term
+        is paired, H^dag is the sum of the same terms in another order, so
+        H - H^dag is exactly 0.
+        """
+        paired = [False] * self.n_terms
+        for m, (a, b) in enumerate(self.terms):
+            if paired[m]:
+                continue
+            for n in range(m, self.n_terms):
+                if (not paired[n] and _equal(a, self.terms[n][0].adjoint())
+                        and _equal(b, self.terms[n][1].adjoint())):
+                    paired[m] = paired[n] = True
+                    break
+        return tuple(paired)
 
 
 def _factor(m, dim: int, name: str) -> Factor:
@@ -320,12 +358,16 @@ def _factor_norms(h: ProductHamiltonian) -> tuple[float, float]:
 def check_hermitian(h: ProductHamiltonian) -> None:
     """Verify that sum_n kron(A_n, B_n) is Hermitian without forming it.
 
-    Accepts when the factor-level ||H - H^dag||_F is at most
+    Accepts at once when every term is paired with its adjoint
+    (:attr:`ProductHamiltonian.paired`), as H - H^dag is then exactly 0.
+    Otherwise accepts when the factor-level ||H - H^dag||_F is at most
     HERM_TOL * max(1, ||H||_F / d): since max|X| <= ||X||_F and
     max|H| >= ||H||_F / d, the entrywise test would then pass too.
-    Otherwise it runs that test, with its ``MAX_DIM`` cap; its
+    Failing that, it runs that test, with its ``MAX_DIM`` cap; its
     :class:`ModelError` names the worst off-diagonal residual.
     """
+    if all(h.paired):
+        return
     defect, norm = _factor_norms(h)
     if defect <= HERM_TOL * max(1.0, norm / h.dim):
         return

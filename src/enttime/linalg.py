@@ -4,9 +4,9 @@ Input validation; the checked eigendecomposition of a Hermitian matrix or
 of a stack of equal-size ones (checked by an O(k n^2) residual probe
 rather than an O(n^3) reconstruction); the product form of
 S = (M + M^dag)/2 for M = sum_n A_n (x) B_n, applied from dense factor
-stacks without forming S, with each term that the list pairs with its
-adjoint entered once (:func:`hermitian_product`), and the extreme Ritz
-values of a few Lanczos steps on any such operator
+stacks without forming S, with each term that the caller flags as
+paired with its adjoint entered once (:func:`hermitian_product`), and
+the extreme Ritz values of a few Lanczos steps on any such operator
 (:func:`lanczos_interval`); and the two ways to form exp(-i S t) psi0: in
 the eigenbasis (:func:`propagate`), or as a Chebyshev series that needs
 only products with S and an interval, guarded by the series' growth check
@@ -178,35 +178,29 @@ def propagate(spectrum: HermitianSpectrum, psi0: np.ndarray, modes: np.ndarray,
     return out
 
 
-def hermitian_product(pairs) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
+def hermitian_product(pairs, paired) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
     """psi -> S psi for S = (M + M^dag)/2, M = sum_n A_n (x) B_n, without forming S; and its width.
 
     ``pairs`` holds each term's dense factors (A_n, B_n), of shapes
     (dim_a, dim_a) and (dim_b, dim_b). With Psi = psi reshaped to
     (dim_a, dim_b) (index i * dim_b + j), (A (x) B) psi is A Psi B^T (Van
-    Loan, "The ubiquitous Kronecker product", 2000). A term whose factors
-    equal their own adjoints entry for entry, or two terms whose factors
-    are each other's adjoints (matched one to one, in term order), add the
-    same to M^dag as to M, so they enter S once, with weight 1. Every
-    other term n keeps both halves, (1/2)(A_n Psi B_n^T + A_n^dag Psi
-    conj(B_n)). The left factors, times their weights, and the transposed
-    right ones are stacked once, and each product is two GEMMs, Psi times
-    the right stack and the left stack times its blocks laid end to end.
+    Loan, "The ubiquitous Kronecker product", 2000). ``paired`` flags the
+    terms that add the same to M^dag as to M, the self-adjoint ones and
+    those matched one to one with an adjoint partner
+    (:attr:`~enttime.hamiltonian.ProductHamiltonian.paired`), so they
+    enter S once, with weight 1. Every other term n keeps both halves,
+    (1/2)(A_n Psi B_n^T + A_n^dag Psi conj(B_n)). The left factors,
+    times their weights, and the transposed right ones are stacked once,
+    and each product is two GEMMs, Psi times the right stack and the left
+    stack times its blocks laid end to end.
     The width returned is the number w of blocks stacked, N for a list
     closed under the adjoint and up to 2N otherwise: w d (dim_a + dim_b)
     multiply-adds per product, against d^2 for S psi.
     """
     dim_a, dim_b = pairs[0][0].shape[0], pairs[0][1].shape[0]
-    adjoints = [(a.conj().T, b.conj().T) for a, b in pairs]
-    closed = [False] * len(pairs)
-    for m, (a, b) in enumerate(pairs):
-        for n in range(m, len(pairs)):
-            if (not closed[m] and not closed[n] and np.array_equal(a, adjoints[n][0])
-                    and np.array_equal(b, adjoints[n][1])):
-                closed[m] = closed[n] = True
-    whole = [pair for pair, c in zip(pairs, closed) if c]
-    halves = [pair for pair, c in zip(pairs, closed) if not c]
-    halves += [adjoint for adjoint, c in zip(adjoints, closed) if not c]
+    whole = [pair for pair, c in zip(pairs, paired) if c]
+    halves = [pair for pair, c in zip(pairs, paired) if not c]
+    halves += [(a.conj().T, b.conj().T) for a, b in halves]
     count = len(whole) + len(halves)
     left = np.concatenate([a for a, _ in whole] + [0.5 * a for a, _ in halves], axis=1)
     right = np.concatenate([b.T for _, b in whole + halves], axis=1)
@@ -352,14 +346,15 @@ def chebyshev_terms(x: float, limit: int) -> int | None:
     return None
 
 
-def bessel_j(k_max: int, x) -> np.ndarray:
+def bessel_j(k_max: int, x, terms: int | None = None) -> np.ndarray:
     """J_0(x) .. J_k_max(x) for each finite x, one row per x.
 
     Miller's backward recurrence, J_{k-1} = (2k/x) J_k - J_{k+1}, carried
     as the ratios r_k = J_k / J_{k-1} = x / (2k - x r_{k+1}), so each step
     is rescaled and nothing overflows however small x is. It starts from
     r = 0 one order past both ``k_max`` and the series length of
-    :func:`chebyshev_terms` at the largest |x|, and is normalized by
+    :func:`chebyshev_terms` at the largest |x|, which a caller that has
+    already found it passes as ``terms``, and is normalized by
     J_0 + 2 sum_m J_2m = 1. Orders below that series length come out to
     roundoff relative to J_k, the ones from it on only to roundoff
     absolute. Negative x takes J_k(-x) = (-1)^k J_k(x).
@@ -369,8 +364,10 @@ def bessel_j(k_max: int, x) -> np.ndarray:
     top = float(ax.max(initial=0.0))
     if not math.isfinite(top):
         raise ValueError("Bessel arguments must be finite")
-    # Kapteyn's bound needs K - x of order x^(1/3), far inside this limit
-    n = max(k_max, chebyshev_terms(top, 2 * math.ceil(top) + 64)) + 1
+    if terms is None:
+        # Kapteyn's bound needs K - x of order x^(1/3), far inside this limit
+        terms = chebyshev_terms(top, 2 * math.ceil(top) + 64)
+    n = max(k_max, terms) + 1
     ratios = np.empty((n, ax.size))  # row k - 1 holds r_k, k = 1 .. n
     r = np.zeros(ax.size)
     for k in range(n, 0, -1):
@@ -441,14 +438,15 @@ def chebyshev_propagate(psi0: np.ndarray, vectors: np.ndarray, center: float, ra
     p - 1 written through sines as in :func:`propagate`, so t = 0 returns
     psi0 exactly and a small change keeps its relative accuracy. Only the
     first K' + 1 rows enter, K' the series length for these times' own
-    max|t|, which the same bound allows. The sum is one real (T x K') by
+    max|t|, which the same bound allows, and the Bessel recurrence starts
+    past K', found once. The sum is one real (T x K') by
     (K' x 2 dim) product, since its coefficients are real.
     """
     t = np.asarray(times, dtype=np.float64)
     terms = chebyshev_terms(radius * float(np.max(np.abs(t), initial=0.0)),
                             vectors.shape[0] - 1)
     vectors = vectors[: terms + 1]
-    bessel = bessel_j(terms, radius * t)
+    bessel = bessel_j(terms, radius * t, terms)
     theta = center * t
     half = np.sin(0.5 * theta)
     sine = np.sin(theta)

@@ -24,7 +24,8 @@ seeded random start (:func:`~enttime.linalg.lanczos_interval`) on S, or,
 for the whole space (any dense model) when that is cheaper, on S in
 product form straight from the factors
 (:func:`~enttime.linalg.hermitian_product`, where a term and its adjoint,
-or a self-adjoint term, enter once). Each time grid then takes one of two
+or a self-adjoint term, enter once, as the Hermiticity check paired
+them). Each time grid then takes one of two
 routes for it, whichever :func:`_series_plan` counts as less work:
 
 * the Chebyshev series in m >= 1 equal steps of max|t| / m, after Tal-Ezer
@@ -417,7 +418,8 @@ class Propagator:
         h, n = self._h, indices.size
         operator, work = None, _MATVEC_WORK * n * n
         if n == self.dim and h.n_terms * (h.dim_a + h.dim_b) <= n:
-            product, width = hermitian_product([(a.toarray(), b.toarray()) for a, b in h.terms])
+            product, width = hermitian_product([(a.toarray(), b.toarray()) for a, b in h.terms],
+                                               h.paired)
             if width * (h.dim_a + h.dim_b) <= n:
                 operator, work = product, _PRODUCT_WORK * width * n * (h.dim_a + h.dim_b)
         if operator is None:

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -572,6 +573,50 @@ def test_custom_model_complex_parts_and_ragged_rejection(tmp_path):
     ]
     with pytest.raises(SchemaViolation, match="terms"):
         load_model_file(write_model(tmp_path, ragged, name="ragged.json"))
+
+
+def _custom_2x3():
+    return {"model": "custom", "dim_a": 2, "dim_b": 3,
+            "terms": [{"a": {"re": [[1.0, 0.0], [0.0, -1.0]]},
+                       "b": {"re": [[0.5, 0, 0], [0, 1, 2], [0, 2, 1]],
+                             "im": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}}],
+            "state": {"psi_a": {"re": [1.0, 0.0]}, "psi_b": {"re": [1, 0, 0]}}}
+
+
+def _set(doc, path, value):
+    """``doc`` with the entry at ``path`` (keys and indices) replaced by ``value``."""
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("terms", 0, "b", "im", 2, 2), True, "$.terms[0].b.im[2][2]: expected a number, got true"),
+        (("terms", 0, "b", "im", 2, 2), "1.0",
+         '$.terms[0].b.im[2][2]: expected a number, got "1.0"'),
+        (("terms", 0, "b", "im", 2, 2), [1.0],
+         "$.terms[0].b.im[2][2]: expected a number, got [1.0]"),
+        (("terms", 0, "b", "re", 1), [0, 1, False, 2],
+         "$.terms[0].b.re[1][2]: expected a number, got false"),  # before its length
+        (("terms", 0, "b", "re", 1), [0, 1], "$.terms[0].b.re[1]: length 2 differs from row 0's"),
+        (("state", "psi_b", "re", 2), None, "$.state.psi_b.re[2]: expected a number, got null"),
+    ],
+    ids=["bool", "string", "nested-list", "bool-in-long-row", "short-row", "null-in-vector"],
+)
+def test_a_bad_entry_deep_in_a_row_is_named(path, value, message):
+    """Each row's types are checked at once; the first bad entry is still named."""
+    with pytest.raises(SchemaViolation) as raised:
+        resolve_model_document(_set(_custom_2x3(), path, value))
+    assert str(raised.value) == message
+    # a row whose later entry is bad still reports an earlier ragged row first
+    doc = _set(_set(_custom_2x3(), ("terms", 0, "b", "im", 1), [0]),
+               ("terms", 0, "b", "im", 2, 2), value)
+    with pytest.raises(SchemaViolation, match=re.escape("im[1]: length 1 differs")):
+        resolve_model_document(doc)
 
 
 def test_resolve_model_document_paths():

@@ -18,12 +18,17 @@ _SPEC.loader.exec_module(compare_outputs)
 
 def test_every_model_of_the_fixed_set_reads():
     docs = compare_outputs.model_documents()
-    assert len(docs) == 14
+    assert len(docs) == 15
     for name, doc in docs.items():
         h, _, _ = resolve_model_document(json.loads(json.dumps(doc)))
         if name == "non_hermitian":
             with pytest.raises(ModelError):
                 check_hermitian(h)
+        elif name == compare_outputs.UNPAIRED:
+            assert h.paired == (False, True)
+            check_hermitian(h)
+        else:
+            assert all(h.paired)
     dense = compare_outputs.commands(compare_outputs.DENSE)
     assert [cmd[0] for cmd in dense] == ["timescale", "evolve", "evolve"]
     assert dense[2][-2:] == ["--t-max", "8"] and "--t-max" not in dense[1]
@@ -32,7 +37,7 @@ def test_every_model_of_the_fixed_set_reads():
     assert partial[3] == [*partial[2], "--t-max", "8"]
     spelled = compare_outputs.commands("jcm_fock_7")[3:]
     assert [cmd[0] for cmd in spelled] == ["verify", "evolve", "timescale", "verify"]
-    assert sum(len(compare_outputs.commands(name)) for name in docs) == 47
+    assert sum(len(compare_outputs.commands(name)) for name in docs) == 50
 
 
 def canned(monkeypatch, repo, differ):

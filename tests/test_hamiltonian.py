@@ -18,9 +18,11 @@ from enttime.hamiltonian import (
     product_state_vector,
 )
 from enttime.models import (
+    BoseHubbardBoundarySpec,
     FockField,
     JcmSpec,
     annihilation,
+    build_bose_hubbard_boundary,
     build_jcm,
     creation,
     identity,
@@ -178,6 +180,127 @@ def test_factor_proof_keeps_the_scan_verdict(monkeypatch):
             assert verdict is None
         else:
             assert re.search(message, verdict)
+
+
+def refuse(h):
+    raise AssertionError("a paired term list needs neither the bound nor the scan")
+
+
+def test_paired_term_lists_need_no_bound(monkeypatch):
+    """Terms that close under the adjoint prove H Hermitian with no factor norm taken."""
+    rng = np.random.default_rng(61)
+    ga, gb = oracles.random_matrix(rng, 3), oracles.random_matrix(rng, 4)
+    gz = oracles.random_matrix(rng, 3)
+    cases = [
+        build_jcm(JcmSpec(lam=1.0, omega=0.7, n_max=12, field=FockField(3)))[0],
+        build_bose_hubbard_boundary(BoseHubbardBoundarySpec(j_rate=1.0, u_rate=2.0,
+                                                            n_per_site_max=4))[0],
+        # dense adjoint pairs apart, around a Hermitian term
+        ProductHamiltonian(3, 4, ((ga, gb), (oracles.random_hermitian(rng, 3), np.eye(4)),
+                                  (ga.conj().T, gb.conj().T))),
+        # a zero factor is its own adjoint, whatever the other factor
+        ProductHamiltonian(2, 3, ((np.zeros((2, 2)), gz), (np.eye(2), np.eye(3)),
+                                  (np.zeros((2, 2)), gz.conj().T))),
+    ]
+    monkeypatch.setattr(hamiltonian_module, "_factor_norms", refuse)
+    monkeypatch.setattr(hamiltonian_module, "_scan_hermitian", refuse)
+    for h in cases:
+        assert h.n_terms > 1 and all(h.paired)
+        check_hermitian(h)
+        total = dense_total(h)
+        assert np.max(np.abs(total - total.conj().T)) <= 1e-14 * max(1.0, np.max(np.abs(total)))
+
+
+def test_a_hermitian_list_that_does_not_close_takes_the_bound(monkeypatch):
+    """(i sigma_y) (x) (i sigma_y) is Hermitian, but only as a whole: the bound proves it."""
+    i_sigma_y = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    bounds = []
+    real_norms = _factor_norms
+    monkeypatch.setattr(hamiltonian_module, "_factor_norms",
+                        lambda h: bounds.append(h) or real_norms(h))
+    monkeypatch.setattr(hamiltonian_module, "_scan_hermitian", refuse)
+    for terms, paired in [(((i_sigma_y, i_sigma_y),), (False,)),
+                          (((i_sigma_y, i_sigma_y), (sigma_z(), [[0, 1], [1, 0]])),
+                           (False, True))]:
+        h = ProductHamiltonian(2, 2, terms)
+        assert h.paired == paired
+        bounds.clear()
+        check_hermitian(h)
+        assert bounds == [h]
+
+
+def dense_pairing(terms):
+    """The pairing rule on dense factors, matched entry for entry by ``np.array_equal``."""
+    paired = [False] * len(terms)
+    for m, (a, b) in enumerate(terms):
+        for n in range(m, len(terms)):
+            if (not paired[m] and not paired[n] and np.array_equal(a, terms[n][0].conj().T)
+                    and np.array_equal(b, terms[n][1].conj().T)):
+                paired[m] = paired[n] = True
+    return tuple(paired)
+
+
+def pairing_factor(rng, dim):
+    """A sparse, Hermitian, pure-imaginary or zero matrix."""
+    kind = int(rng.integers(4))
+    m = sparse_matrix(rng, dim)
+    if kind == 1:
+        m = m + m.conj().T
+    elif kind == 2:
+        m = 1j * m.real
+    elif kind == 3:
+        m = 0.0 * m
+    return m
+
+
+def zeros_written_apart(rng, m):
+    """``m`` with each exact zero written as one of the ways to write zero."""
+    m = np.array(m, dtype=np.complex128)
+    zeros = m == 0
+    ways = np.array([0j, -0.0, complex(-0.0, -0.0), complex(0.0, -0.0)])
+    m[zeros] = rng.choice(ways, size=int(zeros.sum()))
+    return m
+
+
+def test_csr_pairing_matches_the_dense_rule():
+    rng = np.random.default_rng(63)
+    seen = {True: 0, False: 0}
+    for _ in range(100):
+        dim_a, dim_b = (int(x) for x in rng.integers(1, 4, size=2))
+        terms = []
+        for _ in range(int(rng.integers(1, 4))):
+            a, b = pairing_factor(rng, dim_a), pairing_factor(rng, dim_b)
+            terms.append((a, b))
+            # up to three more, so an adjoint may have two candidates, or a term two adjoints
+            for kind in rng.integers(4, size=int(rng.integers(4))).tolist():
+                if kind == 0:  # the adjoint pair
+                    terms.append((a.conj().T, b.conj().T))
+                elif kind == 1:  # minus the adjoints: the same product, not the same factors
+                    terms.append((-a.conj().T, -b.conj().T))
+                elif kind == 2:  # the same term again
+                    terms.append((a, b))
+                elif kind == 3 and np.any(a):  # the adjoint pair with one entry moved
+                    moved = a.conj().T
+                    moved.flat[int(np.flatnonzero(moved)[0])] *= 1.0 + 2.0**-52
+                    terms.append((moved, b.conj().T))
+        order = rng.permutation(len(terms))
+        terms = [tuple(zeros_written_apart(rng, f) for f in terms[k]) for k in order]
+        h = ProductHamiltonian(dim_a, dim_b, tuple(terms))
+        assert h.paired == dense_pairing(terms)
+        for flag in h.paired:
+            seen[flag] += 1
+    assert min(seen.values()) >= 50, seen
+
+
+def test_a_factor_forms_its_adjoint_once():
+    f = Factor(3, [0, 2, 2, 3], [0, 2, 1], [1.0, 2.0j, -3.0])
+    assert f.adjoint() is f.adjoint()
+    assert np.array_equal(f.adjoint().toarray(), f.toarray().conj().T)
+    h, _ = build_jcm(JcmSpec(lam=1.0, omega=0.7, n_max=5, field=FockField(2)))
+    adjoints = [f.adjoint() for pair in h.terms for f in pair]
+    assert all(h.paired)  # the pairing reads the same adjoints
+    assert all(f.adjoint() is adjoint
+               for f, adjoint in zip((f for pair in h.terms for f in pair), adjoints))
 
 
 def test_factors_store_the_exact_nonzeros_of_each_input():

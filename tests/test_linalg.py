@@ -474,7 +474,7 @@ def test_product_form_matches_the_hermitian_part(dims):
     terms = oracles.random_term_list(rng, *dims, 4)
     terms.append((oracles.random_matrix(rng, dims[0]), oracles.random_matrix(rng, dims[1])))
     h = ProductHamiltonian(*dims, tuple(terms))
-    apply, _ = hermitian_product(oracles.dense_terms(h))
+    apply, _ = hermitian_product(oracles.dense_terms(h), h.paired)
     sym = _whole_matrix(h)
     for _ in range(3):
         psi = oracles.random_unit_vector(rng, h.dim)
@@ -502,7 +502,7 @@ def test_adjoint_terms_enter_the_product_form_once(dims):
     ]
     for terms, width in cases:
         h = ProductHamiltonian(*dims, tuple(terms))
-        apply, count = hermitian_product(oracles.dense_terms(h))
+        apply, count = hermitian_product(oracles.dense_terms(h), h.paired)
         assert count == width
         sym = _whole_matrix(h)
         psi = oracles.random_unit_vector(rng, h.dim)
@@ -517,7 +517,7 @@ def test_lanczos_interval_holds_the_extreme_eigenvalues_within_its_margin():
         sym = _whole_matrix(h)
         w = np.linalg.eigvalsh(sym)
         start = rng.standard_normal(h.dim)
-        operator = hermitian_product(oracles.dense_terms(h))[0] if case % 2 else sym
+        operator = hermitian_product(oracles.dense_terms(h), h.paired)[0] if case % 2 else sym
         low, high, margin = lanczos_interval(operator, start)
         assert RECON_TOL <= margin <= 1e-6 * (w[-1] - w[0])
         assert abs(low - w[0]) <= margin and abs(high - w[-1]) <= margin
@@ -532,7 +532,8 @@ def test_lanczos_stops_on_an_invariant_subspace(monkeypatch):
                                                 (np.eye(3), -0.5 * np.eye(5))))
     cases = [
         (np.array([[-3.0 + 0j]]), np.array([0.7]), -3.0),  # a 1 x 1 model
-        (hermitian_product(oracles.dense_terms(scaled_identity))[0], rng.standard_normal(15), 2.0),
+        (hermitian_product(oracles.dense_terms(scaled_identity), scaled_identity.paired)[0],
+         rng.standard_normal(15), 2.0),
         (sym, v[:, -1], w[-1]),  # a start that is an eigenvector
     ]
     steps = []

@@ -57,6 +57,8 @@ bench_pairs = _load("tools/bench_pairs.py")
 DENSE = "dense_evolve"
 # a model whose start reaches a block of more than LANCZOS_STEPS states, not the whole space
 PARTIAL = "partial_block_100"
+# a Hermitian model whose terms do not close under the adjoint
+UNPAIRED = "unpaired_hermitian"
 
 
 def _custom(dim_a: int, dim_b: int, terms: list, psi_a: list, psi_b: list) -> dict:
@@ -99,6 +101,7 @@ def model_documents() -> dict[str, dict]:
     ground = {"c_e": 0.0, "c_g": 1.0}
     sigma_p, sigma_m = [[0, 1], [0, 0]], [[0, 0], [1, 0]]
     sigma_x, sigma_z, one = [[0, 1], [1, 0]], [[1, 0], [0, -1]], [[1, 0], [0, 1]]
+    i_sigma_y = [[0, 1], [-1, 0]]
     b = [[0, 0, 1j], [0, 0, 0], [0, 0, 0]]
     b_adj = [[0, 0, 0], [0, 0, 0], [-1j, 0, 0]]
     diag = [[0.5, 0, 0], [0, 0, 0], [0, 0, -0.25]]
@@ -121,6 +124,9 @@ def model_documents() -> dict[str, dict]:
         "t4_onset": _custom(2, 2, [(sigma_x, one), (sigma_z, sigma_x)], [1, 0], [1, 0]),
         DENSE: _load("perfbench/workloads.py").dense_document(12345, 32),
         "non_hermitian": _custom(2, 2, [(sigma_p, sigma_x)], [1, 0], [1, 0]),
+        # Hermitian, but (i sigma_y) (x) (i sigma_y) is its own adjoint only as a whole:
+        # no term list pairing proves it, so the realignment bound has to
+        UNPAIRED: _custom(2, 2, [(i_sigma_y, i_sigma_y), (sigma_z, sigma_x)], [1, 0], [1, 0]),
         PARTIAL: _partial_block(1801),
     }
 
