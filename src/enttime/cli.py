@@ -11,6 +11,10 @@ Three commands share one JSON model-file format:
 
 The model file is read in one pass, before any model object is built,
 into the triple ``(h, state, resolved)`` of :func:`load_model_file`.
+For the bundled models the reader checks types and fills in defaults,
+and ``resolved`` is the dict the model constructors of
+:mod:`enttime.models` return, which their builders read; the reports
+echo it as ``spec``.
 Every object rejects unknown keys, ``3.0`` counts as an integer, booleans
 are not numbers, and errors name the ``$`` path of the bad field.
 
@@ -193,25 +197,14 @@ def _resolve_jcm(doc: dict) -> tuple[ProductHamiltonian, ProductState, dict]:
     value = _object(doc["field"], "$.field", required=("type", key))[key]
     if kind == "fock":
         n = _integer(value, "$.field.n", 0)
-        field_spec: FockField | CoherentField = FockField(n=n)
-        field_echo: dict = {"type": "fock", "n": n}
+        field = FockField(n)
         n_max = n + 2 if n_max is None else n_max
     else:
         nu = _complex(value, "$.field.nu")
-        field_spec = CoherentField(nu=nu)
-        field_echo = {"type": "coherent", "nu": [nu.real, nu.imag]}
+        field = CoherentField(nu)
         n_max = suggest_coherent_cutoff(nu) if n_max is None else n_max
-    spec = JcmSpec(lam=lam, n_max=n_max, field=field_spec, c_e=c_e, c_g=c_g, omega=omega)
-    h, state = build_jcm(spec)
-    echo = {
-        "model": "jcm",
-        "lambda": lam,
-        "omega": omega,
-        "n_max": n_max,
-        "atom": {"c_e": [c_e.real, c_e.imag], "c_g": [c_g.real, c_g.imag]},
-        "field": field_echo,
-    }
-    return h, state, echo
+    resolved = JcmSpec(lam=lam, n_max=n_max, field=field, c_e=c_e, c_g=c_g, omega=omega)
+    return (*build_jcm(resolved), resolved)
 
 
 def _resolve_bose_hubbard(doc: dict) -> tuple[ProductHamiltonian, ProductState, dict]:
@@ -220,17 +213,8 @@ def _resolve_bose_hubbard(doc: dict) -> tuple[ProductHamiltonian, ProductState, 
     j_rate = _rate(doc, "j_rate", required=True)
     u_rate = _rate(doc, "u_rate")
     n_per_site_max = _integer(doc.get("n_per_site_max", 2), "$.n_per_site_max", 1)
-    spec = BoseHubbardBoundarySpec(
-        j_rate=j_rate, u_rate=u_rate, n_per_site_max=n_per_site_max
-    )
-    h, state = build_bose_hubbard_boundary(spec)
-    echo = {
-        "model": "bose_hubbard",
-        "j_rate": j_rate,
-        "u_rate": u_rate,
-        "n_per_site_max": n_per_site_max,
-    }
-    return h, state, echo
+    resolved = BoseHubbardBoundarySpec(j_rate, u_rate, n_per_site_max)
+    return (*build_bose_hubbard_boundary(resolved), resolved)
 
 
 def _resolve_custom(doc: dict) -> tuple[ProductHamiltonian, ProductState, dict]:

@@ -156,7 +156,7 @@ def _check_times(times) -> np.ndarray:
     if not np.all(np.isfinite(t)):
         raise ValueError("time grid contains non-finite entries")
     if t[0] < 0.0:
-        raise ValueError(f"times must be nonnegative, got {t[0]!r}")
+        raise ValueError(f"times must be nonnegative, got {float(t[0])!r}")
     if t.size > 1 and not np.all(np.diff(t) > 0.0):
         raise ValueError("times must be strictly ascending")
     return t
@@ -277,7 +277,7 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     if x.size < 2:
         raise NumericalError("fit needs at least two points")
     try:
-        slope, intercept = np.polyfit(x, y, 1)
+        slope, intercept = map(float, np.polyfit(x, y, 1))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"least-squares fit failed to converge: {exc}") from exc
     residual = y - (slope * x + intercept)
@@ -288,7 +288,7 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
         raise NumericalError(
             f"unstable fit: slope {slope!r}, intercept {intercept!r}, R^2 {r_squared!r}"
         )
-    return float(slope), float(intercept), r_squared
+    return slope, intercept, r_squared
 
 
 def verify_growth(
@@ -346,7 +346,7 @@ def verify_growth(
         if np.any(values <= 0.0):
             raise NumericalError(
                 "onset-slope fit impossible: S_2 not resolvable above the "
-                f"floating-point floor on the window {times[0]!r}..{times[-1]!r}"
+                f"floating-point floor on the window {float(times[0])!r}..{float(times[-1])!r}"
             )
         slope, _, r_squared = _linear_fit(np.log(times), np.log(values))
         status = "PASS" if abs(slope - _ONSET_SLOPE) <= _ONSET_SLOPE_BAND else "FAIL"

@@ -412,12 +412,12 @@ def chebyshev_vectors(operator, center: float, radius: float, start: np.ndarray,
         else:
             rows[k] *= -2j / radius
             rows[k] += rows[k - 2]
-    norm = np.linalg.norm(start[0])
+    norm = float(np.linalg.norm(start[0]))
     growth = float(np.max(row_norms(rows[first:]), initial=0.0)) / norm
     if not growth <= 1.0 + NORM_TOL:
         raise NumericalError(
             f"Chebyshev vectors grew to {growth!r} times the start's norm: the spectrum "
-            f"leaves [{center - radius!r}, {center + radius!r}]"
+            f"leaves [{float(center - radius)!r}, {float(center + radius)!r}]"
         )
     return rows, growth
 

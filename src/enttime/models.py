@@ -9,6 +9,11 @@ Conventions (hbar = 1, all rates angular):
   the top level, so specs enforce that negligible population ever reaches
   it.
 
+A model is its document: :func:`JcmSpec` (with :func:`FockField` or
+:func:`CoherentField`) and :func:`BoseHubbardBoundarySpec` check the model
+and return the ``spec`` dict that ``enttime timescale`` and ``verify``
+echo (complex values as ``[re, im]``), and the builders read that dict.
+
 The resonant rotating-wave Jaynes-Cummings Hamiltonian built here is
 
     H = (omega/2) sigma_z (x) 1 + 1 (x) omega a^dag a
@@ -23,7 +28,6 @@ photon distribution C_n) stays pairwise: each |e, n> rotates against
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,25 +110,18 @@ def sigma_minus() -> Factor:
     return _diagonal([1.0], ATOM_EXCITED - ATOM_GROUND)
 
 
-@dataclass(frozen=True)
-class FockField:
-    """Field prepared in the number state |n>."""
-
-    n: int
+def FockField(n: int) -> dict:
+    """The field block of a model document for the number state |n>."""
+    return {"type": "fock", "n": n}
 
 
-@dataclass(frozen=True)
-class CoherentField:
-    """Field prepared in the coherent state with complex amplitude nu."""
-
-    nu: complex
-
-    def __post_init__(self) -> None:
-        size = abs(complex(self.nu))  # the cutoff estimates below need |nu|^2
-        if not math.isfinite(size * size):
-            raise ModelError(
-                f"coherent amplitude nu and |nu|^2 must be finite, got {self.nu!r}"
-            )
+def CoherentField(nu: complex) -> dict:
+    """The field block for the coherent state of complex amplitude nu, as ``[re, im]``."""
+    value = complex(nu)
+    size = abs(value)  # the cutoff estimates below need |nu|^2
+    if not math.isfinite(size * size):
+        raise ModelError(f"coherent amplitude nu and |nu|^2 must be finite, got {nu!r}")
+    return {"type": "coherent", "nu": [value.real, value.imag]}
 
 
 def suggest_coherent_cutoff(nu: complex) -> int:
@@ -162,72 +159,74 @@ def coherent_tail_mass(nu: complex, n_max: int) -> float:
     return mass
 
 
-@dataclass(frozen=True)
-class JcmSpec:
-    """Resonant Jaynes-Cummings model with a product initial state.
+def JcmSpec(
+    lam: float,
+    n_max: int,
+    field: dict,
+    c_e: complex = 1.0,
+    c_g: complex = 0.0,
+    omega: float = 0.0,
+) -> dict:
+    """Resonant Jaynes-Cummings model with a product initial state, as its document.
 
     ``lam`` is the coupling rate and ``omega`` the shared transition/mode
     frequency (angular, hbar = 1). The atom starts in c_e |e> + c_g |g>,
-    the field in the given occupation distribution truncated at n_max
-    photons. Fock occupations must sit strictly below n_max so the level
-    coupled to them remains represented; coherent amplitudes must leave at
-    most TAIL_TOL probability above the cutoff.
+    the field (:func:`FockField` or :func:`CoherentField`) in the given
+    occupation distribution truncated at n_max photons. Fock occupations
+    must sit strictly below n_max so the level coupled to them remains
+    represented; coherent amplitudes must leave at most TAIL_TOL
+    probability above the cutoff. Returns the resolved ``jcm`` document.
     """
-
-    lam: float
-    n_max: int
-    field: FockField | CoherentField
-    c_e: complex = 1.0
-    c_g: complex = 0.0
-    omega: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.lam) or not math.isfinite(self.omega):
-            raise ModelError("lam and omega must be finite")
-        if self.n_max < 1:
-            raise ModelError(f"n_max must be at least 1, got {self.n_max}")
-        require_dense_dim(2, self.dim_field)  # before the tail sum or any factor
-        norm = math.hypot(abs(self.c_e), abs(self.c_g))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise StateError(f"atom amplitudes have norm {norm!r}, expected 1")
-        if isinstance(self.field, FockField):
-            n = self.field.n
-            if n < 0:
-                raise ModelError(f"Fock occupation must be nonnegative, got {n}")
-            if n > self.n_max - 1:
-                raise TruncationError(
-                    f"Fock occupation {n} needs n_max >= {n + 1} so the coupled "
-                    f"level |{n + 1}> is represented, got n_max = {self.n_max}"
-                )
-        elif isinstance(self.field, CoherentField):
-            tail = coherent_tail_mass(self.field.nu, self.n_max)
-            if tail > TAIL_TOL:
-                raise TruncationError(
-                    f"coherent state with |nu| = {abs(self.field.nu):.4g} leaves "
-                    f"probability {tail:.3e} above n_max = {self.n_max}; "
-                    f"use n_max >= {suggest_coherent_cutoff(self.field.nu)}"
-                )
-        else:
-            raise ModelError(f"unsupported field type {self.field!r}")
-
-    @property
-    def dim_field(self) -> int:
-        return self.n_max + 1
+    if not math.isfinite(lam) or not math.isfinite(omega):
+        raise ModelError("lam and omega must be finite")
+    if n_max < 1:
+        raise ModelError(f"n_max must be at least 1, got {n_max}")
+    require_dense_dim(2, n_max + 1)  # before the tail sum or any factor
+    norm = math.hypot(abs(c_e), abs(c_g))
+    if abs(norm - 1.0) > NORM_TOL:
+        raise StateError(f"atom amplitudes have norm {norm!r}, expected 1")
+    kind = field.get("type") if isinstance(field, dict) else None
+    if kind == "fock":
+        n = field["n"]
+        if n < 0:
+            raise ModelError(f"Fock occupation must be nonnegative, got {n}")
+        if n > n_max - 1:
+            raise TruncationError(
+                f"Fock occupation {n} needs n_max >= {n + 1} so the coupled "
+                f"level |{n + 1}> is represented, got n_max = {n_max}"
+            )
+    elif kind == "coherent":
+        nu = complex(*field["nu"])
+        tail = coherent_tail_mass(nu, n_max)
+        if tail > TAIL_TOL:
+            raise TruncationError(
+                f"coherent state with |nu| = {abs(nu):.4g} leaves "
+                f"probability {tail:.3e} above n_max = {n_max}; "
+                f"use n_max >= {suggest_coherent_cutoff(nu)}"
+            )
+    else:
+        raise ModelError(f"unsupported field type {field!r}")
+    c_e, c_g = complex(c_e), complex(c_g)
+    atom = {"c_e": [c_e.real, c_e.imag], "c_g": [c_g.real, c_g.imag]}
+    return {"model": "jcm", "lambda": lam, "omega": omega, "n_max": n_max, "atom": atom,
+            "field": field}
 
 
-def field_amplitudes(spec: JcmSpec) -> np.ndarray:
+def field_amplitudes(spec: dict) -> np.ndarray:
     """Photon-number amplitudes C_n of the initial field, length n_max + 1.
 
     Coherent amplitudes are renormalized after truncation; the discarded
     mass is below TAIL_TOL by construction, so this shifts nothing beyond
     machine precision while keeping the vector exactly normalized.
     """
-    dim = spec.dim_field
-    if isinstance(spec.field, FockField):
+    dim = spec["n_max"] + 1
+    require_dense_dim(2, dim)
+    field = spec["field"]
+    if field["type"] == "fock":
         amps = np.zeros(dim, dtype=np.complex128)
-        amps[spec.field.n] = 1.0
+        amps[field["n"]] = 1.0
         return amps
-    nu = complex(spec.field.nu)
+    nu = complex(*field["nu"])
     ns = np.arange(dim)
     if nu == 0:
         amps = np.zeros(dim, dtype=np.complex128)
@@ -240,7 +239,7 @@ def field_amplitudes(spec: JcmSpec) -> np.ndarray:
     return amps
 
 
-def build_jcm(spec: JcmSpec) -> tuple[ProductHamiltonian, ProductState]:
+def build_jcm(spec: dict) -> tuple[ProductHamiltonian, ProductState]:
     """Product-form Hamiltonian and initial state for the model.
 
     Term order: atomic splitting, mode energy, sigma_- (x) a^dag,
@@ -250,22 +249,24 @@ def build_jcm(spec: JcmSpec) -> tuple[ProductHamiltonian, ProductState]:
     coupling, and excitation number sigma_z/2 + a^dag a is conserved exactly
     even on the truncated space (truncation only removes couplings).
     """
-    dim = spec.dim_field
+    dim = spec["n_max"] + 1
+    require_dense_dim(2, dim)  # before any factor
+    lam, omega = spec["lambda"], spec["omega"]
     terms: list[tuple[Factor, Factor]] = []
-    if spec.omega != 0.0:
-        terms.append((sigma_z().scaled(0.5 * spec.omega), identity(dim)))
-        terms.append((identity(2), number_operator(dim).scaled(spec.omega)))
-    terms.append((sigma_minus().scaled(spec.lam), creation(dim)))
-    terms.append((sigma_plus().scaled(spec.lam), annihilation(dim)))
+    if omega != 0.0:
+        terms.append((sigma_z().scaled(0.5 * omega), identity(dim)))
+        terms.append((identity(2), number_operator(dim).scaled(omega)))
+    terms.append((sigma_minus().scaled(lam), creation(dim)))
+    terms.append((sigma_plus().scaled(lam), annihilation(dim)))
     psi_a = np.zeros(2, dtype=np.complex128)
-    psi_a[ATOM_EXCITED] = spec.c_e
-    psi_a[ATOM_GROUND] = spec.c_g
+    psi_a[ATOM_EXCITED] = complex(*spec["atom"]["c_e"])
+    psi_a[ATOM_GROUND] = complex(*spec["atom"]["c_g"])
     h = ProductHamiltonian(dim_a=2, dim_b=dim, terms=tuple(terms))
     state = ProductState(psi_a=psi_a, psi_b=field_amplitudes(spec))
     return h, state
 
 
-def jcm_timescale_closed_form(spec: JcmSpec) -> float:
+def jcm_timescale_closed_form(spec: dict) -> float:
     """Squared inverse timescale from the photon distribution alone.
 
     For an atom starting exactly excited,
@@ -277,53 +278,45 @@ def jcm_timescale_closed_form(spec: JcmSpec) -> float:
     state gives lam^2 (excited) and 0 (ground, degenerate). Atom
     superpositions fall back to the general covariance sum.
     """
-    if abs(spec.c_g) != 0.0 and abs(spec.c_e) != 0.0:
+    c_e, c_g = (complex(*spec["atom"][key]) for key in ("c_e", "c_g"))
+    if abs(c_g) != 0.0 and abs(c_e) != 0.0:
         h, state = build_jcm(spec)
         return entanglement_timescale(h, state)["t_ent_inv_sq"]
     c = field_amplitudes(spec)
-    ns = np.arange(spec.dim_field)
+    ns = np.arange(c.size)
     weights = np.abs(c) ** 2
     cross = complex(np.sum(np.sqrt(ns[:-1] + 1.0) * np.conj(c[1:]) * c[:-1]))
-    if abs(spec.c_g) == 0.0:
+    if abs(c_g) == 0.0:
         quadratic = float(np.sum((ns + 1.0) * weights))
     else:
         quadratic = float(np.sum(ns * weights))
-    value = spec.lam**2 * (quadratic - abs(cross) ** 2)
+    value = spec["lambda"] ** 2 * (quadratic - abs(cross) ** 2)
     return max(value, 0.0)
 
 
-@dataclass(frozen=True)
-class BoseHubbardBoundarySpec:
-    """Two neighboring sites at a lattice bipartition cut, one boson each.
+def BoseHubbardBoundarySpec(
+    j_rate: float, u_rate: float = 0.0, n_per_site_max: int = 2
+) -> dict:
+    """Two neighboring sites at a lattice bipartition cut, one boson each, as its document.
 
     ``j_rate`` is the hopping rate J and ``u_rate`` the on-site interaction
     U (both angular). Only the cut-crossing hopping correlates the sides, so
     U never enters the timescale; it is kept to demonstrate exactly that.
-    ``n_per_site_max`` truncates each site's occupation.
+    ``n_per_site_max`` truncates each site's occupation. Returns the
+    resolved ``bose_hubbard`` document.
     """
-
-    j_rate: float
-    u_rate: float = 0.0
-    n_per_site_max: int = 2
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.j_rate) or not math.isfinite(self.u_rate):
-            raise ModelError("j_rate and u_rate must be finite")
-        if self.n_per_site_max < 1:
-            raise TruncationError(
-                f"n_per_site_max must be at least 1 to hold one boson, "
-                f"got {self.n_per_site_max}"
-            )
-        require_dense_dim(self.dim_site, self.dim_site)  # before any factor
-
-    @property
-    def dim_site(self) -> int:
-        return self.n_per_site_max + 1
+    if not math.isfinite(j_rate) or not math.isfinite(u_rate):
+        raise ModelError("j_rate and u_rate must be finite")
+    if n_per_site_max < 1:
+        raise TruncationError(
+            f"n_per_site_max must be at least 1 to hold one boson, got {n_per_site_max}"
+        )
+    require_dense_dim(n_per_site_max + 1, n_per_site_max + 1)  # before any factor
+    return {"model": "bose_hubbard", "j_rate": j_rate, "u_rate": u_rate,
+            "n_per_site_max": n_per_site_max}
 
 
-def build_bose_hubbard_boundary(
-    spec: BoseHubbardBoundarySpec,
-) -> tuple[ProductHamiltonian, ProductState]:
+def build_bose_hubbard_boundary(spec: dict) -> tuple[ProductHamiltonian, ProductState]:
     """Hopping across the cut plus optional on-site interactions.
 
     H = -J (a_L^dag a_R + a_L a_R^dag)
@@ -332,16 +325,15 @@ def build_bose_hubbard_boundary(
     starting from |1> on each site. The closed-form squared inverse
     timescale of this start is 4 J^2 independent of U.
     """
-    dim = spec.dim_site
+    dim = spec["n_per_site_max"] + 1
+    require_dense_dim(dim, dim)  # before any factor
+    j_rate, u_rate = spec["j_rate"], spec["u_rate"]
     a = annihilation(dim)
     ad = creation(dim)
-    terms: list[tuple[Factor, Factor]] = [
-        (ad.scaled(-spec.j_rate), a),
-        (a.scaled(-spec.j_rate), ad),
-    ]
-    if spec.u_rate != 0.0:
+    terms: list[tuple[Factor, Factor]] = [(ad.scaled(-j_rate), a), (a.scaled(-j_rate), ad)]
+    if u_rate != 0.0:
         n = _mode_levels(dim)
-        anharmonic = _diagonal(0.5 * spec.u_rate * (n * n - n))
+        anharmonic = _diagonal(0.5 * u_rate * (n * n - n))
         terms.append((anharmonic, identity(dim)))
         terms.append((identity(dim), anharmonic))
     psi = np.zeros(dim, dtype=np.complex128)

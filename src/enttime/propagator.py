@@ -491,8 +491,8 @@ class Propagator:
             worst = int(np.argmax(drift))
             if not drift[worst] <= NORM_TOL:
                 raise StateError(
-                    f"state norm at t = {chunk[worst]!r} differs from the start's norm by "
-                    f"{drift[worst]!r}, more than {NORM_TOL}"
+                    f"state norm at t = {float(chunk[worst])!r} differs from the start's norm by "
+                    f"{float(drift[worst])!r}, more than {NORM_TOL}"
                 )
             try:
                 singular = np.linalg.svd(amps.reshape(chunk.size, r, c), compute_uv=False)

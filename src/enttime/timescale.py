@@ -19,6 +19,9 @@ state or forms the dense H.
 
 from __future__ import annotations
 
+import cmath
+import math
+
 import numpy as np
 
 from .errors import NumericalError
@@ -99,23 +102,30 @@ def entanglement_timescale(h: ProductHamiltonian, state: ProductState) -> dict:
     NumericalError
         When the double sum keeps an imaginary part beyond ``IMAG_TOL``
         relative to the covariance scale (the symptom of a non-Hermitian
-        total slipping through), or lands more negative than roundoff
-        allows.
+        total slipping through), lands more negative than roundoff allows,
+        or is not finite (terms too large for double precision).
     """
     check_state_dims(h, state)
-    cov_a = _covariance_matrix([a for a, _ in h.terms], state.psi_a)
-    cov_b = _covariance_matrix([b for _, b in h.terms], state.psi_b)
-    total = complex(np.sum(cov_a * cov_b))
-    scale = float(np.linalg.norm(cov_a) * np.linalg.norm(cov_b))
+    with np.errstate(over="ignore", invalid="ignore"):  # caught as a non-finite sum below
+        cov_a = _covariance_matrix([a for a, _ in h.terms], state.psi_a)
+        cov_b = _covariance_matrix([b for _, b in h.terms], state.psi_b)
+        total = complex(np.sum(cov_a * cov_b))
+        scale = float(np.linalg.norm(cov_a) * np.linalg.norm(cov_b))
+    if not (cmath.isfinite(total) and math.isfinite(scale)):
+        raise NumericalError(
+            f"covariance double sum {total!r} or its scale {scale!r} is not finite; "
+            "the terms of H are too large for double precision"
+        )
 
+    # each test below is written to raise, not pass, if a NaN reaches it
     imag_residual = abs(total.imag)
-    if imag_residual > IMAG_TOL * max(1.0, scale):
+    if not imag_residual <= IMAG_TOL * max(1.0, scale):
         raise NumericalError(
             f"covariance double sum has imaginary residual {imag_residual:.3e} "
             f"(scale {scale:.3e}); the assembled Hamiltonian is likely not Hermitian"
         )
     t2 = total.real
-    if t2 < -DEGEN_TOL_REL * max(1.0, scale):
+    if not t2 >= -DEGEN_TOL_REL * max(1.0, scale):
         raise NumericalError(
             f"covariance double sum is negative ({t2:.3e}) beyond roundoff "
             f"for scale {scale:.3e}"

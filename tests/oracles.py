@@ -21,7 +21,6 @@ from enttime.hamiltonian import ProductHamiltonian
 from enttime.models import (
     ATOM_EXCITED,
     ATOM_GROUND,
-    JcmSpec,
     field_amplitudes,
     jcm_timescale_closed_form,
 )
@@ -183,28 +182,29 @@ def random_term_list(rng: np.random.Generator, dim_a: int, dim_b: int, n_groups:
 # enttime.models), used only as checks.
 
 
-def jcm_four_term_hamiltonian(spec: JcmSpec) -> ProductHamiltonian:
+def jcm_four_term_hamiltonian(spec: dict) -> ProductHamiltonian:
     """The JCM Hamiltonian with all four terms written out, at any omega.
 
     Term order: (omega/2) sigma_z (x) 1, 1 (x) omega n, lam sigma_- (x) a^dag,
     lam sigma_+ (x) a; at omega = 0 the first two are kept as exact zeros.
     """
-    dim = spec.dim_field
+    dim = spec["n_max"] + 1
+    lam, omega = spec["lambda"], spec["omega"]
     a = np.diag(np.sqrt(np.arange(1, dim, dtype=np.float64)), k=1).astype(np.complex128)
     sigma_plus = np.zeros((2, 2), dtype=np.complex128)
     sigma_plus[ATOM_EXCITED, ATOM_GROUND] = 1.0
     terms = [
-        (0.5 * spec.omega * np.diag([1.0, -1.0]).astype(np.complex128),
+        (0.5 * omega * np.diag([1.0, -1.0]).astype(np.complex128),
          np.eye(dim, dtype=np.complex128)),
         (np.eye(2, dtype=np.complex128),
-         spec.omega * np.diag(np.arange(dim, dtype=np.float64)).astype(np.complex128)),
-        (spec.lam * sigma_plus.T, a.T),
-        (spec.lam * sigma_plus, a),
+         omega * np.diag(np.arange(dim, dtype=np.float64)).astype(np.complex128)),
+        (lam * sigma_plus.T, a.T),
+        (lam * sigma_plus, a),
     ]
     return ProductHamiltonian(dim_a=2, dim_b=dim, terms=terms)
 
 
-def jcm_analytic_state(spec: JcmSpec, t: float) -> np.ndarray:
+def jcm_analytic_state(spec: dict, t: float) -> np.ndarray:
     """Closed-form amplitudes at time t, bypassing diagonalization.
 
     Each doublet {|e, n>, |g, n+1>} rotates at Rabi rate lam * sqrt(n+1);
@@ -213,33 +213,35 @@ def jcm_analytic_state(spec: JcmSpec, t: float) -> np.ndarray:
     on the g branch. Those phases are local unitaries, so entropies and
     timescales cannot see them, but they make this expression agree with
     full-Hamiltonian propagation for any omega, not just omega = 0. The
-    amplitude of |atom, n> sits at atom * dim_field + n.
+    amplitude of |atom, n> sits at atom * (n_max + 1) + n.
     """
     t = float(t)
-    dim = spec.dim_field
+    dim = spec["n_max"] + 1
+    lam, omega = spec["lambda"], spec["omega"]
+    c_e, c_g = (complex(*spec["atom"][key]) for key in ("c_e", "c_g"))
     c = field_amplitudes(spec)
     c_up = np.append(c[1:], 0.0)  # C_{n+1}, zero past the cutoff
     c_down = np.append(0.0, c[:-1])  # C_{n-1}, zero below the vacuum
     ns = np.arange(dim)
-    rabi_e = spec.lam * np.sqrt(ns + 1.0) * t
-    rabi_g = spec.lam * np.sqrt(ns.astype(np.float64)) * t
-    amp_e = spec.c_e * c * np.cos(rabi_e) - 1j * spec.c_g * c_up * np.sin(rabi_e)
-    amp_g = -1j * spec.c_e * c_down * np.sin(rabi_g) + spec.c_g * c * np.cos(rabi_g)
-    amp_e = amp_e * np.exp(-1j * spec.omega * (ns + 0.5) * t)
-    amp_g = amp_g * np.exp(-1j * spec.omega * (ns - 0.5) * t)
+    rabi_e = lam * np.sqrt(ns + 1.0) * t
+    rabi_g = lam * np.sqrt(ns.astype(np.float64)) * t
+    amp_e = c_e * c * np.cos(rabi_e) - 1j * c_g * c_up * np.sin(rabi_e)
+    amp_g = -1j * c_e * c_down * np.sin(rabi_g) + c_g * c * np.cos(rabi_g)
+    amp_e = amp_e * np.exp(-1j * omega * (ns + 0.5) * t)
+    amp_g = amp_g * np.exp(-1j * omega * (ns - 0.5) * t)
     amps = np.zeros(2 * dim, dtype=np.complex128)
     amps[ATOM_EXCITED * dim : ATOM_EXCITED * dim + dim] = amp_e
     amps[ATOM_GROUND * dim : ATOM_GROUND * dim + dim] = amp_g
     return amps
 
 
-def jcm_log_divergence_coefficient(spec: JcmSpec) -> tuple[float, float]:
+def jcm_log_divergence_coefficient(spec: dict) -> tuple[float, float]:
     """Coefficients (a, b) of the short-time von Neumann curvature a + b ln t.
 
     Defined for an atom starting exactly excited with a non-degenerate
     timescale; the logarithmic coefficient is b = -4 * t_ent_inv_sq.
     """
-    if abs(spec.c_g) != 0.0:
+    if abs(complex(*spec["atom"]["c_g"])) != 0.0:
         raise ModelError(
             "log-divergence coefficients are defined for an exactly excited atom"
         )

@@ -84,7 +84,7 @@ def test_criterion_1_fock_timescale():
         abs(report["t_ent_inv_sq"] - 4.0) <= 1e-12 * 4.0,
         f"covariance path gave {report['t_ent_inv_sq']!r}",
     )
-    lam_t = spec.lam * report["t_ent"]
+    lam_t = spec["lambda"] * report["t_ent"]
     # lam * T_ent = 1 / sqrt(N + 1) = 0.5 at N = 3; see the repository's
     # decision notes on the discrepant headline figure
     _check(failures, abs(lam_t - 0.5) <= 1e-12, f"lam * T_ent = {lam_t!r}")
@@ -156,7 +156,7 @@ def test_criterion_3_coherent_nu_independence():
         spec = JcmSpec(lam=1.0, n_max=n_max, field=CoherentField(nu))
         h, state = build_jcm(spec)
         report = entanglement_timescale(h, state)
-        deviation = abs(spec.lam * report["t_ent"] - 1.0)
+        deviation = abs(spec["lambda"] * report["t_ent"] - 1.0)
         worst = max(worst, deviation)
         _check(
             failures,
@@ -182,7 +182,7 @@ def test_criterion_4_degenerate_sixth_order_onset():
         report["t_ent_inv_sq"] <= 1e-12 * report["scale"],
         f"t_ent_inv_sq = {report['t_ent_inv_sq']!r} at scale {report['scale']!r}",
     )
-    times = np.geomspace(1e-3, 1e-1, 13) / spec.lam
+    times = np.geomspace(1e-3, 1e-1, 13) / spec["lambda"]
     _, (values,) = entropy_series(h, state, [2], times)
     _check(failures, bool(np.all(values > 0.0)), "S_2 not resolvable on window")
     slope, _ = np.polyfit(np.log(times), np.log(values), 1)
@@ -231,9 +231,9 @@ def test_criterion_6_von_neumann_log_divergence():
     spec = JcmSpec(lam=1.0, n_max=10, field=FockField(3))
     h, state = build_jcm(spec)
     report = entanglement_timescale(h, state)
-    times = np.array([1e-2, 1e-3, 1e-4, 1e-5]) / spec.lam
+    times = np.array([1e-2, 1e-3, 1e-4, 1e-5]) / spec["lambda"]
     rows = von_neumann_curvature_probe(Propagator(h, state), report, times)
-    x = np.log(spec.lam * np.array([t for t, _ in rows]))
+    x = np.log(spec["lambda"] * np.array([t for t, _ in rows]))
     y = np.array([c for _, c in rows])
     slope, intercept = np.polyfit(x, y, 1)
     residual = y - (slope * x + intercept)

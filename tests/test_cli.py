@@ -348,6 +348,18 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
 
+def test_overflowing_rate_is_numerical_error(tmp_path, capsys):
+    spec = write_model(tmp_path, fock_doc(**{"lambda": 1e160}))
+    assert main(["timescale", "--spec", spec, "--no-timing"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: covariance double sum (inf+nanj) or its scale inf")
+    assert main(["verify", "--spec", spec, "--alphas", "2"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: covariance double sum" in captured.err
+    assert "onset" not in captured.err
+
+
 def test_solver_breakdown_is_numerical_error(tmp_path, monkeypatch, capsys):
     spec = write_model(tmp_path, fock_doc())
 

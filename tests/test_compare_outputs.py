@@ -18,7 +18,7 @@ _SPEC.loader.exec_module(compare_outputs)
 
 def test_every_model_of_the_fixed_set_reads():
     docs = compare_outputs.model_documents()
-    assert len(docs) == 15
+    assert len(docs) == 17
     for name, doc in docs.items():
         h, _, _ = resolve_model_document(json.loads(json.dumps(doc)))
         if name == "non_hermitian":
@@ -37,7 +37,7 @@ def test_every_model_of_the_fixed_set_reads():
     assert partial[3] == [*partial[2], "--t-max", "8"]
     spelled = compare_outputs.commands("jcm_fock_7")[3:]
     assert [cmd[0] for cmd in spelled] == ["verify", "evolve", "timescale", "verify"]
-    assert sum(len(compare_outputs.commands(name)) for name in docs) == 50
+    assert sum(len(compare_outputs.commands(name)) for name in docs) == 56
 
 
 def canned(monkeypatch, repo, differ):

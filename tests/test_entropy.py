@@ -210,11 +210,11 @@ def test_reduced_entropies_agree_between_subsystems():
 def test_series_matches_analytic_jcm():
     spec = JcmSpec(lam=0.7, n_max=30, field=CoherentField(1.5), omega=0.4)
     h, s = build_jcm(spec)
-    times = np.linspace(0.0, 3.0 / spec.lam, 16)
+    times = np.linspace(0.0, 3.0 / spec["lambda"], 16)
     _, (values,) = entropy_series(h, s, [2], times)
     for t, value in zip(times, values):
         psi = oracles.jcm_analytic_state(spec, t)
-        probs = oracles.schmidt_probabilities_svd(psi, 2, spec.dim_field)
+        probs = oracles.schmidt_probabilities_svd(psi, 2, spec["n_max"] + 1)
         assert abs(value - renyi_from_probabilities(probs, 2)) <= 1e-9
     assert values[0] <= 1e-10
 
@@ -264,8 +264,8 @@ def test_series_validation():
         entropy_series(h, s, [], [0.0, 1.0])
     with pytest.raises(ValueError):
         entropy_series(h, s, [2], [1.0, 0.5])
-    with pytest.raises(ValueError):
-        entropy_series(h, s, [2], [-1.0, 0.5])
+    with pytest.raises(ValueError, match=r"nonnegative, got -1\.0$"):
+        entropy_series(h, s, [2], [-1.0, 0.5])  # not np.float64(-1.0)
     with pytest.raises(ValueError):
         entropy_series(h, s, [0], [0.0, 1.0])
     with pytest.raises(ValueError):

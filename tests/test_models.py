@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -5,8 +6,10 @@ import numpy as np
 import pytest
 
 import enttime.models
+from enttime.cli import load_model_file
 from enttime.errors import DimensionError, ModelError, StateError, TruncationError
 from enttime.hamiltonian import assemble, product_state_vector
+from enttime.tolerances import MAX_DIM
 from enttime.models import (
     ATOM_EXCITED,
     ATOM_GROUND,
@@ -122,6 +125,76 @@ def test_spec_size_cap_precedes_tail_sum(monkeypatch):
         BoseHubbardBoundarySpec(j_rate=1.0, n_per_site_max=64)
 
 
+# each model document next to the constructor call that resolves to the same dict
+_HZ = 2.0 * math.pi  # the reader's factor for a rate given in Hz
+_DOCUMENTS = {
+    "fock-defaults": (
+        {"model": "jcm", "lambda": 0.8, "field": {"type": "fock", "n": 2}},
+        lambda: JcmSpec(lam=0.8, n_max=4, field=FockField(2)),
+    ),
+    "fock-full": (
+        {"model": "jcm", "lambda_hz": 0.5, "omega_hz": 0.25, "n_max": 6,
+         "atom": {"c_e": 0.6, "c_g": [0.0, 0.8]}, "field": {"type": "fock", "n": 3}},
+        lambda: JcmSpec(lam=_HZ * 0.5, n_max=6, field=FockField(3), c_e=0.6, c_g=0.8j,
+                        omega=_HZ * 0.25),
+    ),
+    "coherent-defaults": (
+        {"model": "jcm", "lambda": 1.0, "field": {"type": "coherent", "nu": [1.5, -0.5]}},
+        lambda: JcmSpec(lam=1.0, n_max=suggest_coherent_cutoff(1.5 - 0.5j),
+                        field=CoherentField(1.5 - 0.5j)),
+    ),
+    "coherent-full": (
+        {"model": "jcm", "lambda": 1.0, "omega": 0.3, "n_max": 40,
+         "atom": {"c_e": 0.0, "c_g": 1.0}, "field": {"type": "coherent", "nu": 3.0}},
+        lambda: JcmSpec(lam=1.0, n_max=40, field=CoherentField(3.0), c_e=0.0, c_g=1.0,
+                        omega=0.3),
+    ),
+    "bose-hubbard-defaults": (
+        {"model": "bose_hubbard", "j_rate": 2},
+        lambda: BoseHubbardBoundarySpec(j_rate=2.0),
+    ),
+    "bose-hubbard-full": (
+        {"model": "bose_hubbard", "j_rate": 1.0, "u_rate_hz": 2.0, "n_per_site_max": 3},
+        lambda: BoseHubbardBoundarySpec(j_rate=1.0, u_rate=_HZ * 2.0, n_per_site_max=3),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_DOCUMENTS))
+def test_constructors_return_the_resolved_document(tmp_path, name):
+    document, construct = _DOCUMENTS[name]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    h, state, resolved = load_model_file(str(path))
+    spec = construct()
+    assert spec == resolved
+    assert json.dumps(spec) == json.dumps(resolved)  # the same keys in the same order
+    assert json.loads(json.dumps(spec)) == spec
+    # a builder reads the round-tripped dict as it reads the constructor's
+    build = build_jcm if spec["model"] == "jcm" else build_bose_hubbard_boundary
+    h2, state2 = build(json.loads(json.dumps(spec)))
+    assert np.array_equal(assemble(h2), assemble(h))
+    assert np.array_equal(state2.psi_a, state.psi_a)
+    assert np.array_equal(state2.psi_b, state.psi_b)
+
+
+def test_builders_check_the_size_of_a_hand_made_document(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a factor was built before the size cap was checked")
+
+    monkeypatch.setattr(enttime.models, "_diagonal", refuse)
+    jcm = {**JcmSpec(lam=1.0, n_max=4, field=FockField(1)), "n_max": MAX_DIM}
+    with pytest.raises(DimensionError, match="exceeds the configured maximum"):
+        build_jcm(jcm)
+    with pytest.raises(DimensionError, match="exceeds the configured maximum"):
+        field_amplitudes(jcm)
+    with pytest.raises(DimensionError, match="exceeds the configured maximum"):
+        jcm_timescale_closed_form(jcm)
+    bose_hubbard = {**BoseHubbardBoundarySpec(j_rate=1.0), "n_per_site_max": 64}
+    with pytest.raises(DimensionError, match="exceeds the configured maximum"):
+        build_bose_hubbard_boundary(bose_hubbard)
+
+
 def test_coherent_tail_against_direct_sum():
     # compare the log-space accumulation with a naive Poisson partial sum
     nu = 2.0
@@ -163,7 +236,7 @@ def test_excitation_number_is_conserved():
     spec = JcmSpec(lam=0.8, n_max=7, field=FockField(2), omega=1.3)
     h, _ = build_jcm(spec)
     dense = assemble(h)
-    dim = spec.dim_field
+    dim = spec["n_max"] + 1
     excitation = np.kron(0.5 * sigma_z().toarray(), identity(dim).toarray()) + np.kron(
         identity(2).toarray(), number_operator(dim).toarray()
     )
@@ -263,7 +336,7 @@ def test_initial_state_layout():
     spec = JcmSpec(lam=1.0, n_max=3, field=FockField(2), c_e=0.6, c_g=0.8)
     _, state = build_jcm(spec)
     vec = product_state_vector(state)
-    dim = spec.dim_field
+    dim = spec["n_max"] + 1
     assert abs(vec[ATOM_EXCITED * dim + 2] - 0.6) <= 1e-15
     assert abs(vec[ATOM_GROUND * dim + 2] - 0.8) <= 1e-15
     assert np.count_nonzero(np.abs(vec) > 1e-15) == 2
@@ -286,7 +359,7 @@ def test_analytic_state_half_rabi_swap():
     spec = JcmSpec(lam=1.0, n_max=3, field=FockField(0))
     t = 0.5 * math.pi
     analytic = oracles.jcm_analytic_state(spec, t)
-    dim = spec.dim_field
+    dim = spec["n_max"] + 1
     target = ATOM_GROUND * dim + 1
     assert abs(abs(analytic[target]) - 1.0) <= 1e-12
     rest = np.delete(analytic, target)
@@ -423,7 +496,7 @@ def test_bose_hubbard_hopping_is_number_conserving():
     spec = BoseHubbardBoundarySpec(j_rate=1.0, u_rate=2.0, n_per_site_max=3)
     h, _ = build_bose_hubbard_boundary(spec)
     dense = assemble(h)
-    dim = spec.dim_site
+    dim = spec["n_per_site_max"] + 1
     n, one = number_operator(dim).toarray(), identity(dim).toarray()
     total_n = np.kron(n, one) + np.kron(one, n)
     comm = dense @ total_n - total_n @ dense

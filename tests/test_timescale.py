@@ -171,6 +171,15 @@ def test_imaginary_residual_flags_non_hermitian_total():
         entanglement_timescale(h, s)
 
 
+@pytest.mark.parametrize("lam", [1e78, 1e160], ids=["scale-overflows", "sum-overflows"])
+def test_non_finite_sum_or_scale_is_numerical_error(lam):
+    # finite rates whose covariances overflow: at 1e160 the sum itself is
+    # inf + nan i, which every plain comparison would let through as degenerate
+    h, s = build_jcm(JcmSpec(lam=lam, n_max=5, field=FockField(3)))
+    with pytest.raises(NumericalError, match="not finite"):
+        entanglement_timescale(h, s)
+
+
 def test_dimension_mismatch_rejected():
     spec = JcmSpec(lam=1.0, n_max=4, field=FockField(1))
     h, _ = build_jcm(spec)

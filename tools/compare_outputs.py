@@ -119,6 +119,11 @@ def model_documents() -> dict[str, dict]:
                             "n_per_site_max": 4},
         "bose_hubbard_u100": {"model": "bose_hubbard", "j_rate": 1.0, "u_rate": 100.0,
                               "n_per_site_max": 4},
+        # defaults the echo fills in: rates in Hz, n_max after a Fock field, u_rate and
+        # n_per_site_max, and an integer rate written as a float
+        "jcm_hz_defaults": {"model": "jcm", "lambda_hz": 0.5, "omega_hz": 0.25,
+                            "field": {"type": "fock", "n": 2}},
+        "bose_hubbard_defaults": {"model": "bose_hubbard", "j_rate": 2},
         "custom_2x3": _custom(2, 3, [(sigma_p, b), (sigma_m, b_adj), (sigma_z, diag)],
                               [0.6, 0.8j], [0.8, 0, 0.6]),
         "t4_onset": _custom(2, 2, [(sigma_x, one), (sigma_z, sigma_x)], [1, 0], [1, 0]),
