@@ -22,7 +22,6 @@ H^dag or their difference in full.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -46,7 +45,6 @@ __all__ = [
 _SLAB_ENTRIES = 1 << 18
 
 
-@dataclass(frozen=True, eq=False)
 class Factor:
     """An n x n matrix held as its exact nonzeros, row by row (CSR).
 
@@ -59,15 +57,10 @@ class Factor:
     :meth:`adjoint` has been called.
     """
 
-    n: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        n, indptr = int(self.n), np.array(self.indptr, dtype=np.int64)
-        indices = np.array(self.indices, dtype=np.int64).reshape(-1)
-        values = np.array(self.values, dtype=np.complex128).reshape(-1)
+    def __init__(self, n: int, indptr, indices, values) -> None:
+        n, indptr = int(n), np.array(indptr, dtype=np.int64)
+        indices = np.array(indices, dtype=np.int64).reshape(-1)
+        values = np.array(values, dtype=np.complex128).reshape(-1)
         if not (n >= 1 and indptr.shape == (n + 1,) and indptr[0] == 0
                 and np.all(np.diff(indptr) >= 0) and indptr[-1] == indices.size == values.size
                 and np.all((indices >= 0) & (indices < n))
@@ -82,10 +75,9 @@ class Factor:
     def _set_arrays(self, n: int, indptr: np.ndarray, indices: np.ndarray,
                     values: np.ndarray) -> None:
         """Store n and the three CSR arrays, made read-only, as they are given."""
-        object.__setattr__(self, "n", n)
-        for name, array in zip(("indptr", "indices", "values"), (indptr, indices, values)):
+        for array in (indptr, indices, values):
             array.setflags(write=False)
-            object.__setattr__(self, name, array)
+        self.n, self.indptr, self.indices, self.values = n, indptr, indices, values
 
     def _rows(self) -> np.ndarray:
         """Row of each stored entry."""
@@ -101,7 +93,7 @@ class Factor:
             adjoint = object.__new__(Factor)
             adjoint._set_arrays(self.n, np.searchsorted(self.indices[order], np.arange(self.n + 1)),
                                 self._rows()[order].astype(np.int32), self.values[order].conj())
-            object.__setattr__(self, "_adjoint", adjoint)
+            self._adjoint = adjoint
         return self._adjoint
 
     def toarray(self) -> np.ndarray:
@@ -143,7 +135,6 @@ def _flat_keys(n: int, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr)) + indices
 
 
-@dataclass(frozen=True, eq=False)
 class ProductHamiltonian:
     """Hamiltonian given as a sum of Kronecker-product terms.
 
@@ -155,34 +146,24 @@ class ProductHamiltonian:
 
     A factor given as a :class:`Factor` is kept as it is; any other is read
     as a dense matrix into a new Factor, which shares no memory with it.
+    ``terms`` is kept as a tuple of Factor pairs, with ``n_terms`` and ``dim`` = dim_a dim_b.
     """
 
-    dim_a: int
-    dim_b: int
-    terms: tuple[tuple[Factor, Factor], ...]
-
-    def __post_init__(self) -> None:
-        if self.dim_a < 1 or self.dim_b < 1:
+    def __init__(self, dim_a: int, dim_b: int, terms) -> None:
+        if dim_a < 1 or dim_b < 1:
             raise DimensionError(
-                f"subsystem dimensions must be positive, got {self.dim_a}, {self.dim_b}"
+                f"subsystem dimensions must be positive, got {dim_a}, {dim_b}"
             )
-        if len(self.terms) == 0:
+        if len(terms) == 0:
             raise ModelError("a product Hamiltonian needs at least one term")
         frozen = []
-        for k, pair in enumerate(self.terms):
+        for k, pair in enumerate(terms):
             if len(pair) != 2:
                 raise ModelError(f"term {k} is not an (A, B) pair")
-            frozen.append((_factor(pair[0], self.dim_a, f"term {k} factor A"),
-                           _factor(pair[1], self.dim_b, f"term {k} factor B")))
-        object.__setattr__(self, "terms", tuple(frozen))
-
-    @property
-    def n_terms(self) -> int:
-        return len(self.terms)
-
-    @property
-    def dim(self) -> int:
-        return self.dim_a * self.dim_b
+            frozen.append((_factor(pair[0], dim_a, f"term {k} factor A"),
+                           _factor(pair[1], dim_b, f"term {k} factor B")))
+        self.dim_a, self.dim_b, self.dim = dim_a, dim_b, dim_a * dim_b
+        self.terms, self.n_terms = tuple(frozen), len(frozen)
 
     @cached_property
     def paired(self) -> tuple[bool, ...]:
@@ -224,16 +205,12 @@ def _factor(m, dim: int, name: str) -> Factor:
     return Factor(dim, np.searchsorted(flat, np.arange(dim + 1) * dim), flat % dim, m.flat[flat])
 
 
-@dataclass(frozen=True, eq=False)
 class ProductState:
-    """Normalized product initial state psi_a (x) psi_b."""
+    """Normalized product initial state psi_a (x) psi_b: read-only copies of sizes dim_a, dim_b."""
 
-    psi_a: np.ndarray
-    psi_b: np.ndarray
-
-    def __post_init__(self) -> None:
-        for label in ("psi_a", "psi_b"):
-            vec = np.array(getattr(self, label), dtype=np.complex128, copy=True).reshape(-1)
+    def __init__(self, psi_a, psi_b) -> None:
+        for label, vec in (("psi_a", psi_a), ("psi_b", psi_b)):
+            vec = np.array(vec, dtype=np.complex128, copy=True).reshape(-1)
             if vec.shape[0] < 1:
                 raise DimensionError(f"{label} must have at least one amplitude")
             if not np.all(np.isfinite(vec)):
@@ -244,15 +221,8 @@ class ProductState:
                     f"{label} norm {norm!r} deviates from 1 by more than {NORM_TOL}"
                 )
             vec.setflags(write=False)
-            object.__setattr__(self, label, vec)
-
-    @property
-    def dim_a(self) -> int:
-        return self.psi_a.shape[0]
-
-    @property
-    def dim_b(self) -> int:
-        return self.psi_b.shape[0]
+            setattr(self, label, vec)
+        self.dim_a, self.dim_b = self.psi_a.shape[0], self.psi_b.shape[0]
 
 
 def check_state_dims(h: ProductHamiltonian, state: ProductState) -> None:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +56,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
 class HermitianSpectrum:
     """Checked spectrum of a Hermitian matrix, or of a stack of them.
 
@@ -70,14 +68,12 @@ class HermitianSpectrum:
     field. The arrays are kept read-only.
     """
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    residual: np.ndarray
-    tolerance: np.ndarray
-
-    def __post_init__(self) -> None:
-        for field in (self.eigenvalues, self.eigenvectors, self.residual, self.tolerance):
-            field.setflags(write=False)
+    def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray, residual: np.ndarray,
+                 tolerance: np.ndarray) -> None:
+        for array in (eigenvalues, eigenvectors, residual, tolerance):
+            array.setflags(write=False)
+        self.eigenvalues, self.eigenvectors = eigenvalues, eigenvectors
+        self.residual, self.tolerance = residual, tolerance
 
 
 def _square(m) -> np.ndarray:
@@ -122,7 +118,7 @@ def eig_hermitian(m) -> HermitianSpectrum:
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Hermitian eigensolver failed to converge: {exc}") from exc
     residual = _residual_estimate(sym, w, v)
-    tol = RECON_TOL * np.maximum(1.0, np.linalg.norm(sym, axis=(-2, -1)))
+    tol = RECON_TOL * np.maximum(1.0, _frobenius(sym))
     bad = np.flatnonzero(~(residual <= tol))
     if bad.size:
         k = bad[0]
@@ -146,7 +142,19 @@ def _residual_estimate(sym: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndar
         scale = math.sqrt(PROBE_COLUMNS)
     vx = (v.swapaxes(-1, -2) @ x).conj()  # V^dag X, as X is real
     e = sym @ x - v @ (w[..., :, None] * vx)
-    return np.linalg.norm(e, axis=(-2, -1)) / scale
+    return _frobenius(e) / scale
+
+
+def _frobenius(x: np.ndarray) -> np.ndarray:
+    """||X||_F of each matrix of a stack, with no square that overflows.
+
+    The squares are summed over X / 2^k, 2^k >= max|X| (an exact scaling),
+    on its real view: one temporary of the size of X, where
+    ``np.linalg.norm`` forms two and overflows past about 1e154.
+    """
+    scale = np.ldexp(1.0, np.frexp(np.abs(x).max(axis=(-2, -1)))[1])
+    real = np.divide(x, scale[..., None, None], order="C").view(np.float64)
+    return scale * np.sqrt(np.einsum("...ij,...ij->...", real, real))
 
 
 def propagate(spectrum: HermitianSpectrum, psi0: np.ndarray, modes: np.ndarray,
@@ -178,8 +186,8 @@ def propagate(spectrum: HermitianSpectrum, psi0: np.ndarray, modes: np.ndarray,
     return out
 
 
-def hermitian_product(pairs, paired) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
-    """psi -> S psi for S = (M + M^dag)/2, M = sum_n A_n (x) B_n, without forming S; and its width.
+def hermitian_product(pairs, paired) -> Callable[[np.ndarray], np.ndarray]:
+    """psi -> S psi for S = (M + M^dag)/2, M = sum_n A_n (x) B_n, without forming S.
 
     ``pairs`` holds each term's dense factors (A_n, B_n), of shapes
     (dim_a, dim_a) and (dim_b, dim_b). With Psi = psi reshaped to
@@ -192,10 +200,10 @@ def hermitian_product(pairs, paired) -> tuple[Callable[[np.ndarray], np.ndarray]
     (1/2)(A_n Psi B_n^T + A_n^dag Psi conj(B_n)). The left factors,
     times their weights, and the transposed right ones are stacked once,
     and each product is two GEMMs, Psi times the right stack and the left
-    stack times its blocks laid end to end.
-    The width returned is the number w of blocks stacked, N for a list
-    closed under the adjoint and up to 2N otherwise: w d (dim_a + dim_b)
-    multiply-adds per product, against d^2 for S psi.
+    stack times its blocks laid end to end. With P of the N terms paired,
+    the stacks hold w = 2N - P blocks, N for a list closed under the
+    adjoint: w d (dim_a + dim_b) multiply-adds per product, against d^2
+    for S psi.
     """
     dim_a, dim_b = pairs[0][0].shape[0], pairs[0][1].shape[0]
     whole = [pair for pair, c in zip(pairs, paired) if c]
@@ -210,7 +218,7 @@ def hermitian_product(pairs, paired) -> tuple[Callable[[np.ndarray], np.ndarray]
         blocks = blocks.reshape(dim_a, count, dim_b).swapaxes(0, 1).reshape(-1, dim_b)
         return (left @ blocks).reshape(-1)
 
-    return apply, count
+    return apply
 
 
 def row_norms(x: np.ndarray) -> np.ndarray:

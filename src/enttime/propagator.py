@@ -63,7 +63,6 @@ and reduces 2 x 2 amplitudes per time, not 2 x 2048.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -232,7 +231,6 @@ def _series_plan(times: np.ndarray, radius: float, size: int, work: float,
     return None if best is None else best[1:]
 
 
-@dataclass(eq=False)
 class _Block:
     """One large block, or every small block of one size, and what has been formed from it.
 
@@ -241,8 +239,9 @@ class _Block:
     stack from ``eigh`` to the scatter of their amplitudes. ``extremes``
     are the lowest and highest level: of the eigenvalues of small blocks,
     or the Lanczos Ritz values of a large one, which ``margin`` widens into
-    the series interval. ``operator`` is what the series applies to a large
-    block, S = (M + M^dag)/2 or its product form
+    the series interval, whose center and half-width are ``interval``.
+    ``operator`` is what the series applies to a large block,
+    S = (M + M^dag)/2 or its product form
     (:func:`~enttime.linalg.hermitian_product`), and None for small blocks,
     which never take the series; ``work`` is the multiply-adds of one
     product with it, weighted as the route rule counts them. ``spectrum``
@@ -258,25 +257,20 @@ class _Block:
     max_k ||u_k|| over the start's norm, over all rows formed.
     """
 
-    indices: np.ndarray
-    psi0: np.ndarray
-    extremes: tuple[float, float]
-    margin: float = 0.0
-    operator: np.ndarray | Callable[[np.ndarray], np.ndarray] | None = None
-    work: float = 0.0
-    spectrum: HermitianSpectrum | None = None
-    vectors: np.ndarray | None = None
     terms: int | None = None
-    steps: int = 1
-    span: float = 0.0
+    steps = 1
+    span = 0.0
     latest: tuple | None = None
-    growth: float = 0.0
+    growth = 0.0
 
-    @cached_property
-    def interval(self) -> tuple[float, float]:
-        """Center and half-width of the series interval."""
-        low, high = self.extremes
-        return 0.5 * (low + high), 0.5 * (high - low) + self.margin
+    def __init__(self, indices: np.ndarray, psi0: np.ndarray, extremes: tuple[float, float],
+                 margin: float = 0.0, operator: np.ndarray | Callable | None = None,
+                 work: float = 0.0, spectrum: HermitianSpectrum | None = None,
+                 vectors: np.ndarray | None = None) -> None:
+        self.indices, self.psi0, self.extremes, self.margin = indices, psi0, extremes, margin
+        low, high = extremes
+        self.interval = 0.5 * (low + high), 0.5 * (high - low) + margin
+        self.operator, self.work, self.spectrum, self.vectors = operator, work, spectrum, vectors
 
     @cached_property
     def modes(self) -> np.ndarray:
@@ -408,22 +402,21 @@ class Propagator:
 
         Its operator is the product form of S when the block is the whole
         space and that takes no more multiply-adds than S psi,
-        w (dim_a + dim_b) <= d for the width w of the stacked factors (N
-        to 2N for N terms), and S otherwise (a partial block, or a lopsided
-        split, where the factor stacks outweigh S). The cut counts plain
-        multiply-adds, not the weighted work of the route rule: on a thin
-        split the first GEMM reads its stack once per product, as S psi
-        reads S.
+        w (dim_a + dim_b) <= d for the width w = 2N - P of the stacked
+        factors, P of the N terms paired, and S otherwise (a partial block,
+        or a lopsided split, where the factor stacks outweigh S). The cut
+        counts plain multiply-adds, not the weighted work of the route rule:
+        on a thin split the first GEMM reads its stack once per product, as
+        S psi reads S.
         """
         h, n = self._h, indices.size
-        operator, work = None, _MATVEC_WORK * n * n
-        if n == self.dim and h.n_terms * (h.dim_a + h.dim_b) <= n:
-            product, width = hermitian_product([(a.toarray(), b.toarray()) for a, b in h.terms],
-                                               h.paired)
-            if width * (h.dim_a + h.dim_b) <= n:
-                operator, work = product, _PRODUCT_WORK * width * n * (h.dim_a + h.dim_b)
-        if operator is None:
-            operator = self._matrix(indices)
+        width = 2 * h.n_terms - sum(h.paired)
+        if n == self.dim and width * (h.dim_a + h.dim_b) <= n:
+            operator = hermitian_product([(a.toarray(), b.toarray()) for a, b in h.terms],
+                                         h.paired)
+            work = _PRODUCT_WORK * width * n * (h.dim_a + h.dim_b)
+        else:
+            operator, work = self._matrix(indices), _MATVEC_WORK * n * n
         start = np.random.default_rng(PROBE_SEED).standard_normal(n)
         low, high, margin = lanczos_interval(operator, start)
         return _Block(indices, psi0, (low, high), margin, operator, work, vectors=psi0[None])

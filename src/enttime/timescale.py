@@ -70,6 +70,15 @@ def _covariance_matrix(factors: list[Factor], psi: np.ndarray) -> np.ndarray:
     return second - np.outer(means, means)
 
 
+def _norm(x: np.ndarray) -> float:
+    """||x||_F, taken over x / max|x| only where squares of its finite entries overflow."""
+    norm = float(np.linalg.norm(x))
+    if math.isinf(norm) and np.all(np.isfinite(x)):
+        peak = float(np.max(np.abs(x)))
+        norm = peak * float(np.linalg.norm(x / peak))
+    return norm
+
+
 def entanglement_timescale(h: ProductHamiltonian, state: ProductState) -> dict:
     """Evaluate the covariance double sum for a product Hamiltonian and state.
 
@@ -110,7 +119,7 @@ def entanglement_timescale(h: ProductHamiltonian, state: ProductState) -> dict:
         cov_a = _covariance_matrix([a for a, _ in h.terms], state.psi_a)
         cov_b = _covariance_matrix([b for _, b in h.terms], state.psi_b)
         total = complex(np.sum(cov_a * cov_b))
-        scale = float(np.linalg.norm(cov_a) * np.linalg.norm(cov_b))
+        scale = _norm(cov_a) * _norm(cov_b)
     if not (cmath.isfinite(total) and math.isfinite(scale)):
         raise NumericalError(
             f"covariance double sum {total!r} or its scale {scale!r} is not finite; "

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -358,6 +359,15 @@ def test_overflowing_rate_is_numerical_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and "error: covariance double sum" in captured.err
     assert "onset" not in captured.err
+
+
+def test_evolve_where_squares_of_entries_overflow_warns_of_nothing(tmp_path):
+    """At lambda 1e160 the blocks' residual check takes its norms with no overflow."""
+    spec = write_model(tmp_path, fock_doc(**{"lambda": 1e160, "n_max": 7}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["evolve", "--spec", spec, "--points", "5",
+                     "--out", str(tmp_path / "out.csv")]) == 0
 
 
 def test_solver_breakdown_is_numerical_error(tmp_path, monkeypatch, capsys):

@@ -346,6 +346,17 @@ def test_product_hamiltonian_validation():
         ProductHamiltonian(2, 2, ((np.eye(2), np.array([[np.nan, 0.0], [0.0, 1.0]])),))
 
 
+def test_product_hamiltonian_checks_each_term_in_turn():
+    """Term by term, each its pair length, then A, then B: the first bad term names the error."""
+    not_a_pair = (np.eye(2),)
+    with pytest.raises(DimensionError, match="term 0 factor A"):
+        ProductHamiltonian(2, 2, ((np.eye(3), np.eye(2)), not_a_pair))
+    with pytest.raises(ModelError, match="term 1 is not"):
+        ProductHamiltonian(2, 2, ((np.eye(2), np.eye(2)), not_a_pair))
+    with pytest.raises(StateError, match="term 0 factor A"):
+        ProductHamiltonian(2, 2, ((np.full((2, 2), np.inf), np.eye(3)),))
+
+
 def test_product_hamiltonian_copies_inputs():
     a = np.eye(2, dtype=np.complex128)
     b = np.eye(2, dtype=np.complex128)
@@ -358,7 +369,7 @@ def test_product_hamiltonian_copies_inputs():
     assert np.array_equal(h.terms[0][1].toarray(), np.eye(2))
     with pytest.raises(ValueError):
         h.terms[0][0].values[0] = 5.0
-    # a Factor is immutable and taken over as it is; its own arrays are copies
+    # a Factor is taken over as it is; its own arrays are read-only copies
     values = np.ones(2, dtype=np.complex128)
     factor = Factor(2, [0, 1, 2], [0, 1], values)
     values[0] = 5.0

@@ -57,9 +57,8 @@ def _complex(x):
     return {"re": x.real.tolist(), "im": x.imag.tolist()}
 
 
-def test_stepped_evolve_and_jcm_verify_do_not_load_numpy_ma(tmp_path):
-    """numpy 2 imports numpy.ma lazily (np.unique does, for one: about 15 ms). A dense model
-    whose evolve takes the series in steps, and a JCM verify, run without it."""
+def _evolve_and_verify(tmp_path) -> list[list[str]]:
+    """Command lines of a dense evolve that takes the series in steps and of a JCM verify."""
     rng = np.random.default_rng(149)
     ga, gb = oracles.random_matrix(rng, 12), oracles.random_matrix(rng, 10)
     dense = {"model": "custom", "dim_a": 12, "dim_b": 10,
@@ -72,18 +71,41 @@ def test_stepped_evolve_and_jcm_verify_do_not_load_numpy_ma(tmp_path):
     for name, doc in (("dense.json", dense), ("jcm.json", jcm)):
         paths.append(tmp_path / name)
         paths[-1].write_text(json.dumps(doc), encoding="utf-8")
-    commands = [["evolve", "--spec", str(paths[0]), "--t-max", "2", "--points", "201",
-                 "--out", str(tmp_path / "out.csv")],
-                ["verify", "--spec", str(paths[1])]]
+    return [["evolve", "--spec", str(paths[0]), "--t-max", "2", "--points", "201",
+             "--out", str(tmp_path / "out.csv")],
+            ["verify", "--spec", str(paths[1])]]
+
+
+def _probe(code: str) -> str:
+    """What ``code`` prints, run in a fresh interpreter on this package."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    return run.stdout.strip()
+
+
+def test_stepped_evolve_and_jcm_verify_do_not_load_numpy_ma(tmp_path):
+    """numpy 2 imports numpy.ma lazily (np.unique does, for one: about 15 ms). A dense model
+    whose evolve takes the series in steps, and a JCM verify, run without it."""
     probe = (
         "import contextlib, io, sys, enttime.cli, enttime.propagator as p\n"
         "plans, plan = [], p._series_plan\n"
         "p._series_plan = lambda *args: plans.append(plan(*args)) or plans[-1]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    codes = [enttime.cli.main(argv) for argv in {commands!r}]\n"
+        f"    codes = [enttime.cli.main(argv) for argv in {_evolve_and_verify(tmp_path)!r}]\n"
         "print(codes, max(steps for steps, _ in plans) > 1, 'numpy.ma' in sys.modules)"
     )
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-                         check=True)
-    assert run.stdout.strip() == "[0, 0] True False"
+    assert _probe(probe) == "[0, 0] True False"
+
+
+def test_no_class_of_the_package_is_generated(tmp_path):
+    """Importing the command line, then the same dense evolve and JCM verify, leave
+    dataclasses unloaded: every class of the package is written out."""
+    probe = (
+        "import contextlib, io, sys, enttime.cli\n"
+        "imported = 'dataclasses' in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [enttime.cli.main(argv) for argv in {_evolve_and_verify(tmp_path)!r}]\n"
+        "print(codes, imported, 'dataclasses' in sys.modules)"
+    )
+    assert _probe(probe) == "[0, 0] False False"

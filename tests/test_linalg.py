@@ -301,6 +301,19 @@ def test_forced_residuals_show_on_the_spectrum(monkeypatch, n):
     assert max(full.residual[0], full.residual[2]) <= 1e-2 * delta
 
 
+def test_a_moved_eigenvalue_shows_past_the_squares_that_overflow(monkeypatch):
+    """At 1e160 the squares of the entries overflow: the residual and its bound stay finite,
+    and an eigenvalue moved by 1e-6 of the scale is still caught."""
+    m = 1e160 * np.array([[1.0, 2.0 - 1.0j], [2.0 + 1.0j, -3.0]])
+    with np.errstate(over="raise"):
+        spectrum = eig_hermitian(m)
+    assert np.isfinite(spectrum.tolerance) and spectrum.residual <= spectrum.tolerance
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (eigh(a)[0] + [1e154, 0.0], eigh(a)[1]))
+    with pytest.raises(NumericalError, match="residual"):
+        eig_hermitian(m)
+
+
 # ---------------------------------------------------------------------------
 # the Chebyshev series
 
@@ -474,7 +487,7 @@ def test_product_form_matches_the_hermitian_part(dims):
     terms = oracles.random_term_list(rng, *dims, 4)
     terms.append((oracles.random_matrix(rng, dims[0]), oracles.random_matrix(rng, dims[1])))
     h = ProductHamiltonian(*dims, tuple(terms))
-    apply, _ = hermitian_product(oracles.dense_terms(h), h.paired)
+    apply = hermitian_product(oracles.dense_terms(h), h.paired)
     sym = _whole_matrix(h)
     for _ in range(3):
         psi = oracles.random_unit_vector(rng, h.dim)
@@ -502,8 +515,8 @@ def test_adjoint_terms_enter_the_product_form_once(dims):
     ]
     for terms, width in cases:
         h = ProductHamiltonian(*dims, tuple(terms))
-        apply, count = hermitian_product(oracles.dense_terms(h), h.paired)
-        assert count == width
+        apply = hermitian_product(oracles.dense_terms(h), h.paired)
+        assert 2 * h.n_terms - sum(h.paired) == width
         sym = _whole_matrix(h)
         psi = oracles.random_unit_vector(rng, h.dim)
         assert np.linalg.norm(apply(psi) - sym @ psi) <= 1e-13 * np.linalg.norm(sym @ psi)
@@ -517,7 +530,7 @@ def test_lanczos_interval_holds_the_extreme_eigenvalues_within_its_margin():
         sym = _whole_matrix(h)
         w = np.linalg.eigvalsh(sym)
         start = rng.standard_normal(h.dim)
-        operator = hermitian_product(oracles.dense_terms(h), h.paired)[0] if case % 2 else sym
+        operator = hermitian_product(oracles.dense_terms(h), h.paired) if case % 2 else sym
         low, high, margin = lanczos_interval(operator, start)
         assert RECON_TOL <= margin <= 1e-6 * (w[-1] - w[0])
         assert abs(low - w[0]) <= margin and abs(high - w[-1]) <= margin
@@ -532,7 +545,7 @@ def test_lanczos_stops_on_an_invariant_subspace(monkeypatch):
                                                 (np.eye(3), -0.5 * np.eye(5))))
     cases = [
         (np.array([[-3.0 + 0j]]), np.array([0.7]), -3.0),  # a 1 x 1 model
-        (hermitian_product(oracles.dense_terms(scaled_identity), scaled_identity.paired)[0],
+        (hermitian_product(oracles.dense_terms(scaled_identity), scaled_identity.paired),
          rng.standard_normal(15), 2.0),
         (sym, v[:, -1], w[-1]),  # a start that is an eigenvector
     ]

@@ -171,13 +171,25 @@ def test_imaginary_residual_flags_non_hermitian_total():
         entanglement_timescale(h, s)
 
 
-@pytest.mark.parametrize("lam", [1e78, 1e160], ids=["scale-overflows", "sum-overflows"])
+@pytest.mark.parametrize("lam", [1e160], ids=["sum-overflows"])
 def test_non_finite_sum_or_scale_is_numerical_error(lam):
-    # finite rates whose covariances overflow: at 1e160 the sum itself is
-    # inf + nan i, which every plain comparison would let through as degenerate
+    # a finite rate whose covariances overflow: the sum itself is inf + nan i,
+    # which every plain comparison would let through as degenerate
     h, s = build_jcm(JcmSpec(lam=lam, n_max=5, field=FockField(3)))
     with pytest.raises(NumericalError, match="not finite"):
         entanglement_timescale(h, s)
+
+
+def test_a_finite_sum_whose_norms_overflow_keeps_a_finite_scale():
+    """At lambda 1e78 the sum is 4 lambda^2 = 4e156, while the squares of cov_a's entries
+    overflow: the scale is taken over the entries divided by the largest."""
+    h, s = build_jcm(JcmSpec(lam=1e78, n_max=5, field=FockField(3)))
+    report = entanglement_timescale(h, s)
+    assert report["t_ent_inv_sq"] == pytest.approx(4e156, rel=1e-14)
+    assert report["scale"] == pytest.approx(
+        np.linalg.norm(report["cov_a"] / 1e156) * np.linalg.norm(report["cov_b"]) * 1e156,
+        rel=1e-14)
+    assert report["t_ent"] == pytest.approx(0.5e-78, rel=1e-14) and not report["degenerate"]
 
 
 def test_dimension_mismatch_rejected():
