@@ -58,6 +58,7 @@ from .models import (
     suggest_coherent_cutoff,
 )
 from .timescale import check_alpha, entanglement_timescale, predicted_curvature
+from .tolerances import MAX_POINTS
 
 __all__ = [
     "SchemaViolation",
@@ -302,11 +303,11 @@ def _matrix_doc(m: np.ndarray) -> dict:
 # timescale
 
 def cmd_timescale(
-    spec_path: str,
+    spec: str,
     alphas: list[int],
-    output_path: str | None = None,
+    out: str | None = None,
     *,
-    include_timing: bool = True,
+    no_timing: bool = False,
 ) -> dict:
     """Evaluate the covariance timescale of a model file; write and return the JSON document.
 
@@ -316,7 +317,7 @@ def cmd_timescale(
     """
     alphas = list(dict.fromkeys(check_alpha(alpha, 2) for alpha in alphas))
     started = time.perf_counter()
-    h, state, resolved = load_model_file(spec_path)
+    h, state, resolved = load_model_file(spec)
     check_hermitian(h)
     report = entanglement_timescale(h, state)
     block = {**report, "cov_a": _matrix_doc(report["cov_a"]),
@@ -329,7 +330,7 @@ def cmd_timescale(
         "timescale": block,
         "predictions": [predicted_curvature(report, a) for a in alphas],
     }
-    if include_timing:
+    if not no_timing:
         doc["wall_time_s"] = time.perf_counter() - started
     if report["degenerate"]:
         print(
@@ -337,7 +338,7 @@ def cmd_timescale(
             "is slower than quadratic",
             file=sys.stderr,
         )
-    _write_text(output_path, json.dumps(doc, indent=2) + "\n")
+    _write_text(out, json.dumps(doc, indent=2) + "\n")
     return doc
 
 
@@ -345,14 +346,14 @@ def cmd_timescale(
 # evolve
 
 def cmd_evolve(
-    spec_path: str,
+    spec: str,
     alphas: list[int],
     t_max: float,
-    n_points: int,
-    units_ln2: bool = False,
-    output_path: str | None = None,
+    points: int,
+    ln2_units: bool = False,
+    out: str | None = None,
     *,
-    spectrum_columns: bool = False,
+    spectrum: bool = False,
 ) -> str:
     """Exact-evolution entropy series as CSV; returns the CSV text.
 
@@ -361,28 +362,30 @@ def cmd_evolve(
     """
     if not math.isfinite(t_max) or t_max <= 0.0:
         raise SchemaViolation(f"--t-max must be positive, got {t_max!r}")
-    if n_points < 2:
-        raise SchemaViolation(f"--points must be at least 2, got {n_points}")
-    h, state, _ = load_model_file(spec_path)
-    if spectrum_columns and h.dim_a != 2:
+    if points < 2:
+        raise SchemaViolation(f"--points must be at least 2, got {points}")
+    if points > MAX_POINTS:
+        raise SchemaViolation(f"--points must be at most {MAX_POINTS}, got {points}")
+    h, state, _ = load_model_file(spec)
+    if spectrum and h.dim_a != 2:
         raise ModelError(
             f"spectrum columns (p1, p2) need a two-level subsystem A, got dim_a = {h.dim_a}"
         )
     wanted = sorted(set(alphas))
-    times = np.linspace(0.0, float(t_max), int(n_points))
+    times = np.linspace(0.0, float(t_max), int(points))
     spectra, series = entropy_series(h, state, wanted, times)
-    unit = math.log(2.0) if units_ln2 else 1.0
-    lines = ["t,alpha,entropy,p1,p2" if spectrum_columns else "t,alpha,entropy"]
+    unit = math.log(2.0) if ln2_units else 1.0
+    lines = ["t,alpha,entropy,p1,p2" if spectrum else "t,alpha,entropy"]
     for alpha, values in zip(wanted, series):
         for k, t in enumerate(times):
             value = values[k] / unit
             row = f"{float(t)!r},{alpha},{float(value)!r}"
-            if spectrum_columns:
+            if spectrum:
                 p1, p2 = np.append(spectra[k], 0.0)[:2]  # p2 = 0 when dim_b = 1
                 row += f",{float(p1)!r},{float(p2)!r}"
             lines.append(row)
     text = "\n".join(lines) + "\n"
-    _write_text(output_path, text)
+    _write_text(out, text)
     return text
 
 
@@ -390,17 +393,17 @@ def cmd_evolve(
 # verify
 
 def cmd_verify(
-    spec_path: str,
+    spec: str,
     alphas: list[int],
     tolerance_rel: float = 0.01,
-    output_path: str | None = None,
+    out: str | None = None,
 ) -> dict:
     """Run :func:`~enttime.entropy.verify_growth` on a model file.
 
-    Returns the PASS/FAIL table as a JSON document and, with ``output_path``,
+    Returns the PASS/FAIL table as a JSON document and, with ``out``,
     writes it; :func:`_table_text` prints it.
     """
-    h, state, resolved = load_model_file(spec_path)
+    h, state, resolved = load_model_file(spec)
     report, rows = verify_growth(h, state, alphas, tolerance_rel)
     doc = {
         "command": "verify",
@@ -410,8 +413,8 @@ def cmd_verify(
         "t_ent_inv_sq": report["t_ent_inv_sq"],
         "rows": rows,
     }
-    if output_path is not None:
-        _write_text(output_path, json.dumps(doc, indent=2) + "\n")
+    if out is not None:
+        _write_text(out, json.dumps(doc, indent=2) + "\n")
     return doc
 
 
@@ -588,27 +591,14 @@ def main(argv=None) -> int:
     command, args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         if command == "timescale":
-            cmd_timescale(
-                args["spec"],
-                args["alphas"],
-                args["out"],
-                include_timing=not args["no_timing"],
-            )
-            return 0
-        if command == "evolve":
-            cmd_evolve(
-                args["spec"],
-                args["alphas"],
-                args["t_max"],
-                args["points"],
-                units_ln2=args["ln2_units"],
-                output_path=args["out"],
-                spectrum_columns=args["spectrum"],
-            )
-            return 0
-        doc = cmd_verify(args["spec"], args["alphas"], args["tolerance_rel"], args["out"])
-        sys.stdout.write(_table_text(doc))
-        return 1 if any(row["status"] == "FAIL" for row in doc["rows"]) else 0
+            cmd_timescale(**args)
+        elif command == "evolve":
+            cmd_evolve(**args)
+        else:
+            doc = cmd_verify(**args)
+            sys.stdout.write(_table_text(doc))
+            return 1 if any(row["status"] == "FAIL" for row in doc["rows"]) else 0
+        return 0
     except (EnttimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)

@@ -157,6 +157,15 @@ def _frobenius(x: np.ndarray) -> np.ndarray:
     return scale * np.sqrt(np.einsum("...ij,...ij->...", real, real))
 
 
+def _norm(x: np.ndarray) -> float:
+    """||x|| of a vector: ``np.linalg.norm`` where it is finite, else :func:`_frobenius` of
+    x as a 1 x n matrix, so only vectors whose squares overflow (past about 1e154) change route.
+    """
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(x))
+    return norm if math.isfinite(norm) else float(_frobenius(x[None, :]))
+
+
 def propagate(spectrum: HermitianSpectrum, psi0: np.ndarray, modes: np.ndarray,
               times) -> np.ndarray:
     """Amplitudes exp(-i M t) psi0 for each time, one row per time, for a matrix or a stack.
@@ -258,17 +267,17 @@ def lanczos_interval(operator, start: np.ndarray) -> tuple[float, float, float]:
     n = start.size
     basis = np.empty((min(n, LANCZOS_STEPS), n), dtype=np.complex128)
     alpha, beta = np.zeros(basis.shape[0]), np.zeros(basis.shape[0])
-    q = start.astype(np.complex128) / np.linalg.norm(start)
+    q = start.astype(np.complex128) / _norm(start)
     roundoff, floor = n * np.finfo(np.float64).eps, 0.0
     for j in range(basis.shape[0]):
         basis[j] = q
         w = apply(q)
-        floor = max(floor, roundoff * float(np.linalg.norm(w)))
+        floor = max(floor, roundoff * _norm(w))
         alpha[j] = np.vdot(q, w).real
         kept = basis[: j + 1]
         for _ in range(2):
             w -= (kept @ w.conj()).conj() @ kept
-        beta[j] = np.linalg.norm(w)
+        beta[j] = _norm(w)
         if not beta[j] > floor:
             beta[j] = 0.0
             break

@@ -33,7 +33,6 @@ import numpy as np
 
 from .errors import ModelError, StateError, TruncationError
 from .hamiltonian import Factor, ProductHamiltonian, ProductState, require_dense_dim
-from .timescale import entanglement_timescale
 from .tolerances import NORM_TOL, TAIL_TOL
 
 __all__ = [
@@ -267,30 +266,32 @@ def build_jcm(spec: dict) -> tuple[ProductHamiltonian, ProductState]:
 
 
 def jcm_timescale_closed_form(spec: dict) -> float:
-    """Squared inverse timescale from the photon distribution alone.
+    """Squared inverse timescale from the atom amplitudes and photon distribution alone.
 
-    For an atom starting exactly excited,
+    Only the two coupling terms correlate atom and field (a free term has
+    an identity factor, whose covariance is 0). With p_e = |c_e|^2,
+    p_g = |c_g|^2, s = <sigma_+> = c_e* c_g and field moments over C_n,
 
-        t_ent_inv_sq = lam^2 * (sum_n (n+1) |C_n|^2 - |sum_n sqrt(n+1) C*_{n+1} C_n|^2),
+        t_ent_inv_sq = lam^2 (p_e (1 - p_g) (<a a^dag> - |<a>|^2)
+                              + p_g (1 - p_e) (<a^dag a> - |<a>|^2)
+                              - 2 Re(s^2 (<a^2> - <a>^2))),
 
-    and exactly ground the same with |C_n|^2 -> |C_{n+1}|^2 in the first
-    sum. Fock input reduces these to lam^2 (N+1) and lam^2 N; a coherent
-    state gives lam^2 (excited) and 0 (ground, degenerate). Atom
-    superpositions fall back to the general covariance sum.
+    where <a a^dag> = sum_n (n+1) |C_n|^2 is taken untruncated. Fock input
+    reduces an excited atom to lam^2 (N+1) and a ground one to lam^2 N; a
+    coherent state gives lam^2 (excited) and 0 (ground, degenerate).
     """
     c_e, c_g = (complex(*spec["atom"][key]) for key in ("c_e", "c_g"))
-    if abs(c_g) != 0.0 and abs(c_e) != 0.0:
-        h, state = build_jcm(spec)
-        return entanglement_timescale(h, state)["t_ent_inv_sq"]
+    p_e, p_g, s = abs(c_e) ** 2, abs(c_g) ** 2, c_e.conjugate() * c_g
     c = field_amplitudes(spec)
     ns = np.arange(c.size)
     weights = np.abs(c) ** 2
-    cross = complex(np.sum(np.sqrt(ns[:-1] + 1.0) * np.conj(c[1:]) * c[:-1]))
-    if abs(c_g) == 0.0:
-        quadratic = float(np.sum((ns + 1.0) * weights))
-    else:
-        quadratic = float(np.sum(ns * weights))
-    value = spec["lambda"] ** 2 * (quadratic - abs(cross) ** 2)
+    cross = complex(np.sum(np.sqrt(ns[:-1] + 1.0) * np.conj(c[1:]) * c[:-1]))  # <a^dag>
+    pair = complex(np.sum(np.sqrt((ns[:-2] + 1.0) * (ns[:-2] + 2.0)) * np.conj(c[:-2]) * c[2:]))
+    excited = float(np.sum((ns + 1.0) * weights)) - abs(cross) ** 2
+    ground = float(np.sum(ns * weights)) - abs(cross) ** 2
+    coherence = (s * s * (pair - cross.conjugate() ** 2)).real
+    value = spec["lambda"] ** 2 * (p_e * (1.0 - p_g) * excited + p_g * (1.0 - p_e) * ground
+                                   - 2.0 * coherence)
     return max(value, 0.0)
 
 

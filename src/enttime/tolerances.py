@@ -124,6 +124,15 @@ PSD_TOL = -1e-12
 # Largest total Hilbert-space dimension the dense kernel will build.
 MAX_DIM = 4096
 
+# Most times `evolve --points` takes, checked before the model file is read,
+# so an impossible grid exits 2 instead of failing to allocate. The memory
+# of a run grows linearly in points x orders: with three orders on JCM
+# Fock(3), n_max 7, 10^5 points peak at 94 MB RSS (33 MB at 2 points) and
+# write 12 MB of CSV, about 200 bytes of peak and 40 of CSV per (time,
+# order), so the bound with three orders holds about 640 MB. It is 500
+# times the 2001-point grid of the `dense_evolve` benchmark.
+MAX_POINTS = 10**6
+
 # A squared inverse timescale at or below DEGEN_TOL_REL times the covariance
 # magnitude scale counts as degenerate (no quadratic entropy growth).
 DEGEN_TOL_REL = 1e-12

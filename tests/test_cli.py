@@ -1,4 +1,5 @@
 import copy
+import inspect
 import json
 import math
 import os
@@ -102,7 +103,7 @@ def test_timescale_rejects_von_neumann_alpha(tmp_path, capsys):
 def test_timescale_writes_one_prediction_per_distinct_order(tmp_path):
     spec = write_model(tmp_path, fock_doc())
     out = tmp_path / "report.json"
-    doc = cmd_timescale(spec, [2, 3, 2, np.int64(3)], str(out), include_timing=False)
+    doc = cmd_timescale(spec, [2, 3, 2, np.int64(3)], str(out), no_timing=True)
     assert [p["alpha"] for p in doc["predictions"]] == [2, 3]
     assert json.loads(out.read_text())["predictions"] == doc["predictions"]
 
@@ -205,6 +206,22 @@ def test_evolve_argument_guards(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_evolve_refuses_an_impossible_grid_before_reading_the_model(tmp_path, monkeypatch,
+                                                                     capsys):
+    spec = write_model(tmp_path, fock_doc(n_max=7))
+
+    def reached(*args):
+        raise AssertionError("reached")
+
+    monkeypatch.setattr(cli, "load_model_file", reached)
+    monkeypatch.setattr(np, "linspace", reached)
+    assert main(["evolve", "--spec", spec, "--points", "10000000000000"]) == 2
+    assert capsys.readouterr().err == "error: --points must be at most 1000000, got 10000000000000\n"
+    # the bound itself is allowed: the model file is read next
+    with pytest.raises(AssertionError, match="reached"):
+        main(["evolve", "--spec", spec, "--points", str(cli.MAX_POINTS)])
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -304,7 +321,7 @@ def test_report_shapes_are_pinned(tmp_path, capsys):
     report, rows = verify_growth(h, state, [2, VON_NEUMANN_ALPHA])
     assert list(report) == TIMESCALE_KEYS
     assert not report["cov_a"].flags.writeable and not report["cov_b"].flags.writeable
-    doc = cmd_timescale(spec, [2], include_timing=False)
+    doc = cmd_timescale(spec, [2], no_timing=True)
     capsys.readouterr()
     assert list(doc["timescale"]) == TIMESCALE_KEYS[:-1]
     assert doc["degenerate"] is report["degenerate"] is False
@@ -934,6 +951,37 @@ def test_reading_in_order_where_argparse_read_otherwise(capsys):
         code, out, err = table_exit(argv, capsys)
         assert (code, out) == (2, "")
         assert err.splitlines()[1].startswith(f"enttime {argv[0]}: error: {message}")
+
+
+@pytest.mark.parametrize("command", list(cli._OPTIONS))
+def test_each_command_takes_its_options_by_their_destinations(command):
+    """A command's parameters are the destinations of its options, and where a parameter
+    has a default it is the option's."""
+    options = {dest: default for dest, _, default in cli._OPTIONS[command].values()}
+    parameters = inspect.signature(getattr(cli, f"cmd_{command}")).parameters
+    assert set(parameters) == set(options)
+    for name, parameter in parameters.items():
+        if parameter.default is not inspect.Parameter.empty:
+            assert parameter.default == options[name]
+
+
+@pytest.mark.parametrize("argv", [["timescale", "--spec", "m.json", "--no-timing"],
+                                  ["evolve", "--spec", "m.json", "--points", "3", "--spectrum"],
+                                  ["verify", "--spec", "m.json", "--tol", "0.05", "--out", "t"]],
+                         ids=lambda argv: argv[0])
+def test_main_hands_the_parsed_options_to_the_command_by_name(argv, monkeypatch, capsys):
+    """``main`` looks each command up by its module-level name when it runs, so a rebound
+    ``cmd_*`` (as a tracer installs) receives every parsed value as a keyword."""
+    calls = []
+
+    def recorder(*args, **kwargs):
+        calls.append((args, kwargs))
+        return {"spec": {"model": "jcm"}, "t_ent_inv_sq": 1.0, "degenerate": False, "rows": []}
+
+    monkeypatch.setattr(cli, f"cmd_{argv[0]}", recorder)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert calls == [((), cli._parse(argv)[1])]
 
 
 def test_help_is_the_readme_block():

@@ -52,6 +52,10 @@ def test_the_covariance_sum_and_the_dynamics_import_nothing_of_each_other():
     assert "linalg" in _closure("propagator")  # the reader sees the imports it should
 
 
+def test_the_jcm_closed_form_does_not_import_the_covariance_sum_it_checks():
+    assert _imports("models") == {"errors", "hamiltonian", "tolerances"}
+
+
 def _complex(x):
     x = np.asarray(x, dtype=np.complex128)
     return {"re": x.real.tolist(), "im": x.imag.tolist()}

@@ -536,6 +536,24 @@ def test_lanczos_interval_holds_the_extreme_eigenvalues_within_its_margin():
         assert abs(low - w[0]) <= margin and abs(high - w[-1]) <= margin
 
 
+def test_lanczos_interval_scales_with_entries_whose_squares_overflow():
+    """S and 2^531 S (entries near 1e161) give the same interval up to that factor, on a
+    matrix and on the product form, with no overflow on the way."""
+    rng = np.random.default_rng(3)
+    terms = oracles.random_term_list(rng, 9, 10, 3)
+    h = ProductHamiltonian(9, 10, tuple(terms))
+    big = ProductHamiltonian(9, 10, tuple((a * 2.0**531, b) for a, b in terms))
+    start = rng.standard_normal(h.dim)
+    expected = np.ldexp(lanczos_interval(_whole_matrix(h), start), 531)
+    w = np.linalg.eigvalsh(_whole_matrix(big))
+    with np.errstate(all="raise"):
+        for operator in (_whole_matrix(big), hermitian_product(oracles.dense_terms(big),
+                                                               big.paired)):
+            low, high, margin = lanczos_interval(operator, start)
+            assert np.allclose((low, high, margin), expected, rtol=1e-12, atol=0.0)
+            assert abs(low - w[0]) <= margin and abs(high - w[-1]) <= margin
+
+
 def test_lanczos_stops_on_an_invariant_subspace(monkeypatch):
     """A beta of zero or roundoff ends Lanczos with exact Ritz values and no division by it."""
     rng = np.random.default_rng(139)

@@ -421,8 +421,10 @@ def test_closed_form_matches_covariance_sum():
         JcmSpec(lam=1.0, n_max=8, field=FockField(2)),
         JcmSpec(lam=0.5, n_max=8, field=FockField(1), c_e=0.0, c_g=1.0),
         JcmSpec(lam=1.3, n_max=35, field=CoherentField(1.0 - 1.0j)),
+        JcmSpec(lam=1.0, n_max=9, field=FockField(4), c_e=0.6, c_g=0.8j, omega=0.7),
+        JcmSpec(lam=1.0, n_max=20, field=CoherentField(0.8), c_e=0.6, c_g=0.8j, omega=0.7),
     ]
-    # superposition atoms exercise the covariance fallback branch
+    # superposition atoms take the coherence term s^2 (<a^2> - <a>^2) of the formula
     for _ in range(3):
         theta = rng.uniform(0.1, math.pi / 2.0)
         specs.append(

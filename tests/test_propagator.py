@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -572,6 +573,27 @@ def test_tiny_times_in_a_chunk_of_their_own_take_one_term():
     # the smallest subnormal time: one step, whose half would round to zero
     probs = Propagator(h, state).probabilities([5e-324, 0.0])
     assert np.max(np.abs(probs - oracle_probabilities(h, state, [0.0, 0.0]))) <= 1e-15
+
+
+def test_entries_whose_squares_overflow_keep_the_series_interval():
+    """Every A_n times 2^531 (entries near 1e161) at times over 2^531 is the same dynamics:
+    the Lanczos interval scales with H, and the series gives the unscaled probabilities,
+    with no overflow warning."""
+    rng = np.random.default_rng(3)
+    h, state = dense_model(rng, 9, 10)
+    big = ProductHamiltonian(9, 10, tuple((a.toarray() * 2.0**531, b) for a, b in h.terms))
+    base = Propagator(h, state)
+    times = np.linspace(-0.5, 1.0, 7) * 8.0 / base.blocks[0].interval[1]
+    expected = base.probabilities(times)
+    propagator = Propagator(big, state)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        probs = propagator.probabilities(np.ldexp(times, -531))
+    (block,) = propagator.blocks
+    assert block.terms is not None  # the series, not the eigenbasis
+    assert np.allclose(block.interval, np.ldexp(base.blocks[0].interval, 531), rtol=1e-12,
+                       atol=0.0)
+    assert np.max(np.abs(probs - expected)) <= 1e-14
 
 
 def test_huge_times_go_to_the_eigenbasis_without_a_series(monkeypatch):

@@ -120,7 +120,7 @@ def summarize_imports(samples: dict[str, list[float]]) -> dict:
 
 def setup_seconds(root: Path) -> float:
     """``setup_s`` of one ``perfbench/child.py --import-only`` run from ``root``, one BLAS thread."""
-    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "ENTTIME_THREADS")}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env.update(PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
     with tempfile.TemporaryDirectory(prefix="import_") as tmp:
