@@ -216,7 +216,8 @@ def test_evolve_refuses_an_impossible_grid_before_reading_the_model(tmp_path, mo
     monkeypatch.setattr(cli, "load_model_file", reached)
     monkeypatch.setattr(np, "linspace", reached)
     assert main(["evolve", "--spec", spec, "--points", "10000000000000"]) == 2
-    assert capsys.readouterr().err == "error: --points must be at most 1000000, got 10000000000000\n"
+    err = capsys.readouterr().err
+    assert err == "error: --points must be at most 1000000, got 10000000000000\n"
     # the bound itself is allowed: the model file is read next
     with pytest.raises(AssertionError, match="reached"):
         main(["evolve", "--spec", spec, "--points", str(cli.MAX_POINTS)])
